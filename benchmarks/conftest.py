@@ -37,7 +37,10 @@ class _SuiteEngine(Engine):
         ):
             backend = "serial"
         self.backend = get_backend(backend, workers=self._workers)
-        return super().run(spec)
+        try:
+            return super().run(spec)
+        finally:
+            self.backend.close()
 
 
 @pytest.fixture

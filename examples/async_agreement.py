@@ -81,7 +81,8 @@ def main():
         params={"inputs": "split", "scheduler": "random"},
     )
     serial = Engine("serial").run(sweep)
-    hybrid = Engine(HybridBackend(workers=2, wave_size=16)).run(sweep)
+    with Engine(HybridBackend(workers=2, unit_size=16)) as engine:
+        hybrid = engine.run(sweep)
     assert hybrid.trials == serial.trials, "hybrid diverged from serial"
     wall = serial.elapsed_seconds / max(hybrid.elapsed_seconds, 1e-9)
     cores = os.cpu_count() or 1

@@ -412,6 +412,7 @@ _VOTE_BITS = 49.0
 
 _MODEL_BUILDERS: Dict[str, Callable[[], ScenarioCostModel]] = {}
 _MODELS: Dict[str, ScenarioCostModel] = {}
+_BUILTINS_REGISTERED = False
 
 
 def register_cost_model(
@@ -422,13 +423,28 @@ def register_cost_model(
     _MODELS.pop(scenario, None)
 
 
+def _register_builtins() -> None:
+    """Register the built-in models on first lookup, not at import.
+
+    Building them imports sympy, which every ``import repro.engine``
+    (CLI commands, pool children, ``repro worker serve``) would
+    otherwise pay for.  A model registered before this runs wins.
+    """
+    global _BUILTINS_REGISTERED
+    if not _BUILTINS_REGISTERED:
+        if _have_sympy():
+            _build_builtin_models()
+        _BUILTINS_REGISTERED = True
+
+
 def get_cost_model(scenario: str) -> Optional[ScenarioCostModel]:
     """The scenario's cost model, or None (unknown scenario / no sympy).
 
     A ``None`` here is the documented uniform-geometry fallback signal:
-    every consumer (``DispatchPlan.cost_*``, backends, the fleet
-    coordinator, ``repro cost``) must degrade to trial-count sizing.
+    every consumer (the unit planner in :mod:`repro.engine.costplan`,
+    ``repro cost``) must degrade to trial-count sizing.
     """
+    _register_builtins()
     if scenario in _MODELS:
         return _MODELS[scenario]
     builder = _MODEL_BUILDERS.get(scenario)
@@ -440,7 +456,8 @@ def get_cost_model(scenario: str) -> Optional[ScenarioCostModel]:
 
 
 def cost_model_names() -> Tuple[str, ...]:
-    """Scenarios with a registered cost model (even if sympy is absent)."""
+    """Scenarios with a registered cost model."""
+    _register_builtins()
     return tuple(sorted(_MODEL_BUILDERS))
 
 
@@ -471,7 +488,7 @@ def _build_builtin_models() -> None:
         resolver: Callable[[int, Mapping[str, Any]], Dict[str, float]],
         uses: Tuple[str, ...],
     ) -> None:
-        register_cost_model(
+        _MODEL_BUILDERS.setdefault(
             scenario,
             lambda: ScenarioCostModel(
                 scenario=scenario,
@@ -686,6 +703,3 @@ def _build_builtin_models() -> None:
         (),
     )
 
-
-if _have_sympy():  # registration is cheap; expressions build lazily
-    _build_builtin_models()

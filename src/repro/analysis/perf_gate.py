@@ -373,7 +373,7 @@ def _suite_dispatch_overhead(quick: bool) -> Dict[str, Any]:
     """Dispatch-plane bookkeeping per work unit (trend, not gated).
 
     Every sharded backend (process, hybrid, distributed) routes units
-    through ``DispatchPlan`` + ``run_units``; this measures what that
+    through ``plan_grid`` + ``run_units``; this measures what that
     plumbing costs over a bare serial loop by driving no-op trials
     through the in-process ``InlineTransport`` at unit size 1 — the
     worst case, one full submit/collect/merge round per trial.  Real
@@ -409,7 +409,7 @@ def _suite_dispatch_overhead(quick: bool) -> Dict[str, Any]:
     )
     trials = 128 if quick else 512
     spec = ExperimentSpec(runner="perf-gate-noop", n=1, trials=trials)
-    units = DispatchPlan.chunked(trials, 1, 4).units(spec)
+    units = DispatchPlan(trials=trials, unit_size=1).units(spec)
 
     def serial() -> List[Any]:
         return [run_one_trial(spec, i) for i in range(trials)]
@@ -499,7 +499,7 @@ def _suite_telemetry_overhead(quick: bool) -> Dict[str, Any]:
     # plane, with and without a live telemetry sink.
     noop_trials = 128 if quick else 512
     noop_spec = ExperimentSpec(runner="perf-gate-noop", n=1, trials=noop_trials)
-    units = DispatchPlan.chunked(noop_trials, 1, 4).units(noop_spec)
+    units = DispatchPlan(trials=noop_trials, unit_size=1).units(noop_spec)
     span_reps = 4 if quick else 20
 
     def plain() -> List[Any]:
@@ -557,10 +557,9 @@ def _suite_cost_dispatch_mixed_n(quick: bool) -> Dict[str, Any]:
     from repro.engine import ExperimentSpec
     from repro.engine.costplan import plan_grid
     from repro.engine.dispatch import (
-        MODE_TRIALS,
         InlineTransport,
-        run_grid_units,
         run_one_trial,
+        run_units,
     )
 
     assert get_cost_model("phase-king") is not None, (
@@ -579,14 +578,14 @@ def _suite_cost_dispatch_mixed_n(quick: bool) -> Dict[str, Any]:
         ExperimentSpec(runner="phase-king", n=8, trials=12, seed=11),
         ExperimentSpec(runner="phase-king", n=24, trials=3, seed=11),
     ]
-    parity_units = plan_grid(
-        parity_specs, capacity=lanes, modes=[MODE_TRIALS] * 2
-    )
-    pairs = run_grid_units(parity_units, InlineTransport())
-    by_spec = {spec: results for spec, results in pairs}
-    for spec in parity_specs:
-        serial = [run_one_trial(spec, i) for i in range(spec.trials)]
-        assert by_spec[spec] == serial  # parity before timing
+    parity_units = plan_grid(parity_specs, capacity=lanes)
+    merged = run_units(parity_units, InlineTransport())
+    serial = [
+        run_one_trial(spec, i)
+        for spec in dict.fromkeys(u.spec for u in parity_units)
+        for i in range(spec.trials)
+    ]
+    assert merged == serial  # parity before timing
 
     # Measured per-trial seconds per spec (the simulation's clock).
     light_reps, light_count = (2, 8) if quick else (6, 16)
@@ -611,13 +610,8 @@ def _suite_cost_dispatch_mixed_n(quick: bool) -> Dict[str, Any]:
             free[lane] += len(unit.indices) * per_trial[unit.spec]
         return max(free)
 
-    modes = [MODE_TRIALS] * len(specs)
-    uniform_units = plan_grid(
-        specs, capacity=lanes, modes=modes, cost_aware=False
-    )
-    cost_units = plan_grid(
-        specs, capacity=lanes, modes=modes, cost_aware=True
-    )
+    uniform_units = plan_grid(specs, capacity=lanes, cost_aware=False)
+    cost_units = plan_grid(specs, capacity=lanes, cost_aware=True)
     uniform_s = _makespan(uniform_units)
     cost_s = _makespan(cost_units)
     return {

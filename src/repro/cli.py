@@ -459,7 +459,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             backends[name] = get_backend(
                 name,
                 workers=args.workers,
-                wave_size=args.wave_size,
+                unit_size=args.wave_size,
                 hosts=_parse_hosts_arg(args),
                 lane_depth=args.lane_depth,
             )
@@ -480,8 +480,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                 # Honour a backend flip where the scenario supports it.
                 # Hybrid (unlike batch/async) has no serial fallback of
                 # its own, so the capability check here is what keeps
-                # the smoke sweep total.  Distributed runs every
-                # scenario (waves for async, chunks otherwise).
+                # the smoke sweep total.  Process and distributed run
+                # every scenario (waves for async, trials otherwise).
                 if args.backend == "batch" and runner.batchable:
                     backend = "batch"
                 elif args.backend == "async" and runner.asynchronous:
@@ -564,7 +564,7 @@ def _cmd_run_experiment(args: argparse.Namespace) -> int:
         with get_backend(
             args.backend,
             workers=args.workers,
-            wave_size=args.wave_size,
+            unit_size=args.wave_size,
             hosts=_parse_hosts_arg(args),
             lane_depth=args.lane_depth,
         ) as backend:
@@ -1017,8 +1017,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool workers (default: cpu count)")
     p.add_argument("--wave-size", type=int, default=None,
-                   help="hybrid/distributed backends: trials per "
-                        "dispatched wave (default: ~2 waves per worker)")
+                   help="process/hybrid/distributed backends: trials "
+                        "per dispatched unit (default: sized from "
+                        "predicted cost, ~4 units per worker)")
     p.add_argument("--hosts", default=None, metavar="HOST:PORT,...",
                    help="distributed backend: comma-separated "
                         "`repro worker serve` addresses")

@@ -24,23 +24,24 @@ Layers (see ENGINE.md for the architecture notes):
 * :mod:`repro.engine.registry` — named, picklable :class:`Scenario`
   objects; built-ins register from :mod:`repro.engine.scenarios`.
 * :mod:`repro.engine.dispatch` — the transport-agnostic dispatch
-  plane: :class:`DispatchPlan` shard geometry, the :class:`Transport`
+  plane: :class:`DispatchPlan` unit geometry, the :class:`Transport`
   seam, the submit/retry/merge collect loop, and the one spawn-safe
   worker entry (:func:`run_unit`).
-* :mod:`repro.engine.costplan` — the cost-aware planning bridge:
-  per-spec predicted trial costs (:func:`spec_trial_cost`, from
-  :mod:`repro.analysis.costmodel`) sized into multi-spec unit plans
-  (:func:`plan_grid`) so mixed-size grids balance predicted work.
+* :mod:`repro.engine.costplan` — the one unit-size rule
+  (:func:`plan_specs`): per-spec predicted trial costs
+  (:func:`spec_trial_cost`, from :mod:`repro.analysis.costmodel`)
+  sized into multi-spec unit plans (:func:`plan_grid`) so mixed-size
+  grids balance predicted work.
 * :mod:`repro.engine.backends` — :class:`SerialBackend` and
-  :class:`ProcessPoolBackend` behind one :class:`ExecutionBackend` API.
+  :class:`ShardedBackend` behind one :class:`ExecutionBackend` API;
+  :class:`ProcessPoolBackend` and :class:`HybridBackend` are sharded
+  backends over a ``multiprocessing`` pool.
 * :mod:`repro.engine.batch` — :class:`BatchBackend`, multiplexing many
   independent sync protocol instances over one round loop.
 * :mod:`repro.engine.async_backend` — :class:`AsyncBackend`, the same
   idea over the asynchronous scheduler's delivery steps.
-* :mod:`repro.engine.hybrid` — :class:`HybridBackend`, waves of async
-  instances sharded across pool workers (async × process).
 * :mod:`repro.engine.distributed` — :class:`DistributedBackend` /
-  :class:`SocketTransport` / :class:`WorkerServer`, the same waves
+  :class:`SocketTransport` / :class:`WorkerServer`, the same units
   dispatched to ``repro worker serve`` hosts over TCP.
 * :mod:`repro.engine.aggregate` — ledger merging, percentiles, failure
   counts, and tables for :mod:`repro.analysis.reporting`.
@@ -57,8 +58,10 @@ from .aggregate import (
 from .async_backend import AsyncBackend, run_wave
 from .backends import (
     ExecutionBackend,
+    HybridBackend,
     ProcessPoolBackend,
     SerialBackend,
+    ShardedBackend,
     default_worker_count,
     make_context,
     run_one_trial,
@@ -67,6 +70,7 @@ from .batch import BatchBackend
 from .costplan import (
     grid_modes,
     plan_grid,
+    plan_specs,
     spec_trial_cost,
 )
 from .dispatch import (
@@ -77,7 +81,6 @@ from .dispatch import (
     PoolTransport,
     Transport,
     WorkUnit,
-    run_grid_units,
     run_unit,
     run_unit_timed,
     run_units,
@@ -89,7 +92,6 @@ from .distributed import (
     WorkerServer,
     parse_hosts,
 )
-from .hybrid import HybridBackend
 from .engine import BACKEND_NAMES, Engine, get_backend, run_experiment
 from .registry import (
     AsyncInstance,
@@ -165,6 +167,7 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "SerialBackend",
+    "ShardedBackend",
     "SocketTransport",
     "SweepMonitor",
     "Transport",
@@ -189,13 +192,13 @@ __all__ = [
     "parse_hosts",
     "percentile",
     "plan_grid",
+    "plan_specs",
     "register",
     "report_from_wire",
     "report_to_wire",
     "result_from_wire",
     "result_to_wire",
     "run_experiment",
-    "run_grid_units",
     "run_one_trial",
     "run_unit",
     "run_unit_timed",

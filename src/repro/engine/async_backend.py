@@ -22,11 +22,11 @@ by trial, mirroring :class:`~repro.engine.batch.BatchBackend`.
 
 :func:`run_wave` is the wave driver behind the dispatch plane's
 unified worker entry (:func:`~repro.engine.dispatch.run_unit`, mode
-``wave``), which the hybrid and distributed backends execute on their
-workers: it rebuilds the scenario *by name* from the registry (so it
-works under the ``spawn`` start method — and on remote hosts — which
-inherit nothing from the parent) and drives one wave of trial indices
-through a local breadth-first step loop.
+``wave``), which the sharded backends execute on their workers: it
+rebuilds the scenario *by name* from the registry (so it works under
+the ``spawn`` start method — and on remote hosts — which inherit
+nothing from the parent) and drives one wave of trial indices through
+a local breadth-first step loop.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class AsyncBackend(ExecutionBackend):
 
     def run_trials(self, spec: ExperimentSpec) -> List[TrialResult]:
         runner = resolve_cached(spec.runner)
-        telemetry = self._begin_telemetry(spec)
+        telemetry = self._begin_telemetry(spec.trials)
         results: List[TrialResult] = []
         if runner.build_async_instance is None:
             for i in range(spec.trials):
@@ -76,7 +76,7 @@ class AsyncBackend(ExecutionBackend):
                     results.append(run_one_trial(spec, i))
         else:
             # One span per max_live window — the same granularity the
-            # hybrid/distributed backends observe per wave unit.
+            # sharded backends observe per wave unit.
             for start in range(0, spec.trials, self.max_live):
                 window = range(
                     start, min(start + self.max_live, spec.trials)
@@ -91,7 +91,7 @@ class AsyncBackend(ExecutionBackend):
     ) -> List[TrialResult]:
         """Drive the given trial indices, ``max_live`` at a time.
 
-        The unit the hybrid backend shards: a wave of trial indices of
+        The unit the sharded backends ship: a wave of trial indices of
         one spec, multiplexed breadth-first, returned in index order.
         Requires an asynchronous scenario.  Resolution is memoised per
         process, so a pool worker driving many waves of the same spec
@@ -165,7 +165,7 @@ def run_wave(
 
     This is what the dispatch plane's worker entry
     (:func:`~repro.engine.dispatch.run_unit`) executes for ``wave``
-    work units — on a hybrid pool worker or a remote ``repro worker
+    work units — on a pool worker or a remote ``repro worker
     serve`` host alike.  ``spec`` crosses the boundary as plain data;
     the scenario is resolved from the registry *inside the worker*
     (:func:`~repro.engine.registry.get_runner` loads the built-ins on

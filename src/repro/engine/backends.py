@@ -8,24 +8,17 @@ correctness property, enforced by ``tests/test_engine.py``.
 
 * :class:`SerialBackend` — trials run in-process, one after another
   (the seed repo's original behaviour).
-* :class:`ProcessPoolBackend` — trials shard across ``multiprocessing``
-  workers in contiguous chunks.  Specs cross the process boundary as
-  plain data (runner resolved by name in the worker), results come back
-  as picklable dataclasses and are re-ordered by trial index.
+* :class:`ShardedBackend` — trials cut into work units and run over a
+  :class:`~repro.engine.dispatch.Transport`.  Three configurations:
+  :class:`ProcessPoolBackend` (a ``multiprocessing`` pool; in-process
+  with one worker), :class:`HybridBackend` (the same pool, refusing
+  scenarios without an async builder) and
+  :class:`~repro.engine.distributed.DistributedBackend` (``repro worker
+  serve`` hosts over TCP).
 * :class:`BatchBackend` (see :mod:`repro.engine.batch`) — many
   independent protocol instances multiplexed over one round loop.
-* :class:`HybridBackend` (see :mod:`repro.engine.hybrid`) — waves of
-  asynchronous instances sharded across pool workers, each wave driven
-  by a local async step loop.
-* :class:`DistributedBackend` (see :mod:`repro.engine.distributed`) —
-  the same units dispatched to ``repro worker serve`` hosts over TCP.
-
-The sharded backends no longer carry private shard/pool/collect code:
-geometry lives in :class:`~repro.engine.dispatch.DispatchPlan`, worker
-mechanisms behind the :class:`~repro.engine.dispatch.Transport` seam,
-and the submit/retry/merge loop in
-:func:`~repro.engine.dispatch.run_units`.  A new execution substrate is
-a new transport, not a new copy of the dispatch loop.
+* :class:`AsyncBackend` (see :mod:`repro.engine.async_backend`) — the
+  same over the asynchronous scheduler's delivery steps.
 
 Every backend is a context manager (``with backend: ...``) and
 ``close()`` is idempotent, so held pools/sockets release deterministically
@@ -35,15 +28,17 @@ on error paths as well as clean exits.
 from __future__ import annotations
 
 import abc
+import functools
 import os
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from .costplan import plan_grid, plan_specs
 from .dispatch import (
-    MODE_TRIALS,
     DispatchPlan,
+    InlineTransport,
     PoolTransport,
+    Transport,
     make_context,
-    run_grid_units,
     run_one_trial,
     run_units,
 )
@@ -54,7 +49,9 @@ from .telemetry import RunTelemetry, SweepMonitor
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
+    "ShardedBackend",
     "ProcessPoolBackend",
+    "HybridBackend",
     "default_worker_count",
     "make_context",
     "run_one_trial",
@@ -96,31 +93,24 @@ class ExecutionBackend(abc.ABC):
         """Run several specs; one result list per spec, in order.
 
         The base implementation runs the specs back to back (and
-        ``cost_aware`` is moot — there is nothing to balance).  The
-        pool-backed backends override this with a *fused* sweep: every
-        spec's units share one transport and one collect loop, sized by
-        predicted per-trial cost when every spec has a cost model
-        (:mod:`repro.engine.costplan`), so mixed-size grids balance
-        predicted work across lanes instead of trial counts.  Results
-        are bit-identical either way; only wall-clock moves.
+        ``cost_aware`` is moot — there is nothing to balance).
+        :class:`ShardedBackend` overrides this with a *fused* sweep:
+        every spec's units share one transport and one collect loop,
+        sized by predicted per-trial cost when every spec has a cost
+        model (:mod:`repro.engine.costplan`), so mixed-size grids
+        balance predicted work across lanes instead of trial counts.
+        Results are bit-identical either way; only wall-clock moves.
         """
         return [self.run_trials(spec) for spec in specs]
 
-    def _begin_telemetry(self, spec: ExperimentSpec) -> RunTelemetry:
+    def _begin_telemetry(self, total_trials: int) -> RunTelemetry:
         """Start (and attach) this run's telemetry accumulator."""
         self.telemetry = RunTelemetry(
             backend=self.name,
-            total_trials=spec.trials,
+            total_trials=total_trials,
             monitor=self.monitor,
         )
         return self.telemetry
-
-    def _adopt_telemetry(self, inner: "ExecutionBackend") -> None:
-        """Take over a delegate backend's telemetry (degrade paths)."""
-        self.telemetry = inner.telemetry
-        if self.telemetry is not None:
-            # The run is still *this* backend's from the caller's view.
-            self.telemetry.backend = self.name
 
     def close(self) -> None:
         """Release any held workers/connections (idempotent; no-op here)."""
@@ -138,7 +128,7 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
 
     def run_trials(self, spec: ExperimentSpec) -> List[TrialResult]:
-        telemetry = self._begin_telemetry(spec)
+        telemetry = self._begin_telemetry(spec.trials)
         results = []
         for i in range(spec.trials):
             with telemetry.span(self.name, 1):
@@ -152,18 +142,140 @@ def default_worker_count() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-class ProcessPoolBackend(ExecutionBackend):
+class ShardedBackend(ExecutionBackend):
+    """Trials cut into work units, dispatched over one transport.
+
+    The one implementation of :meth:`plan` / :meth:`run_trials` /
+    :meth:`run_grid` for sharded execution; the process, hybrid and
+    distributed backends are configurations of it.
+
+    Parameters:
+        transport_factory: builds the :class:`Transport` the units run
+            on.  Opened lazily by the first run and kept across runs;
+            dropped after an aborted run or when a run lost a lane (so
+            the next run starts on fresh lanes); released by
+            :meth:`close`.
+        capacity: units the transport runs at once — the effective
+            worker count unit sizing scales with.
+        unit_size: trials per unit (``None``: decided by
+            :func:`~repro.engine.costplan.plan_specs` from predicted
+            cost, else uniformly).
+        max_live: resident-instance bound within one wave unit.
+
+    Units run in wave mode for scenarios with an async builder and as
+    isolated trials otherwise.  A scenario whose capabilities do not
+    include this backend's ``name`` is refused up front.
+    """
+
+    name = "sharded"
+
+    def __init__(
+        self,
+        transport_factory: Callable[[], Transport],
+        capacity: int,
+        unit_size: Optional[int] = None,
+        max_live: int = 64,
+    ) -> None:
+        if capacity < 1:
+            raise EngineError("need at least one worker")
+        if unit_size is not None and unit_size < 1:
+            raise EngineError("unit_size must be >= 1")
+        if max_live < 1:
+            raise EngineError("max_live must be >= 1")
+        self.transport_factory = transport_factory
+        self.capacity = capacity
+        self.unit_size = unit_size
+        self.max_live = max_live
+        self._transport: Optional[Transport] = None
+        self._lanes: Tuple[str, ...] = ()
+
+    def plan(self, spec: ExperimentSpec) -> DispatchPlan:
+        """The unit geometry of ``spec`` run on its own."""
+        (plan,) = plan_specs(
+            [spec], self.capacity, self.unit_size, self.max_live
+        )
+        return plan
+
+    def run_trials(self, spec: ExperimentSpec) -> List[TrialResult]:
+        return self.run_grid([spec])[0]
+
+    def run_grid(
+        self,
+        specs: Sequence[ExperimentSpec],
+        cost_aware: bool = True,
+    ) -> List[List[TrialResult]]:
+        """A fused sweep: every spec's units over one collect loop.
+
+        Unit sizes follow :func:`~repro.engine.costplan.plan_specs`;
+        duplicate specs run once and share their results.
+        """
+        if not specs:
+            return []
+        # Resolve locally first: unknown names and unsupported
+        # scenarios fail fast, before any lane is paid for.
+        for spec in specs:
+            runner = get_runner(spec.runner)
+            if not runner.supports(self.name):
+                raise EngineError(
+                    f"scenario {spec.runner!r} does not support the "
+                    f"{self.name} backend (no async builder); its "
+                    f"backends are: {', '.join(runner.capabilities)}"
+                )
+        unique = list(dict.fromkeys(specs))
+        telemetry = self._begin_telemetry(sum(s.trials for s in unique))
+        units = plan_grid(
+            unique, self.capacity, self.unit_size, self.max_live, cost_aware
+        )
+        try:
+            results = run_units(
+                units, self._open_transport(telemetry), telemetry=telemetry
+            )
+        except BaseException:
+            # An aborted sweep may leave units in flight whose envelopes
+            # a later run would misattribute: drop the transport.
+            self.close()
+            raise
+        telemetry.finish()
+        # run_units groups results by spec, in first-appearance order.
+        by_spec, start = {}, 0
+        for spec in dict.fromkeys(unit.spec for unit in units):
+            by_spec[spec] = results[start : start + spec.trials]
+            start += spec.trials
+        return [by_spec[spec] for spec in specs]
+
+    def _open_transport(self, telemetry: RunTelemetry) -> Transport:
+        transport = self._transport
+        if transport is not None and len(transport.lanes()) < len(
+            self._lanes
+        ):
+            # A previous run lost lanes, and a dead lane is permanent
+            # within one transport: reopen rather than run degraded on
+            # workers that may since have restarted.
+            self.close()
+            for lane in self._lanes:
+                telemetry.note_lane_event(lane, "redial")
+        if self._transport is None:
+            self._transport = self.transport_factory()
+            self._lanes = self._transport.lanes()
+        self._transport.telemetry = telemetry
+        return self._transport
+
+    def close(self) -> None:
+        if self._transport is not None:
+            self._transport.close()
+            self._transport = None
+
+
+class ProcessPoolBackend(ShardedBackend):
     """Shard trials across ``multiprocessing`` workers.
 
-    Trials are dispatched in contiguous chunks (``chunk_size`` trials per
-    unit, geometry from :meth:`DispatchPlan.chunked`) through the shared
-    dispatch plane; results merge back in trial order, so the output is
-    indistinguishable from :class:`SerialBackend` — only the wall clock
-    differs.
-
-    ``start_method`` selects the ``multiprocessing`` start method
-    (``None`` = platform default); workers resolve the scenario by name
-    from the registry, so ``spawn`` works identically to ``fork``.
+    A :class:`ShardedBackend` over a :class:`PoolTransport` of
+    ``workers`` processes (default: every core, capped at 8), or over
+    an :class:`InlineTransport` when ``workers`` is 1 — one lane gains
+    nothing from fork and pickle.  ``start_method`` selects the
+    ``multiprocessing`` start method (``None`` = platform default);
+    workers resolve the scenario by name from the registry, so
+    ``spawn`` works identically to ``fork``.
     """
 
     name = "process"
@@ -171,74 +283,26 @@ class ProcessPoolBackend(ExecutionBackend):
     def __init__(
         self,
         workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
+        unit_size: Optional[int] = None,
+        max_live: int = 64,
         start_method: Optional[str] = None,
     ) -> None:
-        self.workers = workers if workers else default_worker_count()
-        if self.workers < 1:
-            raise EngineError("need at least one worker")
-        self.chunk_size = chunk_size
-        self.start_method = start_method
-
-    def plan(self, trials: int) -> DispatchPlan:
-        """This backend's shard geometry for ``trials`` trials."""
-        return DispatchPlan.chunked(trials, self.chunk_size, self.workers)
-
-    def run_trials(self, spec: ExperimentSpec) -> List[TrialResult]:
-        # Resolve the runner up front so unknown names fail fast in the
-        # parent, and a single-worker pool degrades gracefully to serial
-        # (no point paying fork + pickle for one lane).
-        get_runner(spec.runner)
-        if self.workers == 1 or spec.trials == 1:
-            inner = SerialBackend()
-            inner.monitor = self.monitor
-            try:
-                return inner.run_trials(spec)
-            finally:
-                self._adopt_telemetry(inner)
-        telemetry = self._begin_telemetry(spec)
-        units = self.plan(spec.trials).units(spec)
-        with PoolTransport(self.workers, self.start_method) as transport:
-            results = run_units(units, transport, telemetry=telemetry)
-        telemetry.finish()
-        return results
-
-    def run_grid(
-        self,
-        specs: Sequence[ExperimentSpec],
-        cost_aware: bool = True,
-    ) -> List[List[TrialResult]]:
-        """A fused multi-spec sweep over one shared worker pool.
-
-        Every spec's chunks go through one collect loop; with cost
-        models available (and ``cost_aware``), unit sizes come from one
-        grid-wide predicted-cost target, heaviest units submitted
-        first.  Falls back to per-spec uniform geometry otherwise.
-        """
-        from .costplan import plan_grid
-
-        if not specs:
-            return []
-        for spec in specs:
-            get_runner(spec.runner)
-        unique = list(dict.fromkeys(specs))
-        if len(unique) == 1 or self.workers == 1:
-            return super().run_grid(specs, cost_aware=cost_aware)
-        self.telemetry = RunTelemetry(
-            backend=self.name,
-            total_trials=sum(spec.trials for spec in unique),
-            monitor=self.monitor,
+        workers = workers if workers else default_worker_count()
+        factory: Callable[[], Transport] = (
+            InlineTransport
+            if workers == 1
+            else functools.partial(PoolTransport, workers, start_method)
         )
-        units = plan_grid(
-            unique,
-            capacity=self.workers,
-            modes=[MODE_TRIALS] * len(unique),
-            cost_aware=cost_aware,
-        )
-        with PoolTransport(self.workers, self.start_method) as transport:
-            pairs = run_grid_units(
-                units, transport, telemetry=self.telemetry
-            )
-        self.telemetry.finish()
-        by_spec = {spec: results for spec, results in pairs}
-        return [by_spec[spec] for spec in specs]
+        super().__init__(factory, workers, unit_size, max_live)
+
+
+class HybridBackend(ProcessPoolBackend):
+    """The process backend for asynchronous scenarios only.
+
+    Identical to :class:`ProcessPoolBackend` (async scenarios ship as
+    waves, each driven by a local breadth-first step loop on a pool
+    worker) except that a scenario without an async builder is refused
+    with its real capabilities instead of running as isolated trials.
+    """
+
+    name = "hybrid"

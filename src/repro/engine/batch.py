@@ -80,7 +80,7 @@ class BatchBackend(ExecutionBackend):
 
     def run_trials(self, spec: ExperimentSpec) -> List[TrialResult]:
         runner = get_runner(spec.runner)
-        telemetry = self._begin_telemetry(spec)
+        telemetry = self._begin_telemetry(spec.trials)
         results: List[TrialResult] = []
         if not runner.batchable:
             for i in range(spec.trials):

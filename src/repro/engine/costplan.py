@@ -2,18 +2,18 @@
 
 The cost plane has two halves: :mod:`repro.analysis.costmodel` predicts
 what one trial of a resolved spec costs, and
-:class:`~repro.engine.dispatch.DispatchPlan` turns per-trial costs into
-work units.  This module is the seam between them — the only place that
-asks "what does this *spec* cost?" — so backends, the fleet coordinator
-and the CLI all price work identically.
+:class:`~repro.engine.dispatch.DispatchPlan` cuts a spec's trials into
+work units.  This module is the seam between them and the one place
+that decides unit sizes (:func:`plan_specs`), so the sharded backends
+and the fleet coordinator shard work identically.
 
-Fallback semantics (load-bearing, tested): every function here answers
-``None`` / uniform geometry when the scenario has no registered cost
-model or sympy is unavailable, and cost-aware planning engages only
-when **every** spec in a grid is priceable — a grid half-priced by
-models would balance the priced half against guesses for the rest.
-Either way the resulting units partition each spec's trial range
-exactly once, so results stay bit-identical to serial.
+Fallback semantics (load-bearing, tested): :func:`spec_trial_cost`
+answers ``None`` when the scenario has no registered cost model or
+sympy is unavailable, and cost-aware sizing engages only when **every**
+spec in a grid is priceable — a grid half-priced by models would
+balance the priced half against guesses for the rest.  Either way the
+resulting units partition each spec's trial range exactly once, so
+results stay bit-identical to serial.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .dispatch import MODE_TRIALS, MODE_WAVE, DispatchPlan, WorkUnit
-from .spec import EngineError, ExperimentSpec
+from .spec import ExperimentSpec
 
-#: Units per worker for cost-sized grids — the classic ``chunked``
-#: granularity (enough pieces that the greedy collect loop can
-#: rebalance, few enough to amortise dispatch overhead).
+#: Units per unit of capacity: enough pieces that the greedy collect
+#: loop can rebalance stragglers, few enough to amortise dispatch
+#: overhead.
 GRID_PARTS_PER_WORKER = 4
 
 
@@ -65,94 +65,76 @@ def grid_modes(specs: Sequence[ExperimentSpec]) -> List[str]:
     ]
 
 
+def plan_specs(
+    specs: Sequence[ExperimentSpec],
+    capacity: int,
+    unit_size: Optional[int] = None,
+    max_live: Optional[int] = None,
+    cost_aware: bool = True,
+) -> List[DispatchPlan]:
+    """One plan per spec: the single rule for unit sizes.
+
+    * An explicit ``unit_size`` is honoured exactly, for every spec.
+    * Otherwise, when every spec is priceable (and ``cost_aware``),
+      one grid-wide target unit cost — the grid's total predicted cost
+      over ``capacity x GRID_PARTS_PER_WORKER`` units — sizes each
+      spec's units: a cheap spec gets many trials per unit, an
+      expensive one few (often one).
+    * Otherwise sizes are uniform: the same rule with every trial
+      costing 1, i.e. ~``GRID_PARTS_PER_WORKER`` units per unit of
+      capacity across the grid.
+
+    Sizes clamp to ``1..spec.trials``.  Priced plans stamp each unit's
+    predicted cost; the mode comes from :func:`grid_modes`.
+    """
+    costs = [spec_trial_cost(spec) if cost_aware else None for spec in specs]
+    if None in costs:
+        costs = [None] * len(specs)
+    weights = [1.0 if cost is None else cost for cost in costs]
+    target = sum(w * spec.trials for w, spec in zip(weights, specs)) / max(
+        1, capacity * GRID_PARTS_PER_WORKER
+    )
+    plans = []
+    for spec, mode, cost, weight in zip(
+        specs, grid_modes(specs), costs, weights
+    ):
+        size = (
+            unit_size
+            if unit_size is not None
+            else max(1, min(spec.trials, round(target / weight)))
+        )
+        plans.append(
+            DispatchPlan(
+                trials=spec.trials,
+                unit_size=size,
+                mode=mode,
+                max_live=max_live if mode == MODE_WAVE else None,
+                trial_cost=cost,
+            )
+        )
+    return plans
+
+
 def plan_grid(
     specs: Sequence[ExperimentSpec],
     capacity: int,
-    modes: Optional[Sequence[str]] = None,
+    unit_size: Optional[int] = None,
     max_live: Optional[int] = None,
     cost_aware: bool = True,
 ) -> List[WorkUnit]:
-    """Work units for a multi-spec grid sharing one collect loop.
+    """Work units for specs sharing one collect loop.
 
-    Cost-aware path (every spec priceable): one grid-wide target unit
-    cost — total predicted grid cost over ``capacity x
-    GRID_PARTS_PER_WORKER`` units — sizes every spec's units, so a
-    cheap small-n spec gets many trials per unit while an expensive
-    big-n spec gets few (often one), and the submit order is heaviest
-    unit first so stragglers start early.  Fallback path: one uniform
-    trials-per-unit figure across the whole grid, in spec order — the
-    trial-count geometry this plane exists to beat.
+    The units of :func:`plan_specs`, heaviest predicted unit first, so
+    the greedy collect loop approximates LPT across lanes and
+    stragglers start early.  The sort is stable: unpriced units keep
+    spec order, and one spec's units keep trial order.
     """
-    if not specs:
-        return []
-    if modes is None:
-        modes = grid_modes(specs)
-    if len(modes) != len(specs):
-        raise EngineError(
-            f"need one mode per spec: {len(modes)} modes, {len(specs)} specs"
+    units = [
+        unit
+        for spec, plan in zip(
+            specs, plan_specs(specs, capacity, unit_size, max_live, cost_aware)
         )
-    costs = [spec_trial_cost(spec) for spec in specs]
-    units: List[WorkUnit] = []
-    if cost_aware and all(cost is not None for cost in costs):
-        total = sum(
-            cost * spec.trials for cost, spec in zip(costs, specs)
-        )
-        target = total / max(1, capacity * GRID_PARTS_PER_WORKER)
-        for spec, mode, cost in zip(specs, modes, costs):
-            per_trial = [cost] * spec.trials
-            if mode == MODE_WAVE:
-                plan = DispatchPlan.cost_waved(
-                    spec.trials,
-                    per_trial,
-                    capacity,
-                    max_live=max_live,
-                    target_unit_cost=target,
-                )
-            else:
-                plan = DispatchPlan.cost_chunked(
-                    spec.trials,
-                    per_trial,
-                    capacity,
-                    target_unit_cost=target,
-                )
-            units.extend(plan.units(spec))
-        # Heaviest first: the greedy collect loop then approximates LPT
-        # across lanes, which is where the makespan win comes from.
-        units.sort(
-            key=lambda u: -(u.predicted_cost or 0.0)
-        )
-        return units
-    # Uniform fallback: same trials-per-unit everywhere, spec order.
-    total_trials = sum(spec.trials for spec in specs)
-    unit_size = max(
-        1, total_trials // max(1, capacity * GRID_PARTS_PER_WORKER)
-    )
-    for spec, mode in zip(specs, modes):
-        size = min(unit_size, spec.trials)
-        if mode == MODE_WAVE:
-            plan = DispatchPlan(
-                trials=spec.trials,
-                unit_size=size,
-                mode=MODE_WAVE,
-                max_live=max_live,
-            )
-        else:
-            plan = DispatchPlan(trials=spec.trials, unit_size=size)
-        units.extend(plan.units(spec))
+        for unit in plan.units(spec)
+    ]
+    units.sort(key=lambda u: -(u.predicted_cost or 0.0))
     return units
-
-
-def cost_sized_unit_size(
-    spec: ExperimentSpec, target_unit_cost: float
-) -> Optional[int]:
-    """Trials per unit so one unit of ``spec`` costs ~``target_unit_cost``.
-
-    The fleet coordinator's integer handle on cost-aware geometry: the
-    chosen size is persisted into the job envelope so a crash-resumed
-    job re-plans the exact same units.  ``None`` when the spec has no
-    model or the target is degenerate (callers keep uniform sizing).
-    """
-    cost = spec_trial_cost(spec)
-    if cost is None or target_unit_cost <= 0:
-        return None
-    return max(1, min(spec.trials, round(target_unit_cost / cost)))

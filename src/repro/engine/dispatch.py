@@ -1,27 +1,23 @@
 """The transport-agnostic dispatch plane: plan, submit, collect, retry.
 
-Before this module existed, every sharded backend hand-rolled the same
-three jobs: split a spec's trials into contiguous work units
-(``ProcessPoolBackend._chunks`` / ``HybridBackend._waves``), push the
-units through a worker mechanism (a private ``multiprocessing`` pool
-each), and merge results back into canonical trial order.  Adding a
-new execution substrate meant writing a fourth copy of that loop.  The
-dispatch plane factors the pattern into three orthogonal pieces:
+Every sharded backend (:class:`~repro.engine.backends.ShardedBackend`
+and its process, hybrid and distributed configurations) and the fleet
+coordinator run the same three pieces:
 
-* :class:`DispatchPlan` — the *geometry*: how ``trials`` shard into
-  :class:`WorkUnit` values (contiguous chunks for isolated trials,
-  waves for async step loops).  All unit-size defaults live here (the
-  PR-3 ``chunk_indices``/``make_pool`` aliases are gone as of PR 7).
+* :class:`DispatchPlan` — the *geometry*: ``trials`` cut into
+  contiguous :class:`WorkUnit` slices (isolated trials, or waves for
+  async step loops).  Unit sizes are decided in one function,
+  :func:`~repro.engine.costplan.plan_specs`.
 * :class:`Transport` — the *mechanism*: submit a work unit to a lane
   (pool worker, TCP host, in-process loop), collect one result
   :class:`Envelope` at a time, and report lane death.  Implementations:
-  :class:`InlineTransport` (reference/loopback), :class:`PoolTransport`
-  (``multiprocessing``, used by the process and hybrid backends), and
+  :class:`InlineTransport` (in-process; the one-worker pool),
+  :class:`PoolTransport` (``multiprocessing``), and
   :class:`~repro.engine.distributed.SocketTransport` (remote hosts).
 * :func:`run_units` — the *collect loop*: keeps every live lane fed,
   retries a failed unit on another lane with the failing lane
   excluded, refuses to lose or duplicate trials, and merges envelopes
-  back in canonical trial order.
+  back in canonical trial order, per spec.
 
 Determinism is unaffected by any of it: trial seeds derive from the
 spec alone, and :func:`run_unit` — the single spawn-safe worker entry
@@ -48,7 +44,6 @@ Failure model, in two layers:
 from __future__ import annotations
 
 import abc
-import heapq
 import multiprocessing
 import multiprocessing.pool
 import queue
@@ -136,7 +131,7 @@ class WorkUnit:
     path: :data:`MODE_TRIALS` runs each index through
     :func:`run_one_trial`; :data:`MODE_WAVE` drives the indices through
     one local async step loop (``max_live`` bounding resident
-    instances, exactly as in the hybrid backend).
+    instances, exactly as in the async backend).
     """
 
     spec: ExperimentSpec
@@ -158,8 +153,7 @@ class WorkUnit:
 def run_unit(unit: WorkUnit) -> List[TrialResult]:
     """The one spawn-safe worker entry every transport executes.
 
-    Replaces the per-backend ``_worker_run_chunk`` / ``_worker_run_wave``
-    twins.  The unit's spec crosses the boundary as plain data and the
+    The unit's spec crosses the boundary as plain data and the
     scenario is rebuilt *by name* inside the worker, so the function is
     start-method- and host-agnostic: ``fork`` pools, ``spawn`` children
     and ``repro worker serve`` processes all run it identically.
@@ -235,17 +229,17 @@ def unit_from_wire(doc: Any) -> WorkUnit:
         raise EngineError(f"malformed work-unit document: {exc}") from None
 
 
-# -- the plan: shard geometry in exactly one place ------------------------------------
+# -- the plan: unit geometry ----------------------------------------------------------
 
 
 def total_capacity(weights: Sequence[int]) -> int:
     """Sum per-lane capacity weights, validating each.
 
     A weight is how many units a lane keeps in flight at once (a
-    4-core host behind one ``repro worker serve`` is weight 4).  The
-    plan treats the fleet's total capacity as its effective worker
-    count, so unit sizing scales with real capacity rather than with
-    the number of addresses.
+    4-core host behind one ``repro worker serve`` is weight 4).  Unit
+    sizing treats the fleet's total capacity as its effective worker
+    count, so it scales with real capacity rather than with the number
+    of addresses.
     """
     total = 0
     for weight in weights:
@@ -267,24 +261,20 @@ def total_capacity(weights: Sequence[int]) -> int:
 class DispatchPlan:
     """How one spec's trials shard into work units.
 
-    The single home of shard geometry: the process backend's chunk
-    sizing and the hybrid/distributed wave sizing are the two
-    constructors, and both backends (plus the distributed one) consume
-    the resulting :class:`WorkUnit` lists verbatim.  Any unit size
-    produces bit-identical results; geometry only moves wall-clock.
+    Contiguous ``unit_size`` slices of ``range(trials)``, each run in
+    ``mode``.  Sizes are decided in one place,
+    :func:`~repro.engine.costplan.plan_specs`; this type only carries
+    the geometry.  Any unit size produces bit-identical results;
+    geometry only moves wall-clock.
     """
 
     trials: int
     unit_size: int
     mode: str = MODE_TRIALS
     max_live: Optional[int] = None
-    #: Explicit index partition (cost-aware plans).  ``None`` means
-    #: contiguous ``unit_size`` slices; when set, it must partition
-    #: ``range(trials)`` exactly and overrides ``unit_size``.
-    groups: Optional[Tuple[Tuple[int, ...], ...]] = None
-    #: Per-trial predicted costs backing ``groups`` (len == trials);
-    #: used to stamp ``WorkUnit.predicted_cost``.
-    costs: Optional[Tuple[float, ...]] = None
+    #: Predicted cost of one trial (cost-model units), stamped onto
+    #: each unit as ``predicted_cost``.  Advisory, like that field.
+    trial_cost: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -293,219 +283,9 @@ class DispatchPlan:
             raise EngineError("unit_size must be >= 1")
         if self.mode not in (MODE_TRIALS, MODE_WAVE):
             raise EngineError(f"unknown dispatch mode {self.mode!r}")
-        if self.groups is not None:
-            groups = tuple(tuple(g) for g in self.groups)
-            object.__setattr__(self, "groups", groups)
-            flat = sorted(i for group in groups for i in group)
-            if flat != list(range(self.trials)):
-                raise EngineError(
-                    "plan groups must partition the trial range exactly "
-                    f"once (got {flat!r} for {self.trials} trials)"
-                )
-        if self.costs is not None:
-            costs = tuple(float(c) for c in self.costs)
-            object.__setattr__(self, "costs", costs)
-            if len(costs) != self.trials:
-                raise EngineError(
-                    f"need one cost per trial: got {len(costs)} costs "
-                    f"for {self.trials} trials"
-                )
-            if any(c <= 0 for c in costs):
-                raise EngineError("per-trial costs must be positive")
-
-    @classmethod
-    def chunked(
-        cls,
-        trials: int,
-        chunk_size: Optional[int],
-        workers: int,
-        weights: Optional[Sequence[int]] = None,
-    ) -> "DispatchPlan":
-        """Isolated-trial chunks (the process backend's geometry).
-
-        ``chunk_size=None`` picks ~4 chunks per worker, balancing
-        task-dispatch overhead against stragglers (trials can have very
-        different durations).  ``weights`` replaces ``workers`` with the
-        fleet's total capacity (:func:`total_capacity`): a weight-3 lane
-        counts as three workers, so heterogeneous fleets get units
-        sized for their real parallelism and the greedy collect loop
-        hands heavier lanes proportionately more of them.
-        """
-        if weights is not None:
-            workers = total_capacity(weights)
-        size = chunk_size
-        if size is None:
-            size = max(1, trials // (max(1, workers) * 4))
-        return cls(trials=trials, unit_size=size, mode=MODE_TRIALS)
-
-    @classmethod
-    def waved(
-        cls,
-        trials: int,
-        wave_size: Optional[int],
-        workers: int,
-        max_live: Optional[int] = None,
-        weights: Optional[Sequence[int]] = None,
-    ) -> "DispatchPlan":
-        """Async waves (the hybrid backend's geometry).
-
-        ``wave_size=None`` picks ~2 waves per worker — large enough to
-        amortise the per-wave step loop, small enough to rebalance
-        stragglers once.  ``weights`` scales the effective worker count
-        by fleet capacity exactly as in :meth:`chunked`.
-        """
-        if weights is not None:
-            workers = total_capacity(weights)
-        size = wave_size
-        if size is None:
-            # Ceil division so nothing is dropped.
-            size = max(1, -(-trials // (max(1, workers) * 2)))
-        return cls(
-            trials=trials, unit_size=size, mode=MODE_WAVE, max_live=max_live
-        )
-
-    @classmethod
-    def cost_chunked(
-        cls,
-        trials: int,
-        costs: Optional[Sequence[float]],
-        workers: int,
-        weights: Optional[Sequence[int]] = None,
-        target_unit_cost: Optional[float] = None,
-    ) -> "DispatchPlan":
-        """Isolated-trial chunks carrying ~equal *predicted cost*.
-
-        ``costs`` gives the predicted cost of each trial (one entry per
-        trial index).  Trials are LPT-binned — heaviest first, each into
-        the currently lightest bin — over ``~4x`` the fleet capacity
-        bins (``weights`` scales capacity exactly as in
-        :meth:`chunked`), so a mixed-cost sweep hands every lane units
-        of comparable predicted work instead of comparable trial
-        counts.  ``target_unit_cost`` overrides the bin count with
-        ``ceil(total_cost / target)`` — how grid planning sizes every
-        spec's units against one grid-wide target.
-
-        ``costs=None`` is the documented fallback (no cost model
-        registered, sympy missing): plain uniform :meth:`chunked`
-        geometry.  Either way the plan partitions ``range(trials)``
-        exactly once, so results stay bit-identical to serial.
-        """
-        return cls._cost_binned(
-            trials,
-            costs,
-            workers,
-            weights,
-            target_unit_cost,
-            mode=MODE_TRIALS,
-            max_live=None,
-            parts_per_worker=4,
-        )
-
-    @classmethod
-    def cost_waved(
-        cls,
-        trials: int,
-        costs: Optional[Sequence[float]],
-        workers: int,
-        max_live: Optional[int] = None,
-        weights: Optional[Sequence[int]] = None,
-        target_unit_cost: Optional[float] = None,
-    ) -> "DispatchPlan":
-        """Async waves carrying ~equal predicted cost.
-
-        The :meth:`cost_chunked` binning at :meth:`waved` granularity
-        (~2 bins per unit of capacity); ``costs=None`` falls back to
-        plain uniform :meth:`waved` geometry.
-        """
-        return cls._cost_binned(
-            trials,
-            costs,
-            workers,
-            weights,
-            target_unit_cost,
-            mode=MODE_WAVE,
-            max_live=max_live,
-            parts_per_worker=2,
-        )
-
-    @classmethod
-    def _cost_binned(
-        cls,
-        trials: int,
-        costs: Optional[Sequence[float]],
-        workers: int,
-        weights: Optional[Sequence[int]],
-        target_unit_cost: Optional[float],
-        mode: str,
-        max_live: Optional[int],
-        parts_per_worker: int,
-    ) -> "DispatchPlan":
-        if costs is None:
-            if mode == MODE_WAVE:
-                return cls.waved(
-                    trials, None, workers, max_live=max_live, weights=weights
-                )
-            return cls.chunked(trials, None, workers, weights=weights)
-        capacity = (
-            total_capacity(weights) if weights is not None else max(1, workers)
-        )
-        cost_list = [float(c) for c in costs]
-        if len(cost_list) != trials or any(c <= 0 for c in cost_list):
-            # Let the plan validators produce the canonical errors.
-            return cls(
-                trials=trials, unit_size=1, mode=mode, max_live=max_live,
-                costs=tuple(cost_list),
-            )
-        total_cost = sum(cost_list)
-        if target_unit_cost is not None and target_unit_cost > 0:
-            bins = max(1, round(total_cost / target_unit_cost))
-        else:
-            bins = capacity * parts_per_worker
-        bins = max(1, min(bins, trials))
-        spread = max(cost_list) - min(cost_list)
-        if spread <= 1e-12 * max(cost_list):
-            # Uniform costs: contiguous slices preserve the classic
-            # geometry (and its cache locality) exactly.
-            size = max(1, -(-trials // bins))
-            groups = tuple(
-                tuple(range(i, min(i + size, trials)))
-                for i in range(0, trials, size)
-            )
-        else:
-            # LPT: heaviest trial first, into the lightest bin.
-            order = sorted(
-                range(trials), key=lambda i: (-cost_list[i], i)
-            )
-            heap = [(0.0, b) for b in range(bins)]
-            heapq.heapify(heap)
-            binned: List[List[int]] = [[] for _ in range(bins)]
-            for i in order:
-                load, b = heapq.heappop(heap)
-                binned[b].append(i)
-                heapq.heappush(heap, (load + cost_list[i], b))
-            groups = tuple(
-                tuple(sorted(group))
-                for group in sorted(
-                    (g for g in binned if g), key=lambda g: min(g)
-                )
-            )
-        return cls(
-            trials=trials,
-            unit_size=max(1, max(len(g) for g in groups)),
-            mode=mode,
-            max_live=max_live,
-            groups=groups,
-            costs=tuple(cost_list),
-        )
 
     def indices(self) -> List[List[int]]:
-        """Trial-index groups covering ``range(trials)`` exactly once.
-
-        Contiguous ``unit_size`` slices, unless the plan carries an
-        explicit cost-balanced partition (``groups``).
-        """
-        if self.groups is not None:
-            return [list(group) for group in self.groups]
+        """Contiguous trial-index slices covering ``range(trials)`` once."""
         all_indices = list(range(self.trials))
         return [
             all_indices[i : i + self.unit_size]
@@ -526,8 +306,8 @@ class DispatchPlan:
                 mode=self.mode,
                 max_live=self.max_live,
                 predicted_cost=(
-                    sum(self.costs[i] for i in slice_)
-                    if self.costs is not None
+                    self.trial_cost * len(slice_)
+                    if self.trial_cost is not None
                     else None
                 ),
             )
@@ -582,6 +362,11 @@ class Transport(abc.ABC):
 
     name: str = "abstract"
 
+    #: Per-run telemetry sink for lane-level events (dials, bytes,
+    #: in-flight windows), set by the backend before each run: the
+    #: transport outlives runs, the telemetry does not.
+    telemetry: Optional[Any] = None
+
     @abc.abstractmethod
     def lanes(self) -> Tuple[str, ...]:
         """Identifiers of the lanes currently alive."""
@@ -612,10 +397,11 @@ class Transport(abc.ABC):
 class InlineTransport(Transport):
     """Reference transport: executes units synchronously, in-process.
 
-    The degenerate lane that makes the collect loop testable (and
-    benchmarkable — see the ``dispatch_overhead`` perf-gate suite)
-    without pools or sockets: ``try_submit`` runs :func:`run_unit`
-    immediately and queues the envelope for the next :meth:`collect`.
+    The one-worker pool (no fork, no pickling), and the degenerate lane
+    that makes the collect loop testable (and benchmarkable — see the
+    ``dispatch_overhead`` perf-gate suite) without pools or sockets:
+    ``try_submit`` runs :func:`run_unit` immediately and queues the
+    envelope for the next :meth:`collect`.
     """
 
     name = "inline"
@@ -783,8 +569,14 @@ def run_units(
       initially-live lane, plus one), or no live lane remains — a
       sweep's results are complete and bit-identical, or the sweep
       raises; nothing in between;
-    * verifies the merged results cover every planned trial exactly
-      once before returning them in canonical trial order.
+    * verifies, per spec, that the merged results cover that spec's
+      planned trials exactly once.
+
+    Units may belong to several specs (a fused grid): one collect loop
+    drives them all, so a lane finishing a cheap spec's unit picks up an
+    expensive spec's next.  Results come back grouped by spec, in the
+    order each spec first appears in ``units``, and in trial order
+    within each spec — for single-spec units, simply trial order.
 
     ``telemetry`` (a :class:`~repro.engine.telemetry.RunTelemetry`, or
     any object with its submit/result hooks) records one span per unit
@@ -792,74 +584,6 @@ def run_units(
     """
     if not units:
         return []
-    collected = _collect_envelopes(units, transport, max_attempts, telemetry)
-    merged = sorted(
-        (r for results in collected.values() for r in results),
-        key=lambda r: r.trial_index,
-    )
-    expected = sorted(i for unit in units for i in unit.indices)
-    if [r.trial_index for r in merged] != expected:
-        raise DispatchError(
-            "collected results do not cover the planned trials exactly "
-            f"once (got {[r.trial_index for r in merged]!r}, "
-            f"expected {expected!r})"
-        )
-    return merged
-
-
-def run_grid_units(
-    units: Sequence[WorkUnit],
-    transport: Transport,
-    max_attempts: Optional[int] = None,
-    telemetry: Optional[Any] = None,
-) -> List[Tuple[ExperimentSpec, List[TrialResult]]]:
-    """:func:`run_units` over a *grid*: units of several specs at once.
-
-    One shared collect loop drives every unit through the transport —
-    this is what makes cost-aware grids balance globally, since a lane
-    finishing a cheap spec's unit immediately picks up an expensive
-    spec's one — but merging must not mix specs: trial indices are
-    per-spec, so results are grouped by their unit's spec, merged into
-    canonical trial order *within* each spec, and coverage-checked per
-    spec.  Returns ``(spec, results)`` pairs, one per distinct spec, in
-    first-appearance order of the specs in ``units`` (cost-aware plans
-    reorder units, so callers match results up by spec, not position).
-    """
-    if not units:
-        return []
-    spec_order: List[ExperimentSpec] = []
-    for unit in units:
-        if unit.spec not in spec_order:
-            spec_order.append(unit.spec)
-    collected = _collect_envelopes(units, transport, max_attempts, telemetry)
-    grouped: List[Tuple[ExperimentSpec, List[TrialResult]]] = []
-    for spec in spec_order:
-        uids = [
-            uid for uid, unit in enumerate(units) if unit.spec == spec
-        ]
-        merged = sorted(
-            (r for uid in uids for r in collected[uid]),
-            key=lambda r: r.trial_index,
-        )
-        expected = list(range(spec.trials))
-        if [r.trial_index for r in merged] != expected:
-            raise DispatchError(
-                f"grid results for spec {spec.runner!r} (n={spec.n}) do "
-                "not cover the planned trials exactly once "
-                f"(got {[r.trial_index for r in merged]!r}, "
-                f"expected {expected!r})"
-            )
-        grouped.append((spec, merged))
-    return grouped
-
-
-def _collect_envelopes(
-    units: Sequence[WorkUnit],
-    transport: Transport,
-    max_attempts: Optional[int],
-    telemetry: Optional[Any],
-) -> Dict[int, Tuple[TrialResult, ...]]:
-    """The shared submit/retry/collect loop, keyed by unit id."""
     cap = max_attempts if max_attempts is not None else len(transport.lanes()) + 1
     if cap < 1:
         raise DispatchError("max_attempts must be >= 1")
@@ -931,4 +655,21 @@ def _collect_envelopes(
                 f"giving up ({last_error[envelope.unit_id]})"
             )
         todo.append(envelope.unit_id)
-    return collected
+    groups: Dict[ExperimentSpec, Tuple[List[int], List[TrialResult]]] = {}
+    for uid, unit in enumerate(units):
+        planned, results = groups.setdefault(unit.spec, ([], []))
+        planned.extend(unit.indices)
+        results.extend(collected[uid])
+    merged: List[TrialResult] = []
+    for spec, (planned, results) in groups.items():
+        results.sort(key=lambda r: r.trial_index)
+        got = [r.trial_index for r in results]
+        expected = sorted(set(planned))
+        if got != expected:
+            raise DispatchError(
+                f"results for spec {spec.runner!r} (n={spec.n}) do not "
+                "cover the planned trials exactly once "
+                f"(got {got!r}, expected {expected!r})"
+            )
+        merged.extend(results)
+    return merged

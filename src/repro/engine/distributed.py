@@ -1,13 +1,13 @@
 """Multi-host dispatch: TCP workers behind the ExecutionBackend seam.
 
 The distributed backend is deliberately *thin*: everything hard —
-shard geometry, submit/collect/retry, canonical-order merge, the
-spawn-safe worker entry — already lives in the transport-agnostic
-:mod:`~repro.engine.dispatch` plane.  This module only adds the
-transport (:class:`SocketTransport`) and the worker process
-(:class:`WorkerServer`, served by ``repro worker serve``), making
-"distributed" one more lane type rather than a fourth copy of the
-dispatch loop.
+unit sizing, submit/collect/retry, canonical-order merge, the
+spawn-safe worker entry — already lives in
+:class:`~repro.engine.backends.ShardedBackend` and the
+transport-agnostic :mod:`~repro.engine.dispatch` plane.  This module
+only adds the transport (:class:`SocketTransport`), the worker process
+(:class:`WorkerServer`, served by ``repro worker serve``) and the
+:class:`DistributedBackend` configuration that joins them.
 
 Protocol — framing lives in :mod:`~repro.engine.wire`; the documents
 are the usual versioned JSON either way:
@@ -54,6 +54,7 @@ exactly like a ``multiprocessing`` listener.
 
 from __future__ import annotations
 
+import functools
 import queue
 import socket
 import socketserver
@@ -72,26 +73,21 @@ from typing import (
     Union,
 )
 
-from .backends import ExecutionBackend
+from .backends import ShardedBackend
 from .dispatch import (
-    DispatchPlan,
     Envelope,
     Transport,
     WorkUnit,
-    run_grid_units,
     run_unit_timed,
-    run_units,
+    total_capacity,
     unit_from_wire,
     unit_to_wire,
 )
-from .registry import get_runner
 from .spec import (
     CODEC_BINARY,
     CODEC_JSON,
     EngineError,
-    ExperimentSpec,
     SUPPORTED_CODECS,
-    TrialResult,
     WIRE_VERSION,
     WireFormatError,
     codec_name,
@@ -102,7 +98,6 @@ from .spec import (
     stats_from_wire,
     stats_to_wire,
 )
-from .telemetry import RunTelemetry
 from .wire import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameReader,
@@ -582,9 +577,6 @@ class SocketTransport(Transport):
                 self._lanes.append(_Lane(lane_id, host, port, lane_depth))
         self._envelopes: "queue.Queue[Envelope]" = queue.Queue()
         self._closed = False
-        #: Per-run telemetry sink (set by the backend before each run;
-        #: the transport outlives runs, the telemetry does not).
-        self.telemetry: Optional[RunTelemetry] = None
 
     def lanes(self) -> Tuple[str, ...]:
         return tuple(lane.id for lane in self._lanes if not lane.dead)
@@ -835,32 +827,28 @@ class SocketTransport(Transport):
 # -- the backend ----------------------------------------------------------------------
 
 
-class DistributedBackend(ExecutionBackend):
+class DistributedBackend(ShardedBackend):
     """Dispatch a spec's trials to remote worker hosts.
 
-    Runs *every* registered scenario: asynchronous scenarios ship as
-    ``wave`` units (each host drives a local breadth-first step loop,
-    exactly like a hybrid pool worker), everything else as ``trials``
-    units (isolated :func:`~repro.engine.dispatch.run_one_trial` calls,
-    exactly like a process pool worker).  Either way the results are
-    bit-identical to the serial backend, because seeds derive from the
-    spec and hosts rebuild scenarios by name — the wire codec and the
-    pipeline depth change framing and overlap, never content.
-
-    Unlike the pool backends there is no single-worker serial
-    degradation: asking for the distributed backend means *run it on
-    the workers*, even when there is one worker or one trial.
+    A :class:`~repro.engine.backends.ShardedBackend` over a
+    :class:`SocketTransport`: asynchronous scenarios ship as ``wave``
+    units (each host drives a local breadth-first step loop), everything
+    else as ``trials`` units.  Either way the results are bit-identical
+    to the serial backend, because seeds derive from the spec and hosts
+    rebuild scenarios by name — the wire codec and the pipeline depth
+    change framing and overlap, never content.  There is no in-process
+    shortcut: asking for this backend means *run it on the workers*,
+    even for one worker or one trial.
 
     Parameters:
         hosts: worker addresses — ``host:port[:weight]`` strings or
             ``(host, port[, weight])`` tuples, one ``repro worker
             serve`` each; the capacity weight (default 1) gives the
-            host that many concurrent lanes and scales the plan's
-            effective worker count.
-        unit_size: trials per dispatched unit (``None``: the dispatch
-            plane's default geometry — ~2 waves/host for async
-            scenarios, ~4 chunks/host otherwise, per capacity weight).
-        max_live: resident-instance bound within a host's wave.
+            host that many concurrent lanes and counts that many times
+            in the capacity unit sizing scales with.  (The pipeline
+            window does not: depth hides latency within a lane, it
+            adds no compute.)
+        unit_size / max_live: as for every sharded backend.
         connect_timeout / io_timeout: socket timeouts (``io_timeout``
             ``None`` waits indefinitely for a unit's results).
         lane_depth: in-flight window per lane (``--lane-depth``;
@@ -869,12 +857,9 @@ class DistributedBackend(ExecutionBackend):
             ``"json"`` forces the legacy line protocol.
         max_frame_bytes: reply frames above this fail the lane cleanly.
 
-    The TCP connections persist across :meth:`run_trials` calls;
-    :meth:`close` drops them (idempotent — the next run reconnects).
-    A run that observed lane deaths (or raised) drops the transport
-    too, so the next run re-dials every configured host — a worker
-    that restarted between sweeps rejoins instead of staying excluded
-    forever.
+    The TCP connections persist across runs; a run that lost a lane
+    re-dials every host on the next run, so a worker that restarted
+    between sweeps rejoins instead of staying excluded forever.
     """
 
     name = "distributed"
@@ -890,158 +875,33 @@ class DistributedBackend(ExecutionBackend):
         codec: str = "auto",
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
-        self.addresses = parse_hosts(hosts)
-        if not self.addresses:
+        addresses = parse_hosts(hosts)
+        if not addresses:
             raise EngineError(
                 "distributed backend needs at least one worker host"
             )
-        if unit_size is not None and unit_size < 1:
-            raise EngineError("unit_size must be >= 1")
-        self.unit_size = unit_size
-        if max_live < 1:
-            raise EngineError("max_live must be >= 1")
-        self.max_live = max_live
         if lane_depth < 1:
             raise EngineError("lane_depth must be >= 1")
-        self.lane_depth = lane_depth
-        self.codec = codec
-        self.max_frame_bytes = max_frame_bytes
-        self.connect_timeout = connect_timeout
-        self.io_timeout = io_timeout
-        self._transport: Optional[SocketTransport] = None
-
-    def plan(self, spec: ExperimentSpec) -> DispatchPlan:
-        """Wave geometry for async scenarios, chunk geometry otherwise.
-
-        Capacity-weighted: a ``host:port:3`` worker counts as three in
-        the effective worker count, so heterogeneous fleets see unit
-        sizes matched to their aggregate parallelism.  (The pipeline
-        window is deliberately *not* part of the geometry: depth hides
-        latency within a lane, it does not add compute capacity.)
-        """
-        runner = get_runner(spec.runner)
-        weights = [weight for _, _, weight in self.addresses]
-        if runner.build_async_instance is not None:
-            return DispatchPlan.waved(
-                spec.trials,
-                self.unit_size,
-                workers=0,
-                max_live=self.max_live,
-                weights=weights,
-            )
-        return DispatchPlan.chunked(
-            spec.trials, self.unit_size, workers=0, weights=weights
+        super().__init__(
+            functools.partial(
+                SocketTransport,
+                addresses,
+                connect_timeout=connect_timeout,
+                io_timeout=io_timeout,
+                lane_depth=lane_depth,
+                codec=codec,
+                max_frame_bytes=max_frame_bytes,
+            ),
+            capacity=total_capacity([weight for *_, weight in addresses]),
+            unit_size=unit_size,
+            max_live=max_live,
         )
 
     @property
     def total_lanes(self) -> int:
         """The fleet's capacity: one lane per unit of host weight."""
-        return sum(weight for _, _, weight in self.addresses)
+        return self.capacity
 
-    def _ensure_transport(
-        self, telemetry: Optional[RunTelemetry] = None
-    ) -> SocketTransport:
-        if self._transport is not None and len(
-            self._transport.lanes()
-        ) < self.total_lanes:
-            # A previous sweep lost lanes.  Worker restarts are routine,
-            # and a dead lane is permanent within one transport — so
-            # reconnect from scratch rather than running degraded (or
-            # bricked) forever on a host set that has since recovered.
-            self.close()
-            if telemetry is not None:
-                for host, port, _ in self.addresses:
-                    telemetry.note_lane_event(f"{host}:{port}", "redial")
-        if self._transport is None:
-            self._transport = SocketTransport(
-                self.addresses,
-                connect_timeout=self.connect_timeout,
-                io_timeout=self.io_timeout,
-                lane_depth=self.lane_depth,
-                codec=self.codec,
-                max_frame_bytes=self.max_frame_bytes,
-            )
-        self._transport.telemetry = telemetry
-        return self._transport
-
-    def run_trials(self, spec: ExperimentSpec) -> List[TrialResult]:
-        # Resolve locally first: unknown scenario names should fail
-        # fast at the client, not as N remote error envelopes.
-        get_runner(spec.runner)
-        telemetry = self._begin_telemetry(spec)
-        units = self.plan(spec).units(spec)
-        try:
-            results = run_units(
-                units,
-                self._ensure_transport(telemetry),
-                telemetry=telemetry,
-            )
-        except BaseException:
-            # An aborted sweep may leave exchanges in flight whose
-            # envelopes would be misattributed by a later run on the
-            # same transport; drop it — the next run reconnects fresh.
-            self.close()
-            raise
-        telemetry.finish()
-        return results
-
-    def run_grid(
-        self,
-        specs: Sequence[ExperimentSpec],
-        cost_aware: bool = True,
-    ) -> List[List[TrialResult]]:
-        """A fused multi-spec sweep over the worker fleet.
-
-        One shared collect loop over every host lane; unit sizes come
-        from one grid-wide predicted-cost target scaled by the fleet's
-        aggregate capacity weights (uniform geometry when any spec
-        lacks a cost model).  Per-spec mode follows :meth:`plan`: waves
-        where the scenario has an async builder, chunks otherwise.
-        """
-        from .costplan import grid_modes, plan_grid
-
-        if not specs:
-            return []
-        for spec in specs:
-            get_runner(spec.runner)
-        unique = list(dict.fromkeys(specs))
-        if len(unique) == 1:
-            return super().run_grid(specs, cost_aware=cost_aware)
-        telemetry = RunTelemetry(
-            backend=self.name,
-            total_trials=sum(spec.trials for spec in unique),
-            monitor=self.monitor,
-        )
-        self.telemetry = telemetry
-        units = plan_grid(
-            unique,
-            capacity=self.total_lanes,
-            modes=grid_modes(unique),
-            max_live=self.max_live,
-            cost_aware=cost_aware,
-        )
-        try:
-            pairs = run_grid_units(
-                units,
-                self._ensure_transport(telemetry),
-                telemetry=telemetry,
-            )
-        except BaseException:
-            self.close()
-            raise
-        telemetry.finish()
-        return pairs_to_grid(pairs, specs)
-
-    def close(self) -> None:
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
-
-
-def pairs_to_grid(
-    pairs: Sequence[Tuple[ExperimentSpec, List[TrialResult]]],
-    specs: Sequence[ExperimentSpec],
-) -> List[List[TrialResult]]:
-    """Re-order fused grid results back into the caller's spec order."""
-    by_spec = {spec: results for spec, results in pairs}
-    return [by_spec[spec] for spec in specs]
+    # The end-to-end benchmark's layer tracer wraps ``plan`` in this
+    # class's own namespace (benchmarks/e2e/layertrace.py).
+    plan = ShardedBackend.plan

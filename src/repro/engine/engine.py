@@ -17,12 +17,12 @@ from .aggregate import ExperimentResult
 from .async_backend import AsyncBackend
 from .backends import (
     ExecutionBackend,
+    HybridBackend,
     ProcessPoolBackend,
     SerialBackend,
 )
 from .batch import BatchBackend
 from .distributed import DistributedBackend
-from .hybrid import HybridBackend
 from .registry import get_runner
 from .spec import EngineError, ExperimentSpec
 
@@ -40,26 +40,26 @@ BACKEND_NAMES = (
 def get_backend(
     name: str,
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    wave_size: Optional[int] = None,
+    unit_size: Optional[int] = None,
     hosts: Optional[Sequence[str]] = None,
     lane_depth: Optional[int] = None,
 ) -> ExecutionBackend:
     """Construct a backend from its CLI name.
 
-    ``lane_depth`` is the distributed transport's pipelined in-flight
-    window per lane (``--lane-depth``); other backends ignore it.
+    ``unit_size`` (trials per dispatched unit) applies to every sharded
+    backend — process, hybrid and distributed; ``lane_depth`` is the
+    distributed transport's pipelined in-flight window per lane
+    (``--lane-depth``).  Backends ignore what does not apply to them.
     """
     if name == "serial":
         return SerialBackend()
-    if name == "process":
-        return ProcessPoolBackend(workers=workers, chunk_size=chunk_size)
+    if name in ("process", "hybrid"):
+        pool = ProcessPoolBackend if name == "process" else HybridBackend
+        return pool(workers=workers, unit_size=unit_size)
     if name == "batch":
         return BatchBackend()
     if name == "async":
         return AsyncBackend()
-    if name == "hybrid":
-        return HybridBackend(workers=workers, wave_size=wave_size)
     if name == "distributed":
         if not hosts:
             raise EngineError(
@@ -67,11 +67,7 @@ def get_backend(
                 "(--hosts host:port[,host:port...])"
             )
         kwargs = {} if lane_depth is None else {"lane_depth": lane_depth}
-        return DistributedBackend(
-            hosts=hosts,
-            unit_size=wave_size if wave_size is not None else chunk_size,
-            **kwargs,
-        )
+        return DistributedBackend(hosts=hosts, unit_size=unit_size, **kwargs)
     raise EngineError(
         f"unknown backend {name!r} (choose from {', '.join(BACKEND_NAMES)})"
     )
@@ -141,8 +137,8 @@ class Engine:
         """Execute several specs as one sweep; one result per spec.
 
         Validation is exactly :meth:`run`'s, per spec.  Execution goes
-        through the backend's ``run_grid`` — for the pool-backed
-        backends a *fused* sweep in which every spec's units share one
+        through the backend's ``run_grid`` — for the sharded backends
+        a *fused* sweep in which every spec's units share one
         transport, sized by predicted per-trial cost when every spec
         has a cost model and ``cost_aware`` holds (uniform geometry
         otherwise).  Results are bit-identical to running the specs

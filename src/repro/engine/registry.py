@@ -193,12 +193,12 @@ class Scenario:
         """Backend names that execute this scenario *natively*.
 
         Every scenario runs on ``serial``, ``process`` and
-        ``distributed`` (the distributed backend ships async scenarios
-        as waves and everything else as isolated-trial chunks); a sync
-        builder adds ``batch``; an async builder adds ``async`` and
-        ``hybrid``.  The batch and async backends additionally fall
-        back to serial for unsupported scenarios; the hybrid backend
-        does not (it raises, naming this tuple).
+        ``distributed`` (sharded backends ship async scenarios as waves
+        and everything else as isolated trials); a sync builder adds
+        ``batch``; an async builder adds ``async`` and ``hybrid``.  The
+        batch and async backends additionally fall back to serial for
+        unsupported scenarios; the sharded backends do not (they
+        refuse a scenario whose tuple lacks their name, naming it).
         """
         caps = ["serial", "process"]
         if self.batchable:

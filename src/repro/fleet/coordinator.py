@@ -8,9 +8,11 @@ below it:
   worker serve --fleet`` processes are currently heartbeating, with
   their announced capacity weights — not from a static ``--hosts``
   flag; stale registrations are evicted before each scheduling pass;
-* each job's trials shard through the capacity-weighted
-  :class:`~repro.engine.dispatch.DispatchPlan` and execute over the
-  unchanged :class:`~repro.engine.distributed.SocketTransport` /
+* each job's unit size comes from the sharded backends' own rule
+  (:func:`~repro.engine.costplan.plan_specs`, weighted by the fleet's
+  capacity) and is persisted into the job envelope before dispatch;
+  units execute over the unchanged
+  :class:`~repro.engine.distributed.SocketTransport` /
   :func:`~repro.engine.dispatch.run_units` pair, so a worker dying
   mid-job is rebalanced exactly like a dead lane in a one-shot
   distributed sweep;
@@ -44,13 +46,12 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..engine.costplan import spec_trial_cost
-from ..engine.dispatch import DispatchPlan, WorkUnit, run_units
+from ..engine.costplan import plan_specs
+from ..engine.dispatch import WorkUnit, run_units, total_capacity
 from ..engine.distributed import DEFAULT_LANE_DEPTH, SocketTransport
-from ..engine.registry import get_runner
+from ..engine.registry import runner_names
 from ..engine.spec import TrialResult
 from ..engine.telemetry import RunTelemetry, write_report
 from .queue import FleetError, Job, JobQueue, UnitStore
@@ -133,6 +134,11 @@ class _PersistingTelemetry:
             self._store.save(
                 index, self._units[envelope.unit_id], envelope.results
             )
+
+
+def _capacity(addresses: Sequence[Tuple[str, int, int]]) -> int:
+    """The fleet's weighted lane capacity."""
+    return total_capacity([weight for *_, weight in addresses])
 
 
 def _pid_alive(pid: int) -> bool:
@@ -280,29 +286,6 @@ class Coordinator:
 
     # -- one job -----------------------------------------------------------------------
 
-    def _plan(self, job: Job) -> DispatchPlan:
-        """Capacity-weighted geometry for one job (mirrors the backend).
-
-        Weighted by the *currently registered* fleet, so a job
-        submitted under two weight-1 workers and executed later under
-        a weight-4 machine shards for the machine that will run it.
-        """
-        runner = get_runner(job.spec.runner)
-        weights = [w for _, _, w in self.registry.addresses()] or [1]
-        if runner.build_async_instance is not None:
-            return DispatchPlan.waved(
-                job.spec.trials,
-                job.unit_size,
-                workers=0,
-                max_live=(
-                    job.max_live if job.max_live is not None else self.max_live
-                ),
-                weights=weights,
-            )
-        return DispatchPlan.chunked(
-            job.spec.trials, job.unit_size, workers=0, weights=weights
-        )
-
     def run_job(
         self, job: Job, addresses: Sequence[Tuple[str, int, int]]
     ) -> Job:
@@ -331,72 +314,58 @@ class Coordinator:
         self.queue.save_results(job.job_id, results)
         return self.queue.transition(job.job_id, "done")
 
-    def _apply_cost_sizing(
+    def size_pending(
         self,
         jobs: Sequence[Job],
         addresses: Sequence[Tuple[str, int, int]],
     ) -> List[Job]:
-        """Stamp cost-derived unit sizes onto pending, unsized jobs.
+        """Persist unit sizes onto the pending jobs that have none.
 
-        The target unit cost is queue-wide — total predicted cost over
-        the pending jobs divided by the fleet's weighted lane capacity
-        (times the grid parts-per-lane factor) — so cheap sweeps shard
-        into large units and expensive sweeps into small ones, and
-        every dispatched unit carries roughly equal predicted work.
-        The chosen size persists into the job envelope *before* any
-        unit dispatches, so a coordinator killed mid-job re-derives
-        the identical geometry on resume.  Sizing engages only when
-        *every* unsized pending job has a cost model (balancing
-        predictions against guesses would misshard both) and never
-        touches an explicit ``--unit-size`` or a resumed job.
+        The sizes come from the sharded backends' rule
+        (:func:`~repro.engine.costplan.plan_specs`), applied to every
+        unsized pending job at once as one grid over the fleet's
+        weighted capacity: cheap sweeps shard into large units and
+        expensive ones into small, every unit carrying roughly equal
+        predicted work.  They persist into the job envelopes *before*
+        any unit dispatches, so a coordinator killed mid-job re-plans
+        the identical units on resume.  An explicit ``--unit-size``, a
+        resumed (running) job and an unknown scenario are left alone.
         """
-        from ..engine.costplan import (
-            GRID_PARTS_PER_WORKER,
-            cost_sized_unit_size,
-        )
-
+        known = set(runner_names())
         unsized = [
             job
             for job in jobs
-            if job.state == "pending" and job.unit_size is None
+            if job.state == "pending"
+            and job.unit_size is None
+            and job.spec.runner in known
         ]
-        if len(unsized) < 2:
+        if not unsized:
             return list(jobs)
-        costs: Dict[str, float] = {}
-        for job in unsized:
-            cost = spec_trial_cost(job.spec)
-            if cost is None:
-                return list(jobs)
-            costs[job.job_id] = cost
-        capacity = sum(w for _, _, w in addresses) or 1
-        total = sum(
-            costs[job.job_id] * job.spec.trials for job in unsized
+        plans = plan_specs(
+            [job.spec for job in unsized], _capacity(addresses)
         )
-        target = total / max(1, capacity * GRID_PARTS_PER_WORKER)
-        out: List[Job] = []
-        for job in jobs:
-            if job.job_id in costs:
-                size = cost_sized_unit_size(job.spec, target)
-                if size is not None:
-                    job = self.queue.set_unit_size(job.job_id, size)
-            out.append(job)
-        return out
+        sized = {
+            job.job_id: self.queue.set_unit_size(job.job_id, plan.unit_size)
+            for job, plan in zip(unsized, plans)
+        }
+        return [sized.get(job.job_id, job) for job in jobs]
 
     def _execute(
         self, job: Job, addresses: Sequence[Tuple[str, int, int]]
     ) -> List[TrialResult]:
         spec = job.spec
-        get_runner(spec.runner)  # unknown scenarios fail fast, locally
-        units = self._plan(job).units(spec)
-        trial_cost = spec_trial_cost(spec)
-        if trial_cost is not None:
-            # Advisory stamp for the telemetry skew column; excluded
-            # from unit equality, so resume logs written without it
-            # still match.
-            units = [
-                replace(u, predicted_cost=trial_cost * len(u.indices))
-                for u in units
-            ]
+        # A job sized before dispatch (every pending job) re-plans the
+        # identical units on resume; predicted costs ride along as
+        # advisory stamps, excluded from unit equality.
+        (plan,) = plan_specs(
+            [spec],
+            _capacity(addresses),
+            unit_size=job.unit_size,
+            max_live=(
+                job.max_live if job.max_live is not None else self.max_live
+            ),
+        )
+        units = plan.units(spec)
         store = UnitStore(self.root, job.job_id)
         cached: Dict[int, List[TrialResult]] = {}
         missing: List[int] = []
@@ -476,7 +445,7 @@ class Coordinator:
             addresses = self.wait_for_workers(
                 min_workers=min_workers, timeout=worker_timeout
             )
-            jobs = self._apply_cost_sizing(jobs, addresses)
+            jobs = self.size_pending(jobs, addresses)
             finished: List[Job] = []
             with ThreadPoolExecutor(
                 max_workers=self.max_jobs,

@@ -87,7 +87,10 @@ class Job:
     job_id: str
     spec: ExperimentSpec
     state: str = "pending"
-    #: Optional geometry overrides, mirroring DistributedBackend's.
+    #: Trials per unit: given at submit (``--unit-size``) or persisted
+    #: by the coordinator before the job's first dispatch, so a resumed
+    #: job re-plans identical units.  ``max_live`` bounds wave
+    #: residency (``None``: the coordinator's default).
     unit_size: Optional[int] = None
     max_live: Optional[int] = None
     error: str = ""
@@ -302,7 +305,7 @@ class JobQueue:
     def set_unit_size(self, job_id: str, unit_size: int) -> Job:
         """Persist a planner-chosen unit size onto a *pending* job.
 
-        The coordinator's cost-aware sizing pass calls this before the
+        The coordinator's sizing pass calls this before the
         job first dispatches: once the size is in the envelope, a
         coordinator killed mid-job re-derives the identical shard
         geometry on resume, which is what keeps the persisted unit log

@@ -221,6 +221,27 @@ def test_run_experiment_process_backend(capsys):
     assert "process backend" in out
 
 
+def test_run_experiment_wave_size_reaches_the_process_backend(
+    tmp_path, capsys
+):
+    """``--wave-size K`` sizes every sharded backend's units, the
+    process backend included: 6 trials at K=3 are two 3-trial units."""
+    from repro.engine.telemetry import load_report
+
+    out = tmp_path / "telemetry.json"
+    assert main(
+        ["run-experiment", "--name", "vss-coin", "-n", "7",
+         "--trials", "6", "--backend", "process", "--workers", "2",
+         "--wave-size", "3", "--telemetry", str(out)]
+    ) == 0
+    capsys.readouterr()
+    report = load_report(str(out))
+    assert report.backend == "process"
+    assert report.unit_attempts == 2 and report.retries == 0
+    assert sum(lane.trials for lane in report.lanes) == 6
+    assert sum(lane.units_ok for lane in report.lanes) == 2
+
+
 def test_run_experiment_hybrid_backend(capsys):
     assert main(
         ["run-experiment", "--name", "common-coin-ba", "-n", "6",

@@ -6,8 +6,8 @@ Pinned here:
   (phase-king, rabin, unreliable-coin-ba) the symbolic bits model,
   calibrated against measured BitLedger totals at one n, predicts the
   measured totals at a *different* n within a tight tolerance band;
-* **plan properties** — over random grids, costs and capacity weights,
-  cost-weighted plans cover every trial exactly once and merge
+* **plan properties** — over random grids and capacities, planned
+  units cover every trial exactly once in contiguous slices and merge
   canonically (bit-identical to a bare serial loop);
 * **grid parity** — the fused ``run_grid`` path of the process, hybrid
   and distributed backends equals per-spec serial execution on mixed-n
@@ -16,8 +16,9 @@ Pinned here:
   whole plan to uniform geometry (no predicted costs stamped);
 * **wire tolerance** — ``predicted_cost`` round-trips on unit and
   report documents and is optional on old documents;
-* **fleet sizing** — the coordinator persists cost-derived unit sizes
-  into pending job envelopes (resume-safe), never into running ones.
+* **fleet sizing** — the coordinator persists the same rule's unit
+  sizes into pending job envelopes (resume-safe), never into running
+  ones.
 """
 
 import random
@@ -42,13 +43,13 @@ from repro.engine import (
     SerialBackend,
     WorkerServer,
     plan_grid,
+    plan_specs,
     report_from_wire,
     report_to_wire,
-    run_grid_units,
     run_units,
     spec_trial_cost,
 )
-from repro.engine.costplan import cost_sized_unit_size, grid_modes
+from repro.engine.costplan import grid_modes
 from repro.engine.dispatch import (
     MODE_TRIALS,
     run_one_trial,
@@ -171,63 +172,56 @@ def test_ignored_params_names_what_the_model_does_not_price():
 # -- plan properties over random grids -------------------------------------------------
 
 
+def _random_grid(rng):
+    return [
+        ExperimentSpec(
+            runner=rng.choice(["phase-king", "rabin", "bracha-broadcast"]),
+            n=rng.randint(4, 20),
+            trials=rng.randint(1, 60),
+            seed=rng.randint(0, 9),
+        )
+        for _ in range(rng.randint(1, 4))
+    ]
+
+
 def test_cost_plans_partition_random_grids_exactly_once():
     rng = random.Random(20260808)
     for _ in range(40):
-        trials = rng.randint(1, 60)
-        costs = [rng.uniform(0.1, 50.0) for _ in range(trials)]
-        workers = rng.randint(1, 6)
-        weights = (
-            [rng.randint(1, 4) for _ in range(workers)]
-            if rng.random() < 0.5
-            else None
+        specs = list(dict.fromkeys(_random_grid(rng)))
+        units = plan_grid(
+            specs,
+            capacity=rng.randint(1, 12),
+            unit_size=rng.choice([None, None, rng.randint(1, 9)]),
+            cost_aware=rng.random() < 0.7,
         )
-        target = (
-            rng.uniform(1.0, sum(costs)) if rng.random() < 0.5 else None
-        )
-        for planner in (DispatchPlan.cost_chunked, DispatchPlan.cost_waved):
-            plan = planner(
-                trials,
-                costs,
-                workers,
-                weights=weights,
-                target_unit_cost=target,
-            )
-            flat = sorted(i for group in plan.indices() for i in group)
-            assert flat == list(range(trials))
-            # Groups are internally sorted and ordered by first index.
-            firsts = [group[0] for group in plan.indices()]
-            assert firsts == sorted(firsts)
-            for group in plan.indices():
-                assert list(group) == sorted(group)
-
-
-def test_cost_plan_rejects_bad_costs():
-    with pytest.raises(EngineError, match="positive"):
-        DispatchPlan.cost_chunked(3, [1.0, -1.0, 2.0], 2)
-    with pytest.raises(EngineError, match="one cost per trial"):
-        DispatchPlan.cost_chunked(3, [1.0, 2.0], 2)
+        for spec in specs:
+            groups = [list(u.indices) for u in units if u.spec == spec]
+            flat = sorted(i for group in groups for i in group)
+            assert flat == list(range(spec.trials))
+            for group in groups:  # contiguous slices
+                assert group == list(range(group[0], group[-1] + 1))
 
 
 def test_cost_weighted_units_merge_canonically():
-    """Execution over a deliberately lopsided cost vector merges back
-    to the exact serial result (unit order never leaks)."""
-    spec = ExperimentSpec(runner="phase-king", n=6, trials=11, seed=2)
-    rng = random.Random(7)
-    costs = [rng.choice([1.0, 1.0, 40.0]) for _ in range(spec.trials)]
-    plan = DispatchPlan.cost_chunked(spec.trials, costs, 3)
-    results = run_units(plan.units(spec), InlineTransport())
-    assert results == _serial(spec)
-    for unit in plan.units(spec):
+    """A cost-sized grid submitted heaviest-first merges back to the
+    exact serial results, grouped per spec (unit order never leaks)."""
+    specs = _mixed_sync_specs()
+    units = plan_grid(specs, capacity=3)
+    assert [u.spec for u in units][0] != specs[0]  # reordered by cost
+    order = list(dict.fromkeys(u.spec for u in units))
+    results = run_units(units, InlineTransport())
+    assert results == [r for spec in order for r in _serial(spec)]
+    for unit in units:
         assert unit.predicted_cost == pytest.approx(
-            sum(costs[i] for i in unit.indices)
+            spec_trial_cost(unit.spec) * len(unit.indices)
         )
 
 
 def test_uniform_costs_degenerate_to_contiguous_chunks():
-    plan = DispatchPlan.cost_chunked(12, [3.0] * 12, 3)
-    for group in plan.indices():
-        assert list(group) == list(range(group[0], group[-1] + 1))
+    for cost_aware in (True, False):
+        for unit in plan_grid(_mixed_sync_specs(), 3, cost_aware=cost_aware):
+            group = list(unit.indices)
+            assert group == list(range(group[0], group[-1] + 1))
 
 
 # -- grid planning and backend parity --------------------------------------------------
@@ -243,9 +237,7 @@ def _mixed_sync_specs():
 
 def test_plan_grid_equalises_predicted_unit_cost():
     specs = _mixed_sync_specs()
-    units = plan_grid(
-        specs, capacity=2, modes=[MODE_TRIALS] * len(specs)
-    )
+    units = plan_grid(specs, capacity=2)
     assert sorted(
         i for u in units if u.spec == specs[0] for i in u.indices
     ) == list(range(specs[0].trials))
@@ -275,9 +267,7 @@ def test_plan_grid_falls_back_to_uniform_when_any_spec_is_unpriceable():
         ExperimentSpec(runner="cost-test-unpriced", n=1, trials=4)
     ]
     assert spec_trial_cost(specs[-1]) is None
-    units = plan_grid(
-        specs, capacity=2, modes=[MODE_TRIALS] * len(specs)
-    )
+    units = plan_grid(specs, capacity=2)
     assert all(u.predicted_cost is None for u in units)
     # Coverage still exact per spec.
     for spec in specs:
@@ -286,11 +276,16 @@ def test_plan_grid_falls_back_to_uniform_when_any_spec_is_unpriceable():
         ) == list(range(spec.trials))
 
 
-def test_run_grid_units_checks_per_spec_coverage():
+def test_run_units_checks_per_spec_coverage():
     spec = ExperimentSpec(runner="phase-king", n=6, trials=4, seed=3)
-    units = DispatchPlan.chunked(spec.trials, 2, 2).units(spec)
+    other = ExperimentSpec(runner="rabin", n=8, trials=2, seed=1)
+    units = DispatchPlan(trials=spec.trials, unit_size=2).units(spec)
+    others = DispatchPlan(trials=other.trials, unit_size=1).units(other)
+    assert run_units(units + others, InlineTransport()) == (
+        _serial(spec) + _serial(other)
+    )
     with pytest.raises(EngineError, match="exactly once"):
-        run_grid_units(list(units) + [units[0]], InlineTransport())
+        run_units(units + [units[0]] + others, InlineTransport())
 
 
 def test_process_grid_parity_cost_aware_and_uniform():
@@ -357,16 +352,17 @@ def test_engine_run_grid_wraps_results_per_spec():
 
 
 def test_cost_sized_unit_size_clamps_to_the_trial_range():
-    spec = ExperimentSpec(runner="phase-king", n=8, trials=10, seed=0)
-    cost = spec_trial_cost(spec)
-    assert cost is not None and cost > 0
-    assert cost_sized_unit_size(spec, cost * 3) == 3
-    assert cost_sized_unit_size(spec, cost / 100) == 1
-    assert cost_sized_unit_size(spec, cost * 1000) == spec.trials
-    unpriced = ExperimentSpec(
-        runner="cost-test-unpriced-absent", n=1, trials=4
-    )
-    assert cost_sized_unit_size(unpriced, 10.0) is None
+    cheap = ExperimentSpec(runner="phase-king", n=6, trials=10, seed=0)
+    costly = ExperimentSpec(runner="phase-king", n=24, trials=2, seed=0)
+    assert 0 < spec_trial_cost(cheap) < spec_trial_cost(costly)
+    # Next to a costly spec, the cheap one's size clamps up to its
+    # trials and the costly one's down to 1.
+    sizes = [p.unit_size for p in plan_specs([cheap, costly], 2)]
+    assert sizes == [cheap.trials, 1]
+    # Alone on one lane: ~4 units, sized against its own cost.
+    assert plan_specs([cheap], 1)[0].unit_size == 2  # round(10 / 4)
+    # An explicit size is honoured exactly, priced or not.
+    assert [p.unit_size for p in plan_specs([cheap, costly], 2, 3)] == [3, 3]
 
 
 # -- wire tolerance --------------------------------------------------------------------
@@ -374,8 +370,8 @@ def test_cost_sized_unit_size_clamps_to_the_trial_range():
 
 def test_unit_wire_roundtrips_predicted_cost_and_tolerates_old_docs():
     spec = ExperimentSpec(runner="phase-king", n=6, trials=4, seed=3)
-    (unit,) = DispatchPlan.cost_chunked(
-        spec.trials, [2.0] * spec.trials, 1, target_unit_cost=100.0
+    (unit,) = DispatchPlan(
+        trials=spec.trials, unit_size=4, trial_cost=2.0
     ).units(spec)
     assert unit.predicted_cost == pytest.approx(8.0)
     doc = unit_to_wire(unit)
@@ -388,7 +384,7 @@ def test_unit_wire_roundtrips_predicted_cost_and_tolerates_old_docs():
 
 def test_report_wire_roundtrips_lane_predicted_costs():
     spec = ExperimentSpec(runner="phase-king", n=6, trials=4, seed=3)
-    plan = DispatchPlan.cost_chunked(spec.trials, [5.0] * spec.trials, 2)
+    plan = DispatchPlan(trials=spec.trials, unit_size=2, trial_cost=5.0)
     telemetry = RunTelemetry(backend="test", total_trials=spec.trials)
     results = run_units(
         plan.units(spec), InlineTransport(), telemetry=telemetry
@@ -456,7 +452,7 @@ def test_coordinator_persists_cost_sizes_before_dispatch(tmp_path):
         unit_size=5,
     )
     coordinator = Coordinator(str(tmp_path))
-    sized = coordinator._apply_cost_sizing(
+    sized = coordinator.size_pending(
         queue.by_state("pending"), [("localhost", 7045, 2)]
     )
     by_id = {job.job_id: job for job in sized}

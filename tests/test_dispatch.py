@@ -2,9 +2,9 @@
 
 The dispatch plane's contract, pinned piece by piece:
 
-* **DispatchPlan** is the single home of shard geometry — chunk and
-  wave sizing match the backends' historical defaults exactly, and
-  every plan covers each trial exactly once.
+* **DispatchPlan** is the single home of shard geometry — contiguous
+  slices covering each trial exactly once, sized by one rule
+  (:func:`~repro.engine.costplan.plan_specs`) for every backend.
 * **run_unit** is the one spawn-safe worker entry: ``trials`` units
   reproduce the serial path, ``wave`` units reproduce the async path.
 * **run_units** (the collect loop) keeps lanes fed, retries failed
@@ -52,29 +52,37 @@ def test_plan_validation():
         WorkUnit(spec=_spec(), indices=(0,), mode="teleport")
 
 
-def test_chunked_matches_historic_process_geometry():
-    # Explicit size: contiguous slices of that size.
-    assert DispatchPlan.chunked(7, 3, 2).indices() == [
+def test_plan_slices_trials_contiguously():
+    assert DispatchPlan(trials=7, unit_size=3).indices() == [
         [0, 1, 2], [3, 4, 5], [6]
     ]
-    # Auto size: ~4 chunks per worker, floor division, minimum 1.
-    assert DispatchPlan.chunked(4, None, 2).unit_size == 1
-    assert DispatchPlan.chunked(64, None, 2).unit_size == 8
     for trials in (1, 2, 7, 24, 25, 100):
-        for size in (None, 1, 3, 7, 200):
-            plan = DispatchPlan.chunked(trials, size, 3)
+        for size in (1, 3, 7, 200):
+            plan = DispatchPlan(trials=trials, unit_size=size)
             flat = [i for unit in plan.indices() for i in unit]
             assert flat == list(range(trials)), (trials, size)
 
 
-def test_waved_matches_historic_hybrid_geometry():
-    # Auto size: ~2 waves per worker, ceil division.
-    assert DispatchPlan.waved(25, None, 3).unit_size == 5
-    assert DispatchPlan.waved(1, None, 3).unit_size == 1
-    plan = DispatchPlan.waved(10, 4, 2, max_live=16)
-    assert plan.mode == MODE_WAVE
-    assert plan.max_live == 16
-    assert plan.indices() == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+def test_unit_sizes_follow_one_rule_for_every_mode():
+    """Waves and isolated trials size alike: ~4 units per worker
+    (rounded, at least 1), or exactly the explicit size."""
+    from repro.engine.costplan import plan_specs
+
+    waves = _spec(runner="bracha-broadcast", n=5, trials=25)
+    trials = _spec(trials=64)
+    for cost_aware in (True, False):
+        wave_plan, trial_plan = plan_specs(
+            [waves], 3, max_live=16, cost_aware=cost_aware
+        ) + plan_specs([trials], 2, max_live=16, cost_aware=cost_aware)
+        assert wave_plan.unit_size == 2  # round(25 / 12)
+        assert wave_plan.mode == MODE_WAVE and wave_plan.max_live == 16
+        assert trial_plan.unit_size == 8  # round(64 / 8)
+        assert trial_plan.mode == MODE_TRIALS
+        assert trial_plan.max_live is None
+    assert plan_specs([_spec(trials=1)], 3)[0].unit_size == 1
+    (explicit,) = plan_specs([waves], 2, unit_size=4, max_live=16)
+    assert explicit.indices()[-1] == [24]
+    assert explicit.unit_size == 4
 
 
 def test_legacy_geometry_helpers_are_gone():
@@ -105,20 +113,20 @@ def test_capacity_weights_scale_effective_workers():
         total_capacity([True])
     with pytest.raises(EngineError, match="at least one"):
         total_capacity([])
-    # Weighted plans match the equivalent flat worker count exactly.
+    # Weighted capacity sizes units like the equivalent worker count.
+    from repro.engine import ProcessPoolBackend
+    from repro.engine.costplan import plan_specs
+
+    spec = _spec(trials=64)
     assert (
-        DispatchPlan.chunked(64, None, 0, weights=[3, 1]).unit_size
-        == DispatchPlan.chunked(64, None, 4).unit_size
-    )
-    assert (
-        DispatchPlan.waved(25, None, 0, weights=[2, 1]).unit_size
-        == DispatchPlan.waved(25, None, 3).unit_size
+        plan_specs([spec], total_capacity([3, 1]))[0].unit_size
+        == ProcessPoolBackend(workers=4).plan(spec).unit_size
     )
 
 
 def test_units_carry_spec_mode_and_reject_mismatched_trials():
     spec = _spec(trials=5)
-    plan = DispatchPlan.chunked(5, 2, 2)
+    plan = DispatchPlan(trials=5, unit_size=2)
     units = plan.units(spec)
     assert [u.indices for u in units] == [(0, 1), (2, 3), (4,)]
     assert all(u.spec == spec and u.mode == MODE_TRIALS for u in units)
@@ -214,7 +222,7 @@ class ScriptedTransport(Transport):
 
 def test_run_units_inline_matches_serial():
     spec = _spec(trials=6)
-    units = DispatchPlan.chunked(6, 2, 2).units(spec)
+    units = DispatchPlan(trials=6, unit_size=2).units(spec)
     assert run_units(units, InlineTransport()) == (
         SerialBackend().run_trials(spec)
     )
@@ -225,7 +233,7 @@ def test_run_units_retries_on_surviving_lane_with_exclusion():
     """A lane that kills a unit is excluded from the retry; the sweep
     completes on the survivor, bit-identical to serial."""
     spec = _spec(trials=6)
-    units = DispatchPlan.chunked(6, 2, 2).units(spec)
+    units = DispatchPlan(trials=6, unit_size=2).units(spec)
     transport = ScriptedTransport(
         units, fail={(0, "lane-a"): "worker killed"}
     )
@@ -239,7 +247,7 @@ def test_run_units_retries_on_surviving_lane_with_exclusion():
 
 def test_run_units_raises_when_every_lane_fails_a_unit():
     spec = _spec(trials=4)
-    units = DispatchPlan.chunked(4, 2, 2).units(spec)
+    units = DispatchPlan(trials=4, unit_size=2).units(spec)
     transport = ScriptedTransport(
         units,
         fail={(0, "lane-a"): "killed", (0, "lane-b"): "killed again"},
@@ -250,7 +258,7 @@ def test_run_units_raises_when_every_lane_fails_a_unit():
 
 def test_run_units_respects_max_attempts():
     spec = _spec(trials=2)
-    units = DispatchPlan.chunked(2, 1, 2).units(spec)
+    units = DispatchPlan(trials=2, unit_size=1).units(spec)
     transport = ScriptedTransport(
         units, fail={(0, "lane-a"): "flaky"}, lanes=("lane-a",)
     )
@@ -262,7 +270,7 @@ def test_run_units_rejects_wrong_trial_coverage():
     """A worker returning the wrong trials is an error, never a silent
     hole in the sweep."""
     spec = _spec(trials=4)
-    units = DispatchPlan.chunked(4, 2, 2).units(spec)
+    units = DispatchPlan(trials=4, unit_size=2).units(spec)
     serial = SerialBackend().run_trials(spec)
 
     class LyingTransport(InlineTransport):

@@ -156,17 +156,17 @@ def test_distributed_equals_hybrid_equals_process_equals_serial(workers):
 
     async_spec = _async_spec(trials=8, seed=17)
     serial = SerialBackend().run_trials(async_spec)
-    process = ProcessPoolBackend(workers=2, chunk_size=3).run_trials(
+    process = ProcessPoolBackend(workers=2, unit_size=3).run_trials(
         async_spec
     )
-    hybrid = HybridBackend(workers=2, wave_size=3).run_trials(async_spec)
+    hybrid = HybridBackend(workers=2, unit_size=3).run_trials(async_spec)
     with DistributedBackend(hosts, unit_size=3) as dist:
         distributed = dist.run_trials(async_spec)
     assert distributed == hybrid == process == serial
 
     sync_spec = _sync_spec(trials=5)
     serial_sync = SerialBackend().run_trials(sync_spec)
-    process_sync = ProcessPoolBackend(workers=2, chunk_size=2).run_trials(
+    process_sync = ProcessPoolBackend(workers=2, unit_size=2).run_trials(
         sync_spec
     )
     with DistributedBackend(hosts, unit_size=2) as dist:
@@ -186,7 +186,7 @@ def test_unit_size_is_unobservable(workers):
 def test_distributed_through_engine_and_get_backend(workers):
     hosts = [w.address for w in workers]
     assert "distributed" in BACKEND_NAMES
-    backend = get_backend("distributed", wave_size=2, hosts=hosts)
+    backend = get_backend("distributed", unit_size=2, hosts=hosts)
     assert isinstance(backend, DistributedBackend)
     assert backend.unit_size == 2
     spec = _async_spec(trials=4)

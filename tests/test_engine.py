@@ -100,7 +100,7 @@ def test_make_context_bounds():
 )
 def test_serial_process_batch_bit_identical(spec):
     serial = SerialBackend().run_trials(spec)
-    pooled = ProcessPoolBackend(workers=2, chunk_size=2).run_trials(spec)
+    pooled = ProcessPoolBackend(workers=2, unit_size=2).run_trials(spec)
     batched = BatchBackend().run_trials(spec)
     assert serial == pooled
     assert serial == batched
@@ -108,9 +108,10 @@ def test_serial_process_batch_bit_identical(spec):
 
 
 def test_process_pool_chunking_covers_all_trials():
-    backend = ProcessPoolBackend(workers=3, chunk_size=None)
+    backend = ProcessPoolBackend(workers=3, unit_size=None)
     for trials in (1, 2, 7, 24, 25):
-        chunks = backend.plan(trials).indices()
+        spec = ExperimentSpec(runner="vss-coin", n=7, trials=trials)
+        chunks = backend.plan(spec).indices()
         flat = [i for chunk in chunks for i in chunk]
         assert flat == list(range(trials))
 
@@ -148,10 +149,57 @@ def test_backends_are_idempotently_closable_context_managers():
 def test_backend_usable_after_close():
     """close() releases resources but leaves the backend reusable."""
     spec = ExperimentSpec(runner="vss-coin", n=7, trials=2, seed=1)
-    backend = ProcessPoolBackend(workers=2, chunk_size=1)
+    backend = ProcessPoolBackend(workers=2, unit_size=1)
     first = backend.run_trials(spec)
     backend.close()
     assert backend.run_trials(spec) == first
+
+
+def _lane_failure(unit):
+    raise RuntimeError("lane down")
+
+
+def test_pool_is_reused_across_runs_and_reaped_by_close(monkeypatch):
+    """One pool per backend: opened by the first run, reused by the
+    next, dropped by a run a failing lane aborted, reaped by close()."""
+    import multiprocessing
+
+    import repro.engine.dispatch as dispatch
+    from repro.engine import DispatchError
+
+    before = set(multiprocessing.active_children())
+    spec = ExperimentSpec(runner="vss-coin", n=7, trials=4, seed=1)
+    backend = ProcessPoolBackend(workers=2, unit_size=1, start_method="fork")
+    first = backend.run_trials(spec)
+    transport = backend._transport
+    assert backend.run_trials(spec) == first
+    assert backend._transport is transport  # no second pool forked
+    backend.close()
+    assert set(multiprocessing.active_children()) <= before
+    monkeypatch.setattr(dispatch, "run_unit_timed", _lane_failure)
+    with pytest.raises(DispatchError, match="lane down"):
+        backend.run_trials(spec)
+    assert backend._transport is None  # dropped with the aborted run
+    backend.close()
+    assert set(multiprocessing.active_children()) <= before
+
+
+def test_engine_import_leaves_sympy_unloaded():
+    """Cost models build on first lookup, so importing the engine (every
+    CLI command, pool child and worker) does not pay for sympy."""
+    import os
+    import subprocess
+    import sys
+
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.engine; print('sympy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(SRC_ROOT)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert probe.stdout.strip() == "False"
 
 
 def test_engine_releases_backend_on_error_paths():

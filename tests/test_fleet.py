@@ -147,14 +147,14 @@ def test_unit_store_resume_log(root):
     store = UnitStore(root, "job-000001")
     from repro.engine import DispatchPlan
 
-    units = DispatchPlan.chunked(4, 2, 1).units(spec)
+    units = DispatchPlan(trials=4, unit_size=2).units(spec)
     results = SerialBackend().run_trials(spec)
     store.save(0, units[0], results[:2])
     assert store.completed_indices() == (0,)
     assert store.load(0, units[0]) == results[:2]
     assert store.load(1, units[1]) is None
     # A store written under a different plan/spec is a fault, not a miss.
-    other = DispatchPlan.chunked(4, 2, 1).units(_spec(trials=4, seed=99))
+    other = DispatchPlan(trials=4, unit_size=2).units(_spec(trials=4, seed=99))
     with pytest.raises(FleetError, match="does not match the plan"):
         store.load(0, other[0])
 
@@ -353,10 +353,10 @@ def test_capacity_weights_flow_from_registry_to_plan(root):
         coordinator = Coordinator(root)
         queue = JobQueue(root)
         job = queue.submit(_spec(trials=64))
-        # weight 4 -> auto chunk size for 4 effective workers (64/16).
-        assert coordinator._plan(job).unit_size == 4
         finished = coordinator.run_once()
         assert [j.state for j in finished] == ["done"]
+        # weight 4 -> sized for 4 effective workers (64/16), persisted.
+        assert queue.get(job.job_id).unit_size == 4
         assert queue.load_results(job.job_id) == (
             SerialBackend().run_trials(job.spec)
         )

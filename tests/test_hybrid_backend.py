@@ -42,38 +42,39 @@ def _bracha_spec(trials: int = 6, seed: int = 3) -> ExperimentSpec:
 
 
 def test_waves_cover_every_trial_exactly_once():
-    for wave_size in (None, 1, 2, 3, 5, 100):
-        backend = HybridBackend(workers=3, wave_size=wave_size)
+    for unit_size in (None, 1, 2, 3, 5, 100):
+        backend = HybridBackend(workers=3, unit_size=unit_size)
         for trials in (1, 2, 7, 24, 25):
+            spec = _bracha_spec(trials=trials)
             flat = [
-                i for wave in backend.plan(trials).indices() for i in wave
+                i for wave in backend.plan(spec).indices() for i in wave
             ]
-            assert flat == list(range(trials)), (wave_size, trials)
+            assert flat == list(range(trials)), (unit_size, trials)
 
 
 def test_geometry_lives_in_dispatch_plan():
     from repro.engine import DispatchPlan
+    from repro.engine.dispatch import MODE_TRIALS, MODE_WAVE
 
-    assert DispatchPlan.chunked(7, 3, 2).indices() == [
+    assert DispatchPlan(trials=7, unit_size=3).indices() == [
         [0, 1, 2], [3, 4, 5], [6]
     ]
-    assert DispatchPlan.chunked(4, None, 2).indices() == [
-        [0], [1], [2], [3]
-    ]
-    # Both pool backends shard through the same plan type.
-    assert ProcessPoolBackend(workers=2, chunk_size=3).plan(7).indices() == (
-        DispatchPlan.chunked(7, 3, 2).indices()
-    )
-    assert HybridBackend(workers=2, wave_size=3).plan(7).indices() == (
-        DispatchPlan.waved(7, 3, 2).indices()
-    )
+    # Both pool backends shard through the same plan type; the mode
+    # follows the scenario, not the backend.
+    sync_spec = ExperimentSpec(runner="vss-coin", n=7, trials=7)
+    process_plan = ProcessPoolBackend(workers=2, unit_size=3).plan(sync_spec)
+    assert process_plan.indices() == DispatchPlan(7, 3).indices()
+    assert process_plan.mode == MODE_TRIALS
+    hybrid_plan = HybridBackend(workers=2, unit_size=3).plan(_bracha_spec(7))
+    assert hybrid_plan.indices() == DispatchPlan(7, 3).indices()
+    assert hybrid_plan.mode == MODE_WAVE
 
 
 def test_hybrid_constructor_validation():
     with pytest.raises(EngineError, match="worker"):
         HybridBackend(workers=-1)
-    with pytest.raises(EngineError, match="wave_size"):
-        HybridBackend(wave_size=0)
+    with pytest.raises(EngineError, match="unit_size"):
+        HybridBackend(unit_size=0)
     with pytest.raises(EngineError, match="max_live"):
         HybridBackend(max_live=0)
 
@@ -100,9 +101,9 @@ def test_hybrid_single_trial_skips_the_pool():
 
 def test_hybrid_through_engine_and_get_backend():
     assert "hybrid" in BACKEND_NAMES
-    backend = get_backend("hybrid", workers=2, wave_size=3)
+    backend = get_backend("hybrid", workers=2, unit_size=3)
     assert isinstance(backend, HybridBackend)
-    assert backend.wave_size == 3
+    assert backend.unit_size == 3
     spec = _bracha_spec(trials=4)
     result = Engine(backend).run(spec)
     assert result.backend == "hybrid"
@@ -136,7 +137,7 @@ def test_hybrid_contains_builder_crashes_per_trial():
     )
     serial = SerialBackend().run_trials(spec)
     sharded = HybridBackend(
-        workers=2, wave_size=2, start_method="fork"
+        workers=2, unit_size=2, start_method="fork"
     ).run_trials(spec)
     assert serial == sharded
     assert [t.ok for t in sharded] == [True, True, False, True]
@@ -173,7 +174,7 @@ def test_process_pool_spawn_bit_identical_to_serial():
     spec = ExperimentSpec(runner="vss-coin", n=7, trials=3, seed=5)
     serial = SerialBackend().run_trials(spec)
     spawned = ProcessPoolBackend(
-        workers=2, chunk_size=2, start_method="spawn"
+        workers=2, unit_size=2, start_method="spawn"
     ).run_trials(spec)
     assert spawned == serial
 
@@ -182,7 +183,7 @@ def test_hybrid_spawn_bit_identical_to_serial():
     spec = _bracha_spec(trials=6, seed=9)
     serial = SerialBackend().run_trials(spec)
     spawned = HybridBackend(
-        workers=2, wave_size=2, start_method="spawn"
+        workers=2, unit_size=2, start_method="spawn"
     ).run_trials(spec)
     assert spawned == serial
 

@@ -91,7 +91,7 @@ def test_every_scenario_bit_identical_across_backends(
     spec = _smoke_spec(name)
     serial = SerialBackend().run_trials(spec)
     assert [t.trial_index for t in serial] == list(range(spec.trials))
-    pooled = ProcessPoolBackend(workers=2, chunk_size=1).run_trials(spec)
+    pooled = ProcessPoolBackend(workers=2, unit_size=1).run_trials(spec)
     assert serial == pooled
     if runner.batchable:
         assert BatchBackend().run_trials(spec) == serial
@@ -101,11 +101,11 @@ def test_every_scenario_bit_identical_across_backends(
         # Hybrid parity at odd wave sizes: 1 (one trial per worker
         # task), 3 (> n_trials here, so a single short wave), and the
         # auto default.  Wave geometry must be unobservable.
-        for wave_size in (1, 3, None):
+        for unit_size in (1, 3, None):
             sharded = HybridBackend(
-                workers=2, wave_size=wave_size
+                workers=2, unit_size=unit_size
             ).run_trials(spec)
-            assert sharded == serial, f"wave_size={wave_size}"
+            assert sharded == serial, f"unit_size={unit_size}"
     # Distributed parity, registry-wide: every scenario ships over the
     # wire to two TCP workers (waves for async scenarios, chunks
     # otherwise) and comes back bit-identical through the JSON
@@ -155,7 +155,7 @@ def test_hybrid_64_trials_bit_identical_to_serial_and_async():
     )
     serial = SerialBackend().run_trials(spec)
     stepped = AsyncBackend(max_live=16).run_trials(spec)
-    sharded = HybridBackend(workers=2, wave_size=13).run_trials(spec)
+    sharded = HybridBackend(workers=2, unit_size=13).run_trials(spec)
     assert serial == stepped == sharded
     assert [t.trial_index for t in sharded] == list(range(64))
     assert all(t.ok for t in sharded)

@@ -302,7 +302,7 @@ class TestEdgeCases:
 class TestDispatchIntegration:
     def test_run_units_records_every_attempt(self):
         spec = _spec(trials=6)
-        units = DispatchPlan.chunked(6, 2, 2).units(spec)
+        units = DispatchPlan(trials=6, unit_size=2).units(spec)
         telemetry = RunTelemetry(backend="test", total_trials=6)
         results = run_units(units, InlineTransport(), telemetry=telemetry)
         telemetry.finish()
@@ -359,7 +359,7 @@ class TestTelemetryParity:
     def test_process_pool_parity_with_telemetry(self):
         spec = _spec(trials=6)
         seed = SerialBackend().run_trials(spec)
-        backend = ProcessPoolBackend(workers=2, chunk_size=2)
+        backend = ProcessPoolBackend(workers=2, unit_size=2)
         assert backend.run_trials(spec) == seed
         report = backend.telemetry.report(seed)
         assert report.backend == "process"
