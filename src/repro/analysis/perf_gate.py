@@ -277,6 +277,66 @@ def _suite_e17_batch_rows(quick: bool) -> Dict[str, Any]:
     }
 
 
+def _suite_rs_decode(quick: bool) -> Dict[str, Any]:
+    """sendDown's decode shape: 8 shares, threshold 3, one wrong value.
+
+    Under the adaptive adversary nearly every pool ``send_down`` decodes
+    looks like this.  The baseline is the key-equation solve
+    (``_solve_key_equation``); ``berlekamp_welch`` returns the same
+    coefficients from the first window of 3 shares whose polynomial
+    misses at most 2 pool points.
+    """
+    from repro.crypto.field import DEFAULT_FIELD as field
+    from repro.crypto.polynomial import evaluate, random_polynomial
+    from repro.crypto.reed_solomon import (
+        _solve_key_equation,
+        berlekamp_welch,
+    )
+
+    m, t = 8, 3
+    rng = random.Random(0x85)
+    pools = []
+    for _ in range(64):
+        poly = random_polynomial(
+            field, rng.randrange(field.modulus), t - 1, rng
+        )
+        pool = [(x, evaluate(field, poly, x)) for x in range(1, m + 1)]
+        i = rng.randrange(m)
+        x, y = pool[i]
+        pool[i] = (x, (y + 1 + rng.randrange(field.modulus - 1))
+                   % field.modulus)
+        pools.append(pool)
+
+    def solve() -> List[Any]:
+        return [_solve_key_equation(field, pool, t) for pool in pools]
+
+    def windows() -> List[Any]:
+        return [berlekamp_welch(field, pool, t) for pool in pools]
+
+    expected = solve()
+    assert windows() == expected  # parity before speed
+    assert None not in expected
+
+    reps = 8 if quick else 80
+    solve_s = _time(solve, reps)
+    windows_s = _time(windows, reps)
+    ops = reps * len(pools)
+    return {
+        "desc": (
+            f"Berlekamp-Welch decode, {len(pools)} pools of {m} shares, "
+            f"threshold {t}, one wrong value each"
+        ),
+        "ops": ops,
+        "solve_s": round(solve_s, 6),
+        "windows_s": round(windows_s, 6),
+        "windows_us_per_op": round(windows_s / ops * 1e6, 3),
+        "speedup": (
+            round(solve_s / windows_s, 2) if windows_s else float("inf")
+        ),
+        "parity": True,
+    }
+
+
 def _suite_e19_vss_coin(quick: bool) -> Dict[str, Any]:
     """E19 end-to-end: full VSS-coin protocol runs (wall-clock trend).
 
@@ -835,6 +895,7 @@ _SUITES = {
     "e9_batch_reveal_n64": _suite_e9_batch_reveal,
     "e17_row_check_n64": _suite_e17_row_check,
     "e17_batch_rows_n64": _suite_e17_batch_rows,
+    "rs_decode_n8": _suite_rs_decode,
     "e19_vss_coin": _suite_e19_vss_coin,
     "sim_round_loop_n32": _suite_sim_round_loop,
     "dispatch_overhead": _suite_dispatch_overhead,

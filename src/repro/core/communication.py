@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..crypto.field import PrimeField
-from ..crypto.kernels import get_interp_plan
 from ..crypto.reed_solomon import decode_constant
 from ..crypto.shamir import SecretSharingError, ShamirScheme, Share
 from ..net.accounting import BitLedger
@@ -45,6 +44,9 @@ SecretKey = Tuple[int, int]
 PathEntry = Tuple[int, int]
 
 SharePathT = Tuple[PathEntry, ...]
+
+#: One decoder input: (reconstruction threshold, majority points).
+_PoolKey = Tuple[int, Tuple[Tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -99,59 +101,36 @@ class _DealingPool:
 def robust_reconstruct_points(
     field: PrimeField,
     points: Sequence[Tuple[int, int]],
-    group_size: int,
     threshold: int,
 ) -> Optional[int]:
     """Reconstruct a secret from distinct-coordinate (x, y) points.
 
-    Clean pools take a single interpolation; noisy pools fall back to
-    Berlekamp-Welch decoding, which corrects up to
-    (|pool| - threshold) // 2 wrong points deterministically.
+    Berlekamp-Welch decoding corrects up to (|pool| - threshold) // 2
+    wrong points deterministically (two degree-(threshold-1) polynomials
+    agree on <= threshold-1 points, so the decoded one is unique).  A
+    pool with a clean window of ``threshold`` consecutive points — every
+    clean pool, and most tampered ones — costs one interpolation; see
+    :func:`~repro.crypto.reed_solomon.berlekamp_welch`.
 
     Returns None when no consistent polynomial exists within the decoding
     radius (the caller treats the dealing as unrecoverable, the same as
     receiving too few shares — fail-safe, never fail-wrong).
     """
-    if len(points) < threshold:
-        return None
-    # Fast path: interpolate a prefix sample; in clean pools it explains
-    # everything immediately.  The pool grids (committee coordinates)
-    # recur across dealings, so the sample's interpolation plan — its
-    # barycentric weights and the lambda vector at every checked x —
-    # is a cache hit after the first reconstruction.
-    sample = points[:threshold]
-    plan = get_interp_plan(field, tuple(x for x, _y in sample))
-    sample_ys = [y for _x, y in sample]
-    if all(
-        plan.interpolate_at(x, sample_ys) == y % field.modulus
-        for x, y in points
-    ):
-        return plan.constant(sample_ys)
-    # Noisy pool: deterministic Berlekamp-Welch decoding up to the unique
-    # radius e = (|pool| - threshold) // 2 (two degree-(threshold-1)
-    # polynomials agree on <= threshold-1 points, so the decoded one is
-    # unique).
     return decode_constant(field, points, threshold)
 
 
 def robust_reconstruct(
     field: PrimeField,
     shares: Sequence[Share],
-    group_size: int,
     threshold: int,
-    rng: Optional[random.Random] = None,
-    max_tries: int = 24,
 ) -> Optional[int]:
     """Share-list front end of :func:`robust_reconstruct_points`.
 
     Replicated transfers can deliver the same coordinate several times
     (possibly with conflicting values from corrupted holders); the
-    majority value per coordinate is taken first.
-
-    ``rng`` and ``max_tries`` are accepted for call-site compatibility
-    but unused: decoding is fully deterministic (fast-path interpolation
-    plus Berlekamp-Welch), which is what lets every engine backend
-    reproduce a trial bit-for-bit from its derived seed alone.
+    majority value per coordinate is taken first.  Decoding is fully
+    deterministic, which is what lets every engine backend reproduce a
+    trial bit-for-bit from its derived seed alone.
     """
     by_x: Dict[int, Dict[int, int]] = {}
     for share in shares:
@@ -161,7 +140,7 @@ def robust_reconstruct(
         (x, max(votes, key=lambda v: (votes[v], -v)))
         for x, votes in by_x.items()
     )
-    return robust_reconstruct_points(field, points, group_size, threshold)
+    return robust_reconstruct_points(field, points, threshold)
 
 
 @dataclass
@@ -367,6 +346,9 @@ class TreeCommunicator:
             NodeId, Dict[SecretKey, List[Tuple[ShareRecord, Tuple[int, ...]]]]
         ]
         per_node = {top: frontier}
+        # Sibling children often pool the same majority points for a
+        # dealing; each distinct (threshold, points) pool decodes once.
+        decoded: Dict[_PoolKey, Optional[int]] = {}
         level = top.level
         while level > 1:
             next_per_node: Dict[
@@ -377,10 +359,9 @@ class TreeCommunicator:
                     pooled = self._transfer_down(
                         node, child, node_frontier, corrupted
                     )
-                    reconstructed = self._reconstruct_pool(
-                        child, pooled, corrupted
+                    next_per_node[child] = self._reconstruct_pool(
+                        pooled, decoded
                     )
-                    next_per_node[child] = reconstructed
             per_node = next_per_node
             level -= 1
 
@@ -412,11 +393,7 @@ class TreeCommunicator:
                             Share(x=record.path[-1][1], value=value)
                         )
                 values[key] = robust_reconstruct(
-                    self.field,
-                    pool,
-                    group_size,
-                    self._threshold(group_size),
-                    self.rng,
+                    self.field, pool, self._threshold(group_size)
                 )
             self._charge_batch(charge_counts)
             leaf_values[leaf] = values
@@ -491,17 +468,17 @@ class TreeCommunicator:
 
     def _reconstruct_pool(
         self,
-        child: NodeId,
         pooled: Dict[SecretKey, Dict[SharePathT, "_DealingPool"]],
-        corrupted: Set[int],
+        decoded: Dict[_PoolKey, Optional[int]],
     ) -> Dict[SecretKey, List[Tuple[ShareRecord, Tuple[int, ...]]]]:
-        """Collapse arrived i-shares into (i-1)-share records at ``child``.
+        """Collapse one child's arrived i-shares into (i-1)-share records.
 
         A dealing is recoverable when enough of its shares arrived; the
         reconstructed record is replicated to the (up to REPLICATION_CAP)
         members that received the most of its shares — they forward it
         further down, and a corrupted one among them is outvoted by the
-        per-coordinate majority at the next hop.
+        per-coordinate majority at the next hop.  ``decoded`` memoises
+        the decoder per ``(threshold, majority points)`` pool.
         """
         out: Dict[SecretKey, List[Tuple[ShareRecord, Tuple[int, ...]]]] = {}
         for key, dealings in pooled.items():
@@ -511,12 +488,16 @@ class TreeCommunicator:
                 group_size = self.group_sizes.get(group_key)
                 if group_size is None:
                     continue
-                value = robust_reconstruct_points(
-                    self.field,
-                    pool.majority_points(),
-                    group_size,
-                    self._threshold(group_size),
-                )
+                threshold = self._threshold(group_size)
+                points = tuple(pool.majority_points())
+                memo_key = (threshold, points)
+                if memo_key in decoded:
+                    value = decoded[memo_key]
+                else:
+                    value = robust_reconstruct_points(
+                        self.field, points, threshold
+                    )
+                    decoded[memo_key] = value
                 if value is None:
                     continue
                 ranked = sorted(

@@ -176,7 +176,7 @@ class EvalPlan:
         The returned rows ARE the live cache: they may be longer than
         ``count`` (a previous caller asked for more) and must not be
         mutated — slice-copy before building on them, as
-        :func:`~repro.crypto.reed_solomon.berlekamp_welch` does.
+        :func:`~repro.crypto.reed_solomon._solve_key_equation` does.
         """
         mod = self.modulus
         if not self._powers:

@@ -11,14 +11,33 @@ holders) can be decoded exactly: find an error-locator polynomial E
 by solving the linear system; then P = Q / E is the dealer's polynomial.
 This is deterministic and one-shot — the hot path of every ``sendDown``
 reconstruction, replacing randomized sample-and-verify decoding.
+
+Most pools hold few wrong values, so :func:`berlekamp_welch` first tries
+the floor(m/t) disjoint windows of t = ``degree_bound`` consecutive
+points: it interpolates each window through its cached plan and counts
+the pool points the window's polynomial misses.  A window that misses at
+most ``max_errors`` points is the answer.  Only when every window misses
+more does the key equation above get built and solved
+(:func:`_solve_key_equation`, the reference decoder).
+
+The windows return exactly what the solve would, under three guards:
+the x values are distinct modulo p, ``t >= 1``, and ``t + 2 *
+max_errors <= m``.  Then two polynomials of degree < t within
+``max_errors`` of the pool agree on at least ``m - 2 * max_errors >= t``
+points, so at most one exists; and any solution (Q, E) of the key
+equation at e = ``max_errors`` satisfies Q = P * E for that polynomial
+P, so the solve returns P's t coefficients too.  Pools outside the
+guards go straight to the solve.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from .field import FieldError, PrimeField
-from .kernels import get_eval_plan
+from .kernels import get_eval_plan, get_interp_plan
+from .polynomial import interpolate_coefficients
 
 
 def _solve_linear_system(
@@ -109,6 +128,72 @@ def berlekamp_welch(
 
     Returns the coefficient list (low-to-high, length <= degree_bound) or
     None if decoding fails.
+
+    Tries the disjoint windows of ``degree_bound`` consecutive points
+    first and solves the key equation only when none of them explains
+    all but ``max_errors`` points.  The result is the solve's, bit for
+    bit: the windows run only for distinct x values, ``degree_bound >=
+    1`` and ``degree_bound + 2 * max_errors <= len(points)``, where at
+    most one polynomial lies within the radius (module docstring).
+    """
+    m = len(points)
+    if max_errors is None:
+        max_errors = max(0, (m - degree_bound) // 2)
+    if degree_bound >= 1 and degree_bound + 2 * max_errors <= m:
+        mod = field.modulus
+        xs = [x % mod for x, _y in points]
+        if len(set(xs)) == m:
+            decoded = _decode_by_windows(
+                field, xs, [y % mod for _x, y in points], degree_bound,
+                max_errors,
+            )
+            if decoded is not None:
+                return decoded
+    return _solve_key_equation(field, points, degree_bound, max_errors)
+
+
+def _decode_by_windows(
+    field: PrimeField,
+    xs: List[int],
+    ys: List[int],
+    t: int,
+    max_errors: int,
+) -> Optional[List[int]]:
+    """The first disjoint t-point window within ``max_errors`` of the pool.
+
+    Each window's cached plan predicts every point outside the window;
+    counting stops at the first miss past ``max_errors``.  Returns that
+    window's coefficients (length t), or None when every window misses
+    too many points.
+    """
+    m = len(xs)
+    for start in range(0, m - t + 1, t):
+        stop = start + t
+        plan = get_interp_plan(field, xs[start:stop])
+        window_ys = ys[start:stop]
+        misses = 0
+        for i in chain(range(start), range(stop, m)):
+            if plan.interpolate_at(xs[i], window_ys) != ys[i]:
+                misses += 1
+                if misses > max_errors:
+                    break
+        if misses <= max_errors:
+            return interpolate_coefficients(
+                field, list(zip(plan.xs, window_ys))
+            )
+    return None
+
+
+def _solve_key_equation(
+    field: PrimeField,
+    points: Sequence[Tuple[int, int]],
+    degree_bound: int,
+    max_errors: Optional[int] = None,
+) -> Optional[List[int]]:
+    """The key-equation decoder: :func:`berlekamp_welch` without windows.
+
+    Same arguments and result; kept whole as the reference the windowed
+    front end is pinned against.
     """
     m = len(points)
     if m < degree_bound:

@@ -41,7 +41,7 @@ class TestRobustReconstruct:
 
     def test_clean_pool(self):
         shares = self.make_shares(777, 9, 4)
-        value = robust_reconstruct(FIELD, shares, 9, 4, random.Random(1))
+        value = robust_reconstruct(FIELD, shares, 4)
         assert value == 777
 
     def test_minority_tampering_corrected(self):
@@ -50,7 +50,7 @@ class TestRobustReconstruct:
             Share(s.x, (s.value + 1) % FIELD.modulus) if i < 2 else s
             for i, s in enumerate(shares)
         ]
-        value = robust_reconstruct(FIELD, tampered, 9, 4, random.Random(2))
+        value = robust_reconstruct(FIELD, tampered, 4)
         assert value == 777
 
     def test_too_much_tampering_fails_safe(self):
@@ -59,19 +59,19 @@ class TestRobustReconstruct:
             Share(s.x, (s.value + 1 + i) % FIELD.modulus) if i < 5 else s
             for i, s in enumerate(shares)
         ]
-        value = robust_reconstruct(FIELD, tampered, 9, 4, random.Random(3))
+        value = robust_reconstruct(FIELD, tampered, 4)
         # Either fails (None) or — never — returns a wrong value silently.
         assert value in (None, 777) or value is None
 
     def test_insufficient_shares(self):
         shares = self.make_shares(5, 9, 4)[:3]
-        assert robust_reconstruct(FIELD, shares, 9, 4, random.Random(4)) is None
+        assert robust_reconstruct(FIELD, shares, 4) is None
 
     def test_duplicate_coordinates_majority(self):
         shares = self.make_shares(123, 7, 3)
         # Duplicate x=1 with one wrong copy and two right copies.
         augmented = shares + [shares[0], Share(shares[0].x, 0)]
-        value = robust_reconstruct(FIELD, augmented, 7, 3, random.Random(5))
+        value = robust_reconstruct(FIELD, augmented, 3)
         assert value == 123
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.adversary.adaptive import BinStuffingAdversary, TournamentAdversary
 from repro.core.byzantine_agreement import run_everywhere_ba
 from repro.core.parameters import ProtocolParameters
+from repro.engine import ExperimentSpec, LedgerStats, SerialBackend
 
 N = 27
 
@@ -85,3 +86,54 @@ class TestDeterminism:
         b = run_everywhere_ba(N, inputs=[1] * N, seed=107)
         assert a.bit == b.bit
         assert a.bits_per_processor == b.bits_per_processor
+
+
+#: Literal per-trial outcomes of two adversarial sweeps, recorded before
+#: the windowed Reed-Solomon decoder and the per-call decode memo in
+#: ``send_down`` landed.  Both must return exactly what the key-equation
+#: solve returned, so these values must never move.  The first spec is
+#: the end-to-end benchmark's ``eba-n9-adaptive`` shape; in the second,
+#: most decodes still reach the key-equation solve.
+PINNED_SWEEPS = [
+    (
+        dict(n=9, trials=2, corrupt=0.1),
+        [
+            LedgerStats(10767274, 15257, 1950999, 23),
+            LedgerStats(10894268, 15276, 2225902, 23),
+        ],
+    ),
+    (
+        dict(n=12, trials=1, corrupt=0.25),
+        [LedgerStats(44976251, 89127, 6236605, 35)],
+    ),
+]
+
+
+@pytest.mark.parametrize("shape, expected", PINNED_SWEEPS)
+def test_adversarial_sweep_outcomes_are_pinned(shape, expected):
+    spec = ExperimentSpec(
+        runner="everywhere-ba", n=shape["n"], trials=shape["trials"],
+        seed=11,
+        params={
+            "adversary": "bin-stuffing",
+            "corrupt": shape["corrupt"],
+            "inputs": "split",
+        },
+    )
+    trials = SerialBackend().run_trials(spec)
+    assert [
+        (trial.ok, trial.metrics, trial.ledger) for trial in trials
+    ] == [
+        (
+            True,
+            (
+                ("agreement", 1.0),
+                ("bit", 0.0),
+                ("max_bits_per_processor", ledger.max_bits_per_processor),
+                ("rounds", ledger.rounds),
+                ("valid", 1.0),
+            ),
+            ledger,
+        )
+        for ledger in expected
+    ]

@@ -32,6 +32,7 @@ def test_quick_suites_emit_the_declared_schema():
         "e9_batch_reveal_n64",
         "e17_row_check_n64",
         "e17_batch_rows_n64",
+        "rs_decode_n8",
         "e19_vss_coin",
         "sim_round_loop_n32",
         "dispatch_overhead",
@@ -51,6 +52,10 @@ def test_quick_suites_emit_the_declared_schema():
         assert suite["plan_s"] >= 0 and suite["batch_s"] >= 0
         assert suite["batch_us_per_op"] >= 0
         assert suite["speedup"] > 0  # gated like the other kernels
+    decode = suites["rs_decode_n8"]
+    assert decode["parity"] is True
+    assert decode["solve_s"] >= 0 and decode["windows_s"] >= 0
+    assert decode["speedup"] > 0  # gated like the other kernels
     assert suites["sim_round_loop_n32"]["parity"] is True
     assert "speedup" not in suites["sim_round_loop_n32"]  # not gated
     assert suites["e19_vss_coin"]["seconds"] > 0
