@@ -5,17 +5,30 @@ Paper Section 3.2.3.  Secrets climb the tree as iterated shares
 the subtree, where level-1 committees reconstruct and then report values
 straight up to the revealing node over ℓ-links (Lemma 3).
 
-Implementation notes (see DESIGN.md §3 for the substitution rationale):
+Implementation notes:
 
 * **Upward** flows are tracked per processor: ``(node, pid)`` share
   stores, so adversary knowledge (which secrets a corrupted coalition can
-  reconstruct — Lemma 1) is exact.
+  reconstruct — Lemma 1) is exact.  Each holder deals all of its records
+  for a call in one batch; the rng stream is the same as dealing them one
+  at a time.
 * **Downward** reveal pools arriving shares per committee node: once a
   secret is being revealed, secrecy is moot, and the paper itself pools at
   level 1 ("the processors in the 1-node each send each other all their
   shares and reconstruct").  Reconstruction of a (j-1)-share succeeds at a
   child node iff enough shares of that dealing arrive — exactly the
   condition Lemma 3(2) argues holds along good paths.
+* **Grouping.**  What a node sends does not depend on the child: its
+  frontier is grouped once per node (per dealing, each coordinate's
+  (holder, delivered value) pairs; each holder's record count).  A child
+  then only weighs each holder by how many of its members the holder's
+  uplinks reach, and decodes each distinct (threshold, points) pool once
+  per call.
+* **Holder ranks.**  The members that forward a reconstructed record are
+  the (at most ``REPLICATION_CAP``) child members that received the most
+  of its shares, ties to the smaller pid.  Those counts depend only on
+  the child and the dealing's holders, which every key of an owner
+  repeats, so the ranking is memoised per (child, holder signature).
 * Every transfer is charged to the ledger at word granularity, preserving
   Lemma 5's counting (including the ``d_m^ℓ`` replication blow-up).
 * Corrupted holders contribute *tampered* share values during reveal and
@@ -26,7 +39,9 @@ Implementation notes (see DESIGN.md §3 for the substitution rationale):
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..crypto.field import PrimeField
@@ -47,6 +62,26 @@ SharePathT = Tuple[PathEntry, ...]
 
 #: One decoder input: (reconstruction threshold, majority points).
 _PoolKey = Tuple[int, Tuple[Tuple[int, int], ...]]
+
+#: A frontier entry: a record and the pids holding copies of it.
+_Held = Tuple["ShareRecord", Tuple[int, ...]]
+
+#: The holders tuple of each record of one dealing, in record order.
+_Signature = Tuple[Tuple[int, ...], ...]
+
+#: One coordinate of a grouped dealing: (x, the decoder point (x, value)
+#: when every holder delivers the same value or else None, holders, and
+#: only on disagreement each holder's (holder, delivered value) pair).
+_Coordinate = Tuple[
+    int,
+    Optional[Tuple[int, int]],
+    Tuple[int, ...],
+    Tuple[Tuple[int, int], ...],
+]
+
+#: One dealing of a grouped node frontier: (dealing path, threshold,
+#: its coordinates by ascending x, holder signature).
+_Dealing = Tuple[SharePathT, int, List[_Coordinate], _Signature]
 
 
 @dataclass(frozen=True)
@@ -73,29 +108,6 @@ class ShareRecord:
 
 class CommunicationError(RuntimeError):
     """Raised on protocol-flow violations."""
-
-
-class _DealingPool:
-    """Aggregated arrivals of one dealing's shares at one committee node.
-
-    ``votes[x][value]`` counts weighted arrivals of coordinate ``x`` with
-    ``value`` (conflicts only arise from corrupted holders);
-    ``recipients[pid]`` counts how many shares each node member received
-    (used to pick the forwarding holders).
-    """
-
-    __slots__ = ("votes", "recipients")
-
-    def __init__(self) -> None:
-        self.votes: Dict[int, Dict[int, int]] = {}
-        self.recipients: Dict[int, int] = {}
-
-    def majority_points(self) -> List[Tuple[int, int]]:
-        """Per-coordinate majority value — the decoder's input."""
-        return sorted(
-            (x, max(votes, key=lambda v: (votes[v], -v)))
-            for x, votes in self.votes.items()
-        )
 
 
 def robust_reconstruct_points(
@@ -136,11 +148,9 @@ def robust_reconstruct(
     for share in shares:
         votes = by_x.setdefault(share.x, {})
         votes[share.value] = votes.get(share.value, 0) + 1
-    points = sorted(
-        (x, max(votes, key=lambda v: (votes[v], -v)))
-        for x, votes in by_x.items()
+    return robust_reconstruct_points(
+        field, _majority_points(by_x), threshold
     )
-    return robust_reconstruct_points(field, points, threshold)
 
 
 @dataclass
@@ -281,39 +291,46 @@ class TreeCommunicator:
         Each holder deals each of its records over its uplink targets and
         erases the original (Definition 1's iteration).  Corrupted holders
         deal garbage — the adversary may always destroy what it holds.
+        A holder's records are dealt in one batch, in key order, which
+        draws the same rng stream as one dealing per record.
         """
         parent = self.tree.parent(child)
+        mod = self.field.modulus
         for member in sorted(self.tree.members(child)):
             store = self._store(child, member)
             targets = sorted(self.links.uplinks(child, member))
             if not targets:
+                continue
+            held = [
+                (key, record) for key in keys for record in store.pop(key, [])
+            ]
+            if not held:
                 continue
             scheme = ShamirScheme(
                 n_players=len(targets),
                 threshold=self._threshold(len(targets)),
                 field=self.field,
             )
-            for key in keys:
-                records = store.pop(key, [])
-                for record in records:
-                    value = record.value
-                    if member in corrupted:
-                        value = (value + 1) % self.field.modulus
-                    shares = scheme.deal(value, self.rng)
-                    new_path_base = record.path
-                    self.group_sizes[
-                        (key, new_path_base + ((member, 0),))
-                    ] = len(targets)
-                    for target, share in zip(targets, shares):
-                        new_record = ShareRecord(
+            values = [record.value for _key, record in held]
+            if member in corrupted:
+                values = [(value + 1) % mod for value in values]
+            target_stores = [self._store(parent, target) for target in targets]
+            dealt = scheme.deal_many(values, self.rng)
+            for (key, record), shares in zip(held, dealt):
+                base = record.path
+                self.group_sizes[(key, base + ((member, 0),))] = len(targets)
+                for target, target_store, share in zip(
+                    targets, target_stores, shares
+                ):
+                    target_store.setdefault(key, []).append(
+                        ShareRecord(
                             secret=key,
-                            path=new_path_base + ((member, share.x),),
+                            path=base + ((member, share.x),),
                             value=share.value,
                         )
-                        self._store(parent, target).setdefault(
-                            key, []
-                        ).append(new_record)
-                        self._charge(member, target)
+                    )
+                    # One ledger entry per copy: it counts one message.
+                    self._charge(member, target)
 
     # -- sendDown + reconstruction ------------------------------------------------------
 
@@ -328,195 +345,207 @@ class TreeCommunicator:
         Returns the value each level-1 node reconstructs per secret (None
         on failure).  Shares held at ``top`` are consumed (released).
         """
-        # Frontier: node -> key -> list of (record, holder pids).  Records
+        # Frontier: key -> list of (record, holder pids).  Records
         # reconstructed on the way down are replicated across several
         # holders (capped), mirroring the paper's fan-out while keeping
         # the state tractable; corrupted holders are then outvoted by the
-        # per-coordinate majority inside robust_reconstruct.
-        frontier: Dict[SecretKey, List[Tuple[ShareRecord, Tuple[int, ...]]]] = {
-            key: [] for key in keys
-        }
+        # per-coordinate majority at the next hop.
+        frontier: Dict[SecretKey, List[_Held]] = {key: [] for key in keys}
         for member in self.tree.members(top):
             store = self._store(top, member)
             for key in keys:
                 for record in store.pop(key, []):
                     frontier[key].append((record, (member,)))
 
-        per_node: Dict[
-            NodeId, Dict[SecretKey, List[Tuple[ShareRecord, Tuple[int, ...]]]]
-        ]
-        per_node = {top: frontier}
+        per_node: Dict[NodeId, Dict[SecretKey, List[_Held]]] = {top: frontier}
         # Sibling children often pool the same majority points for a
         # dealing; each distinct (threshold, points) pool decodes once.
         decoded: Dict[_PoolKey, Optional[int]] = {}
         level = top.level
         while level > 1:
-            next_per_node: Dict[
-                NodeId, Dict[SecretKey, List[Tuple[ShareRecord, int]]]
-            ] = {}
+            next_per_node: Dict[NodeId, Dict[SecretKey, List[_Held]]] = {}
             for node, node_frontier in per_node.items():
+                grouped, holder_records = self._group_frontier(
+                    node_frontier, corrupted
+                )
                 for child in self.tree.children(node):
-                    pooled = self._transfer_down(
-                        node, child, node_frontier, corrupted
-                    )
-                    next_per_node[child] = self._reconstruct_pool(
-                        pooled, decoded
+                    next_per_node[child] = self._transfer_down(
+                        child, grouped, holder_records, decoded
                     )
             per_node = next_per_node
             level -= 1
 
         # Level-1 nodes: members exchange all shares and reconstruct the
         # secret itself (the paper's final step).
+        mod = self.field.modulus
         leaf_values: Dict[NodeId, Dict[SecretKey, Optional[int]]] = {}
         for leaf, leaf_frontier in per_node.items():
             members = sorted(self.tree.members(leaf))
             values: Dict[SecretKey, Optional[int]] = {}
-            charge_counts: Dict[Tuple[int, int], int] = {}
+            holder_records: Dict[int, int] = {}
             for key, records in leaf_frontier.items():
-                # Intra-node exchange cost: every holder sends each record
-                # to every other member.
-                pool: List[Share] = []
-                group_key = (key, ((key[0], 0),))
-                group_size = self.group_sizes.get(group_key, len(members))
+                by_x: Dict[int, Dict[int, int]] = {}
                 for record, holders in records:
+                    x = record.path[-1][1]
                     for holder in holders:
-                        for other in members:
-                            if other != holder:
-                                pair = (holder, other)
-                                charge_counts[pair] = (
-                                    charge_counts.get(pair, 0) + 1
-                                )
+                        holder_records[holder] = (
+                            holder_records.get(holder, 0) + 1
+                        )
                         value = record.value
                         if holder in corrupted:
-                            value = (value + 1) % self.field.modulus
-                        pool.append(
-                            Share(x=record.path[-1][1], value=value)
-                        )
-                values[key] = robust_reconstruct(
-                    self.field, pool, self._threshold(group_size)
+                            value = (value + 1) % mod
+                        votes = by_x.setdefault(x, {})
+                        votes[value] = votes.get(value, 0) + 1
+                group_size = self.group_sizes.get(
+                    (key, ((key[0], 0),)), len(members)
                 )
+                values[key] = robust_reconstruct_points(
+                    self.field,
+                    _majority_points(by_x),
+                    self._threshold(group_size),
+                )
+            # Intra-node exchange cost: every holder sends each record
+            # to every other member.
+            charge_counts: Dict[Tuple[int, int], int] = {}
+            for holder, n_records in holder_records.items():
+                for other in members:
+                    if other != holder:
+                        charge_counts[(holder, other)] = n_records
             self._charge_batch(charge_counts)
             leaf_values[leaf] = values
         return leaf_values
 
     #: Cap on how many members replicate one reconstructed record on the
     #: way down.  3 keeps a lone corrupted holder outvoted while bounding
-    #: the state blow-up (the *bits* of the paper's full replication are
-    #: charged regardless, in _transfer_down).
+    #: the state blow-up; each holder's copies are charged at the next hop.
     REPLICATION_CAP = 3
+
+    def _group_frontier(
+        self,
+        node_frontier: Dict[SecretKey, List[_Held]],
+        corrupted: Set[int],
+    ) -> Tuple[Dict[SecretKey, List[_Dealing]], Dict[int, int]]:
+        """The child-independent half of one sendDown hop from a node.
+
+        Returns, per key, its dealings in first-seen order (those without
+        a registered group size are left out: nothing decodes them), and
+        each holder's number of (record, holder) pairs over the frontier.
+        A corrupted holder delivers its records' values plus one.
+        """
+        mod = self.field.modulus
+        holder_records: Counter = Counter()
+        grouped: Dict[SecretKey, List[_Dealing]] = {}
+        for key, records in node_frontier.items():
+            # dealing -> (x -> [(holders, value) per record], signature)
+            by_dealing: Dict[SharePathT, tuple] = {}
+            for record, holders in records:
+                dealer, x = record.path[-1]
+                dealing = record.path[:-1] + ((dealer, 0),)
+                entry = by_dealing.get(dealing)
+                if entry is None:
+                    entry = by_dealing[dealing] = ({}, [])
+                entry[0].setdefault(x, []).append((holders, record.value))
+                entry[1].append(holders)
+            dealings: List[_Dealing] = []
+            for dealing, (by_x, signature) in by_dealing.items():
+                holder_records.update(chain.from_iterable(signature))
+                group_size = self.group_sizes.get((key, dealing))
+                if group_size is None:
+                    continue
+                dealings.append((
+                    dealing,
+                    self._threshold(group_size),
+                    [
+                        _coordinate(x, held, corrupted, mod)
+                        for x, held in sorted(by_x.items())
+                    ],
+                    tuple(signature),
+                ))
+            grouped[key] = dealings
+        return grouped, holder_records
 
     def _transfer_down(
         self,
-        node: NodeId,
         child: NodeId,
-        node_frontier: Dict[SecretKey, List[Tuple[ShareRecord, Tuple[int, ...]]]],
-        corrupted: Set[int],
-    ) -> Dict[SecretKey, Dict[SharePathT, "_DealingPool"]]:
-        """Send every record from ``node``'s holders into ``child``.
+        grouped: Dict[SecretKey, List[_Dealing]],
+        holder_records: Dict[int, int],
+        decoded: Dict[_PoolKey, Optional[int]],
+    ) -> Dict[SecretKey, List[_Held]]:
+        """Send a grouped node frontier into ``child``; collapse the pools.
 
-        Each holder v sends to the child members whose uplinks include v
-        (the reversed uplink graph).  Returns, per secret and per dealing,
-        the aggregated arrival pool in the child: per-coordinate value
-        votes plus per-recipient share counts.  Every copy a holder sends
-        is identical, so votes are aggregated per (record, holder) with
-        the recipient count as the weight — same decoder input, a
-        fraction of the bookkeeping.
+        Each holder v sends every record it holds to the child members
+        whose uplinks include v (the reversed uplink graph), so a value
+        weighs as many votes as v has recipients there.  A dealing is
+        recoverable when enough of its shares arrived; its (i-1)-share is
+        replicated to the (up to REPLICATION_CAP) members that received
+        the most of its shares — they forward it further down, and a
+        corrupted one among them is outvoted at the next hop.  ``decoded``
+        memoises the decoder per ``(threshold, majority points)`` pool.
         """
-        # Reverse uplink index for this child.
-        reverse: Dict[int, List[int]] = {}
-        for member in self.tree.members(child):
-            for target in self.links.uplinks(child, member):
-                reverse.setdefault(target, []).append(member)
-        coverage = {holder: len(r) for holder, r in reverse.items()}
-
-        # Per-holder record counts for batched ledger charges.
-        records_per_holder: Dict[int, int] = {}
-
-        pooled: Dict[SecretKey, Dict[SharePathT, _DealingPool]] = {}
-        for key, records in node_frontier.items():
-            dealings = pooled.setdefault(key, {})
-            for record, holders in records:
-                dealing = record.prefix() + ((record.path[-1][0], 0),)
-                pool = dealings.get(dealing)
-                if pool is None:
-                    pool = _DealingPool()
-                    dealings[dealing] = pool
-                x = record.path[-1][1]
-                for holder in holders:
-                    weight = coverage.get(holder, 0)
-                    if not weight:
-                        continue
-                    records_per_holder[holder] = (
-                        records_per_holder.get(holder, 0) + 1
-                    )
-                    value = record.value
-                    if holder in corrupted:
-                        value = (value + 1) % self.field.modulus
-                    votes = pool.votes.setdefault(x, {})
-                    votes[value] = votes.get(value, 0) + weight
-                    for recipient in reverse[holder]:
-                        pool.recipients[recipient] = (
-                            pool.recipients.get(recipient, 0) + 1
-                        )
-
+        reverse = self.links.reverse_uplinks(child)
         charge_counts: Dict[Tuple[int, int], int] = {}
-        for holder, n_records in records_per_holder.items():
+        for holder, n_records in holder_records.items():
             for recipient in reverse.get(holder, ()):
                 charge_counts[(holder, recipient)] = n_records
         self._charge_batch(charge_counts)
-        return pooled
 
-    def _reconstruct_pool(
-        self,
-        pooled: Dict[SecretKey, Dict[SharePathT, "_DealingPool"]],
-        decoded: Dict[_PoolKey, Optional[int]],
-    ) -> Dict[SecretKey, List[Tuple[ShareRecord, Tuple[int, ...]]]]:
-        """Collapse one child's arrived i-shares into (i-1)-share records.
-
-        A dealing is recoverable when enough of its shares arrived; the
-        reconstructed record is replicated to the (up to REPLICATION_CAP)
-        members that received the most of its shares — they forward it
-        further down, and a corrupted one among them is outvoted by the
-        per-coordinate majority at the next hop.  ``decoded`` memoises
-        the decoder per ``(threshold, majority points)`` pool.
-        """
-        out: Dict[SecretKey, List[Tuple[ShareRecord, Tuple[int, ...]]]] = {}
-        for key, dealings in pooled.items():
-            records: List[Tuple[ShareRecord, Tuple[int, ...]]] = []
-            for dealing, pool in dealings.items():
-                group_key = (key, dealing)
-                group_size = self.group_sizes.get(group_key)
-                if group_size is None:
-                    continue
-                threshold = self._threshold(group_size)
-                points = tuple(pool.majority_points())
-                memo_key = (threshold, points)
+        coverage = {h: len(recipients) for h, recipients in reverse.items()}
+        covered = coverage.keys()
+        ranks: Dict[_Signature, Tuple[int, ...]] = {}
+        out: Dict[SecretKey, List[_Held]] = {}
+        for key, dealings in grouped.items():
+            records: List[_Held] = []
+            for dealing, threshold, coordinates, signature in dealings:
+                points: List[Tuple[int, int]] = []
+                for x, agreed, holders, pairs in coordinates:
+                    if agreed is not None:
+                        if not covered.isdisjoint(holders):
+                            points.append(agreed)
+                        continue
+                    votes: Dict[int, int] = {}
+                    for holder, value in pairs:
+                        weight = coverage.get(holder)
+                        if weight:
+                            votes[value] = votes.get(value, 0) + weight
+                    if votes:
+                        points.append((x, _plurality(votes)))
+                memo_key = (threshold, tuple(points))
                 if memo_key in decoded:
                     value = decoded[memo_key]
                 else:
                     value = robust_reconstruct_points(
-                        self.field, points, threshold
+                        self.field, memo_key[1], threshold
                     )
                     decoded[memo_key] = value
                 if value is None:
                     continue
-                ranked = sorted(
-                    pool.recipients,
-                    key=lambda m: (-pool.recipients[m], m),
-                )
-                holders = tuple(ranked[: self.REPLICATION_CAP])
+                holders = ranks.get(signature)
+                if holders is None:
+                    holders = self._top_recipients(reverse, signature)
+                    ranks[signature] = holders
                 parent_path = dealing[:-1]
-                if parent_path:
-                    record = ShareRecord(
-                        secret=key, path=parent_path, value=value
-                    )
-                else:  # fully reconstructed secret (top was level 1)
-                    record = ShareRecord(
-                        secret=key, path=((key[0], 0),), value=value
-                    )
-                records.append((record, holders))
+                if not parent_path:  # fully reconstructed secret
+                    parent_path = ((key[0], 0),)
+                records.append((
+                    ShareRecord(secret=key, path=parent_path, value=value),
+                    holders,
+                ))
             out[key] = records
         return out
+
+    def _top_recipients(
+        self, reverse: Dict[int, Tuple[int, ...]], signature: _Signature
+    ) -> Tuple[int, ...]:
+        """The REPLICATION_CAP child members sent the most of a dealing's
+        shares, by (count descending, pid); one share per (record,
+        holder, recipient)."""
+        received: Dict[int, int] = {}
+        for holders in signature:
+            for holder in holders:
+                for recipient in reverse.get(holder, ()):
+                    received[recipient] = received.get(recipient, 0) + 1
+        ranked = sorted(received, key=lambda m: (-received[m], m))
+        return tuple(ranked[: self.REPLICATION_CAP])
 
     # -- sendOpen -------------------------------------------------------------------
 
@@ -536,12 +565,14 @@ class TreeCommunicator:
         across its linked leaf nodes (Section 3.2.3).
 
         ``bad_value_fn(key, pid)`` supplies corrupted members' reports
-        (default: flip the low bit — enough to attack coin words).
+        (default: flip the low bit — enough to attack coin words).  It
+        must be deterministic: a leaf's reports are the same for every
+        ``top`` member linked to it, so it runs once per (key, leaf
+        member) per linked leaf, not once per report.
         """
         if bad_value_fn is None:
             bad_value_fn = lambda key, pid: 1
         node_views: Dict[int, Dict[SecretKey, Optional[int]]] = {}
-        member_links: Dict[int, Tuple[NodeId, ...]] = {}
         if top.level == 1:
             # Degenerate: the "subtree" is the node itself; every member
             # already holds the reconstructed value.
@@ -552,48 +583,70 @@ class TreeCommunicator:
                 node_views[member] = views
             return node_views
 
-        for member in self.tree.members(top):
-            member_links[member] = self.links.ell_links(top, member)
-
+        verdicts: Dict[
+            NodeId, Tuple[Dict[SecretKey, Optional[int]], Dict[int, int]]
+        ] = {}
         charge_counts: Dict[Tuple[int, int], int] = {}
-        for member, linked_leaves in member_links.items():
+        for member in self.tree.members(top):
+            linked_leaves = self.links.ell_links(top, member)
+            rows: List[Dict[SecretKey, Optional[int]]] = []
+            for leaf in linked_leaves:
+                verdict = verdicts.get(leaf)
+                if verdict is None:
+                    verdict = self._leaf_verdict(
+                        leaf, keys, leaf_values.get(leaf, {}), corrupted,
+                        bad_value_fn,
+                    )
+                    verdicts[leaf] = verdict
+                row, reports = verdict
+                for leaf_member, count in reports.items():
+                    pair = (leaf_member, member)
+                    charge_counts[pair] = charge_counts.get(pair, 0) + count
+                rows.append(row)
             views: Dict[SecretKey, Optional[int]] = {}
             for key in keys:
-                leaf_reports: List[int] = []
-                for leaf in linked_leaves:
-                    leaf_members = self.tree.members(leaf)
-                    reports: List[int] = []
-                    for leaf_member in leaf_members:
-                        if leaf_member in corrupted:
-                            reported = bad_value_fn(key, leaf_member)
-                        else:
-                            value = leaf_values.get(leaf, {}).get(key)
-                            if value is None:
-                                continue  # abstains (failed reconstruction)
-                            reported = value
-                        pair = (leaf_member, member)
-                        charge_counts[pair] = charge_counts.get(pair, 0) + 1
-                        reports.append(reported)
-                    # A leaf's report only counts when a strict majority of
-                    # its *full membership* backs one value — committee
-                    # sizes are common knowledge, so silence from failed
-                    # good members must not let a corrupted minority speak
-                    # for the node.
-                    majority = _majority(reports)
-                    if majority is not None:
-                        backing = sum(1 for r in reports if r == majority)
-                        if backing * 2 > len(leaf_members):
-                            leaf_reports.append(majority)
-                # Same guard across the linked leaves.
-                majority = _majority(leaf_reports)
-                if majority is not None:
-                    backing = sum(1 for r in leaf_reports if r == majority)
-                    if backing * 2 <= len(linked_leaves):
-                        majority = None
-                views[key] = majority
+                # Same guard as within a leaf, across the linked leaves.
+                leaf_reports = [
+                    row[key] for row in rows if row[key] is not None
+                ]
+                views[key] = _backed_majority(
+                    leaf_reports, len(linked_leaves)
+                )
             node_views[member] = views
         self._charge_batch(charge_counts)
         return node_views
+
+    def _leaf_verdict(
+        self,
+        leaf: NodeId,
+        keys: Sequence[SecretKey],
+        values: Dict[SecretKey, Optional[int]],
+        corrupted: Set[int],
+        bad_value_fn,
+    ) -> Tuple[Dict[SecretKey, Optional[int]], Dict[int, int]]:
+        """One leaf's per-key report and its members' report counts.
+
+        A leaf's report only counts when a strict majority of its *full
+        membership* backs one value — committee sizes are common
+        knowledge, so silence from failed good members must not let a
+        corrupted minority speak for the node.
+        """
+        leaf_members = self.tree.members(leaf)
+        row: Dict[SecretKey, Optional[int]] = {}
+        sent: Dict[int, int] = {}
+        for key in keys:
+            value = values.get(key)
+            reports: List[int] = []
+            for leaf_member in leaf_members:
+                if leaf_member in corrupted:
+                    reports.append(bad_value_fn(key, leaf_member))
+                elif value is not None:  # failed reconstruction abstains
+                    reports.append(value)
+                else:
+                    continue
+                sent[leaf_member] = sent.get(leaf_member, 0) + 1
+            row[key] = _backed_majority(reports, len(leaf_members))
+        return row, sent
 
     def reveal(
         self,
@@ -676,11 +729,53 @@ class TreeCommunicator:
         return False
 
 
-def _majority(values: Sequence[int]) -> Optional[int]:
-    """Strict plurality with deterministic tie-break; None when empty."""
+def _coordinate(
+    x: int,
+    held: List[Tuple[Tuple[int, ...], int]],
+    corrupted: Set[int],
+    mod: int,
+) -> _Coordinate:
+    """Group one coordinate's arrivals: ``held`` is (holders, value) per
+    record.  A corrupted holder delivers the value plus one."""
+    if len(held) == 1:
+        holders, value = held[0]
+        if corrupted.isdisjoint(holders):
+            return (x, (x, value), holders, ())
+        if corrupted.issuperset(holders):
+            return (x, (x, (value + 1) % mod), holders, ())
+    pairs = tuple(
+        (holder, (value + 1) % mod if holder in corrupted else value)
+        for holders, value in held
+        for holder in holders
+    )
+    holders = tuple(holder for holder, _delivered in pairs)
+    first = pairs[0][1]
+    if all(delivered == first for _holder, delivered in pairs):
+        return (x, (x, first), holders, ())
+    return (x, None, holders, pairs)
+
+
+def _plurality(counts: Dict[int, int]) -> int:
+    """The most-counted value; ties go to the smaller value."""
+    if len(counts) == 1:
+        return next(iter(counts))
+    return max(counts, key=lambda v: (counts[v], -v))
+
+
+def _majority_points(
+    by_x: Dict[int, Dict[int, int]]
+) -> List[Tuple[int, int]]:
+    """Per-coordinate plurality values by ascending x — decoder input."""
+    return sorted((x, _plurality(votes)) for x, votes in by_x.items())
+
+
+def _backed_majority(values: Sequence[int], voters: int) -> Optional[int]:
+    """The plurality of ``values`` if more than half of ``voters`` back
+    it, else None."""
     if not values:
         return None
     counts: Dict[int, int] = {}
     for value in values:
         counts[value] = counts.get(value, 0) + 1
-    return max(counts, key=lambda v: (counts[v], -v))
+    majority = _plurality(counts)
+    return majority if counts[majority] * 2 > voters else None

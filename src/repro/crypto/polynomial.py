@@ -140,9 +140,10 @@ def interpolate_coefficients(
     """Full coefficient vector of the interpolating polynomial.
 
     O(k^2) field operations via synthetic division of the master product
-    polynomial; used by robust reconstruction, which must verify a
-    candidate polynomial against many points (each check is then a cheap
-    O(k) Horner evaluation instead of an O(k^2) fresh interpolation).
+    polynomial.  This is the reference implementation: the windowed
+    decoder takes coefficients from the cached
+    :meth:`~repro.crypto.kernels.InterpPlan.coefficients`, pinned
+    bit-identical to this function by ``tests/test_kernels.py``.
     """
     xs = [p[0] % field.modulus for p in points]
     if len(set(xs)) != len(xs):

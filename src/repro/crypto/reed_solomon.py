@@ -37,7 +37,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .field import FieldError, PrimeField
 from .kernels import get_eval_plan, get_interp_plan
-from .polynomial import interpolate_coefficients
 
 
 def _solve_linear_system(
@@ -163,8 +162,8 @@ def _decode_by_windows(
 
     Each window's cached plan predicts every point outside the window;
     counting stops at the first miss past ``max_errors``.  Returns that
-    window's coefficients (length t), or None when every window misses
-    too many points.
+    window's coefficients (length t, from the plan's basis table), or
+    None when every window misses too many points.
     """
     m = len(xs)
     for start in range(0, m - t + 1, t):
@@ -178,9 +177,7 @@ def _decode_by_windows(
                 if misses > max_errors:
                     break
         if misses <= max_errors:
-            return interpolate_coefficients(
-                field, list(zip(plan.xs, window_ys))
-            )
+            return plan.coefficients(window_ys)
     return None
 
 

@@ -4,7 +4,8 @@ Three families of links connect processors:
 
 1. **Uplinks** — from each processor in a child node to a sampler-chosen
    subset of processors in its parent node (paper degree: q * log^3 n).
-   ``sendSecretUp`` shares travel along these; ``sendDown`` reverses them.
+   ``sendSecretUp`` shares travel along these; ``sendDown`` reverses them
+   (:meth:`LinkStructure.reverse_uplinks`, memoised per child node).
 2. **ℓ-links** — from processors in a node C at level ℓ directly to C's
    level-1 descendant nodes (paper degree: O(log^3 n) distinct leaf
    nodes).  ``sendOpen`` travels up these.
@@ -78,6 +79,9 @@ class LinkStructure:
                     chosen = tuple(sorted(rng.sample(leaves, d)))
                     self._ell_links[(node, processor)] = chosen
 
+        #: child node -> parent member -> child members uplinked to it.
+        self._reverse: Dict[NodeId, Dict[int, Tuple[int, ...]]] = {}
+
         self._intra: Dict[NodeId, Dict[int, Tuple[int, ...]]] = {}
         for node in tree.all_nodes():
             members = tree.members(node)
@@ -94,18 +98,29 @@ class LinkStructure:
                 f"no uplinks for processor {processor} in node {child}"
             ) from None
 
-    def downlink_sources(self, child: NodeId, parent_processor: int) -> List[int]:
-        """Child-node processors whose uplinks include ``parent_processor``.
+    def reverse_uplinks(self, child: NodeId) -> Dict[int, Tuple[int, ...]]:
+        """Parent member -> the ``child`` members whose uplinks include it.
 
         ``sendDown`` sends i-shares back down "the uplinks it came from plus
         the corresponding uplinks from each of its other children"; this is
-        the reverse index needed for that.
+        the reverse index needed for that.  Parent members no uplink
+        reaches are absent; sources keep ``tree.members(child)`` order.
+        Built once per child and shared: callers must not mutate it.
         """
-        return [
-            key.processor
-            for key, targets in self._uplinks.items()
-            if key.child == child and parent_processor in targets
-        ]
+        reverse = self._reverse.get(child)
+        if reverse is None:
+            index: Dict[int, List[int]] = {}
+            for processor in self.tree.members(child):
+                key = UplinkKey(child, processor)
+                for target in self._uplinks.get(key, ()):
+                    index.setdefault(target, []).append(processor)
+            reverse = {t: tuple(sources) for t, sources in index.items()}
+            self._reverse[child] = reverse
+        return reverse
+
+    def downlink_sources(self, child: NodeId, parent_processor: int) -> List[int]:
+        """Child-node processors whose uplinks include ``parent_processor``."""
+        return list(self.reverse_uplinks(child).get(parent_processor, ()))
 
     # -- ell links ----------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Tests for sendSecretUp / sendDown / sendOpen (Lemma 3) and robustness."""
 
+import hashlib
 import random
 
 import pytest
@@ -317,3 +318,91 @@ class TestSendOpenGuards:
         )
         for member, view in views.items():
             assert view[key] is None
+
+
+#: sha256 of one reveal cascade's outputs and ledger per (n, q, k1,
+#: uplink degree, corrupted fraction), recorded before sendDown grouped
+#: frontiers per node and sendSecretUp dealt in batches.  Uplink degree
+#: 3 leaves parent members that some child does not cover, and the
+#: corrupted fractions make many pools fail to decode.
+GOLDEN_REVEALS = [
+    (9, 3, 5, 8, 0.0,
+     "74e0326e78f31ab68958dcbce8a7a19303797acb0fb5460bf0e1705eb340657c"),
+    (9, 3, 5, 8, 0.2,
+     "70f76d0cdb473ad9b3c488aaa82fc7cdd5e98a4b2512d3b62005ce2d9500e947"),
+    (9, 3, 5, 8, 0.45,
+     "e2e15838351982f37d092fa1b4cbd66ed97658c1c022ddb4509fa6c0de9ea7a1"),
+    (16, 3, 5, 3, 0.0,
+     "4a3ef71a802932ab2189caed657ade795ebe0abf8170898a8fe1aae49ebdbb0f"),
+    (16, 3, 5, 3, 0.2,
+     "4a8294b5436ec7dbb6ee64347def665ba18cc268c90dcdee747e0a59944a8193"),
+    (16, 3, 5, 3, 0.45,
+     "274c0822504dff0d1eaeaec4201ec3415f5d0754e3318d07d2bd66bb48846347"),
+    (27, 3, 5, 8, 0.0,
+     "64461fae5283f4676752eb35eadb4e853a3af2042df5485cc1c0e26668e7a158"),
+    (27, 3, 5, 8, 0.2,
+     "dc1f305523167b1157bcdb51c884b12a17e10073cd9441547cf2698bcebff1ee"),
+    (27, 3, 5, 8, 0.45,
+     "6d3e2197bd9247bb9a078863f950a1718c5aebd4ff29d847daa56044d1bc46fd"),
+    (27, 3, 4, 3, 0.0,
+     "f5aecd6b35fddb9833834a197c974594e581c830bbf5e2c5beef6597f798973c"),
+    (27, 3, 4, 3, 0.2,
+     "fe4c894409f8aa0e6d6849d1bed05fd6b36b8d73db278e92777afe7869c5d532"),
+    (27, 3, 4, 3, 0.45,
+     "5fc2631a7569407df6ec5c99830110cd9596dbd1d51fbbc165b03a3739fac9d4"),
+]
+
+
+def reveal_cascade_digest(n, q, k1, uplink, fraction):
+    """Share two keys each for owners 0 and n-1, send them up level by
+    level to the root, reveal there; hash the sorted ``leaf_values`` and
+    ``node_views`` and the ledger's per-processor sent bits, received
+    bits and sent messages."""
+    rng = random.Random(n * 1000 + k1 * 10 + uplink)
+    tree = TreeTopology(n=n, q=q, k1=k1, rng=rng)
+    links = LinkStructure(
+        tree, uplink_degree=uplink, ell_link_degree=5, intra_degree=6,
+        rng=rng,
+    )
+    ledger = BitLedger(n)
+    comm = TreeCommunicator(
+        tree, links, FIELD, ledger, rng=random.Random(7),
+        threshold_fraction=0.5,
+    )
+    corrupted = set(random.Random(11).sample(range(n), round(fraction * n)))
+    owners = (0, n - 1)
+    keys = []
+    for owner in owners:
+        owner_keys = [(owner, 0), (owner, 1)]
+        comm.initial_share(
+            owner, {key: 1000 * owner + w for w, key in enumerate(owner_keys)}
+        )
+        keys.extend(owner_keys)
+    for level in range(1, tree.lstar):
+        for owner in owners:
+            node = tree.path_to_root(NodeId(1, owner))[level - 1]
+            comm.send_secret_up(
+                node, [key for key in keys if key[0] == owner], corrupted
+            )
+    outcome = comm.reveal(tree.root(), keys, corrupted)
+    canonical = (
+        sorted(
+            ((leaf.level, leaf.index), sorted(values.items()))
+            for leaf, values in outcome.leaf_values.items()
+        ),
+        sorted(
+            (pid, sorted(view.items()))
+            for pid, view in outcome.node_views.items()
+        ),
+        sorted(ledger.sent_bits.items()),
+        sorted(ledger.received_bits.items()),
+        sorted(ledger.sent_messages.items()),
+    )
+    return hashlib.sha256(repr(canonical).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n,q,k1,uplink,fraction,digest", GOLDEN_REVEALS)
+def test_reveal_cascade_matches_golden_digest(
+    n, q, k1, uplink, fraction, digest
+):
+    assert reveal_cascade_digest(n, q, k1, uplink, fraction) == digest

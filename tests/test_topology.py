@@ -167,11 +167,19 @@ class TestLinkStructure:
     def test_downlink_sources_reverse_uplinks(self):
         tree = small_tree()
         links = LinkStructure(tree, 3, 2, 3, random.Random(2))
-        child = NodeId(1, 5)
-        parent = tree.parent(child)
-        for parent_member in tree.members(parent):
-            for source in links.downlink_sources(child, parent_member):
-                assert parent_member in links.uplinks(child, source)
+        for level in range(1, tree.lstar):
+            for child in tree.nodes_on_level(level):
+                parent = tree.parent(child)
+                for parent_member in tree.members(parent):
+                    sources = links.downlink_sources(child, parent_member)
+                    for source in sources:
+                        assert parent_member in links.uplinks(child, source)
+                    # Complete: a brute-force scan of the child's uplinks
+                    # finds the same sources, in membership order.
+                    assert sources == [
+                        p for p in tree.members(child)
+                        if parent_member in links.uplinks(child, p)
+                    ]
 
     def test_ell_links_point_to_descendant_leaves(self):
         tree = small_tree()
