@@ -778,28 +778,25 @@ class _LinkRelay:
 
 
 def _suite_dispatch_wire(quick: bool) -> Dict[str, Any]:
-    """Binary pipelined lanes vs the JSON one-in-flight client (GATED).
+    """Pipelined lanes vs one exchange in flight (GATED).
 
-    The data-plane workload the wire codec exists for: many small work
+    The data-plane workload pipelining exists for: many small work
     units whose round trips — not whose compute — dominate the sweep.
     One in-process ``WorkerServer``, reached through a loopback
     :class:`_LinkRelay` adding 2 ms of one-way latency (the emulated
     cluster link), serves the same 64-unit spec twice:
 
-    * **baseline**: the pre-codec client, byte for byte —
-      ``codec="json"`` (newline-delimited JSON, no negotiation) with
-      ``lane_depth=1`` (one exchange in flight, the old ping-pong
-      discipline — every unit pays the full round trip);
-    * **fast path**: ``codec="auto"`` (negotiates the length-prefixed
-      binary framing with zlib payload compression) with
-      ``lane_depth=4`` (the sender streams request frames while the
-      receiver completes earlier units off the same connection, so the
-      link latency is paid once per *window*, not once per unit).
+    * **baseline**: ``lane_depth=1`` — one exchange in flight, so
+      every unit pays the full round trip;
+    * **fast path**: ``lane_depth=4`` — the sender streams request
+      frames while the receiver completes earlier units off the same
+      connection, so the link latency is paid once per *window*, not
+      once per unit.
 
-    The gated ``speedup`` is the units/sec ratio; ``bytes_in`` /
-    ``bytes_out`` per path come from the lane telemetry and record the
-    codec's wire footprint next to the throughput it buys.  Both paths
-    must match the bare serial loop bit for bit before timing counts.
+    The gated ``speedup`` is the units/sec ratio; ``wire_bytes`` and
+    ``inflight_peak`` come from the depth-4 lane's telemetry.  Both
+    depths must match the bare serial loop bit for bit before timing
+    counts.
     """
     from repro.engine import (
         ExperimentSpec,
@@ -835,12 +832,11 @@ def _suite_dispatch_wire(quick: bool) -> Dict[str, Any]:
     spec = ExperimentSpec(runner="perf-gate-wire", n=1, trials=trials)
     serial = [run_one_trial(spec, i) for i in range(trials)]
 
-    def sweep(codec: str, depth: int):
+    def sweep(depth: int):
         backend = DistributedBackend(
             hosts=[(relay.host, relay.port)],
             unit_size=1,
             lane_depth=depth,
-            codec=codec,
         )
         try:
             results = backend.run_trials(spec)
@@ -852,40 +848,37 @@ def _suite_dispatch_wire(quick: bool) -> Dict[str, Any]:
     with WorkerServer() as server:
         relay = _LinkRelay(server.host, server.port, delay=0.002)
         try:
-            json_results, json_report = sweep("json", 1)
-            binary_results, binary_report = sweep("auto", 4)
-            # Parity before speed: codec and depth change framing and
-            # overlap, never content.
-            assert json_results == serial
-            assert binary_results == serial
-            assert json_report.lanes[0].codec == "json"
-            assert binary_report.lanes[0].codec == "binary"
+            depth1_results, _ = sweep(1)
+            depth4_results, depth4_report = sweep(4)
+            # Parity before speed: depth changes overlap, never content.
+            assert depth1_results == serial
+            assert depth4_results == serial
 
             reps = 2 if quick else 4
-            json_s = _time(lambda: sweep("json", 1), reps)
-            binary_s = _time(lambda: sweep("auto", 4), reps)
+            depth1_s = _time(lambda: sweep(1), reps)
+            depth4_s = _time(lambda: sweep(4), reps)
         finally:
             relay.close()
 
     ops = reps * trials
-    json_lane = json_report.lanes[0]
-    binary_lane = binary_report.lanes[0]
+    lane = depth4_report.lanes[0]
     return {
         "desc": (
             f"{trials} single-trial units over a 2ms loopback link: "
-            "binary codec + lane_depth=4 vs JSON lines + lane_depth=1"
+            "lane_depth=4 vs lane_depth=1"
         ),
         "ops": ops,
-        "json_s": round(json_s, 6),
-        "binary_s": round(binary_s, 6),
-        "json_units_per_s": round(ops / json_s, 1) if json_s else 0.0,
-        "binary_units_per_s": (
-            round(ops / binary_s, 1) if binary_s else 0.0
+        "depth1_s": round(depth1_s, 6),
+        "depth4_s": round(depth4_s, 6),
+        "depth1_units_per_s": (
+            round(ops / depth1_s, 1) if depth1_s else 0.0
         ),
-        "json_wire_bytes": json_lane.bytes_out + json_lane.bytes_in,
-        "binary_wire_bytes": binary_lane.bytes_out + binary_lane.bytes_in,
-        "binary_inflight_peak": binary_lane.inflight_peak,
-        "speedup": round(json_s / binary_s, 2) if binary_s else 0.0,
+        "depth4_units_per_s": (
+            round(ops / depth4_s, 1) if depth4_s else 0.0
+        ),
+        "wire_bytes": lane.bytes_out + lane.bytes_in,
+        "inflight_peak": lane.inflight_peak,
+        "speedup": round(depth1_s / depth4_s, 2) if depth4_s else 0.0,
         "parity": True,
     }
 

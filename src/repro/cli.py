@@ -658,22 +658,22 @@ def _cmd_worker_serve(args: argparse.Namespace) -> int:
     import signal
 
     from .engine.distributed import DEFAULT_PORT, WorkerServer
-    from .engine.spec import CODEC_JSON, SUPPORTED_CODECS
+    from .engine.spec import WireFormatError
     from .engine.wire import DEFAULT_MAX_FRAME_BYTES
 
     port = args.port if args.port is not None else DEFAULT_PORT
-    binary = args.codec != "json"
     max_frame = (
         args.max_frame_bytes
         if args.max_frame_bytes is not None
         else DEFAULT_MAX_FRAME_BYTES
     )
-    server = WorkerServer(
-        host=args.host,
-        port=port,
-        binary=binary,
-        max_frame_bytes=max_frame,
-    )
+    try:
+        server = WorkerServer(
+            host=args.host, port=port, max_frame_bytes=max_frame
+        )
+    except WireFormatError as exc:  # an unusable frame cap, before binding
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     # SIGTERM unwinds through serve_forever so the finally block runs:
     # close() drains the in-flight unit and flushes its response before
@@ -696,7 +696,6 @@ def _cmd_worker_serve(args: argparse.Namespace) -> int:
             worker_id=args.worker_id,
             interval=args.heartbeat_interval,
             units_served=lambda: server.units_served,
-            codecs=tuple(SUPPORTED_CODECS) if binary else (CODEC_JSON,),
         ).start()
         print(
             f"registered as {heartbeat.info.worker_id} "
@@ -705,11 +704,7 @@ def _cmd_worker_serve(args: argparse.Namespace) -> int:
         )
     # Flush immediately: launchers (CI, scripts) block on this line to
     # know the port is bound before dispatching to it.
-    print(
-        f"repro worker serving on {server.address} "
-        f"[{args.codec} codec]",
-        flush=True,
-    )
+    print(f"repro worker serving on {server.address}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -1095,12 +1090,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "and listening address)")
     ws.add_argument("--heartbeat-interval", type=float, default=2.0,
                     help="seconds between heartbeat writes (default 2)")
-    ws.add_argument("--codec", default="binary",
-                    choices=("binary", "json"),
-                    help="wire codecs to negotiate: 'binary' offers "
-                         "the framed binary codec (JSON fallback per "
-                         "connection); 'json' serves the legacy line "
-                         "protocol only")
     ws.add_argument("--max-frame-bytes", type=int,
                     default=None,
                     help="refuse request frames larger than this "

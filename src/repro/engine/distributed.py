@@ -9,30 +9,23 @@ only adds the transport (:class:`SocketTransport`), the worker process
 (:class:`WorkerServer`, served by ``repro worker serve``) and the
 :class:`DistributedBackend` configuration that joins them.
 
-Protocol — framing lives in :mod:`~repro.engine.wire`; the documents
-are the usual versioned JSON either way:
+Protocol — every message is one :mod:`~repro.engine.wire` frame
+carrying a versioned JSON document:
 
 * client → worker: a ``unit`` wire document
   (:func:`~repro.engine.dispatch.unit_to_wire` — versioned, carries
-  the spec as data plus trial indices, mode, and ``max_live``);
+  the spec as data plus trial indices, mode, and ``max_live``) tagged
+  with the client's unit ``id``;
 * worker → client: a ``results`` document wrapping one
-  :func:`~repro.engine.spec.result_to_wire` envelope per trial, or an
-  ``error`` document (version mismatch, unknown scenario, malformed
-  unit);
-* a ``ping`` request answers ``pong`` (used to probe liveness);
-* a ``hello`` request right after dial negotiates the wire codec
-  (:func:`~repro.engine.spec.negotiate_codec`): a codec-aware worker
-  answers ``hello-ok`` and the connection switches to binary frames;
-  a legacy worker answers its usual ``unsupported request kind``
-  error and the connection stays on newline-delimited JSON — byte for
-  byte the pre-codec protocol.
+  :func:`~repro.engine.spec.result_to_wire` envelope per trial plus
+  the unit's compute ``stats``, or an ``error`` document (version
+  mismatch, unknown scenario, malformed unit); either way echoing the
+  request's ``id``.
 
 Each lane is **pipelined**: up to ``lane_depth`` units ride the
-connection concurrently (binary lanes tag requests with a unit id the
-worker echoes; JSON lanes match replies by submission order, which is
-exact because a worker serves one connection serially).  Completion
-is out of order across lanes and feeds the same retry/rebalance
-collect loop one envelope at a time.
+connection concurrently, and replies match their units by the echoed
+id.  Completion is out of order across lanes and feeds the same
+retry/rebalance collect loop one envelope at a time.
 
 Workers rebuild scenarios *by name* from their own registry import —
 the same contract that makes ``spawn`` pool workers bit-identical to
@@ -60,10 +53,8 @@ import socket
 import socketserver
 import threading
 import time
-from collections import deque
 from typing import (
     Any,
-    Deque,
     Dict,
     FrozenSet,
     List,
@@ -84,14 +75,9 @@ from .dispatch import (
     unit_to_wire,
 )
 from .spec import (
-    CODEC_BINARY,
-    CODEC_JSON,
     EngineError,
-    SUPPORTED_CODECS,
     WIRE_VERSION,
     WireFormatError,
-    codec_name,
-    negotiate_codec,
     require_wire,
     result_from_wire,
     result_to_wire,
@@ -101,6 +87,7 @@ from .spec import (
 from .wire import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameReader,
+    check_frame_cap,
     decode_document,
     encode_frame,
 )
@@ -193,12 +180,7 @@ class _WorkerTCPServer(socketserver.ThreadingTCPServer):
 
 
 class _WorkerHandler(socketserver.BaseRequestHandler):
-    """One client connection: serve framed requests until EOF.
-
-    Reads through one buffered :class:`~repro.engine.wire.FrameReader`
-    (codec auto-detected per frame) and answers under the connection's
-    negotiated codec — JSON lines until a ``hello`` upgrades it.
-    """
+    """One client connection: serve framed requests until EOF."""
 
     def handle(self) -> None:
         server: "WorkerServer" = self.server.owner
@@ -211,14 +193,13 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
         except OSError:
             pass  # non-TCP test doubles
         reader = FrameReader(sock, max_frame_bytes=server.max_frame_bytes)
-        codec = CODEC_JSON
 
-        def send(doc: dict, reply_id: Optional[int] = None) -> None:
+        def send(doc: dict, reply_id: Any) -> None:
             if reply_id is not None:
                 doc["id"] = reply_id
-            sock.sendall(encode_frame(doc, codec))
+            sock.sendall(encode_frame(doc))
 
-        def error(message: str, reply_id: Optional[int] = None) -> None:
+        def error(message: str, reply_id: Any = None) -> None:
             send(
                 {"version": WIRE_VERSION, "kind": "error", "error": message},
                 reply_id,
@@ -233,8 +214,9 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
             try:
                 frame = reader.read_frame()
             except WireFormatError as exc:
-                # Broken framing (oversized frame, bad header): the
-                # stream cannot be resynchronised — answer and hang up.
+                # Broken framing (not a frame, oversized, bad header):
+                # the stream cannot be resynchronised — answer and hang
+                # up.
                 try:
                     error(str(exc))
                 except OSError:
@@ -251,30 +233,14 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                 # keep serving, the next frame is independent.
                 error(str(exc))
                 continue
-            kind = doc.get("kind") if isinstance(doc, dict) else None
-            if kind == "ping":
-                send({"version": WIRE_VERSION, "kind": "pong"})
-                continue
-            if kind == "hello" and server.binary:
-                chosen = negotiate_codec(doc.get("codecs"))
-                # The acknowledgement ships under the *old* codec; both
-                # sides switch for every frame after it.
-                send(
-                    {
-                        "version": WIRE_VERSION,
-                        "kind": "hello-ok",
-                        "codec": chosen,
-                        "max_frame": server.max_frame_bytes,
-                    }
+            fields = doc if isinstance(doc, dict) else {}
+            reply_id = fields.get("id")
+            if fields.get("kind") != "unit":
+                error(
+                    f"unsupported request kind {fields.get('kind')!r}",
+                    reply_id,
                 )
-                codec = chosen
                 continue
-            if kind != "unit":
-                # A binary=False server answers ``hello`` here too —
-                # faithfully reproducing a pre-codec worker.
-                error(f"unsupported request kind {kind!r}")
-                continue
-            reply_id = doc.get("id") if server.binary else None
             if server.note_unit_and_check_crash():
                 return
             if not server.begin_unit():
@@ -291,13 +257,8 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
                         "version": WIRE_VERSION,
                         "kind": "results",
                         "results": [result_to_wire(r) for r in results],
+                        "stats": stats_to_wire(stats),
                     }
-                    # The stats field is optional and versioned on its
-                    # own: clients treat an absent field (this server
-                    # with stats=False — the legacy-worker shape) as
-                    # "no stats".
-                    if server.send_stats:
-                        reply["stats"] = stats_to_wire(stats)
                     send(reply, reply_id)
                 except Exception as exc:  # report, keep serving
                     error(f"{type(exc).__name__}: {exc}", reply_id)
@@ -318,12 +279,9 @@ class WorkerServer:
     ``port=0`` (ephemeral) and call :meth:`start` to serve from a
     daemon thread in-process.
 
-    ``binary=False`` disables codec negotiation entirely — the server
-    answers ``hello`` with the generic unsupported-kind error and never
-    echoes unit ids, faithfully reproducing a pre-codec worker (the
-    legacy peer in the mixed-fleet interop tests and the
-    ``--codec json`` CLI flag).  ``max_frame_bytes`` caps any single
-    request frame; an oversized one is refused with a clean error.
+    ``max_frame_bytes`` caps any single request frame; an oversized one
+    is refused with a clean error.  A cap too small for any frame is
+    refused at construction, before the listener binds.
 
     ``crash_after_units`` is the failure-injection hook behind the
     worker-kill tests: the server answers that many units normally,
@@ -343,20 +301,14 @@ class WorkerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         crash_after_units: Optional[int] = None,
-        stats: bool = True,
         drain_timeout: float = 30.0,
-        binary: bool = True,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
+        self.max_frame_bytes = check_frame_cap(max_frame_bytes)
         self._server = _WorkerTCPServer((host, port), _WorkerHandler)
         self._server.owner = self
         self.host, self.port = self._server.server_address[:2]
         self.crash_after_units = crash_after_units
-        #: ``stats=False`` reproduces the pre-telemetry reply shape —
-        #: the interop fixture for the legacy-worker tests.
-        self.send_stats = stats
-        self.binary = binary
-        self.max_frame_bytes = max_frame_bytes
         self.drain_timeout = drain_timeout
         self.crashed = False
         self.draining = False
@@ -469,11 +421,9 @@ _CLOSE = object()
 class _Lane:
     """One worker connection carrying a window of in-flight units.
 
-    ``inflight`` maps unit id → (unit, submit offset); ``order`` keeps
-    submission order for matching replies that carry no id (JSON-codec
-    lanes — exact, because a worker serves one connection serially).
-    The sender thread owns the socket's write side and dials lazily on
-    first use; the receiver thread owns the read side.
+    ``inflight`` maps unit id → (unit, submit offset).  The sender
+    thread owns the socket's write side and dials lazily on first use;
+    the receiver thread owns the read side.
     """
 
     def __init__(
@@ -484,11 +434,9 @@ class _Lane:
         self.port = port
         self.depth = depth
         self.sock: Optional[socket.socket] = None
-        self.codec = CODEC_JSON
         self.dead = False
         self.lock = threading.Lock()
         self.inflight: Dict[int, Tuple[WorkUnit, float]] = {}
-        self.order: Deque[int] = deque()
         self.outbox: "queue.Queue[Any]" = queue.Queue()
         self.sender: Optional[threading.Thread] = None
         self.receiver: Optional[threading.Thread] = None
@@ -522,17 +470,14 @@ class SocketTransport(Transport):
     (never blocking on the network) and :meth:`collect` drains the
     shared envelope queue.
 
-    The first use of a lane dials it and — under ``codec="auto"`` —
-    negotiates the wire codec with a ``hello`` exchange, falling back
-    to the legacy JSON line protocol when the worker predates codecs
-    (``codec="json"`` skips negotiation and *is* the legacy client,
-    byte for byte).  Any socket failure — refused connect, dropped
-    connection, EOF mid-reply, an oversized reply frame — marks the
-    lane dead and surfaces one failure envelope per in-flight unit;
-    the collect loop turns each into a retry on a surviving lane (this
-    lane excluded).  A worker that *answers* with an ``error``
-    document stays alive (it is reachable and sane — the unit, not the
-    lane, is the problem).
+    The first use of a lane dials it.  Any socket failure — refused
+    connect, dropped connection, EOF mid-reply, an oversized reply
+    frame, a reply with no unit id — marks the lane dead and surfaces
+    one failure envelope per in-flight unit; the collect loop turns
+    each into a retry on a surviving lane (this lane excluded).  A
+    worker that *answers* a unit with an ``error`` document stays alive
+    (it is reachable and sane — the unit, not the lane, is the
+    problem).
 
     A host's capacity weight expands into that many lanes (each with
     its own connection and window), so a weight-3 machine holds
@@ -548,7 +493,6 @@ class SocketTransport(Transport):
         connect_timeout: float = 5.0,
         io_timeout: Optional[float] = None,
         lane_depth: int = DEFAULT_LANE_DEPTH,
-        codec: str = "auto",
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
         addresses = parse_hosts(hosts)
@@ -556,16 +500,10 @@ class SocketTransport(Transport):
             raise EngineError("socket transport needs at least one host")
         if lane_depth < 1:
             raise EngineError("lane_depth must be >= 1")
-        if codec not in ("auto", "json"):
-            raise EngineError(
-                f"unknown transport codec {codec!r} "
-                "(expected 'auto' or 'json')"
-            )
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
         self.lane_depth = lane_depth
-        self.codec = codec
-        self.max_frame_bytes = max_frame_bytes
+        self.max_frame_bytes = check_frame_cap(max_frame_bytes)
         self._lanes: List[_Lane] = []
         seen: dict = {}
         for host, port, weight in addresses:
@@ -596,7 +534,6 @@ class SocketTransport(Transport):
                 if lane.dead or len(lane.inflight) >= lane.depth:
                     continue
                 lane.inflight[unit_id] = (unit, time.perf_counter())
-                lane.order.append(unit_id)
                 window = len(lane.inflight)
                 if lane.sender is None:
                     lane.sender = threading.Thread(
@@ -615,7 +552,7 @@ class SocketTransport(Transport):
     # -- lane threads ------------------------------------------------------------------
 
     def _dial(self, lane: _Lane) -> None:
-        """Connect, negotiate the codec, start the receiver."""
+        """Connect and start the receiver."""
         lane.sock = socket.create_connection(
             (lane.host, lane.port), timeout=self.connect_timeout
         )
@@ -627,45 +564,11 @@ class SocketTransport(Transport):
             lane.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.note_lane_event(lane.id, "dial")
+        if self.telemetry is not None:
+            self.telemetry.note_lane_event(lane.id, "dial")
         reader = FrameReader(
             lane.sock, max_frame_bytes=self.max_frame_bytes
         )
-        if self.codec == "auto":
-            hello = encode_frame(
-                {
-                    "version": WIRE_VERSION,
-                    "kind": "hello",
-                    "codecs": list(SUPPORTED_CODECS),
-                },
-                CODEC_JSON,
-            )
-            lane.sock.sendall(hello)
-            frame = reader.read_frame()
-            if frame is None:
-                raise ConnectionError(
-                    "worker hung up during codec negotiation"
-                )
-            doc = decode_document(frame.payload)
-            chosen = CODEC_JSON
-            if isinstance(doc, dict) and doc.get("kind") == "hello-ok":
-                require_wire(doc, "hello-ok")
-                offered = doc.get("codec")
-                if offered in SUPPORTED_CODECS:
-                    chosen = offered
-            # Anything else — typically a legacy worker's "unsupported
-            # request kind 'hello'" error — leaves the lane on the JSON
-            # line protocol for the connection's lifetime.
-            lane.codec = chosen
-            if telemetry is not None:
-                telemetry.note_send(lane.id, len(hello))
-                telemetry.note_receive(lane.id, frame.size)
-        else:
-            lane.codec = CODEC_JSON
-        if telemetry is not None:
-            telemetry.note_lane_codec(lane.id, codec_name(lane.codec))
         lane.receiver = threading.Thread(
             target=self._lane_receiver,
             args=(lane, reader),
@@ -692,12 +595,8 @@ class SocketTransport(Transport):
             if entry is None:
                 continue  # already failed out of the window
             doc = unit_to_wire(entry[0])
-            if lane.codec == CODEC_BINARY:
-                # Tag the request so the reply matches by id; JSON
-                # lanes stay byte-identical to the legacy client and
-                # match by submission order instead.
-                doc["id"] = item
-            frame = encode_frame(doc, lane.codec)
+            doc["id"] = item  # the worker echoes it on the reply
+            frame = encode_frame(doc)
             try:
                 lane.sock.sendall(frame)
             except Exception as exc:
@@ -706,22 +605,18 @@ class SocketTransport(Transport):
             if self.telemetry is not None:
                 self.telemetry.note_send(lane.id, len(frame))
 
-    def _reply_unit_id(self, lane: _Lane, doc: Any) -> int:
-        """Which in-flight unit a reply document answers."""
-        if isinstance(doc, dict) and doc.get("id") is not None:
-            return int(doc["id"])
-        with lane.lock:
-            if not lane.order:
-                raise WireFormatError(
-                    "worker sent a reply with no request in flight"
-                )
-            return lane.order[0]
-
-    def _reply_envelope(
-        self, lane: _Lane, unit_id: int, doc: Any
-    ) -> Envelope:
+    def _reply_envelope(self, lane: _Lane, doc: Any) -> Envelope:
         """A reply document as an envelope (validating its shape)."""
-        if isinstance(doc, dict) and doc.get("kind") == "error":
+        if not isinstance(doc, dict) or doc.get("id") is None:
+            # Only a reply to no request lacks an id: the worker refused
+            # the stream itself, and the lane cannot continue.
+            detail = doc.get("error") if isinstance(doc, dict) else None
+            raise WireFormatError(
+                "worker reply carries no unit id"
+                + (f": {detail}" if detail else "")
+            )
+        unit_id = int(doc["id"])
+        if doc.get("kind") == "error":
             require_wire(doc, "error")
             return Envelope(
                 unit_id=unit_id,
@@ -734,7 +629,7 @@ class SocketTransport(Transport):
             unit_id=unit_id,
             lane=lane.id,
             results=results,
-            # Absent on old workers; tolerant decode -> None.
+            # Tolerant decode: malformed or unknown-version stats -> None.
             stats=stats_from_wire(doc.get("stats")),
         )
 
@@ -753,21 +648,19 @@ class SocketTransport(Transport):
                 self._fail_lane(lane, "worker closed the connection")
                 return
             try:
-                doc = decode_document(frame.payload)
-                unit_id = self._reply_unit_id(lane, doc)
-                envelope = self._reply_envelope(lane, unit_id, doc)
+                envelope = self._reply_envelope(
+                    lane, decode_document(frame.payload)
+                )
             except Exception as exc:
                 self._fail_lane(lane, f"{type(exc).__name__}: {exc}")
                 return
             with lane.lock:
-                entry = lane.inflight.pop(unit_id, None)
-                try:
-                    lane.order.remove(unit_id)
-                except ValueError:
-                    pass
+                entry = lane.inflight.pop(envelope.unit_id, None)
             if entry is None:
                 self._fail_lane(
-                    lane, f"worker sent an unmatched reply for unit {unit_id}"
+                    lane,
+                    "worker sent an unmatched reply for unit "
+                    f"{envelope.unit_id}",
                 )
                 return
             if self.telemetry is not None:
@@ -791,7 +684,6 @@ class SocketTransport(Transport):
             lane.dead = True
             pending = list(lane.inflight.items())
             lane.inflight.clear()
-            lane.order.clear()
         lane.outbox.put(_CLOSE)
         lane.drop_socket()
         if self._closed:
@@ -814,7 +706,6 @@ class SocketTransport(Transport):
             with lane.lock:
                 lane.dead = True
                 lane.inflight.clear()
-                lane.order.clear()
             lane.outbox.put(_CLOSE)
             lane.drop_socket()
         current = threading.current_thread()
@@ -835,8 +726,8 @@ class DistributedBackend(ShardedBackend):
     units (each host drives a local breadth-first step loop), everything
     else as ``trials`` units.  Either way the results are bit-identical
     to the serial backend, because seeds derive from the spec and hosts
-    rebuild scenarios by name — the wire codec and the pipeline depth
-    change framing and overlap, never content.  There is no in-process
+    rebuild scenarios by name — the pipeline depth changes overlap,
+    never content.  There is no in-process
     shortcut: asking for this backend means *run it on the workers*,
     even for one worker or one trial.
 
@@ -853,9 +744,9 @@ class DistributedBackend(ShardedBackend):
             ``None`` waits indefinitely for a unit's results).
         lane_depth: in-flight window per lane (``--lane-depth``;
             default :data:`DEFAULT_LANE_DEPTH`; 1 = serial exchanges).
-        codec: ``"auto"`` negotiates the binary codec per worker,
-            ``"json"`` forces the legacy line protocol.
-        max_frame_bytes: reply frames above this fail the lane cleanly.
+        max_frame_bytes: reply frames above this fail the lane cleanly;
+            a cap too small for any frame is refused here, at
+            construction.
 
     The TCP connections persist across runs; a run that lost a lane
     re-dials every host on the next run, so a worker that restarted
@@ -872,7 +763,6 @@ class DistributedBackend(ShardedBackend):
         connect_timeout: float = 5.0,
         io_timeout: Optional[float] = None,
         lane_depth: int = DEFAULT_LANE_DEPTH,
-        codec: str = "auto",
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
         addresses = parse_hosts(hosts)
@@ -882,6 +772,9 @@ class DistributedBackend(ShardedBackend):
             )
         if lane_depth < 1:
             raise EngineError("lane_depth must be >= 1")
+        # The transport is built lazily, on the first run: check the
+        # cap now so a bad one fails here, not mid-sweep.
+        check_frame_cap(max_frame_bytes)
         super().__init__(
             functools.partial(
                 SocketTransport,
@@ -889,7 +782,6 @@ class DistributedBackend(ShardedBackend):
                 connect_timeout=connect_timeout,
                 io_timeout=io_timeout,
                 lane_depth=lane_depth,
-                codec=codec,
                 max_frame_bytes=max_frame_bytes,
             ),
             capacity=total_capacity([weight for *_, weight in addresses]),

@@ -25,7 +25,9 @@ document carries ``version`` and ``kind`` header fields; decoding
 rejects unknown versions (:class:`WireFormatError`) instead of
 guessing, and non-finite floats are refused in both directions — NaN
 does not round-trip through JSON and must never be smuggled into a
-bit-identical result stream.
+bit-identical result stream.  This module defines the documents only:
+on TCP they travel inside :mod:`~repro.engine.wire` frames, and the
+fleet's files hold them one per line.
 """
 
 from __future__ import annotations
@@ -242,50 +244,6 @@ class TrialResult:
 #: Wire format version.  Bump on any incompatible change to the
 #: documents below; decoders reject everything but their own version.
 WIRE_VERSION = 1
-
-#: Wire **codecs** — how version-1 documents are framed on a byte
-#: stream.  Orthogonal to :data:`WIRE_VERSION` (which versions the
-#: documents themselves): codec 1 is the original newline-delimited
-#: JSON lines, codec 2 wraps the *same* JSON documents in
-#: length-prefixed binary frames with an optional zlib-compressed
-#: payload (:mod:`repro.engine.wire`).  A peer that never negotiates
-#: gets codec 1, bit-identical to the pre-codec protocol.
-CODEC_JSON = 1
-CODEC_BINARY = 2
-
-#: Codecs this engine speaks, in preference order (used both to build
-#: a ``hello`` offer and to pick from one).
-SUPPORTED_CODECS = (CODEC_BINARY, CODEC_JSON)
-
-
-def negotiate_codec(offered: Any) -> int:
-    """Pick the preferred mutually-supported codec from a ``hello`` offer.
-
-    Tolerant by design, mirroring :func:`stats_from_wire`: the offer is
-    advisory, so a missing, malformed or disjoint ``codecs`` list
-    degrades to :data:`CODEC_JSON` (the codec every peer speaks)
-    instead of failing the connection.
-    """
-    if not isinstance(offered, (list, tuple)):
-        return CODEC_JSON
-    known = {
-        codec
-        for codec in offered
-        if isinstance(codec, int) and not isinstance(codec, bool)
-    }
-    for codec in SUPPORTED_CODECS:
-        if codec in known:
-            return codec
-    return CODEC_JSON
-
-
-def codec_name(codec: int) -> str:
-    """The telemetry/report label of one wire codec."""
-    if codec == CODEC_JSON:
-        return "json"
-    if codec == CODEC_BINARY:
-        return "binary"
-    return f"codec{codec}"
 
 
 def require_wire(doc: Any, kind: str) -> Mapping[str, Any]:

@@ -86,15 +86,6 @@ def _pct(values: Sequence[float], q: float) -> float:
     return percentile(values, q)
 
 
-def _merge_codec(mine: str, theirs: str) -> str:
-    """Fold two shards' codec labels: agree, inherit, or "mixed"."""
-    if not mine:
-        return theirs
-    if not theirs or theirs == mine:
-        return mine
-    return "mixed"
-
-
 # -- spans -----------------------------------------------------------------------------
 
 
@@ -154,14 +145,10 @@ class LaneReport:
     predicted_costs: Tuple[float, ...] = ()
     bytes_out: int = 0
     bytes_in: int = 0
-    #: Reply frames received off the lane's connection (hello-ok and
-    #: pong included — it counts wire traffic, not unit completions).
+    #: Reply frames received off the lane's connection.
     frames: int = 0
     #: High-water mark of the lane's pipelined in-flight window.
     inflight_peak: int = 0
-    #: Negotiated wire codec ("json"/"binary"; "" when the lane never
-    #: dialled, "mixed" when merged shards disagree).
-    codec: str = ""
     dials: int = 0
     redials: int = 0
     dead_events: int = 0
@@ -187,7 +174,6 @@ class LaneReport:
             bytes_in=self.bytes_in + other.bytes_in,
             frames=self.frames + other.frames,
             inflight_peak=max(self.inflight_peak, other.inflight_peak),
-            codec=_merge_codec(self.codec, other.codec),
             dials=self.dials + other.dials,
             redials=self.redials + other.redials,
             dead_events=self.dead_events + other.dead_events,
@@ -378,14 +364,14 @@ class RunReport:
                 headers=[
                     "lane", "units", "fail", "trials", "p50 s",
                     "p90 s", "p99 s", "compute s", "queue+net s",
-                    "skew", "codec", "frames",
+                    "skew", "frames",
                     "KiB out", "KiB in", "dials", "redials", "dead",
                 ],
                 note=(
                     "compute/queue+net need worker stats; blank "
                     "columns mean the lane sent none; skew is measured "
                     "vs predicted unit cost (1.00 = model calibrated); "
-                    "codec/frames are socket-lane wire counters"
+                    "frames are socket-lane wire counters"
                 ),
             )
             for lane in self.lanes:
@@ -402,7 +388,6 @@ class RunReport:
                     f"{sum(lane.compute_seconds):.4f}" if has_stats else "",
                     f"{lane.queue_wait_seconds():.4f}" if has_stats else "",
                     f"{skew:.2f}" if skew is not None else "",
-                    lane.codec,
                     f"{lane.frames}" if lane.frames else "",
                     f"{lane.bytes_out / 1024:.1f}" if lane.bytes_out else "",
                     f"{lane.bytes_in / 1024:.1f}" if lane.bytes_in else "",
@@ -469,7 +454,6 @@ def _lane_to_wire(lane: LaneReport) -> Dict[str, Any]:
         "bytes_in": lane.bytes_in,
         "frames": lane.frames,
         "inflight_peak": lane.inflight_peak,
-        "codec": lane.codec,
         "dials": lane.dials,
         "redials": lane.redials,
         "dead_events": lane.dead_events,
@@ -493,10 +477,9 @@ def _lane_from_wire(doc: Mapping[str, Any]) -> LaneReport:
         ),
         bytes_out=int(doc["bytes_out"]),
         bytes_in=int(doc["bytes_in"]),
-        # Tolerant: reports written before the wire codec lack these.
+        # Tolerant: reports from before pipelined lanes lack these.
         frames=int(doc.get("frames", 0)),
         inflight_peak=int(doc.get("inflight_peak", 0)),
-        codec=str(doc.get("codec", "")),
         dials=int(doc["dials"]),
         redials=int(doc["redials"]),
         dead_events=int(doc["dead_events"]),
@@ -813,7 +796,6 @@ class RunTelemetry:
                 "bytes_in": 0,
                 "frames": 0,
                 "inflight_peak": 0,
-                "codec": "",
                 "dials": 0,
                 "redials": 0,
                 "dead_events": 0,
@@ -821,42 +803,21 @@ class RunTelemetry:
             },
         )
 
-    def note_exchange(
-        self,
-        lane: str,
-        bytes_out: int,
-        bytes_in: int,
-        round_trip_seconds: float,
-    ) -> None:
-        """One whole request/reply exchange (kept for custom transports;
-        the pipelined socket transport reports the two directions
-        separately via :meth:`note_send` / :meth:`note_receive`)."""
-        with self._lock:
-            counters = self._lane_counters(lane)
-            counters["bytes_out"] += bytes_out
-            counters["bytes_in"] += bytes_in
-            counters["round_trips"].append(round_trip_seconds)
-
     def note_send(self, lane: str, nbytes: int) -> None:
         """One request frame went out on a lane's connection."""
         with self._lock:
             self._lane_counters(lane)["bytes_out"] += nbytes
 
     def note_receive(
-        self,
-        lane: str,
-        nbytes: int,
-        round_trip_seconds: Optional[float] = None,
+        self, lane: str, nbytes: int, round_trip_seconds: float
     ) -> None:
-        """One reply frame arrived (``round_trip_seconds`` is the
-        submit-to-reply latency for unit replies; negotiation frames
-        carry none)."""
+        """One reply frame arrived, ``round_trip_seconds`` after its
+        unit was submitted."""
         with self._lock:
             counters = self._lane_counters(lane)
             counters["bytes_in"] += nbytes
             counters["frames"] += 1
-            if round_trip_seconds is not None:
-                counters["round_trips"].append(round_trip_seconds)
+            counters["round_trips"].append(round_trip_seconds)
 
     def note_inflight(self, lane: str, inflight: int) -> None:
         """Track the high-water mark of a lane's pipeline window."""
@@ -864,11 +825,6 @@ class RunTelemetry:
             counters = self._lane_counters(lane)
             if inflight > counters["inflight_peak"]:
                 counters["inflight_peak"] = inflight
-
-    def note_lane_codec(self, lane: str, codec: str) -> None:
-        """Stamp the codec a lane negotiated at dial time."""
-        with self._lock:
-            self._lane_counters(lane)["codec"] = codec
 
     def note_lane_event(self, lane: str, kind: str) -> None:
         """A lane lifecycle event: ``dial``, ``redial`` or ``dead``."""
@@ -958,7 +914,6 @@ class RunTelemetry:
                 bytes_in=int(net.get("bytes_in", 0)),
                 frames=int(net.get("frames", 0)),
                 inflight_peak=int(net.get("inflight_peak", 0)),
-                codec=str(net.get("codec", "")),
                 dials=int(net.get("dials", 0)),
                 redials=int(net.get("redials", 0)),
                 dead_events=int(net.get("dead_events", 0)),

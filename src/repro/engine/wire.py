@@ -1,47 +1,33 @@
-"""The fast data plane: length-prefixed binary frames over TCP.
+"""The distributed path's one framing: length-prefixed binary frames.
 
-The distributed path's documents (:func:`~repro.engine.dispatch.unit_to_wire`
-requests, ``results``/``error`` replies) are versioned JSON either way —
-this module only changes how they are *framed* on the byte stream:
+The documents (:func:`~repro.engine.dispatch.unit_to_wire` requests,
+``results``/``error`` replies) are versioned JSON; this module only
+frames them on the byte stream.  Every frame is a struct-packed 8-byte
+header followed by the UTF-8 JSON payload, zlib-compressed when that
+actually shrinks it::
 
-* **Codec 1 (json)** — the original protocol: one compact JSON document
-  per line, ``\\n``-terminated.  :func:`encode_frame` with
-  :data:`~repro.engine.spec.CODEC_JSON` emits exactly
-  ``wire_dumps(doc) + "\\n"`` — bit-identical to the pre-codec client,
-  which is what keeps legacy ``repro worker serve`` peers
-  interoperable (pinned by the golden-frame tests).
-* **Codec 2 (binary)** — a struct-packed 8-byte header followed by the
-  UTF-8 JSON payload, optionally zlib-compressed when that actually
-  shrinks it::
+    offset  size  field
+    0       1     magic (FRAME_MAGIC, 0xC5)
+    1       1     frame-header version (FRAME_VERSION)
+    2       1     flags (bit 0: payload is zlib-compressed)
+    3       1     reserved (0)
+    4       4     payload length, big-endian unsigned
+    8       N     payload (UTF-8 JSON, possibly compressed)
 
-      offset  size  field
-      0       1     magic (0xC5 — never the first byte of a JSON line)
-      1       1     frame-header version (FRAME_VERSION)
-      2       1     flags (bit 0: payload is zlib-compressed)
-      3       1     reserved (0)
-      4       4     payload length, big-endian unsigned
-      8       N     payload (UTF-8 JSON, possibly compressed)
+One :class:`FrameReader` per connection buffers raw ``recv`` chunks
+and cuts frames by their length prefix, so a frame split across any
+number of chunks, or several frames coalesced into one TCP segment,
+decode cleanly; bytes past a frame boundary stay buffered for the next
+frame — the property pipelined lanes depend on.
 
-Because the magic byte can never begin a JSON document, one
-:class:`FrameReader` serves both codecs on the same connection,
-per-frame: it buffers raw ``recv`` chunks, scans the *accumulated*
-buffer for a frame boundary (fixing the latent per-chunk
-``endswith(b"\\n")`` bug — a delimiter landing mid-chunk, or two
-frames coalescing into one TCP segment, no longer corrupts the
-stream), and preserves trailing bytes for the next frame — the
-property pipelined lanes depend on.
-
-Which codec a connection uses is negotiated once, right after dial,
-with a plain JSON ``hello`` request (see
-:func:`~repro.engine.spec.negotiate_codec`): a codec-aware worker
-answers ``hello-ok`` naming its pick; a legacy worker answers its
-usual ``unsupported request kind`` error and the client stays on
-codec 1 for the life of the connection.
-
-Every read path enforces :data:`DEFAULT_MAX_FRAME_BYTES` (or the
-configured cap): an oversized frame — binary length prefix or an
-unterminated JSON line — raises a :class:`~repro.engine.spec.WireFormatError`
-naming the cap instead of growing the buffer without bound.
+The reader refuses a stream whose first byte is not
+:data:`FRAME_MAGIC` the moment that byte arrives, so a stray peer
+speaking some other protocol (a JSON line, an HTTP probe) is answered
+at once instead of left waiting for a header that never comes.  Every
+read enforces :data:`DEFAULT_MAX_FRAME_BYTES` (or the configured cap,
+validated by :func:`check_frame_cap`): an oversized frame raises a
+:class:`~repro.engine.spec.WireFormatError` naming the cap instead of
+growing the buffer without bound.
 """
 
 from __future__ import annotations
@@ -50,13 +36,7 @@ import struct
 import zlib
 from typing import Any, NamedTuple, Optional
 
-from .spec import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    WireFormatError,
-    wire_dumps,
-    wire_loads,
-)
+from .spec import WireFormatError, wire_dumps, wire_loads
 
 __all__ = [
     "COMPRESS_MIN_BYTES",
@@ -65,17 +45,17 @@ __all__ = [
     "FRAME_VERSION",
     "FrameReader",
     "RawFrame",
+    "check_frame_cap",
     "decode_document",
     "encode_frame",
 ]
 
-#: First byte of every binary frame.  Chosen outside ASCII so it can
-#: never collide with the first byte of a JSON line (``{`` = 0x7B),
-#: letting one reader serve both codecs frame by frame.
+#: First byte of every frame.  Outside ASCII, so a peer speaking a
+#: text protocol is refused on its very first byte.
 FRAME_MAGIC = 0xC5
 
-#: Version byte of the binary frame *header* (negotiated layout).
-#: Independent of both WIRE_VERSION (document schema) and the codec id.
+#: Version byte of the frame *header* layout.  Independent of
+#: WIRE_VERSION, which versions the documents the frames carry.
 FRAME_VERSION = 1
 
 #: Header flag: the payload is zlib-compressed.
@@ -90,7 +70,7 @@ HEADER_BYTES = _HEADER.size
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Payloads below this size skip the compression attempt — zlib on a
-#: tiny ping/ack costs CPU and usually *grows* the frame.
+#: tiny error reply costs CPU and usually *grows* the frame.
 COMPRESS_MIN_BYTES = 512
 
 _RECV_CHUNK = 65536
@@ -101,34 +81,37 @@ class RawFrame(NamedTuple):
 
     #: The document's UTF-8 JSON bytes (already decompressed).
     payload: bytes
-    #: Which codec carried it (:data:`CODEC_JSON` / :data:`CODEC_BINARY`).
-    codec: int
-    #: Bytes consumed off the socket, header/delimiter included — what
-    #: lane telemetry counts as ``bytes_in``.
+    #: Bytes consumed off the socket, header included — what lane
+    #: telemetry counts as ``bytes_in``.
     size: int
 
 
-def encode_frame(
-    doc: Any,
-    codec: int = CODEC_JSON,
-    compress_min: Optional[int] = COMPRESS_MIN_BYTES,
-) -> bytes:
-    """One wire document as bytes under the given codec.
+def check_frame_cap(max_frame_bytes: int) -> int:
+    """Validate a frame cap, returning it unchanged.
 
-    Codec 1 output is byte-for-byte the legacy line protocol
-    (``wire_dumps(doc) + "\\n"``); codec 2 wraps the same JSON in the
-    binary header, compressing the payload only when the deflate
-    actually comes out smaller (``compress_min=None`` disables the
-    attempt entirely).
+    A cap that cannot hold one header plus one payload byte would
+    refuse every frame; every holder of a cap (reader, worker,
+    transport, backend) checks it here when it is built, so a bad
+    value fails at construction rather than on the first connection.
     """
-    text = wire_dumps(doc)
-    if codec == CODEC_JSON:
-        return (text + "\n").encode("utf-8")
-    if codec != CODEC_BINARY:
-        raise WireFormatError(f"unknown wire codec {codec!r}")
-    payload = text.encode("utf-8")
+    if max_frame_bytes < HEADER_BYTES + 1:
+        raise WireFormatError(
+            f"max_frame_bytes {max_frame_bytes} is smaller than one "
+            f"frame header ({HEADER_BYTES + 1} bytes minimum)"
+        )
+    return max_frame_bytes
+
+
+def encode_frame(doc: Any) -> bytes:
+    """One wire document as one frame.
+
+    The payload is compressed only when it reaches
+    :data:`COMPRESS_MIN_BYTES` and the deflate actually comes out
+    smaller.
+    """
+    payload = wire_dumps(doc).encode("utf-8")
     flags = 0
-    if compress_min is not None and len(payload) >= compress_min:
+    if len(payload) >= COMPRESS_MIN_BYTES:
         packed = zlib.compress(payload, 6)
         if len(packed) < len(payload):
             payload = packed
@@ -149,18 +132,18 @@ def decode_document(payload: bytes) -> Any:
 
 
 class FrameReader:
-    """Buffered, delimiter-safe reader for both wire codecs.
+    """Buffered, length-prefix reader for one connection.
 
     Wraps one socket-like object (anything with ``recv``) and yields
-    one frame at a time, auto-detecting the codec per frame from the
-    first buffered byte.  Bytes past a frame boundary stay in the
+    one frame at a time.  Bytes past a frame boundary stay in the
     buffer for the next call, so coalesced frames — the normal case on
     a pipelined lane — decode cleanly.
 
     Raises:
         ConnectionError: EOF mid-frame (peer died mid-reply).
-        WireFormatError: frame over ``max_frame_bytes``, unsupported
-            binary header, or corrupt compressed payload.
+        WireFormatError: a first byte other than :data:`FRAME_MAGIC`,
+            a frame over ``max_frame_bytes``, an unsupported header,
+            or a corrupt compressed payload.
 
     A clean EOF *at* a frame boundary returns ``None`` — the peer hung
     up between requests, which is a lifecycle event, not an error.
@@ -171,13 +154,8 @@ class FrameReader:
         sock: Any,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
-        if max_frame_bytes < HEADER_BYTES + 1:
-            raise WireFormatError(
-                f"max_frame_bytes {max_frame_bytes} is smaller than one "
-                f"frame header ({HEADER_BYTES + 1} bytes minimum)"
-            )
         self._sock = sock
-        self.max_frame_bytes = max_frame_bytes
+        self.max_frame_bytes = check_frame_cap(max_frame_bytes)
         self._buffer = bytearray()
 
     def _fill(self) -> bool:
@@ -201,24 +179,26 @@ class FrameReader:
         while not self._buffer:
             if not self._fill():
                 return None
-        if self._buffer[0] == FRAME_MAGIC:
-            return self._read_binary()
-        return self._read_json_line()
-
-    def _read_binary(self) -> RawFrame:
+        if self._buffer[0] != FRAME_MAGIC:
+            # Refuse on the first byte: a non-frame peer may never send
+            # the eight bytes a header needs.
+            raise WireFormatError(
+                f"stream byte 0x{self._buffer[0]:02x} does not begin a "
+                f"frame (frame magic is 0x{FRAME_MAGIC:02x})"
+            )
         self._need(HEADER_BYTES)
-        magic, version, flags, _, length = _HEADER.unpack(
+        _magic, version, flags, _, length = _HEADER.unpack(
             bytes(self._buffer[:HEADER_BYTES])
         )
         if version != FRAME_VERSION:
             raise WireFormatError(
-                f"unsupported binary frame version {version} "
+                f"unsupported frame version {version} "
                 f"(this engine speaks frame version {FRAME_VERSION})"
             )
         total = HEADER_BYTES + length
         if total > self.max_frame_bytes:
             raise WireFormatError(
-                f"binary frame of {total} bytes exceeds the "
+                f"frame of {total} bytes exceeds the "
                 f"{self.max_frame_bytes}-byte frame cap"
             )
         self._need(total)
@@ -236,30 +216,4 @@ class FrameReader:
                     f"frame payload of {len(payload)} bytes (decompressed) "
                     f"exceeds the {self.max_frame_bytes}-byte frame cap"
                 )
-        return RawFrame(payload=payload, codec=CODEC_BINARY, size=total)
-
-    def _read_json_line(self) -> RawFrame:
-        scanned = 0
-        while True:
-            index = self._buffer.find(b"\n", scanned)
-            if index >= 0:
-                break
-            scanned = len(self._buffer)
-            if scanned > self.max_frame_bytes:
-                raise WireFormatError(
-                    f"JSON line frame exceeds the "
-                    f"{self.max_frame_bytes}-byte frame cap without a "
-                    "newline"
-                )
-            if not self._fill():
-                raise ConnectionError(
-                    "peer closed the connection mid-frame"
-                )
-        if index + 1 > self.max_frame_bytes:
-            raise WireFormatError(
-                f"JSON line frame of {index + 1} bytes exceeds the "
-                f"{self.max_frame_bytes}-byte frame cap"
-            )
-        payload = bytes(self._buffer[:index])
-        del self._buffer[: index + 1]
-        return RawFrame(payload=payload, codec=CODEC_JSON, size=index + 1)
+        return RawFrame(payload=payload, size=total)

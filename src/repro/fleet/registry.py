@@ -53,10 +53,6 @@ class WorkerInfo:
     heartbeat_at: float = 0.0
     #: Advisory: the worker's own served-unit counter at last heartbeat.
     units_served: int = 0
-    #: Advisory: wire codecs the worker accepts (monitoring only — the
-    #: transport always re-negotiates per connection, so a stale roster
-    #: entry can never force a codec a worker no longer speaks).
-    codecs: Tuple[int, ...] = (1,)
 
     def __post_init__(self) -> None:
         if not self.worker_id:
@@ -105,7 +101,6 @@ def worker_to_wire(info: WorkerInfo) -> Dict[str, Any]:
         "started_at": info.started_at,
         "heartbeat_at": info.heartbeat_at,
         "units_served": info.units_served,
-        "codecs": list(info.codecs),
     }
 
 
@@ -121,9 +116,6 @@ def worker_from_wire(doc: Any) -> WorkerInfo:
             started_at=float(doc["started_at"]),
             heartbeat_at=float(doc["heartbeat_at"]),
             units_served=int(doc["units_served"]),
-            # Tolerant: registrations written before the wire codec
-            # imply the JSON line protocol.
-            codecs=tuple(int(c) for c in doc.get("codecs", (1,))),
         )
     except FleetError:
         raise
@@ -170,7 +162,6 @@ class FleetRegistry:
         port: int,
         capacity: int = 1,
         worker_id: Optional[str] = None,
-        codecs: Tuple[int, ...] = (1,),
     ) -> WorkerInfo:
         """Announce one worker; returns the registration just written."""
         now = time.time()
@@ -181,7 +172,6 @@ class FleetRegistry:
             capacity=capacity,
             started_at=now,
             heartbeat_at=now,
-            codecs=codecs,
         )
         self._write(info)
         return info
@@ -282,7 +272,6 @@ class HeartbeatThread:
         worker_id: Optional[str] = None,
         interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         units_served: Any = None,
-        codecs: Tuple[int, ...] = (1,),
     ) -> None:
         if interval <= 0:
             raise FleetError("heartbeat interval must be > 0")
@@ -291,8 +280,7 @@ class HeartbeatThread:
         #: Zero-argument callable polled for the served-unit counter.
         self.units_served = units_served
         self.info = registry.register(
-            host, port, capacity=capacity, worker_id=worker_id,
-            codecs=codecs,
+            host, port, capacity=capacity, worker_id=worker_id
         )
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None

@@ -326,6 +326,18 @@ def test_worker_serve_parser():
         parser.parse_args(["worker"])  # subcommand required
 
 
+def test_worker_serve_refuses_unusable_frame_cap(capsys):
+    """A frame cap too small for any frame exits 2 with the error
+    before the worker binds, instead of serving connections that all
+    die in their handler threads."""
+    assert main(
+        ["worker", "serve", "--port", "0", "--max-frame-bytes", "4"]
+    ) == 2
+    captured = capsys.readouterr()
+    assert "max_frame_bytes 4" in captured.err
+    assert "serving on" not in captured.out
+
+
 def test_run_experiment_distributed_requires_hosts(capsys):
     assert main(
         ["run-experiment", "--name", "vss-coin", "-n", "7",

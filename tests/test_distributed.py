@@ -17,6 +17,7 @@ separate process (the CI job exercises that spawn path).  Pinned:
   close (lazy reconnect).
 """
 
+import random
 import socket
 
 import pytest
@@ -37,6 +38,7 @@ from repro.engine import (
     parse_hosts,
 )
 from repro.engine.engine import BACKEND_NAMES
+from repro.engine.wire import FrameReader, decode_document, encode_frame
 
 
 def _async_spec(trials=6, seed=3):
@@ -427,7 +429,7 @@ def test_async_wave_mode_matches_in_process_async(workers):
         assert dist.run_trials(spec) == stepped
 
 
-# -- pipelined lanes and the wire codec ------------------------------------------------
+# -- pipelined lanes and the wire -------------------------------------------------------
 
 
 def test_lane_depth_is_unobservable():
@@ -448,8 +450,8 @@ def test_lane_depth_is_unobservable():
 
 def test_pipelined_lane_fills_its_window_and_reports_it():
     """A depth-4 lane really holds several units in flight (telemetry's
-    inflight_peak) and never exceeds its window; the negotiated codec
-    and per-lane frame count land in the lane report."""
+    inflight_peak) and never exceeds its window; the per-lane frame
+    count lands in the lane report."""
     spec = _sync_spec(trials=6)
     serial = SerialBackend().run_trials(spec)
     server = WorkerServer().start()
@@ -461,56 +463,12 @@ def test_pipelined_lane_fills_its_window_and_reports_it():
         assert results == serial
         report = dist.telemetry.report(results)
         (lane,) = report.lanes
-        assert lane.codec == "binary"  # negotiation upgraded the lane
         assert 2 <= lane.inflight_peak <= 4
-        # One reply frame per unit plus the hello-ok negotiation reply.
-        assert lane.frames == spec.trials + 1
+        # One reply frame per unit (unit_size=1: one unit per trial).
+        assert lane.frames == spec.trials
         assert lane.bytes_in > 0 and lane.bytes_out > 0
     finally:
         server.close()
-
-
-def test_forced_json_codec_stays_bit_identical():
-    """codec="json" (the legacy client, no negotiation) still merges
-    identically, even pipelined."""
-    spec = _sync_spec(trials=5)
-    serial = SerialBackend().run_trials(spec)
-    server = WorkerServer().start()
-    try:
-        with DistributedBackend(
-            [server.address], unit_size=1, lane_depth=3, codec="json"
-        ) as dist:
-            assert dist.run_trials(spec) == serial
-        report = dist.telemetry.report(serial)
-        (lane,) = report.lanes
-        assert lane.codec == "json"
-    finally:
-        server.close()
-
-
-def test_mixed_fleet_with_legacy_json_worker_is_bit_identical():
-    """The interop acceptance: one binary-capable worker and one
-    pre-codec worker (binary=False, stats=False — the legacy server
-    shape) serve one sweep; the merged results match serial bit for
-    bit and the lane reports show which codec each lane negotiated."""
-    spec = _sync_spec(trials=8)
-    serial = SerialBackend().run_trials(spec)
-    modern = WorkerServer().start()
-    legacy = WorkerServer(binary=False, stats=False).start()
-    try:
-        with DistributedBackend(
-            [modern.address, legacy.address], unit_size=1, lane_depth=3
-        ) as dist:
-            results = dist.run_trials(spec)
-        assert results == serial
-        report = dist.telemetry.report(results)
-        codecs = {lane.lane: lane.codec for lane in report.lanes}
-        assert codecs[modern.address] == "binary"
-        assert codecs[legacy.address] == "json"
-        assert all(lane.units_ok for lane in report.lanes)
-    finally:
-        modern.close()
-        legacy.close()
 
 
 def test_worker_killed_mid_pipelined_sweep_rebalances_every_inflight_unit():
@@ -551,21 +509,61 @@ def test_oversized_reply_fails_the_lane_with_a_named_error():
         server.close()
 
 
+def _exchange_raw(server, request: bytes):
+    """Send raw bytes to a live worker; return its replies up to EOF.
+
+    Each reply is decoded from one frame; the read ends when the
+    worker hangs up.
+    """
+    with socket.create_connection(
+        (server.host, server.port), timeout=5.0
+    ) as sock:
+        sock.sendall(request)
+        reader = FrameReader(sock)
+        replies = []
+        while True:
+            frame = reader.read_frame()
+            if frame is None:
+                return replies
+            replies.append(decode_document(frame.payload))
+
+
 def test_worker_refuses_oversized_request_frame():
     """The server-side cap mirrors the client's: an oversized request
     is answered with an error naming the cap, then the worker hangs up
     (framing cannot be resynchronised mid-stream)."""
-    import json as json_module
-
     server = WorkerServer(max_frame_bytes=512).start()
     try:
-        with socket.create_connection(
-            (server.host, server.port), timeout=5.0
-        ) as sock:
-            sock.sendall(b'{"pad":"' + b"x" * 2048 + b'"}\n')
-            reply = json_module.loads(sock.makefile().readline())
+        # Incompressible padding: the length prefix itself is over cap.
+        pad = random.Random(0).randbytes(2048).hex()
+        (reply,) = _exchange_raw(
+            server, encode_frame({"version": 1, "kind": "unit", "pad": pad})
+        )
         assert reply["kind"] == "error"
         assert "frame cap" in reply["error"]
+    finally:
+        server.close()
+    # Through the client: the refusal answers no unit id, so it fails
+    # the lane, and the sweep's error carries the worker's reason.
+    small = WorkerServer(max_frame_bytes=64).start()
+    try:
+        with DistributedBackend([small.address], unit_size=1) as dist:
+            with pytest.raises(DispatchError, match="frame cap"):
+                dist.run_trials(_sync_spec(trials=1))
+    finally:
+        small.close()
+
+
+def test_worker_answers_a_json_line_with_one_framed_error():
+    """A peer speaking JSON lines gets exactly one framed error naming
+    the offending first byte, then the worker hangs up — instead of the
+    connection hanging while the worker waits for a frame header."""
+    server = WorkerServer().start()
+    try:
+        (reply,) = _exchange_raw(server, b'{"version":1,"kind":"unit"}\n')
+        assert reply["kind"] == "error"
+        assert "0x7b" in reply["error"]
+        assert server.units_served == 0
     finally:
         server.close()
 
@@ -577,7 +575,13 @@ def test_lane_depth_validation():
             DistributedBackend([server.address], lane_depth=0)
         with pytest.raises(EngineError, match="lane_depth"):
             SocketTransport([server.address], lane_depth=0)
-        with pytest.raises(EngineError, match="codec"):
-            SocketTransport([server.address], codec="msgpack")
+        # A frame cap too small for any frame fails at construction
+        # (the backend builds its transport lazily, so it checks too).
+        with pytest.raises(EngineError, match="max_frame_bytes"):
+            DistributedBackend([server.address], max_frame_bytes=4)
+        with pytest.raises(EngineError, match="max_frame_bytes"):
+            SocketTransport([server.address], max_frame_bytes=4)
+        with pytest.raises(EngineError, match="max_frame_bytes"):
+            WorkerServer(max_frame_bytes=4)
     finally:
         server.close()

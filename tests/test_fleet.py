@@ -166,6 +166,9 @@ def test_registry_register_heartbeat_evict(root):
     registry = FleetRegistry(root, heartbeat_timeout=5.0)
     info = registry.register("127.0.0.1", 7100, capacity=3, worker_id="w1")
     assert worker_from_wire(worker_to_wire(info)) == info
+    # Registrations written with the retired advisory codecs field
+    # still decode.
+    assert worker_from_wire({**worker_to_wire(info), "codecs": [2, 1]}) == info
     assert registry.addresses() == [("127.0.0.1", 7100, 3)]
     # A stale heartbeat drops the worker from the live set and gets
     # evicted; eviction is what frees its units for rebalancing.
@@ -179,28 +182,6 @@ def test_registry_register_heartbeat_evict(root):
         registry.register("h", 7100, capacity=0)
     with pytest.raises(FleetError, match="unsafe"):
         registry.deregister("../escape")
-
-
-def test_registry_carries_advisory_codecs(root):
-    """The roster records which wire codecs each worker speaks; old
-    registration files (no codecs field) decode as JSON-only, and a
-    heartbeat rewrite preserves the field."""
-    from repro.engine.spec import SUPPORTED_CODECS
-
-    registry = FleetRegistry(root)
-    info = registry.register(
-        "127.0.0.1", 7100, worker_id="wc", codecs=tuple(SUPPORTED_CODECS)
-    )
-    assert info.codecs == tuple(SUPPORTED_CODECS)
-    assert worker_from_wire(worker_to_wire(info)) == info
-    assert registry.workers()[0].codecs == tuple(SUPPORTED_CODECS)
-    refreshed = registry.heartbeat(info, units_served=3)
-    assert refreshed.codecs == tuple(SUPPORTED_CODECS)
-    # Tolerant decode: a pre-codec registration implies the JSON line
-    # protocol (codec 1).
-    doc = worker_to_wire(info)
-    del doc["codecs"]
-    assert worker_from_wire(doc).codecs == (1,)
 
 
 def test_heartbeat_thread_registers_and_withdraws(root):

@@ -74,13 +74,12 @@ def test_quick_suites_emit_the_declared_schema():
     assert cost["cost_units"] != cost["uniform_units"]  # geometry moved
     assert cost["speedup"] > 0  # gated: mixed-n makespan must not regress
     wire = suites["dispatch_wire_n64"]
-    assert wire["parity"] is True  # both codecs matched serial, bit for bit
-    assert wire["json_s"] > 0 and wire["binary_s"] > 0
-    assert wire["binary_units_per_s"] > 0 and wire["json_units_per_s"] > 0
-    # The binary codec must actually shrink the same sweep on the wire,
-    # and the pipelined lane must have had more than one unit in flight.
-    assert 0 < wire["binary_wire_bytes"] < wire["json_wire_bytes"]
-    assert wire["binary_inflight_peak"] > 1
+    assert wire["parity"] is True  # both depths matched serial, bit for bit
+    assert wire["depth1_s"] > 0 and wire["depth4_s"] > 0
+    assert wire["depth1_units_per_s"] > 0 and wire["depth4_units_per_s"] > 0
+    assert wire["wire_bytes"] > 0
+    # The pipelined lane must have had more than one unit in flight.
+    assert wire["inflight_peak"] > 1
     assert wire["speedup"] > 0  # gated: pipelining win must not regress
 
 

@@ -98,32 +98,29 @@ class TestStatsWire:
 
 class TestLegacyWorkerInterop:
     def test_mixed_stats_and_legacy_workers(self):
-        """A no-stats worker interoperates: parity holds, its lane just
-        reports no compute samples."""
+        """Two workers share one sweep: parity holds, and each lane
+        carries one compute sample per unit plus its wire counters."""
         spec = _spec(trials=8)
         serial = SerialBackend().run_trials(spec)
-        modern = WorkerServer().start()
-        legacy = WorkerServer(stats=False).start()
+        first = WorkerServer().start()
+        second = WorkerServer().start()
         try:
             with DistributedBackend(
-                [modern.address, legacy.address], unit_size=2
+                [first.address, second.address], unit_size=2
             ) as backend:
                 assert backend.run_trials(spec) == serial
                 report = backend.telemetry.report(serial)
         finally:
-            modern.close()
-            legacy.close()
+            first.close()
+            second.close()
         lanes = report.lane_map()
-        modern_lane = lanes[modern.address]
-        legacy_lane = lanes[legacy.address]
-        assert modern_lane.units_ok + legacy_lane.units_ok == 4
-        # The modern lane stamped compute time for every unit it ran;
-        # the legacy lane stamped none — and that is not an error.
-        assert len(modern_lane.compute_seconds) == modern_lane.units_ok
-        assert legacy_lane.compute_seconds == ()
-        # Wire counters come from the transport, not the worker, so
-        # both lanes have them.
-        for lane in (modern_lane, legacy_lane):
+        first_lane = lanes[first.address]
+        second_lane = lanes[second.address]
+        assert first_lane.units_ok + second_lane.units_ok == 4
+        for lane in (first_lane, second_lane):
+            # Every reply carries stats: one compute sample per unit.
+            assert len(lane.compute_seconds) == lane.units_ok
+            # Wire counters come from the transport, not the worker.
             if lane.units_ok:
                 assert lane.bytes_out > 0 and lane.bytes_in > 0
                 assert len(lane.round_trip_seconds) >= lane.units_ok
@@ -230,6 +227,10 @@ class TestMergeAlgebra:
         assert rewired == folded
         for q in (50, 90, 99):
             assert rewired.unit_latency(q) == folded.unit_latency(q)
+        # Artifacts written with the retired per-lane codec label load.
+        old = report_to_wire(RunReport(lanes=(LaneReport(lane="a"),)))
+        old["lanes"][0]["codec"] = "binary"
+        assert report_from_wire(old).lanes == (LaneReport(lane="a"),)
 
     def test_lane_merge_rejects_mismatched_ids(self):
         with pytest.raises(ValueError, match="lane"):

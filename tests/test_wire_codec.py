@@ -1,37 +1,23 @@
-"""Tests for the binary wire codec and the buffered frame reader.
+"""Tests for the wire frame and the buffered frame reader.
 
-Three properties carry the fast data plane:
+Two properties carry the data plane:
 
-* **golden frames** — codec 1 output is byte-for-byte the pre-codec
-  line protocol, pinned against literal byte strings (and against a
-  live worker socket), so no codec change can silently break legacy
-  ``repro worker serve`` peers;
 * **framing is chunk-agnostic** — the reader reassembles frames from
-  any recv segmentation: byte-at-a-time drips, delimiters landing
-  mid-chunk, and several frames coalescing into one segment (the
-  regression behind the old per-chunk ``endswith(b"\\n")`` bug);
-* **bounded and loud** — oversized frames, bad headers, corrupt
-  compression and mid-frame EOF each raise one specific error instead
-  of hanging, guessing, or growing the buffer without bound.
+  any recv segmentation: byte-at-a-time drips, a frame boundary
+  landing mid-chunk, and several frames coalescing into one segment;
+* **bounded and loud** — a non-frame first byte, oversized frames,
+  bad headers, corrupt compression and mid-frame EOF each raise one
+  specific error instead of hanging, guessing, or growing the buffer
+  without bound.
 """
 
-import json
 import struct
 import zlib
 
 import pytest
 
-from repro.engine import ExperimentSpec, WireFormatError
-from repro.engine.dispatch import MODE_TRIALS, WorkUnit, unit_to_wire
-from repro.engine.spec import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    SUPPORTED_CODECS,
-    WIRE_VERSION,
-    codec_name,
-    negotiate_codec,
-    wire_dumps,
-)
+from repro.engine import WireFormatError
+from repro.engine.spec import WIRE_VERSION, wire_dumps
 from repro.engine.wire import (
     COMPRESS_MIN_BYTES,
     DEFAULT_MAX_FRAME_BYTES,
@@ -59,90 +45,21 @@ def _reader(*chunks: bytes, cap: int = DEFAULT_MAX_FRAME_BYTES) -> FrameReader:
     return FrameReader(FakeSocket(*chunks), max_frame_bytes=cap)
 
 
-_SPEC = ExperimentSpec(runner="vss-coin", n=7, trials=3, seed=42)
-
-#: The legacy line protocol, frozen.  These literals are the bytes the
-#: pre-codec client put on the wire for this unit; codec 1 must keep
-#: emitting them forever or old workers stop understanding new clients.
-_GOLDEN_UNIT_FRAME = (
-    b'{"indices":[0,1],"kind":"unit","max_live":null,"mode":"trials",'
-    b'"predicted_cost":null,"spec":{"kind":"spec","n":7,"params":[],'
-    b'"runner":"vss-coin","seed":42,"trials":3,"version":1},"version":1}\n'
-)
-_GOLDEN_PING_FRAME = b'{"kind":"ping","version":1}\n'
+_SMALL = {"version": WIRE_VERSION, "kind": "error", "error": "short"}
+#: Long and repetitive: takes the compressed path.
+_LARGE = {
+    "version": WIRE_VERSION,
+    "kind": "error",
+    "error": "x" * (4 * COMPRESS_MIN_BYTES),
+}
 
 
-# -- golden frames: codec 1 is the legacy protocol, byte for byte ----------------------
-
-
-def test_json_unit_frame_matches_golden_bytes():
-    unit = WorkUnit(spec=_SPEC, indices=(0, 1), mode=MODE_TRIALS)
-    assert encode_frame(unit_to_wire(unit), CODEC_JSON) == _GOLDEN_UNIT_FRAME
-
-
-def test_json_ping_frame_matches_golden_bytes():
-    assert (
-        encode_frame({"version": WIRE_VERSION, "kind": "ping"}, CODEC_JSON)
-        == _GOLDEN_PING_FRAME
-    )
-
-
-def test_json_codec_is_exactly_the_line_protocol():
-    """codec 1 == wire_dumps + newline for any document, so every
-    pre-codec byte-identity argument carries over unchanged."""
-    docs = [
-        {"version": WIRE_VERSION, "kind": "ping"},
-        {"version": WIRE_VERSION, "kind": "error", "error": "ünïcodé 🎲"},
-        unit_to_wire(WorkUnit(spec=_SPEC, indices=(2,), mode=MODE_TRIALS)),
-    ]
-    for doc in docs:
-        frame = encode_frame(doc, CODEC_JSON)
-        assert frame == (wire_dumps(doc) + "\n").encode("utf-8")
-        assert frame.endswith(b"\n") and b"\n" not in frame[:-1]
-
-
-def test_live_worker_answers_golden_request_with_legacy_bytes():
-    """End-to-end byte identity: a raw legacy client (literal golden
-    bytes, no codec negotiation) against a binary-capable worker gets
-    back exactly the bytes a pre-codec worker produced."""
-    import socket
-
-    from repro.engine import WorkerServer
-    from repro.engine.dispatch import run_unit_timed, unit_from_wire
-
-    expected_results, _stats = run_unit_timed(
-        unit_from_wire(json.loads(_GOLDEN_UNIT_FRAME.decode()))
-    )
-    from repro.engine.spec import result_to_wire
-
-    expected_frame = encode_frame(
-        {
-            "version": WIRE_VERSION,
-            "kind": "results",
-            "results": [result_to_wire(r) for r in expected_results],
-        },
-        CODEC_JSON,
-    )
-    # stats=False reproduces the pre-telemetry reply shape.
-    with WorkerServer(stats=False) as server:
-        with socket.create_connection(
-            (server.host, server.port), timeout=5.0
-        ) as sock:
-            sock.sendall(_GOLDEN_UNIT_FRAME)
-            got = bytearray()
-            while not got.endswith(b"\n"):
-                chunk = sock.recv(65536)
-                assert chunk, "worker hung up before the reply"
-                got.extend(chunk)
-    assert bytes(got) == expected_frame
-
-
-# -- binary codec round trips ----------------------------------------------------------
+# -- frame round trips -----------------------------------------------------------------
 
 
 def test_binary_round_trip_small_payload_uncompressed():
-    doc = {"version": WIRE_VERSION, "kind": "ping"}
-    frame = encode_frame(doc, CODEC_BINARY)
+    doc = _SMALL
+    frame = encode_frame(doc)
     magic, version, flags, reserved, length = struct.unpack(
         ">BBBBI", frame[:HEADER_BYTES]
     )
@@ -151,29 +68,17 @@ def test_binary_round_trip_small_payload_uncompressed():
     )
     assert length == len(frame) - HEADER_BYTES
     raw = _reader(frame).read_frame()
-    assert raw.codec == CODEC_BINARY
     assert raw.size == len(frame)
     assert decode_document(raw.payload) == doc
 
 
 def test_binary_round_trip_large_payload_compressed():
-    doc = {
-        "version": WIRE_VERSION,
-        "kind": "error",
-        "error": "x" * (4 * COMPRESS_MIN_BYTES),
-    }
-    frame = encode_frame(doc, CODEC_BINARY)
+    doc = _LARGE
+    frame = encode_frame(doc)
     assert frame[2] & FLAG_ZLIB
-    assert len(frame) < len(encode_frame(doc, CODEC_JSON))
+    assert len(frame) < HEADER_BYTES + len(wire_dumps(doc).encode())
     raw = _reader(frame).read_frame()
     assert decode_document(raw.payload) == doc
-
-
-def test_binary_compression_can_be_disabled():
-    doc = {"version": WIRE_VERSION, "kind": "error", "error": "y" * 2048}
-    frame = encode_frame(doc, CODEC_BINARY, compress_min=None)
-    assert not frame[2] & FLAG_ZLIB
-    assert decode_document(_reader(frame).read_frame().payload) == doc
 
 
 def test_incompressible_payload_ships_uncompressed():
@@ -185,82 +90,48 @@ def test_incompressible_payload_ships_uncompressed():
         random.Random(7).choice("0123456789abcdef") for _ in range(2048)
     )
     doc = {"version": WIRE_VERSION, "kind": "error", "error": noise}
-    frame = encode_frame(doc, CODEC_BINARY)
+    frame = encode_frame(doc)
     if not frame[2] & FLAG_ZLIB:  # hex noise may still deflate slightly
         assert len(frame) <= HEADER_BYTES + len(wire_dumps(doc).encode())
     assert decode_document(_reader(frame).read_frame().payload) == doc
-
-
-def test_unknown_codec_rejected_on_encode():
-    with pytest.raises(WireFormatError, match="codec"):
-        encode_frame({"version": WIRE_VERSION, "kind": "ping"}, 99)
-
-
-def test_frame_magic_never_begins_a_json_document():
-    """The dispatch property behind per-frame codec detection."""
-    assert FRAME_MAGIC > 0x7F  # outside ASCII entirely
 
 
 # -- the buffered reader: chunk-agnostic framing ---------------------------------------
 
 
 def test_reader_handles_byte_at_a_time_delivery():
-    doc = {"version": WIRE_VERSION, "kind": "ping"}
-    for codec in SUPPORTED_CODECS:
-        frame = encode_frame(doc, codec)
+    for doc in (_SMALL, _LARGE):
+        frame = encode_frame(doc)
         reader = _reader(*[frame[i:i + 1] for i in range(len(frame))])
         assert decode_document(reader.read_frame().payload) == doc
         assert reader.read_frame() is None
 
 
 def test_reader_handles_coalesced_frames_in_one_chunk():
-    """The regression the old per-chunk endswith(b"\\n") check had:
-    two frames arriving in one recv must decode as two frames, with
+    """Two frames arriving in one recv must decode as two frames, with
     the trailing bytes preserved across read_frame calls."""
-    first = {"version": WIRE_VERSION, "kind": "ping"}
-    second = {"version": WIRE_VERSION, "kind": "error", "error": "late"}
-    reader = _reader(
-        encode_frame(first, CODEC_JSON) + encode_frame(second, CODEC_JSON)
-    )
-    assert decode_document(reader.read_frame().payload) == first
-    assert decode_document(reader.read_frame().payload) == second
+    reader = _reader(encode_frame(_SMALL) + encode_frame(_LARGE))
+    assert decode_document(reader.read_frame().payload) == _SMALL
+    assert decode_document(reader.read_frame().payload) == _LARGE
     assert reader.read_frame() is None
 
 
-def test_reader_handles_delimiter_landing_mid_chunk():
-    """A newline mid-chunk plus a partial next frame: the old reader
-    either stalled or corrupted; the buffered one yields both frames."""
-    first = encode_frame({"version": WIRE_VERSION, "kind": "ping"}, CODEC_JSON)
-    second = encode_frame(
-        {"version": WIRE_VERSION, "kind": "pong"}, CODEC_JSON
-    )
-    split = len(second) // 2
-    reader = _reader(first + second[:split], second[split:])
-    assert decode_document(reader.read_frame().payload)["kind"] == "ping"
-    assert decode_document(reader.read_frame().payload)["kind"] == "pong"
-
-
-def test_reader_interleaves_codecs_on_one_stream():
-    """Codec detection is per frame — exactly what the negotiation
-    hand-off needs (the hello-ok travels under the old codec, the next
-    frame under the new one)."""
-    a = {"version": WIRE_VERSION, "kind": "ping"}
-    b = {"version": WIRE_VERSION, "kind": "pong"}
-    reader = _reader(
-        encode_frame(a, CODEC_JSON)
-        + encode_frame(b, CODEC_BINARY)
-        + encode_frame(a, CODEC_JSON)
-    )
-    assert reader.read_frame().codec == CODEC_JSON
-    assert reader.read_frame().codec == CODEC_BINARY
-    assert reader.read_frame().codec == CODEC_JSON
-    assert reader.read_frame() is None
+def test_reader_handles_frame_boundary_mid_chunk():
+    """A frame boundary mid-chunk plus a partial next frame (split
+    inside its header, then inside its payload): the buffered reader
+    yields both frames."""
+    first = encode_frame(_SMALL)
+    second = encode_frame(_LARGE)
+    for split in (HEADER_BYTES // 2, len(second) // 2):
+        reader = _reader(first + second[:split], second[split:])
+        assert decode_document(reader.read_frame().payload) == _SMALL
+        assert decode_document(reader.read_frame().payload) == _LARGE
+        assert reader.read_frame() is None
 
 
 def test_reader_counts_wire_bytes_per_frame():
-    doc = {"version": WIRE_VERSION, "kind": "ping"}
-    for codec in SUPPORTED_CODECS:
-        frame = encode_frame(doc, codec)
+    for doc in (_SMALL, _LARGE):
+        frame = encode_frame(doc)
         assert _reader(frame).read_frame().size == len(frame)
 
 
@@ -272,11 +143,35 @@ def test_clean_eof_at_boundary_returns_none():
 
 
 def test_eof_mid_frame_raises_connection_error():
-    frame = encode_frame({"version": WIRE_VERSION, "kind": "ping"}, CODEC_BINARY)
+    frame = encode_frame(_SMALL)
+    # Inside the payload, then inside the header.
     with pytest.raises(ConnectionError, match="mid-frame"):
         _reader(frame[: HEADER_BYTES + 2]).read_frame()
     with pytest.raises(ConnectionError, match="mid-frame"):
-        _reader(b'{"version":1,"kind":"ping"').read_frame()
+        _reader(frame[: HEADER_BYTES - 1]).read_frame()
+
+
+def test_reader_refuses_a_non_frame_first_byte_at_once():
+    """A JSON line (or any non-frame stream) is refused on its first
+    byte, naming it: the reader never waits for the whole header a
+    foreign peer may never send."""
+
+    class OneByteThenSilence:
+        def __init__(self) -> None:
+            self.chunks = [b"{"]
+
+        def recv(self, _size: int) -> bytes:
+            if not self.chunks:
+                raise AssertionError("reader waited past the first byte")
+            return self.chunks.pop(0)
+
+    with pytest.raises(WireFormatError, match="0x7b"):
+        FrameReader(OneByteThenSilence()).read_frame()
+    # Checked per frame: a stray line after a good frame is refused too.
+    reader = _reader(encode_frame(_SMALL) + b'{"kind":"unit"}\n')
+    assert decode_document(reader.read_frame().payload) == _SMALL
+    with pytest.raises(WireFormatError, match="0x7b"):
+        reader.read_frame()
 
 
 def test_oversized_binary_frame_rejected_naming_the_cap():
@@ -285,11 +180,6 @@ def test_oversized_binary_frame_rejected_naming_the_cap():
     )
     with pytest.raises(WireFormatError, match="4096-byte frame cap"):
         _reader(header, cap=4096).read_frame()
-
-
-def test_oversized_json_line_rejected_naming_the_cap():
-    with pytest.raises(WireFormatError, match="4096-byte frame cap"):
-        _reader(*[b"x" * 1024] * 8, cap=4096).read_frame()
 
 
 def test_zlib_bomb_rejected_after_decompression():
@@ -332,29 +222,3 @@ def test_non_utf8_payload_rejected():
 def test_reader_rejects_unusable_cap():
     with pytest.raises(WireFormatError, match="max_frame_bytes"):
         FrameReader(FakeSocket(), max_frame_bytes=HEADER_BYTES)
-
-
-# -- codec negotiation -----------------------------------------------------------------
-
-
-def test_negotiate_codec_prefers_binary():
-    assert negotiate_codec([CODEC_BINARY, CODEC_JSON]) == CODEC_BINARY
-    assert negotiate_codec([CODEC_JSON, CODEC_BINARY]) == CODEC_BINARY
-    assert negotiate_codec(list(SUPPORTED_CODECS)) == CODEC_BINARY
-
-
-def test_negotiate_codec_falls_back_to_json():
-    # Disjoint, empty, malformed, or boolean-polluted offers all land
-    # on the universally-understood codec instead of raising.
-    assert negotiate_codec([CODEC_JSON]) == CODEC_JSON
-    assert negotiate_codec([99, 100]) == CODEC_JSON
-    assert negotiate_codec([]) == CODEC_JSON
-    assert negotiate_codec(None) == CODEC_JSON
-    assert negotiate_codec("binary") == CODEC_JSON
-    assert negotiate_codec([True, False]) == CODEC_JSON
-
-
-def test_codec_names():
-    assert codec_name(CODEC_JSON) == "json"
-    assert codec_name(CODEC_BINARY) == "binary"
-    assert "3" in codec_name(3)  # unknown ids still render

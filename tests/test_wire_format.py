@@ -227,13 +227,15 @@ def test_worker_rejects_version_mismatch_over_the_socket():
     import socket
 
     from repro.engine import WorkerServer
+    from repro.engine.wire import FrameReader, decode_document, encode_frame
 
     with WorkerServer() as server:
         with socket.create_connection(
             (server.host, server.port), timeout=5.0
         ) as sock:
-            bad = {"version": WIRE_VERSION + 1, "kind": "unit"}
-            sock.sendall((json.dumps(bad) + "\n").encode())
-            reply = json.loads(sock.makefile().readline())
+            bad = {"version": WIRE_VERSION + 1, "kind": "unit", "id": 7}
+            sock.sendall(encode_frame(bad))
+            reply = decode_document(FrameReader(sock).read_frame().payload)
     assert reply["kind"] == "error"
     assert "version" in reply["error"]
+    assert reply["id"] == 7  # errors echo the request's unit id
