@@ -7,6 +7,15 @@ straight up to the revealing node over ℓ-links (Lemma 3).
 
 Implementation notes:
 
+* **State as integers.**  Every dealing is one row of a dealing table,
+  ``(key, parent dealing id, parent x, dealer, group size)``, and its
+  id is the row index; a secret's initial dealing has parent -1.  A
+  share is then (dealing id, x, value), and each ``(node, pid)`` store
+  holds, per key, three parallel lists of those integers.  A share's
+  path (its dealing hops from the initial dealing, Definition 1's
+  index) is rebuilt from the table only by the views that show one:
+  :meth:`~TreeCommunicator.records_at` and
+  :attr:`~TreeCommunicator.group_sizes`.  Only writes create stores.
 * **Upward** flows are tracked per processor: ``(node, pid)`` share
   stores, so adversary knowledge (which secrets a corrupted coalition can
   reconstruct — Lemma 1) is exact.  Each holder deals all of its records
@@ -19,18 +28,24 @@ Implementation notes:
   child node iff enough shares of that dealing arrive — exactly the
   condition Lemma 3(2) argues holds along good paths.
 * **Grouping.**  What a node sends does not depend on the child: its
-  frontier is grouped once per node (per dealing, each coordinate's
-  (holder, delivered value) pairs; each holder's record count).  A child
-  then only weighs each holder by how many of its members the holder's
-  uplinks reach, and decodes each distinct (threshold, points) pool once
-  per call.
+  frontier is grouped by dealing id once per node (per dealing, each
+  coordinate's (holder, delivered value) pairs; each holder's record
+  count).  A child then only weighs each holder by how many of its
+  members the holder's uplinks reach, and decodes each distinct
+  (threshold, points) pool once per call.
 * **Holder ranks.**  The members that forward a reconstructed record are
   the (at most ``REPLICATION_CAP``) child members that received the most
   of its shares, ties to the smaller pid.  Those counts depend only on
   the child and the dealing's holders, which every key of an owner
   repeats, so the ranking is memoised per (child, holder signature).
-* Every transfer is charged to the ledger at word granularity, preserving
-  Lemma 5's counting (including the ``d_m^ℓ`` replication blow-up).
+* **Message counts.**  Every transfer is charged to the ledger at word
+  granularity, preserving Lemma 5's counting (including the ``d_m^ℓ``
+  replication blow-up), with one ledger call per (sender, recipient) per
+  call.  The initial dealing and sendSecretUp count one message per
+  share copy; the sendDown hops, the level-1 exchange and sendOpen count
+  one message per (sender, recipient) pair per call, whatever its word
+  count.  Pairs with no words are not charged, so the ledger holds no
+  zero entries.
 * Corrupted holders contribute *tampered* share values during reveal and
   deal garbage when re-sharing; robustness comes from the same
   majority/threshold structure the paper relies on.
@@ -40,13 +55,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..crypto.field import PrimeField
 from ..crypto.reed_solomon import decode_constant
-from ..crypto.shamir import SecretSharingError, ShamirScheme, Share
+from ..crypto.shamir import ShamirScheme, Share
 from ..net.accounting import BitLedger
 from ..net.messages import HEADER_BITS
 from ..topology.links import LinkStructure
@@ -60,14 +76,23 @@ PathEntry = Tuple[int, int]
 
 SharePathT = Tuple[PathEntry, ...]
 
+#: One row of the dealing table: (key, parent dealing id or -1, parent
+#: x, dealer, group size).
+_DealingRow = Tuple[SecretKey, int, int, int, int]
+
+#: The shares one processor holds for one key: parallel lists of
+#: dealing id, x and value.
+_Columns = Tuple[List[int], List[int], List[int]]
+
+#: One dealing's shares at a node during sendDown: parallel lists of x,
+#: holders and value, one entry per record.
+_Arrivals = Tuple[List[int], List[Tuple[int, ...]], List[int]]
+
+#: A node's sendDown frontier: key -> dealing id -> its arrivals.
+_Frontier = Dict[SecretKey, Dict[int, _Arrivals]]
+
 #: One decoder input: (reconstruction threshold, majority points).
 _PoolKey = Tuple[int, Tuple[Tuple[int, int], ...]]
-
-#: A frontier entry: a record and the pids holding copies of it.
-_Held = Tuple["ShareRecord", Tuple[int, ...]]
-
-#: The holders tuple of each record of one dealing, in record order.
-_Signature = Tuple[Tuple[int, ...], ...]
 
 #: One coordinate of a grouped dealing: (x, the decoder point (x, value)
 #: when every holder delivers the same value or else None, holders, and
@@ -79,14 +104,18 @@ _Coordinate = Tuple[
     Tuple[Tuple[int, int], ...],
 ]
 
-#: One dealing of a grouped node frontier: (dealing path, threshold,
-#: its coordinates by ascending x, holder signature).
-_Dealing = Tuple[SharePathT, int, List[_Coordinate], _Signature]
+#: The holders tuple of each record of one dealing, in record order.
+_Signature = Tuple[Tuple[int, ...], ...]
+
+#: One dealing of a grouped node frontier: (dealing id, threshold, its
+#: coordinates by ascending x, holder signature).
+_Dealing = Tuple[int, int, List[_Coordinate], _Signature]
 
 
 @dataclass(frozen=True)
 class ShareRecord:
-    """An i-share held by some processor.
+    """An i-share held by some processor, as
+    :meth:`TreeCommunicator.records_at` shows it.
 
     ``path`` lists the dealing hops from the original level-1 dealing to
     this record; ``len(path)`` is the iteration depth i.
@@ -100,10 +129,6 @@ class ShareRecord:
     def depth(self) -> int:
         """Number of share-tree levels above this record."""
         return len(self.path)
-
-    def prefix(self) -> SharePathT:
-        """The parent record's path (one dealing hop removed)."""
-        return self.path[:-1]
 
 
 class CommunicationError(RuntimeError):
@@ -216,38 +241,103 @@ class TreeCommunicator:
         self.ledger = ledger
         self.rng = rng
         self.threshold_fraction = threshold_fraction
-        #: (node, pid) -> secret -> list of records held there.
-        self.stores: Dict[Tuple[NodeId, int], Dict[SecretKey, List[ShareRecord]]] = {}
-        #: (secret, dealing path) -> group size of that dealing.
-        self.group_sizes: Dict[Tuple[SecretKey, SharePathT], int] = {}
+        #: (node, pid) -> secret -> (dealing ids, xs, values) held there.
+        self.stores: Dict[Tuple[NodeId, int], Dict[SecretKey, _Columns]] = {}
+        #: The dealing table; a dealing's id is its row index.
+        self._dealings: List[_DealingRow] = []
+        #: secret -> id of its initial (level-1) dealing.
+        self._roots: Dict[SecretKey, int] = {}
         self.word_bits = field.element_bits
 
     # -- helpers --------------------------------------------------------------------
 
-    def _store(self, node: NodeId, pid: int) -> Dict[SecretKey, List[ShareRecord]]:
-        return self.stores.setdefault((node, pid), {})
-
     def _threshold(self, group_size: int) -> int:
         return max(1, int(group_size * self.threshold_fraction) + 1)
 
-    def _charge(self, sender: int, recipient: int, words: int = 1) -> None:
-        self.ledger.record_abstract(
-            sender, recipient, words * (self.word_bits + HEADER_BITS)
-        )
+    def _path(self, dealing: int, x: int) -> SharePathT:
+        """The dealing hops of share ``x`` of ``dealing``, oldest first."""
+        hops: List[PathEntry] = []
+        while dealing >= 0:
+            _key, parent, parent_x, dealer, _size = self._dealings[dealing]
+            hops.append((dealer, x))
+            dealing, x = parent, parent_x
+        return tuple(reversed(hops))
 
-    def _charge_batch(self, counts: Dict[Tuple[int, int], int]) -> None:
-        """One ledger entry per (sender, recipient) pair — hot-path form."""
-        per_word = self.word_bits + HEADER_BITS
-        for (sender, recipient), words in counts.items():
-            self.ledger.record_abstract(sender, recipient, words * per_word)
+    @property
+    def group_sizes(self) -> Mapping[Tuple[SecretKey, SharePathT], int]:
+        """(secret, dealing path) -> group size of that dealing.
+
+        A read-only view derived from the dealing table; a dealing's
+        path is its shares' paths with x = 0 in the last hop.
+        """
+        return MappingProxyType({
+            (row[0], self._path(dealing, 0)): row[4]
+            for dealing, row in enumerate(self._dealings)
+        })
 
     def records_at(self, node: NodeId, pid: int, key: SecretKey) -> List[ShareRecord]:
         """Share records a processor holds for a key at a node."""
-        return list(self._store(node, pid).get(key, []))
+        columns = self.stores.get((node, pid), {}).get(key)
+        if columns is None:
+            return []
+        return [
+            ShareRecord(secret=key, path=self._path(dealing, x), value=value)
+            for dealing, x, value in zip(*columns)
+        ]
 
     def erase(self, node: NodeId, pid: int, key: SecretKey) -> None:
         """The paper's mandatory deletion after re-sharing."""
-        self._store(node, pid).pop(key, None)
+        store = self.stores.get((node, pid))
+        if store is not None:
+            store.pop(key, None)
+
+    def _deal(
+        self,
+        node: NodeId,
+        dealer: int,
+        targets: Sequence[int],
+        runs: Sequence[Tuple[SecretKey, Sequence[int], Sequence[int]]],
+        values: Sequence[int],
+    ) -> None:
+        """Deal ``values`` from ``dealer`` to ``targets`` of ``node``.
+
+        ``runs`` lists per key, in ``values`` order, the parent dealing
+        ids and parent xs of that key's consecutive records (parent -1:
+        an initial dealing).  Each record becomes one dealing-table row
+        and ``targets[j]`` stores its share x = j + 1.  The dealer is
+        charged one message per share copy, in one ledger call per
+        target.
+        """
+        group = len(targets)
+        scheme = ShamirScheme(
+            n_players=group, threshold=self._threshold(group), field=self.field
+        )
+        dealt = scheme.deal_values(values, self.rng)
+        table = self._dealings
+        spans: List[Tuple[SecretKey, range]] = []
+        for key, parents, parent_xs in runs:
+            first = len(table)
+            table.extend(
+                (key, parent, parent_x, dealer, group)
+                for parent, parent_x in zip(parents, parent_xs)
+            )
+            spans.append((key, range(first, len(table))))
+        bits = len(dealt) * (self.word_bits + HEADER_BITS)
+        for x, (target, shares) in enumerate(zip(targets, zip(*dealt)), 1):
+            store = self.stores.get((node, target))
+            if store is None:
+                store = self.stores[(node, target)] = {}
+            start = 0
+            for key, ids in spans:
+                end = start + len(ids)
+                columns = store.get(key)
+                if columns is None:
+                    columns = store[key] = ([], [], [])
+                columns[0].extend(ids)
+                columns[1].extend([x] * len(ids))
+                columns[2].extend(shares[start:end])
+                start = end
+            self.ledger.record_abstract(dealer, target, bits, len(dealt))
 
     # -- initial dealing (Algorithm 2 step 1a) ------------------------------------------
 
@@ -260,23 +350,16 @@ class TreeCommunicator:
         j receives the x = j+1 share.
         """
         leaf = NodeId(1, owner)
-        members = sorted(self.tree.members(leaf))
-        scheme = ShamirScheme(
-            n_players=len(members),
-            threshold=self._threshold(len(members)),
-            field=self.field,
+        first = len(self._dealings)
+        self._deal(
+            leaf,
+            owner,
+            sorted(self.tree.members(leaf)),
+            [(key, (-1,), (0,)) for key in secrets],
+            list(secrets.values()),
         )
-        for key, value in secrets.items():
-            shares = scheme.deal(value, self.rng)
-            self.group_sizes[(key, ((owner, 0),))] = len(members)
-            for member, share in zip(members, shares):
-                record = ShareRecord(
-                    secret=key,
-                    path=((owner, share.x),),
-                    value=share.value,
-                )
-                self._store(leaf, member).setdefault(key, []).append(record)
-                self._charge(owner, member)
+        for dealing, key in enumerate(secrets, first):
+            self._roots[key] = dealing
 
     # -- sendSecretUp ----------------------------------------------------------------
 
@@ -297,40 +380,24 @@ class TreeCommunicator:
         parent = self.tree.parent(child)
         mod = self.field.modulus
         for member in sorted(self.tree.members(child)):
-            store = self._store(child, member)
+            store = self.stores.get((child, member))
+            if not store:
+                continue
             targets = sorted(self.links.uplinks(child, member))
             if not targets:
                 continue
-            held = [
-                (key, record) for key in keys for record in store.pop(key, [])
-            ]
-            if not held:
+            runs = []
+            values: List[int] = []
+            for key in keys:
+                columns = store.pop(key, None)
+                if columns is not None:
+                    runs.append((key, columns[0], columns[1]))
+                    values.extend(columns[2])
+            if not values:
                 continue
-            scheme = ShamirScheme(
-                n_players=len(targets),
-                threshold=self._threshold(len(targets)),
-                field=self.field,
-            )
-            values = [record.value for _key, record in held]
             if member in corrupted:
                 values = [(value + 1) % mod for value in values]
-            target_stores = [self._store(parent, target) for target in targets]
-            dealt = scheme.deal_many(values, self.rng)
-            for (key, record), shares in zip(held, dealt):
-                base = record.path
-                self.group_sizes[(key, base + ((member, 0),))] = len(targets)
-                for target, target_store, share in zip(
-                    targets, target_stores, shares
-                ):
-                    target_store.setdefault(key, []).append(
-                        ShareRecord(
-                            secret=key,
-                            path=base + ((member, share.x),),
-                            value=share.value,
-                        )
-                    )
-                    # One ledger entry per copy: it counts one message.
-                    self._charge(member, target)
+            self._deal(parent, member, targets, runs, values)
 
     # -- sendDown + reconstruction ------------------------------------------------------
 
@@ -345,25 +412,38 @@ class TreeCommunicator:
         Returns the value each level-1 node reconstructs per secret (None
         on failure).  Shares held at ``top`` are consumed (released).
         """
-        # Frontier: key -> list of (record, holder pids).  Records
-        # reconstructed on the way down are replicated across several
-        # holders (capped), mirroring the paper's fan-out while keeping
-        # the state tractable; corrupted holders are then outvoted by the
-        # per-coordinate majority at the next hop.
-        frontier: Dict[SecretKey, List[_Held]] = {key: [] for key in keys}
+        # Frontier: key -> dealing id -> its records' (x, holders,
+        # value).  Records reconstructed on the way down are replicated
+        # across several holders (capped), mirroring the paper's fan-out
+        # while keeping the state tractable; corrupted holders are then
+        # outvoted by the per-coordinate majority at the next hop.
+        frontier: _Frontier = {key: {} for key in keys}
         for member in self.tree.members(top):
-            store = self._store(top, member)
+            store = self.stores.get((top, member))
+            if not store:
+                continue
+            holders = (member,)
             for key in keys:
-                for record in store.pop(key, []):
-                    frontier[key].append((record, (member,)))
+                columns = store.pop(key, None)
+                if columns is None:
+                    continue
+                by_dealing = frontier[key]
+                for dealing, x, value in zip(*columns):
+                    arrivals = by_dealing.get(dealing)
+                    if arrivals is None:
+                        by_dealing[dealing] = ([x], [holders], [value])
+                    else:
+                        arrivals[0].append(x)
+                        arrivals[1].append(holders)
+                        arrivals[2].append(value)
 
-        per_node: Dict[NodeId, Dict[SecretKey, List[_Held]]] = {top: frontier}
+        per_node: Dict[NodeId, _Frontier] = {top: frontier}
         # Sibling children often pool the same majority points for a
         # dealing; each distinct (threshold, points) pool decodes once.
         decoded: Dict[_PoolKey, Optional[int]] = {}
         level = top.level
         while level > 1:
-            next_per_node: Dict[NodeId, Dict[SecretKey, List[_Held]]] = {}
+            next_per_node: Dict[NodeId, _Frontier] = {}
             for node, node_frontier in per_node.items():
                 grouped, holder_records = self._group_frontier(
                     node_frontier, corrupted
@@ -378,26 +458,28 @@ class TreeCommunicator:
         # Level-1 nodes: members exchange all shares and reconstruct the
         # secret itself (the paper's final step).
         mod = self.field.modulus
+        per_word = self.word_bits + HEADER_BITS
         leaf_values: Dict[NodeId, Dict[SecretKey, Optional[int]]] = {}
         for leaf, leaf_frontier in per_node.items():
             members = sorted(self.tree.members(leaf))
             values: Dict[SecretKey, Optional[int]] = {}
             holder_records: Dict[int, int] = {}
-            for key, records in leaf_frontier.items():
+            for key, by_dealing in leaf_frontier.items():
                 by_x: Dict[int, Dict[int, int]] = {}
-                for record, holders in records:
-                    x = record.path[-1][1]
-                    for holder in holders:
-                        holder_records[holder] = (
-                            holder_records.get(holder, 0) + 1
-                        )
-                        value = record.value
-                        if holder in corrupted:
-                            value = (value + 1) % mod
-                        votes = by_x.setdefault(x, {})
-                        votes[value] = votes.get(value, 0) + 1
-                group_size = self.group_sizes.get(
-                    (key, ((key[0], 0),)), len(members)
+                for xs, holders_column, arrived in by_dealing.values():
+                    for x, holders, value in zip(xs, holders_column, arrived):
+                        for holder in holders:
+                            holder_records[holder] = (
+                                holder_records.get(holder, 0) + 1
+                            )
+                            delivered = value
+                            if holder in corrupted:
+                                delivered = (value + 1) % mod
+                            votes = by_x.setdefault(x, {})
+                            votes[delivered] = votes.get(delivered, 0) + 1
+                root = self._roots.get(key)
+                group_size = (
+                    len(members) if root is None else self._dealings[root][4]
                 )
                 values[key] = robust_reconstruct_points(
                     self.field,
@@ -406,12 +488,12 @@ class TreeCommunicator:
                 )
             # Intra-node exchange cost: every holder sends each record
             # to every other member.
-            charge_counts: Dict[Tuple[int, int], int] = {}
             for holder, n_records in holder_records.items():
                 for other in members:
                     if other != holder:
-                        charge_counts[(holder, other)] = n_records
-            self._charge_batch(charge_counts)
+                        self.ledger.record_abstract(
+                            holder, other, n_records * per_word
+                        )
             leaf_values[leaf] = values
         return leaf_values
 
@@ -422,44 +504,40 @@ class TreeCommunicator:
 
     def _group_frontier(
         self,
-        node_frontier: Dict[SecretKey, List[_Held]],
+        node_frontier: _Frontier,
         corrupted: Set[int],
     ) -> Tuple[Dict[SecretKey, List[_Dealing]], Dict[int, int]]:
         """The child-independent half of one sendDown hop from a node.
 
-        Returns, per key, its dealings in first-seen order (those without
-        a registered group size are left out: nothing decodes them), and
-        each holder's number of (record, holder) pairs over the frontier.
-        A corrupted holder delivers its records' values plus one.
+        Returns, per key, its dealings in first-seen order, and each
+        holder's number of (record, holder) pairs over the frontier.  A
+        dealing's signature is the holders tuple of each of its records,
+        in record order.  A corrupted holder delivers its records' values
+        plus one.
         """
         mod = self.field.modulus
+        table = self._dealings
         holder_records: Counter = Counter()
         grouped: Dict[SecretKey, List[_Dealing]] = {}
-        for key, records in node_frontier.items():
-            # dealing -> (x -> [(holders, value) per record], signature)
-            by_dealing: Dict[SharePathT, tuple] = {}
-            for record, holders in records:
-                dealer, x = record.path[-1]
-                dealing = record.path[:-1] + ((dealer, 0),)
-                entry = by_dealing.get(dealing)
-                if entry is None:
-                    entry = by_dealing[dealing] = ({}, [])
-                entry[0].setdefault(x, []).append((holders, record.value))
-                entry[1].append(holders)
+        for key, by_dealing in node_frontier.items():
             dealings: List[_Dealing] = []
-            for dealing, (by_x, signature) in by_dealing.items():
-                holder_records.update(chain.from_iterable(signature))
-                group_size = self.group_sizes.get((key, dealing))
-                if group_size is None:
-                    continue
+            for dealing, (xs, holders_column, values) in by_dealing.items():
+                holder_records.update(chain.from_iterable(holders_column))
+                by_x: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
+                for x, holders, value in zip(xs, holders_column, values):
+                    held = by_x.get(x)
+                    if held is None:
+                        by_x[x] = [(holders, value)]
+                    else:
+                        held.append((holders, value))
                 dealings.append((
                     dealing,
-                    self._threshold(group_size),
+                    self._threshold(table[dealing][4]),
                     [
                         _coordinate(x, held, corrupted, mod)
                         for x, held in sorted(by_x.items())
                     ],
-                    tuple(signature),
+                    tuple(holders_column),
                 ))
             grouped[key] = dealings
         return grouped, holder_records
@@ -470,7 +548,7 @@ class TreeCommunicator:
         grouped: Dict[SecretKey, List[_Dealing]],
         holder_records: Dict[int, int],
         decoded: Dict[_PoolKey, Optional[int]],
-    ) -> Dict[SecretKey, List[_Held]]:
+    ) -> _Frontier:
         """Send a grouped node frontier into ``child``; collapse the pools.
 
         Each holder v sends every record it holds to the child members
@@ -483,18 +561,20 @@ class TreeCommunicator:
         memoises the decoder per ``(threshold, majority points)`` pool.
         """
         reverse = self.links.reverse_uplinks(child)
-        charge_counts: Dict[Tuple[int, int], int] = {}
+        per_word = self.word_bits + HEADER_BITS
         for holder, n_records in holder_records.items():
             for recipient in reverse.get(holder, ()):
-                charge_counts[(holder, recipient)] = n_records
-        self._charge_batch(charge_counts)
+                self.ledger.record_abstract(
+                    holder, recipient, n_records * per_word
+                )
 
         coverage = {h: len(recipients) for h, recipients in reverse.items()}
         covered = coverage.keys()
         ranks: Dict[_Signature, Tuple[int, ...]] = {}
-        out: Dict[SecretKey, List[_Held]] = {}
+        table = self._dealings
+        out: _Frontier = {}
         for key, dealings in grouped.items():
-            records: List[_Held] = []
+            by_parent: Dict[int, _Arrivals] = {}
             for dealing, threshold, coordinates, signature in dealings:
                 points: List[Tuple[int, int]] = []
                 for x, agreed, holders, pairs in coordinates:
@@ -503,10 +583,10 @@ class TreeCommunicator:
                             points.append(agreed)
                         continue
                     votes: Dict[int, int] = {}
-                    for holder, value in pairs:
+                    for holder, delivered in pairs:
                         weight = coverage.get(holder)
                         if weight:
-                            votes[value] = votes.get(value, 0) + weight
+                            votes[delivered] = votes.get(delivered, 0) + weight
                     if votes:
                         points.append((x, _plurality(votes)))
                 memo_key = (threshold, tuple(points))
@@ -523,18 +603,23 @@ class TreeCommunicator:
                 if holders is None:
                     holders = self._top_recipients(reverse, signature)
                     ranks[signature] = holders
-                parent_path = dealing[:-1]
-                if not parent_path:  # fully reconstructed secret
-                    parent_path = ((key[0], 0),)
-                records.append((
-                    ShareRecord(secret=key, path=parent_path, value=value),
-                    holders,
-                ))
-            out[key] = records
+                _key, parent, x, _dealer, _size = table[dealing]
+                if parent < 0:  # fully reconstructed secret
+                    parent, x = dealing, 0
+                arrivals = by_parent.get(parent)
+                if arrivals is None:
+                    by_parent[parent] = ([x], [holders], [value])
+                else:
+                    arrivals[0].append(x)
+                    arrivals[1].append(holders)
+                    arrivals[2].append(value)
+            out[key] = by_parent
         return out
 
     def _top_recipients(
-        self, reverse: Dict[int, Tuple[int, ...]], signature: _Signature
+        self,
+        reverse: Dict[int, Tuple[int, ...]],
+        signature: _Signature,
     ) -> Tuple[int, ...]:
         """The REPLICATION_CAP child members sent the most of a dealing's
         shares, by (count descending, pid); one share per (record,
@@ -613,7 +698,9 @@ class TreeCommunicator:
                     leaf_reports, len(linked_leaves)
                 )
             node_views[member] = views
-        self._charge_batch(charge_counts)
+        per_word = self.word_bits + HEADER_BITS
+        for (sender, recipient), words in charge_counts.items():
+            self.ledger.record_abstract(sender, recipient, words * per_word)
         return node_views
 
     def _leaf_verdict(
@@ -673,60 +760,40 @@ class TreeCommunicator:
         tree and runs the same cascade the reveal would, but *only* with
         coalition shares.  True means secrecy is broken (Lemma 3(1): some
         node on the path must have gone bad).
-        """
-        by_path: Dict[SharePathT, int] = {}
-        for (node, pid), store in self.stores.items():
-            if pid not in corrupted:
-                continue
-            for record in store.get(key, []):
-                by_path[record.path] = record.value
 
-        # Iteratively collapse deepest dealings first.
+        Whether a pool reconstructs depends only on how many distinct
+        coordinates it holds, so the cascade runs over (dealing id, x)
+        pairs: a dealing with at least its threshold of coalition
+        coordinates yields the coalition its parent share.
+        """
+        known: Set[Tuple[int, int]] = set()
+        for (_node, pid), store in self.stores.items():
+            if pid in corrupted:
+                columns = store.get(key)
+                if columns is not None:
+                    known.update(zip(columns[0], columns[1]))
+
+        table = self._dealings
         changed = True
         while changed:
             changed = False
-            pools: Dict[SharePathT, List[Share]] = {}
-            for path, value in by_path.items():
-                if len(path) <= 1:
+            pools: Dict[int, Set[int]] = {}
+            for dealing, x in known:
+                if table[dealing][1] >= 0:
+                    pools.setdefault(dealing, set()).add(x)
+            for dealing, xs in pools.items():
+                _key, parent, parent_x, _dealer, size = table[dealing]
+                if (parent, parent_x) in known:
                     continue
-                dealing = path[:-1] + ((path[-1][0], 0),)
-                pools.setdefault(dealing, []).append(
-                    Share(x=path[-1][1], value=value)
-                )
-            for dealing, shares in pools.items():
-                parent_path = dealing[:-1]
-                if parent_path in by_path:
-                    continue
-                group_size = self.group_sizes.get((key, dealing))
-                if group_size is None:
-                    continue
-                threshold = self._threshold(group_size)
-                if len({s.x for s in shares}) >= threshold:
-                    scheme = ShamirScheme(
-                        n_players=group_size,
-                        threshold=threshold,
-                        field=self.field,
-                    )
-                    try:
-                        value = scheme.reconstruct(shares)
-                    except SecretSharingError:
-                        continue
-                    by_path[parent_path] = value
+                if len(xs) >= self._threshold(size):
+                    known.add((parent, parent_x))
                     changed = True
         # The secret itself corresponds to recovering the level-1 dealing.
-        root_dealing = ((key[0], 0),)
-        pool = [
-            Share(x=path[-1][1], value=value)
-            for path, value in by_path.items()
-            if len(path) == 1 and path[-1][0] == key[0]
-        ]
-        group_size = self.group_sizes.get((key, root_dealing))
-        if group_size is None:
+        root = self._roots.get(key)
+        if root is None:
             return False
-        threshold = self._threshold(group_size)
-        if len({s.x for s in pool}) >= threshold:
-            return True
-        return False
+        coordinates = {x for dealing, x in known if dealing == root}
+        return len(coordinates) >= self._threshold(table[root][4])
 
 
 def _coordinate(

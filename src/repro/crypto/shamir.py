@@ -91,11 +91,11 @@ class ShamirScheme:
         """
         return self.deal_many([secret], rng)[0]
 
-    def deal_many(
+    def deal_values(
         self, secrets: Sequence[int], rng: random.Random
-    ) -> List[List[Share]]:
-        """Share many words with one plan fetch: ``result[w]`` is word
-        ``w``'s full share list — the layout :meth:`deal` returns.
+    ) -> List[List[int]]:
+        """Share many words as bare values: ``result[w][j]`` is word
+        ``w``'s share at x = j + 1.
 
         The bulk fast path for iterated sharing and dealer-free MPC,
         which deal hundreds of values over the same grid.  Coefficients
@@ -112,12 +112,22 @@ class ShamirScheme:
             random_polynomial(self.field, secret, degree, rng)
             for secret in secrets
         ]
+        return plan.evaluate_many(rows)
+
+    def deal_many(
+        self, secrets: Sequence[int], rng: random.Random
+    ) -> List[List[Share]]:
+        """Share many words with one plan fetch: ``result[w]`` is word
+        ``w``'s full share list — the layout :meth:`deal` returns.
+
+        :meth:`deal_values` with each value wrapped as a :class:`Share`.
+        """
         return [
             [
                 Share(x=x, value=value)
                 for x, value in enumerate(values, start=1)
             ]
-            for values in plan.evaluate_many(rows)
+            for values in self.deal_values(secrets, rng)
         ]
 
     def deal_sequence(

@@ -98,16 +98,36 @@ class BitLedger:
         for message in messages:
             self.record(message)
 
-    def record_abstract(self, sender: int, recipient: int, bits: int) -> None:
-        """Account traffic without materialising a Message object.
+    def record_abstract(
+        self, sender: int, recipient: int, bits: int, messages: int = 1
+    ) -> None:
+        """Account traffic without materialising Message objects.
 
         The tournament orchestration uses this for bulk share transfers
         where building millions of Message objects would dominate runtime
-        without changing the counted bits.
+        without changing the counted bits.  One call stands for
+        ``messages`` messages from ``sender`` to ``recipient`` carrying
+        ``bits`` in total, so one call with ``k * w`` bits and
+        ``messages=k`` leaves every counter as k calls with ``w`` bits
+        would.
+
+        The tree communicator's message-count convention
+        (:mod:`repro.core.communication`): the initial dealing and
+        sendSecretUp count one message per share copy, so each dealer
+        makes one call per recipient with ``messages`` set to its share
+        count; the sendDown hops, the level-1 exchange and sendOpen count
+        one message per (sender, recipient) pair per call, whatever the
+        word count.  Callers skip pairs that carry no words, so no call
+        adds a zero entry.
+
+        Raises:
+            ValueError: if ``messages`` is below 1.
         """
+        if messages < 1:
+            raise ValueError(f"messages must be at least 1, got {messages}")
         self.sent_bits[sender] += bits
         self.received_bits[recipient] += bits
-        self.sent_messages[sender] += 1
+        self.sent_messages[sender] += messages
         self.phase_bits[self._phase] += bits
 
     def tick_round(self) -> None:

@@ -14,6 +14,7 @@ from repro.core.communication import (
 from repro.crypto.field import PrimeField
 from repro.crypto.shamir import ShamirScheme, Share
 from repro.net.accounting import BitLedger
+from repro.net.messages import HEADER_BITS
 from repro.topology.links import LinkStructure
 from repro.topology.tree import NodeId, TreeTopology
 
@@ -97,6 +98,58 @@ class TestInitialShare:
         tree, links, comm = build_comm()
         comm.initial_share(0, {(0, 0): 42})
         assert comm.ledger.bits_sent_by(0) > 0
+
+    def test_one_message_per_share_copy(self):
+        tree, links, comm = build_comm()
+        comm.initial_share(0, {(0, w): w for w in range(3)})
+        members = tree.members(NodeId(1, 0))
+        assert comm.ledger.sent_messages[0] == 3 * len(members)
+        per_share = FIELD.element_bits + HEADER_BITS
+        for member in members:
+            assert comm.ledger.received_bits[member] == 3 * per_share
+
+    def test_empty_dealing_leaves_no_ledger_entries(self):
+        tree, links, comm = build_comm()
+        comm.initial_share(0, {})
+        assert not comm.ledger.sent_bits
+        assert not comm.ledger.received_bits
+        assert not comm.ledger.sent_messages
+
+
+class TestReadsDoNotGrowState:
+    def test_records_at_and_erase_on_untouched_store(self):
+        tree, links, comm = build_comm()
+        comm.initial_share(0, {(0, 0): 42})
+        before = len(comm.stores)
+        node = NodeId(2, 0)
+        for pid in range(27):
+            assert comm.records_at(node, pid, (0, 0)) == []
+            comm.erase(node, pid, (0, 0))
+        assert not comm.adversary_can_reconstruct((0, 0), {1, 2})
+        assert len(comm.stores) == before
+
+    def test_send_secret_up_creates_only_written_stores(self):
+        tree, links, comm = build_comm()
+        key = (5, 0)
+        comm.initial_share(5, {key: 4242})
+        leaf = NodeId(1, 5)
+        comm.send_secret_up(leaf, [key], corrupted=set())
+        parent = tree.parent(leaf)
+        # Every parent store was written: it holds a share of the key.
+        for node, pid in comm.stores:
+            assert node in (leaf, parent)
+            if node == parent:
+                assert comm.records_at(parent, pid, key)
+        # A leaf that holds nothing sends nothing and adds no store.
+        before = len(comm.stores)
+        comm.send_secret_up(NodeId(1, 6), [(6, 0)], corrupted=set())
+        assert len(comm.stores) == before
+
+    def test_group_sizes_is_a_read_only_view(self):
+        tree, links, comm = build_comm()
+        comm.initial_share(0, {(0, 0): 42})
+        with pytest.raises(TypeError):
+            comm.group_sizes[((0, 0), ((0, 0),))] = 1
 
 
 class TestSendSecretUpAndReveal:
@@ -350,6 +403,15 @@ GOLDEN_REVEALS = [
      "fe4c894409f8aa0e6d6849d1bed05fd6b36b8d73db278e92777afe7869c5d532"),
     (27, 3, 4, 3, 0.45,
      "5fc2631a7569407df6ec5c99830110cd9596dbd1d51fbbc165b03a3739fac9d4"),
+    # The simulation shape at n=81 (levels of 6/30/81/81 members), the
+    # only rows with five children per node; recorded before shares
+    # became integer columns.
+    (81, 5, 6, 10, 0.0,
+     "17d061eb2ad8fce862ab04d9c0835a6357aec9786367a5745922a3dc089b3a98"),
+    (81, 5, 6, 10, 0.2,
+     "b78b624cd32010733666defa9ffd448dac7622fe97c7774766de8c8c2f8817ea"),
+    (81, 5, 6, 4, 0.2,
+     "07a0706a725b996dde5e3291d6de4e4bfadbc6ff9cb676f3857e68d2510f5f9e"),
 ]
 
 

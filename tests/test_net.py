@@ -102,6 +102,27 @@ class TestBitLedger:
         assert ledger.bits_sent_by(0) == 100
         assert ledger.received_bits[1] == 100
 
+    def test_record_abstract_message_count_equals_repeated_calls(self):
+        """One call with k messages of w bits counts as k calls of w."""
+        batched, repeated = BitLedger(3), BitLedger(3)
+        for ledger in (batched, repeated):
+            ledger.set_phase("send_up_level_1")
+        batched.record_abstract(0, 2, 5 * 63, messages=5)
+        for _ in range(5):
+            repeated.record_abstract(0, 2, 63)
+        for attribute in (
+            "sent_bits", "received_bits", "sent_messages", "phase_bits",
+        ):
+            assert getattr(batched, attribute) == getattr(repeated, attribute)
+        assert batched.snapshot() == repeated.snapshot()
+
+    @pytest.mark.parametrize("messages", [0, -1])
+    def test_record_abstract_rejects_fewer_than_one_message(self, messages):
+        ledger = BitLedger(2)
+        with pytest.raises(ValueError, match="messages"):
+            ledger.record_abstract(0, 1, 64, messages=messages)
+        assert not ledger.sent_bits and not ledger.sent_messages
+
     def test_snapshot(self):
         ledger = BitLedger(2)
         ledger.record(Message(0, 1, "v", 1))
