@@ -12,12 +12,12 @@ model.  This bench quantifies the landscape the question lives in:
   subsequence would buy asynchronously *if* it could be generated below
   n^2 bits, which is exactly the open problem.  Runs as two 8-trial
   specs of the ``async-benor`` / ``common-coin-ba`` scenarios through
-  :mod:`repro.engine` (``--engine-backend async`` multiplexes each
+  :mod:`repro.engine` (``--engine-backend batch`` multiplexes each
   spec's networks breadth-first over delivery steps).
-* E15b-hybrid — the same async sweep at paper scale (64 trials),
-  sharded in waves across pool workers by the hybrid backend; results
-  are asserted bit-identical to serial and async, and the measured
-  wall-clock of all three execution modes is reported.
+* E15b-process — the same async sweep at paper scale (64 trials),
+  sharded across pool workers by the process backend; results are
+  asserted bit-identical to serial and batch, and the measured
+  wall-clock of all three backends is reported.
 * E15c — adversarial scheduling: the common-coin protocol under FIFO,
   random and victim-starving schedulers; agreement and validity hold
   under all three (safety is scheduler-independent), only delivery
@@ -101,7 +101,7 @@ def test_e15b_local_vs_common_coin(benchmark, capsys, engine):
     benor_total = int(sum(benor.metric_values("steps")))
     coin_total = int(sum(coin.metric_values("steps")))
     benchmark.pedantic(
-        lambda: Engine("async").run(specs["common-coin-ba"]),
+        lambda: Engine("batch").run(specs["common-coin-ba"]),
         rounds=1, iterations=1,
     )
     print_table(
@@ -120,17 +120,16 @@ def test_e15b_local_vs_common_coin(benchmark, capsys, engine):
     )
 
 
-def test_e15b_hybrid_wave_sharding(benchmark, capsys):
-    """Hybrid mode: the E15b common-coin sweep, sharded over processes.
+def test_e15b_process_sharding(benchmark, capsys):
+    """The E15b common-coin sweep, sharded over processes.
 
-    Waves of async instances dispatched to pool workers, each worker
-    driving a local breadth-first step loop — the execution mode for
-    paper-scale async sweeps.  The table reports measured wall-clock
-    per backend; the assertions pin bit-identity, so the speedup (or,
-    on small sweeps, the pool overhead) is the *only* observable
+    Units of trials dispatched to pool workers, each worker rebuilding
+    the scenario by name.  The table reports measured wall-clock per
+    backend; the assertions pin bit-identity, so the speedup (or, on
+    small sweeps, the pool overhead) is the *only* observable
     difference.
     """
-    from repro.engine import Engine, ExperimentSpec, HybridBackend
+    from repro.engine import Engine, ExperimentSpec, ProcessPoolBackend
 
     n, trials = 6, 64
     spec = ExperimentSpec(
@@ -138,8 +137,8 @@ def test_e15b_hybrid_wave_sharding(benchmark, capsys):
         params={"inputs": "split"},
     )
     serial = Engine("serial").run(spec)
-    stepped = Engine("async").run(spec)
-    with Engine(HybridBackend(workers=2, unit_size=16)) as engine:
+    stepped = Engine("batch").run(spec)
+    with Engine(ProcessPoolBackend(workers=2, unit_size=16)) as engine:
         sharded = engine.run(spec)
         assert serial.trials == stepped.trials == sharded.trials
         # The pool is kept across runs: the timed run reuses it.
@@ -155,12 +154,12 @@ def test_e15b_hybrid_wave_sharding(benchmark, capsys):
     )
     print_table(
         capsys,
-        f"E15b-hybrid common-coin BA, {trials} trials (n={n}), "
+        f"E15b-process common-coin BA, {trials} trials (n={n}), "
         "one spec on three backends",
         ["backend", "wall-clock s", "bit-identical"],
         rows,
         note=(
-            f"Hybrid (2 workers, waves of 16) vs serial: {speedup:.2f}x "
+            f"Process (2 workers, units of 16) vs serial: {speedup:.2f}x "
             f"wall-clock on {os.cpu_count() or 1} core(s); results are "
             "bit-identical by construction (per-trial seeds derive "
             "from the spec alone, workers rebuild the scenario by "

@@ -8,52 +8,27 @@ representative timing unit with pytest-benchmark.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 
-from repro.engine import Engine, get_backend, get_runner
-
-
-class _SuiteEngine(Engine):
-    """Engine honouring the suite-wide backend flag per scenario.
-
-    The hybrid backend deliberately has no serial fallback (a sync
-    scenario on it is a misconfiguration), but the suite-wide
-    ``--engine-backend`` flag must still run the sync benchmarks — so,
-    exactly like ``run-experiment --smoke``, hybrid is applied only
-    where the scenario supports it and everything else runs serial.
-    """
-
-    def __init__(self, name: str, workers) -> None:
-        super().__init__(get_backend("serial"))
-        self._name = name
-        self._workers = workers
-
-    def run(self, spec):
-        backend = self._name
-        if backend == "hybrid" and not get_runner(spec.runner).supports(
-            "hybrid"
-        ):
-            backend = "serial"
-        self.backend = get_backend(backend, workers=self._workers)
-        try:
-            return super().run(spec)
-        finally:
-            self.backend.close()
+from repro.engine import Engine, get_backend
 
 
 @pytest.fixture
-def engine(request) -> Engine:
+def engine(request) -> Iterator[Engine]:
     """An :class:`repro.engine.Engine` on the CLI-selected backend.
 
     Flip the whole benchmark suite between backends without editing
     files:  ``pytest benchmarks/bench_*.py --engine-backend process``.
+    Every backend runs every scenario; the backend closes at teardown.
     """
-    return _SuiteEngine(
+    backend = get_backend(
         request.config.getoption("--engine-backend"),
-        request.config.getoption("--engine-workers"),
+        workers=request.config.getoption("--engine-workers"),
     )
+    with Engine(backend) as engine:
+        yield engine
 
 
 def print_table(

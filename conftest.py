@@ -26,7 +26,7 @@ def pytest_addoption(parser):
         "--engine-backend",
         action="store",
         default="serial",
-        choices=("serial", "process", "batch", "async", "hybrid"),
+        choices=("serial", "process", "batch"),
         help=(
             "repro.engine execution backend used by the engine-ported "
             "benchmarks (default: serial)"

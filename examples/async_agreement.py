@@ -5,7 +5,7 @@ King & Saia close with: "Can we adapt our results to the asynchronous
 communication model?"  The library's asynchronous substrate now runs
 behind the same engine seam as everything else: each protocol is a
 registered *scenario* (``bracha-broadcast``, ``async-benor``,
-``common-coin-ba``) whose trials execute on the ``async`` backend —
+``common-coin-ba``) whose trials execute on the ``batch`` backend —
 many independent :class:`~repro.asynchrony.scheduler.AsyncNetwork`
 instances multiplexed breadth-first over delivery steps, with each
 trial's scheduler and coins forked deterministically from the spec's
@@ -19,25 +19,24 @@ The experiment itself is the paper's point in miniature:
    the paper's global coin subsequence provides synchronously.
    Generating such a coin asynchronously in o(n^2) bits is the open
    problem.
-4. The hybrid backend: the same common-coin sweep at 64 trials, sharded
-   in waves across pool workers (each worker rebuilds the scenario by
-   name and drives a local async step loop) — bit-identical results,
-   measured wall-clock speedup.
+4. The process backend: the same common-coin sweep at 64 trials,
+   sharded across pool workers (each worker rebuilds the scenario by
+   name) — bit-identical results, measured wall-clock speedup.
 
 Run:  python examples/async_agreement.py
 """
 
 import os
 
-from repro.engine import Engine, ExperimentSpec, HybridBackend
+from repro.engine import Engine, ExperimentSpec, ProcessPoolBackend
 
 
 def run(name: str, n: int, trials: int = 8, **params):
-    """One scenario on the async backend, checked against serial."""
+    """One scenario on the batch backend, checked against serial."""
     spec = ExperimentSpec(
         runner=name, n=n, trials=trials, seed=4, params=params
     )
-    stepped = Engine("async").run(spec)
+    stepped = Engine("batch").run(spec)
     serial = Engine("serial").run(spec)
     assert stepped.trials == serial.trials, f"{name} diverged from serial"
     return stepped
@@ -74,21 +73,21 @@ def main():
         "which is the open problem."
     )
 
-    print("\n4) hybrid backend — the same sweep, 64 trials, sharded "
+    print("\n4) process backend — the same sweep, 64 trials, sharded "
           "across process workers")
     sweep = ExperimentSpec(
         runner="common-coin-ba", n=n, trials=64, seed=4,
         params={"inputs": "split", "scheduler": "random"},
     )
     serial = Engine("serial").run(sweep)
-    with Engine(HybridBackend(workers=2, unit_size=16)) as engine:
-        hybrid = engine.run(sweep)
-    assert hybrid.trials == serial.trials, "hybrid diverged from serial"
-    wall = serial.elapsed_seconds / max(hybrid.elapsed_seconds, 1e-9)
+    with Engine(ProcessPoolBackend(workers=2, unit_size=16)) as engine:
+        sharded = engine.run(sweep)
+    assert sharded.trials == serial.trials, "process diverged from serial"
+    wall = serial.elapsed_seconds / max(sharded.elapsed_seconds, 1e-9)
     cores = os.cpu_count() or 1
     print(f"  serial : {serial.elapsed_seconds:.3f}s")
-    print(f"  hybrid : {hybrid.elapsed_seconds:.3f}s "
-          "(2 workers, waves of 16)")
+    print(f"  process: {sharded.elapsed_seconds:.3f}s "
+          "(2 workers, units of 16)")
     print(f"  measured wall-clock speedup : {wall:.2f}x on "
           f"{cores} core(s) — results bit-identical either way "
           "(workers rebuild the scenario by name, so backend choice "

@@ -432,7 +432,7 @@ def _suite_sim_round_loop(quick: bool) -> Dict[str, Any]:
 def _suite_dispatch_overhead(quick: bool) -> Dict[str, Any]:
     """Dispatch-plane bookkeeping per work unit (trend, not gated).
 
-    Every sharded backend (process, hybrid, distributed) routes units
+    Every sharded backend (process, distributed) routes units
     through ``plan_grid`` + ``run_units``; this measures what that
     plumbing costs over a bare serial loop by driving no-op trials
     through the in-process ``InlineTransport`` at unit size 1 — the

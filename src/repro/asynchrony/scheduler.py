@@ -261,17 +261,16 @@ class AsyncNetwork:
         protocols rarely quiesce on their own) or when no messages remain
         pending.
 
-        Implemented entirely through :meth:`begin` / :meth:`advance` /
+        Implemented entirely through :attr:`steps` / :meth:`advance` /
         :meth:`result` — the same primitives external drivers use (the
-        engine's async backend steps many networks breadth-first), so
+        engine's batch backend steps many networks breadth-first), so
         both executions are bit-identical by construction.
         """
-        self.begin()
-        while self._steps < max_steps and self.advance():
+        while self.steps < max_steps and self.advance():
             pass
         return self.result()
 
-    def begin(self) -> None:
+    def _begin(self) -> None:
         """Start every process and collect initial messages (idempotent)."""
         if self._started:
             return
@@ -284,13 +283,13 @@ class AsyncNetwork:
         return self._steps
 
     def advance(self) -> bool:
-        """Deliver one message; False once the run is over.
+        """Deliver one message; False (and no delivery) once the run is over.
 
         The run is over when every good processor has decided or no
         messages remain pending (quiescence).  Callers enforce their own
         step cap by checking :attr:`steps` before advancing.
         """
-        self.begin()
+        self._begin()
         if self._all_good_decided():
             return False
         if not self._pending:
@@ -301,7 +300,12 @@ class AsyncNetwork:
         return True
 
     def result(self) -> AsyncRunResult:
-        """Freeze the network's current state into an :class:`AsyncRunResult`."""
+        """The run so far as an :class:`AsyncRunResult`.
+
+        Starts the processes first if nothing has, so a zero-step run
+        still reports their initial messages and outputs.
+        """
+        self._begin()
         outputs = {
             pid: self.processes[pid].output() for pid in range(self.n)
         }

@@ -18,7 +18,7 @@ Python.  Subcommands:
   soft-gates speedups against a committed ``BENCH_core.json``.
 * ``run-experiment`` — Monte-Carlo trials of a registered scenario
   through the :mod:`repro.engine` backends (serial / process pool /
-  batched / async / hybrid / distributed).  ``--list`` prints every
+  batched / distributed).  ``--list`` prints every
   scenario's declared parameter schema; ``--param`` values are
   validated against it (cross-field constraints included); ``--smoke``
   runs each scenario once as a registration guard; ``--backend
@@ -401,15 +401,6 @@ def _coerce_undeclared(raw: str) -> object:
     return raw
 
 
-def _scenario_flags(runner) -> str:
-    flags = ""
-    if runner.batchable:
-        flags += " [batchable]"
-    if runner.asynchronous:
-        flags += " [async]"
-    return flags
-
-
 def _cmd_list_scenarios() -> int:
     """``run-experiment --list``: the schema-driven scenario catalogue."""
     from .engine import get_runner, runner_names
@@ -417,7 +408,8 @@ def _cmd_list_scenarios() -> int:
     print("Registered scenarios (run with --name <scenario>):")
     for name in runner_names():
         runner = get_runner(name)
-        print(f"\n  {name}{_scenario_flags(runner)} : {runner.description}")
+        flag = " [batchable]" if runner.batchable else ""
+        print(f"\n  {name}{flag} : {runner.description}")
         if runner.params is None:
             print("      (no declared schema: parameters pass through)")
             continue
@@ -475,21 +467,11 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 params=dict(runner.smoke_params),
             )
-            backend = "serial"
-            if args.backend != "serial":
-                # Honour a backend flip where the scenario supports it.
-                # Hybrid (unlike batch/async) has no serial fallback of
-                # its own, so the capability check here is what keeps
-                # the smoke sweep total.  Process and distributed run
-                # every scenario (waves for async, trials otherwise).
-                if args.backend == "batch" and runner.batchable:
-                    backend = "batch"
-                elif args.backend == "async" and runner.asynchronous:
-                    backend = "async"
-                elif args.backend == "hybrid" and runner.supports("hybrid"):
-                    backend = "hybrid"
-                elif args.backend in ("process", "distributed"):
-                    backend = args.backend
+            # Every backend runs every scenario; the batch backend runs
+            # one without a builder serially, so label it that way.
+            backend = args.backend
+            if backend == "batch" and not runner.batchable:
+                backend = "serial"
             result = Engine(backend_for(backend)).run(spec)
             status = "ok" if not result.failure_count else "FAILED"
             print(
@@ -741,9 +723,7 @@ def _cmd_queue_submit(args: argparse.Namespace) -> int:
             seed=args.seed,
             params=params,
         )
-        job = JobQueue(args.root).submit(
-            spec, unit_size=args.unit_size, max_live=args.max_live
-        )
+        job = JobQueue(args.root).submit(spec, unit_size=args.unit_size)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1006,13 +986,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="master seed (per-trial seeds are derived)")
     p.add_argument("--backend", default="serial",
-                   choices=("serial", "process", "batch", "async",
-                            "hybrid", "distributed"),
+                   choices=("serial", "process", "batch", "distributed"),
                    help="execution backend")
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool workers (default: cpu count)")
     p.add_argument("--wave-size", type=int, default=None,
-                   help="process/hybrid/distributed backends: trials "
+                   help="process/distributed backends: trials "
                         "per dispatched unit (default: sized from "
                         "predicted cost, ~4 units per worker)")
     p.add_argument("--hosts", default=None, metavar="HOST:PORT,...",
@@ -1121,8 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
     qs.add_argument("--unit-size", type=int, default=None,
                     help="trials per dispatched unit (default: the "
                          "capacity-weighted plan geometry)")
-    qs.add_argument("--max-live", type=int, default=None,
-                    help="async scenarios: resident instances per wave")
     qs.set_defaults(func=_cmd_queue)
 
     qs = queue_sub.add_parser(

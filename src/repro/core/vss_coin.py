@@ -341,7 +341,7 @@ class VSSCoinMember(ProcessorProtocol):
 def bulk_predeal(members: Iterable["VSSCoinMember"]) -> None:
     """Stage every member's round-1 dealing in one batched pass.
 
-    The wave-bulk hook behind the batch/async backends'
+    The wave-bulk hook behind the batch backend's
     ``prepare_wave``: for all (not-yet-predealt) members across a wave
     of trials, sample each member's symmetric coefficient matrix from
     *its own* rng — exactly the randomness its lazy ``_deal`` would

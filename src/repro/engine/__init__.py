@@ -2,7 +2,7 @@
 
 The engine turns every benchmark- and example-style workload into data:
 a spec names a registered *scenario* (typed parameter schema + metric
-contract + execution modes), and pluggable backends execute its trials:
+contract + execution mode), and pluggable backends execute its trials:
 
     from repro.engine import Engine, ExperimentSpec
 
@@ -34,12 +34,11 @@ Layers (see ENGINE.md for the architecture notes):
   grids balance predicted work.
 * :mod:`repro.engine.backends` — :class:`SerialBackend` and
   :class:`ShardedBackend` behind one :class:`ExecutionBackend` API;
-  :class:`ProcessPoolBackend` and :class:`HybridBackend` are sharded
-  backends over a ``multiprocessing`` pool.
+  :class:`ProcessPoolBackend` is the sharded backend over a
+  ``multiprocessing`` pool.
 * :mod:`repro.engine.batch` — :class:`BatchBackend`, multiplexing many
-  independent sync protocol instances over one round loop.
-* :mod:`repro.engine.async_backend` — :class:`AsyncBackend`, the same
-  idea over the asynchronous scheduler's delivery steps.
+  independent protocol instances (sync rounds or async deliveries)
+  over one breadth-first step loop.
 * :mod:`repro.engine.distributed` — :class:`DistributedBackend` /
   :class:`SocketTransport` / :class:`WorkerServer`, the same units
   dispatched to ``repro worker serve`` hosts over TCP.
@@ -55,10 +54,8 @@ from .aggregate import (
     merge_ledger_stats,
     percentile,
 )
-from .async_backend import AsyncBackend, run_wave
 from .backends import (
     ExecutionBackend,
-    HybridBackend,
     ProcessPoolBackend,
     SerialBackend,
     ShardedBackend,
@@ -67,12 +64,7 @@ from .backends import (
     run_one_trial,
 )
 from .batch import BatchBackend
-from .costplan import (
-    grid_modes,
-    plan_grid,
-    plan_specs,
-    spec_trial_cost,
-)
+from .costplan import plan_grid, plan_specs, spec_trial_cost
 from .dispatch import (
     DispatchError,
     DispatchPlan,
@@ -94,11 +86,8 @@ from .distributed import (
 )
 from .engine import BACKEND_NAMES, Engine, get_backend, run_experiment
 from .registry import (
-    AsyncInstance,
     BatchInstance,
-    ExperimentRunner,
     Scenario,
-    drive_async_instance,
     drive_instance,
     get_runner,
     get_scenario,
@@ -141,8 +130,6 @@ __all__ = [
     "BACKEND_NAMES",
     "STATS_VERSION",
     "WIRE_VERSION",
-    "AsyncBackend",
-    "AsyncInstance",
     "BatchBackend",
     "BatchInstance",
     "DispatchError",
@@ -153,9 +140,7 @@ __all__ = [
     "Envelope",
     "ExecutionBackend",
     "ExperimentResult",
-    "ExperimentRunner",
     "ExperimentSpec",
-    "HybridBackend",
     "InlineTransport",
     "LaneReport",
     "LedgerStats",
@@ -179,12 +164,10 @@ __all__ = [
     "WorkUnit",
     "WorkerServer",
     "default_worker_count",
-    "drive_async_instance",
     "drive_instance",
     "get_backend",
     "get_runner",
     "get_scenario",
-    "grid_modes",
     "load_builtin_scenarios",
     "load_report",
     "make_context",
@@ -203,7 +186,6 @@ __all__ = [
     "run_unit",
     "run_unit_timed",
     "run_units",
-    "run_wave",
     "runner_names",
     "scenario_names",
     "spec_from_wire",

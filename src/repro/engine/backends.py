@@ -9,16 +9,14 @@ correctness property, enforced by ``tests/test_engine.py``.
 * :class:`SerialBackend` — trials run in-process, one after another
   (the seed repo's original behaviour).
 * :class:`ShardedBackend` — trials cut into work units and run over a
-  :class:`~repro.engine.dispatch.Transport`.  Three configurations:
+  :class:`~repro.engine.dispatch.Transport`.  Two configurations:
   :class:`ProcessPoolBackend` (a ``multiprocessing`` pool; in-process
-  with one worker), :class:`HybridBackend` (the same pool, refusing
-  scenarios without an async builder) and
+  with one worker) and
   :class:`~repro.engine.distributed.DistributedBackend` (``repro worker
   serve`` hosts over TCP).
 * :class:`BatchBackend` (see :mod:`repro.engine.batch`) — many
-  independent protocol instances multiplexed over one round loop.
-* :class:`AsyncBackend` (see :mod:`repro.engine.async_backend`) — the
-  same over the asynchronous scheduler's delivery steps.
+  independent protocol instances, sync or async, multiplexed over one
+  breadth-first step loop.
 
 Every backend is a context manager (``with backend: ...``) and
 ``close()`` is idempotent, so held pools/sockets release deterministically
@@ -51,7 +49,6 @@ __all__ = [
     "SerialBackend",
     "ShardedBackend",
     "ProcessPoolBackend",
-    "HybridBackend",
     "default_worker_count",
     "make_context",
     "run_one_trial",
@@ -146,8 +143,10 @@ class ShardedBackend(ExecutionBackend):
     """Trials cut into work units, dispatched over one transport.
 
     The one implementation of :meth:`plan` / :meth:`run_trials` /
-    :meth:`run_grid` for sharded execution; the process, hybrid and
-    distributed backends are configurations of it.
+    :meth:`run_grid` for sharded execution; the process and distributed
+    backends are configurations of it.  Every trial of every unit runs
+    through :func:`~repro.engine.dispatch.run_one_trial`, the serial
+    path.
 
     Parameters:
         transport_factory: builds the :class:`Transport` the units run
@@ -160,11 +159,6 @@ class ShardedBackend(ExecutionBackend):
         unit_size: trials per unit (``None``: decided by
             :func:`~repro.engine.costplan.plan_specs` from predicted
             cost, else uniformly).
-        max_live: resident-instance bound within one wave unit.
-
-    Units run in wave mode for scenarios with an async builder and as
-    isolated trials otherwise.  A scenario whose capabilities do not
-    include this backend's ``name`` is refused up front.
     """
 
     name = "sharded"
@@ -174,26 +168,20 @@ class ShardedBackend(ExecutionBackend):
         transport_factory: Callable[[], Transport],
         capacity: int,
         unit_size: Optional[int] = None,
-        max_live: int = 64,
     ) -> None:
         if capacity < 1:
             raise EngineError("need at least one worker")
         if unit_size is not None and unit_size < 1:
             raise EngineError("unit_size must be >= 1")
-        if max_live < 1:
-            raise EngineError("max_live must be >= 1")
         self.transport_factory = transport_factory
         self.capacity = capacity
         self.unit_size = unit_size
-        self.max_live = max_live
         self._transport: Optional[Transport] = None
         self._lanes: Tuple[str, ...] = ()
 
     def plan(self, spec: ExperimentSpec) -> DispatchPlan:
         """The unit geometry of ``spec`` run on its own."""
-        (plan,) = plan_specs(
-            [spec], self.capacity, self.unit_size, self.max_live
-        )
+        (plan,) = plan_specs([spec], self.capacity, self.unit_size)
         return plan
 
     def run_trials(self, spec: ExperimentSpec) -> List[TrialResult]:
@@ -211,21 +199,13 @@ class ShardedBackend(ExecutionBackend):
         """
         if not specs:
             return []
-        # Resolve locally first: unknown names and unsupported
-        # scenarios fail fast, before any lane is paid for.
+        # Resolve locally first: unknown names fail fast, before any
+        # lane is paid for.
         for spec in specs:
-            runner = get_runner(spec.runner)
-            if not runner.supports(self.name):
-                raise EngineError(
-                    f"scenario {spec.runner!r} does not support the "
-                    f"{self.name} backend (no async builder); its "
-                    f"backends are: {', '.join(runner.capabilities)}"
-                )
+            get_runner(spec.runner)
         unique = list(dict.fromkeys(specs))
         telemetry = self._begin_telemetry(sum(s.trials for s in unique))
-        units = plan_grid(
-            unique, self.capacity, self.unit_size, self.max_live, cost_aware
-        )
+        units = plan_grid(unique, self.capacity, self.unit_size, cost_aware)
         try:
             results = run_units(
                 units, self._open_transport(telemetry), telemetry=telemetry
@@ -284,7 +264,6 @@ class ProcessPoolBackend(ShardedBackend):
         self,
         workers: Optional[int] = None,
         unit_size: Optional[int] = None,
-        max_live: int = 64,
         start_method: Optional[str] = None,
     ) -> None:
         workers = workers if workers else default_worker_count()
@@ -293,16 +272,4 @@ class ProcessPoolBackend(ShardedBackend):
             if workers == 1
             else functools.partial(PoolTransport, workers, start_method)
         )
-        super().__init__(factory, workers, unit_size, max_live)
-
-
-class HybridBackend(ProcessPoolBackend):
-    """The process backend for asynchronous scenarios only.
-
-    Identical to :class:`ProcessPoolBackend` (async scenarios ship as
-    waves, each driven by a local breadth-first step loop on a pool
-    worker) except that a scenario without an async builder is refused
-    with its real capabilities instead of running as isolated trials.
-    """
-
-    name = "hybrid"
+        super().__init__(factory, workers, unit_size)

@@ -1,74 +1,43 @@
-"""Batch backend: many protocol instances over one simulated round loop.
+"""Batch backend: many protocol instances over one breadth-first loop.
 
 Monte-Carlo trials of the simulator-backed protocols are dominated by
-per-round Python overhead (inbox rebuilds, adversary views, ledger
+per-step Python overhead (inbox rebuilds, adversary views, ledger
 ticks) rather than by per-message arithmetic.  The batch backend builds
-every trial's :class:`~repro.net.simulator.SyncNetwork` up front and
-drives them *breadth-first*: round 1 of every live instance, then round
-2, and so on — one shared loop instead of ``trials`` nested ones.  This
-is the sharding/batching seam from the ROADMAP: the same breadth-first
-schedule is what an async or vectorised backend would consume, with the
-per-round barrier already explicit.
+every trial's network up front and drives them *breadth-first*: step 1
+of every live instance, then step 2, and so on — one shared loop
+instead of ``trials`` nested ones.  A step is a synchronous round of a
+:class:`~repro.net.simulator.SyncNetwork` or one delivery of an
+:class:`~repro.asynchrony.scheduler.AsyncNetwork`; both expose the same
+``steps`` / ``advance()`` / ``result()`` primitives, so one loop
+serves both.
 
 Isolation is structural: each instance owns its protocols, its
 adversary, and its ledger, so corruption or flooding in one trial cannot
 leak into another's accounting (guarded by ``tests/test_engine.py``).
 
-Because instances are mutually independent, interleaving their rounds
-cannot change any instance's state sequence — each instance sees exactly
-the step sequence :meth:`SyncNetwork.run` would have given it, so batch
-results are bit-identical to serial ones.
+Because instances are mutually independent, interleaving their steps
+cannot change any instance's state sequence — each instance runs
+exactly the loop its network's ``run(cap)`` runs, so batch results are
+bit-identical to serial ones.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from .backends import ExecutionBackend, make_context, run_one_trial
+from .backends import ExecutionBackend
+from .dispatch import crashed_trial, make_context, run_one_trial
 from .registry import BatchInstance, get_runner
 from .spec import ExperimentSpec, TrialResult
 
 
-def _failed_result(
-    spec: ExperimentSpec, trial_index: int, exc: Exception
-) -> TrialResult:
-    """The same crash containment :func:`run_one_trial` applies."""
-    return TrialResult(
-        trial_index=trial_index,
-        seed=spec.trial_seed(trial_index),
-        metrics=(),
-        ok=False,
-        failure=f"{type(exc).__name__}: {exc}",
-    )
-
-
-def _prepare_wave(runner, spec: ExperimentSpec, instances, results):
-    """Run the scenario's wave-bulk hook over one wave's instances.
-
-    Shared by the batch and async backends: the hook sees the wave's
-    instances in trial-index order, after construction and before the
-    first step.  A hook exception fails the whole wave (the hook may
-    have mutated any instance, so none can be trusted to step).
-    """
-    if runner.prepare_wave is None or not instances:
-        return instances
-    try:
-        runner.prepare_wave(
-            [instances[i] for i in sorted(instances)]
-        )
-    except Exception as exc:
-        for i in sorted(instances):
-            results.append(_failed_result(spec, i, exc))
-        return {}
-    return instances
-
-
 class BatchBackend(ExecutionBackend):
-    """Multiplex independent trials of a batchable runner.
+    """Multiplex independent trials of a scenario with a builder.
 
     ``max_live`` bounds how many instances are resident at once (memory
-    control for large sweeps); runners without a batch builder fall back
-    to serial execution trial by trial.
+    control for large sweeps); each window of ``max_live`` trials is one
+    wave.  Scenarios without a builder fall back to serial execution
+    trial by trial.
     """
 
     name = "batch"
@@ -92,7 +61,7 @@ class BatchBackend(ExecutionBackend):
             window = range(
                 start, min(start + self.max_live, spec.trials)
             )
-            with telemetry.span(self.name, len(window), mode="wave"):
+            with telemetry.span(self.name, len(window)):
                 instances: Dict[int, BatchInstance] = {}
                 for i in window:
                     # Same crash containment as run_one_trial: one
@@ -104,10 +73,17 @@ class BatchBackend(ExecutionBackend):
                             make_context(spec, i)
                         )
                     except Exception as exc:
-                        results.append(_failed_result(spec, i, exc))
-                instances = _prepare_wave(
-                    runner, spec, instances, results
-                )
+                        results.append(crashed_trial(spec, i, exc))
+                if runner.prepare_wave is not None and instances:
+                    try:
+                        runner.prepare_wave(list(instances.values()))
+                    except Exception as exc:
+                        # The hook may have mutated any instance, so
+                        # none can be trusted to step.
+                        results.extend(
+                            crashed_trial(spec, i, exc) for i in instances
+                        )
+                        instances = {}
                 results.extend(self._drive_wave(spec, instances))
         results.sort(key=lambda r: r.trial_index)
         telemetry.finish()
@@ -116,29 +92,26 @@ class BatchBackend(ExecutionBackend):
     def _drive_wave(
         self, spec: ExperimentSpec, instances: Dict[int, BatchInstance]
     ) -> List[TrialResult]:
-        """Breadth-first round loop over one wave of live instances."""
+        """Breadth-first step loop over one wave of live instances.
+
+        Each pass gives every live instance one iteration of the loop
+        ``network.run(cap)`` runs: advance while under the cap, else
+        finish through ``result()``.
+        """
         live = dict(instances)
-        rounds_done = {index: 0 for index in live}
-        finished: Dict[int, TrialResult] = {}
+        finished: List[TrialResult] = []
         while live:
-            done: List[int] = []
-            for index in sorted(live):
-                instance = live[index]
+            for index, instance in list(live.items()):
                 network = instance.network
-                round_no = rounds_done[index] + 1
                 try:
-                    network.step(round_no)
-                    rounds_done[index] = round_no
-                    halted = network.all_good_decided()
-                    if halted or round_no >= instance.max_rounds:
-                        finished[index] = instance.collect(
-                            network.collect_result(round_no, halted),
-                            instance.ctx,
-                        )
-                        done.append(index)
+                    if network.steps < instance.max_steps and (
+                        network.advance()
+                    ):
+                        continue
+                    finished.append(
+                        instance.collect(network.result(), instance.ctx)
+                    )
                 except Exception as exc:
-                    finished[index] = _failed_result(spec, index, exc)
-                    done.append(index)
-            for index in done:
+                    finished.append(crashed_trial(spec, index, exc))
                 del live[index]
-        return [finished[index] for index in sorted(finished)]
+        return finished

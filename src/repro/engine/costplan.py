@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from .dispatch import MODE_TRIALS, MODE_WAVE, DispatchPlan, WorkUnit
+from .dispatch import DispatchPlan, WorkUnit
 from .spec import ExperimentSpec
 
 #: Units per unit of capacity: enough pieces that the greedy collect
@@ -53,23 +53,10 @@ def spec_trial_cost(spec: ExperimentSpec) -> Optional[float]:
     return float(cost)
 
 
-def grid_modes(specs: Sequence[ExperimentSpec]) -> List[str]:
-    """Per-spec unit mode: waves where the scenario supports them."""
-    from .registry import get_runner
-
-    return [
-        MODE_WAVE
-        if get_runner(spec.runner).build_async_instance is not None
-        else MODE_TRIALS
-        for spec in specs
-    ]
-
-
 def plan_specs(
     specs: Sequence[ExperimentSpec],
     capacity: int,
     unit_size: Optional[int] = None,
-    max_live: Optional[int] = None,
     cost_aware: bool = True,
 ) -> List[DispatchPlan]:
     """One plan per spec: the single rule for unit sizes.
@@ -85,7 +72,7 @@ def plan_specs(
       capacity across the grid.
 
     Sizes clamp to ``1..spec.trials``.  Priced plans stamp each unit's
-    predicted cost; the mode comes from :func:`grid_modes`.
+    predicted cost.
     """
     costs = [spec_trial_cost(spec) if cost_aware else None for spec in specs]
     if None in costs:
@@ -95,9 +82,7 @@ def plan_specs(
         1, capacity * GRID_PARTS_PER_WORKER
     )
     plans = []
-    for spec, mode, cost, weight in zip(
-        specs, grid_modes(specs), costs, weights
-    ):
+    for spec, cost, weight in zip(specs, costs, weights):
         size = (
             unit_size
             if unit_size is not None
@@ -107,8 +92,6 @@ def plan_specs(
             DispatchPlan(
                 trials=spec.trials,
                 unit_size=size,
-                mode=mode,
-                max_live=max_live if mode == MODE_WAVE else None,
                 trial_cost=cost,
             )
         )
@@ -119,7 +102,6 @@ def plan_grid(
     specs: Sequence[ExperimentSpec],
     capacity: int,
     unit_size: Optional[int] = None,
-    max_live: Optional[int] = None,
     cost_aware: bool = True,
 ) -> List[WorkUnit]:
     """Work units for specs sharing one collect loop.
@@ -132,7 +114,7 @@ def plan_grid(
     units = [
         unit
         for spec, plan in zip(
-            specs, plan_specs(specs, capacity, unit_size, max_live, cost_aware)
+            specs, plan_specs(specs, capacity, unit_size, cost_aware)
         )
         for unit in plan.units(spec)
     ]

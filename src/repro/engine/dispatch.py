@@ -1,12 +1,12 @@
 """The transport-agnostic dispatch plane: plan, submit, collect, retry.
 
 Every sharded backend (:class:`~repro.engine.backends.ShardedBackend`
-and its process, hybrid and distributed configurations) and the fleet
+and its process and distributed configurations) and the fleet
 coordinator run the same three pieces:
 
 * :class:`DispatchPlan` — the *geometry*: ``trials`` cut into
-  contiguous :class:`WorkUnit` slices (isolated trials, or waves for
-  async step loops).  Unit sizes are decided in one function,
+  contiguous :class:`WorkUnit` slices, each trial of which runs through
+  :func:`run_one_trial`.  Unit sizes are decided in one function,
   :func:`~repro.engine.costplan.plan_specs`.
 * :class:`Transport` — the *mechanism*: submit a work unit to a lane
   (pool worker, TCP host, in-process loop), collect one result
@@ -30,9 +30,10 @@ unobservable in the results.
 Failure model, in two layers:
 
 * **trial crashes** (a protocol bug raising inside a trial) are
-  contained where they happen — :func:`run_one_trial` and the async
-  wave driver convert them into failed :class:`TrialResult` rows, so
-  every backend reports them identically to the serial path;
+  contained where they happen — :func:`run_one_trial` and the batch
+  backend convert them into the same failed :class:`TrialResult` row
+  (:func:`crashed_trial`), so every backend reports them identically
+  to the serial path;
 * **lane failures** (a worker process or host dying, a connection
   dropping, an unpicklable payload) surface as failure envelopes: the
   unit is retried on a different lane with the observed lane excluded,
@@ -95,6 +96,23 @@ def make_context(spec: ExperimentSpec, trial_index: int) -> TrialContext:
     )
 
 
+def crashed_trial(
+    spec: ExperimentSpec, trial_index: int, exc: Exception
+) -> TrialResult:
+    """The failed row a trial that raised ``exc`` becomes.
+
+    Protocol bugs must not kill the sweep: every backend converts a
+    crash — in a builder, a step, or a collector — into this row.
+    """
+    return TrialResult(
+        trial_index=trial_index,
+        seed=spec.trial_seed(trial_index),
+        metrics=(),
+        ok=False,
+        failure=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def run_one_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     """Execute a single trial, converting crashes into failed results.
 
@@ -106,19 +124,8 @@ def run_one_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     runner = resolve_cached(spec.runner)
     try:
         return runner.run_trial(ctx)
-    except Exception as exc:  # protocol bugs must not kill the sweep
-        return TrialResult(
-            trial_index=trial_index,
-            seed=ctx.seed,
-            metrics=(),
-            ok=False,
-            failure=f"{type(exc).__name__}: {exc}",
-        )
-
-
-#: Work-unit execution modes.
-MODE_TRIALS = "trials"  #: isolated trials, one run_one_trial call each
-MODE_WAVE = "wave"  #: one local breadth-first async step loop
+    except Exception as exc:
+        return crashed_trial(spec, trial_index, exc)
 
 
 @dataclass(frozen=True)
@@ -127,17 +134,12 @@ class WorkUnit:
 
     Plain picklable *and* wireable data — the same value crosses a
     ``multiprocessing`` boundary as a pickle and a host boundary as the
-    JSON document of :func:`unit_to_wire`.  ``mode`` selects the worker
-    path: :data:`MODE_TRIALS` runs each index through
-    :func:`run_one_trial`; :data:`MODE_WAVE` drives the indices through
-    one local async step loop (``max_live`` bounding resident
-    instances, exactly as in the async backend).
+    JSON document of :func:`unit_to_wire`.  Each index runs through
+    :func:`run_one_trial`.
     """
 
     spec: ExperimentSpec
     indices: Tuple[int, ...]
-    mode: str = MODE_TRIALS
-    max_live: Optional[int] = None
     #: Predicted cost of this unit (cost-model units), stamped by
     #: cost-aware plans.  Advisory only: excluded from equality so a
     #: persisted unit from a fleet resume log still matches a freshly
@@ -145,8 +147,6 @@ class WorkUnit:
     predicted_cost: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_TRIALS, MODE_WAVE):
-            raise EngineError(f"unknown work-unit mode {self.mode!r}")
         object.__setattr__(self, "indices", tuple(self.indices))
 
 
@@ -158,14 +158,6 @@ def run_unit(unit: WorkUnit) -> List[TrialResult]:
     start-method- and host-agnostic: ``fork`` pools, ``spawn`` children
     and ``repro worker serve`` processes all run it identically.
     """
-    if unit.mode == MODE_WAVE:
-        # Deferred import: async_backend imports the backend base from
-        # backends.py, which imports this module for the plan/transport
-        # layer — resolving the wave driver at call time keeps the
-        # import graph acyclic.
-        from .async_backend import run_wave
-
-        return run_wave(unit.spec, unit.indices, max_live=unit.max_live)
     return [run_one_trial(unit.spec, i) for i in unit.indices]
 
 
@@ -175,16 +167,10 @@ def run_unit_timed(unit: WorkUnit) -> Tuple[List[TrialResult], UnitStats]:
     What every *instrumented* lane executes — pool workers, the inline
     transport, and ``repro worker serve`` hosts — so the client can
     split a unit's observed latency into compute versus queue/network.
-    Results are exactly :func:`run_unit`'s; the stats ride alongside
-    and never touch them.  Wave-mode units interleave their trials
-    through one step loop, so only the aggregate time is stamped.
+    Results are exactly :func:`run_unit`'s; the stats (total and
+    per-trial compute time) ride alongside and never touch them.
     """
     start = time.perf_counter()
-    if unit.mode == MODE_WAVE:
-        results = run_unit(unit)
-        return results, UnitStats(
-            compute_seconds=time.perf_counter() - start
-        )
     results = []
     trial_seconds = []
     for i in unit.indices:
@@ -204,23 +190,23 @@ def unit_to_wire(unit: WorkUnit) -> Dict[str, Any]:
         "kind": "unit",
         "spec": spec_to_wire(unit.spec),
         "indices": list(unit.indices),
-        "mode": unit.mode,
-        "max_live": unit.max_live,
         "predicted_cost": unit.predicted_cost,
     }
 
 
 def unit_from_wire(doc: Any) -> WorkUnit:
-    """Decode a work-unit document; inverse of :func:`unit_to_wire`."""
+    """Decode a work-unit document; inverse of :func:`unit_to_wire`.
+
+    Documents from before units lost their ``mode`` and ``max_live``
+    fields still decode, those keys ignored: every unit runs its trials
+    one by one, with the results any mode gave.
+    """
     require_wire(doc, "unit")
     try:
-        max_live = doc["max_live"]
         predicted = doc.get("predicted_cost")  # absent on old documents
         return WorkUnit(
             spec=spec_from_wire(doc["spec"]),
             indices=tuple(int(i) for i in doc["indices"]),
-            mode=str(doc["mode"]),
-            max_live=None if max_live is None else int(max_live),
             predicted_cost=None if predicted is None else float(predicted),
         )
     except EngineError:
@@ -261,8 +247,8 @@ def total_capacity(weights: Sequence[int]) -> int:
 class DispatchPlan:
     """How one spec's trials shard into work units.
 
-    Contiguous ``unit_size`` slices of ``range(trials)``, each run in
-    ``mode``.  Sizes are decided in one place,
+    Contiguous ``unit_size`` slices of ``range(trials)``.  Sizes are
+    decided in one place,
     :func:`~repro.engine.costplan.plan_specs`; this type only carries
     the geometry.  Any unit size produces bit-identical results;
     geometry only moves wall-clock.
@@ -270,8 +256,6 @@ class DispatchPlan:
 
     trials: int
     unit_size: int
-    mode: str = MODE_TRIALS
-    max_live: Optional[int] = None
     #: Predicted cost of one trial (cost-model units), stamped onto
     #: each unit as ``predicted_cost``.  Advisory, like that field.
     trial_cost: Optional[float] = field(default=None, compare=False)
@@ -281,8 +265,6 @@ class DispatchPlan:
             raise EngineError("a dispatch plan needs at least one trial")
         if self.unit_size < 1:
             raise EngineError("unit_size must be >= 1")
-        if self.mode not in (MODE_TRIALS, MODE_WAVE):
-            raise EngineError(f"unknown dispatch mode {self.mode!r}")
 
     def indices(self) -> List[List[int]]:
         """Contiguous trial-index slices covering ``range(trials)`` once."""
@@ -303,8 +285,6 @@ class DispatchPlan:
             WorkUnit(
                 spec=spec,
                 indices=tuple(slice_),
-                mode=self.mode,
-                max_live=self.max_live,
                 predicted_cost=(
                     self.trial_cost * len(slice_)
                     if self.trial_cost is not None
@@ -449,7 +429,7 @@ class InlineTransport(Transport):
 
 
 class PoolTransport(Transport):
-    """``multiprocessing`` pool as a transport (process/hybrid backends).
+    """``multiprocessing`` pool as a transport (the process backend).
 
     Units go to the pool via ``apply_async`` on the shared
     :func:`run_unit` entry; completion callbacks feed a thread-safe
@@ -604,7 +584,6 @@ def run_units(
                 telemetry.note_submit(
                     uid,
                     len(units[uid].indices),
-                    units[uid].mode,
                     predicted_cost=units[uid].predicted_cost,
                 )
             if transport.try_submit(

@@ -14,8 +14,8 @@ carrying a versioned JSON document:
 
 * client → worker: a ``unit`` wire document
   (:func:`~repro.engine.dispatch.unit_to_wire` — versioned, carries
-  the spec as data plus trial indices, mode, and ``max_live``) tagged
-  with the client's unit ``id``;
+  the spec as data plus trial indices) tagged with the client's unit
+  ``id``;
 * worker → client: a ``results`` document wrapping one
   :func:`~repro.engine.spec.result_to_wire` envelope per trial plus
   the unit's compute ``stats``, or an ``error`` document (version
@@ -30,8 +30,8 @@ retry/rebalance collect loop one envelope at a time.
 Workers rebuild scenarios *by name* from their own registry import —
 the same contract that makes ``spawn`` pool workers bit-identical to
 ``fork`` — so a remote host executes literally the construction the
-serial backend executes, and ``distributed == hybrid == process ==
-serial`` holds bit for bit, registry-wide
+serial backend executes, and ``distributed == process == serial``
+holds bit for bit, registry-wide
 (``tests/test_distributed.py``, ``tests/test_scenarios.py``).
 
 Failure containment: a worker host that dies mid-sweep surfaces as
@@ -722,12 +722,10 @@ class DistributedBackend(ShardedBackend):
     """Dispatch a spec's trials to remote worker hosts.
 
     A :class:`~repro.engine.backends.ShardedBackend` over a
-    :class:`SocketTransport`: asynchronous scenarios ship as ``wave``
-    units (each host drives a local breadth-first step loop), everything
-    else as ``trials`` units.  Either way the results are bit-identical
-    to the serial backend, because seeds derive from the spec and hosts
-    rebuild scenarios by name — the pipeline depth changes overlap,
-    never content.  There is no in-process
+    :class:`SocketTransport`.  Results are bit-identical to the serial
+    backend, because seeds derive from the spec and hosts rebuild
+    scenarios by name — the pipeline depth changes overlap, never
+    content.  There is no in-process
     shortcut: asking for this backend means *run it on the workers*,
     even for one worker or one trial.
 
@@ -739,7 +737,7 @@ class DistributedBackend(ShardedBackend):
             in the capacity unit sizing scales with.  (The pipeline
             window does not: depth hides latency within a lane, it
             adds no compute.)
-        unit_size / max_live: as for every sharded backend.
+        unit_size: as for every sharded backend.
         connect_timeout / io_timeout: socket timeouts (``io_timeout``
             ``None`` waits indefinitely for a unit's results).
         lane_depth: in-flight window per lane (``--lane-depth``;
@@ -759,7 +757,6 @@ class DistributedBackend(ShardedBackend):
         self,
         hosts: Sequence[HostSpec],
         unit_size: Optional[int] = None,
-        max_live: int = 64,
         connect_timeout: float = 5.0,
         io_timeout: Optional[float] = None,
         lane_depth: int = DEFAULT_LANE_DEPTH,
@@ -786,7 +783,6 @@ class DistributedBackend(ShardedBackend):
             ),
             capacity=total_capacity([weight for *_, weight in addresses]),
             unit_size=unit_size,
-            max_live=max_live,
         )
 
     @property

@@ -14,27 +14,14 @@ import time
 from typing import List, Optional, Sequence, Union
 
 from .aggregate import ExperimentResult
-from .async_backend import AsyncBackend
-from .backends import (
-    ExecutionBackend,
-    HybridBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
+from .backends import ExecutionBackend, ProcessPoolBackend, SerialBackend
 from .batch import BatchBackend
 from .distributed import DistributedBackend
 from .registry import get_runner
 from .spec import EngineError, ExperimentSpec
 
 #: Names accepted by :func:`get_backend` (and the CLI / conftest flags).
-BACKEND_NAMES = (
-    "serial",
-    "process",
-    "batch",
-    "async",
-    "hybrid",
-    "distributed",
-)
+BACKEND_NAMES = ("serial", "process", "batch", "distributed")
 
 
 def get_backend(
@@ -46,20 +33,17 @@ def get_backend(
 ) -> ExecutionBackend:
     """Construct a backend from its CLI name.
 
-    ``unit_size`` (trials per dispatched unit) applies to every sharded
-    backend — process, hybrid and distributed; ``lane_depth`` is the
+    ``unit_size`` (trials per dispatched unit) applies to both sharded
+    backends — process and distributed; ``lane_depth`` is the
     distributed transport's pipelined in-flight window per lane
     (``--lane-depth``).  Backends ignore what does not apply to them.
     """
     if name == "serial":
         return SerialBackend()
-    if name in ("process", "hybrid"):
-        pool = ProcessPoolBackend if name == "process" else HybridBackend
-        return pool(workers=workers, unit_size=unit_size)
+    if name == "process":
+        return ProcessPoolBackend(workers=workers, unit_size=unit_size)
     if name == "batch":
         return BatchBackend()
-    if name == "async":
-        return AsyncBackend()
     if name == "distributed":
         if not hosts:
             raise EngineError(

@@ -2,19 +2,14 @@
 
 A :class:`Scenario` is one named, registered experiment: a typed
 parameter schema (:class:`~repro.engine.scenario.Param`), a metric
-contract, and one or more *execution modes*:
+contract, and one of two *execution modes*:
 
-* ``run_trial`` — an isolated, self-contained trial, usable by the
-  serial and process-pool backends (every scenario has one, declared or
-  derived);
-* ``build_instance`` — for *sync batchable* scenarios: returns a
-  :class:`BatchInstance` (a ready
-  :class:`~repro.net.simulator.SyncNetwork` plus a collector) that the
-  batch backend multiplexes over one round loop;
-* ``build_async_instance`` — for scheduler-driven protocols: returns an
-  :class:`AsyncInstance` (a ready
-  :class:`~repro.asynchrony.scheduler.AsyncNetwork` plus a collector)
-  that the async backend multiplexes over delivery steps.
+* ``run_trial`` — an isolated, self-contained trial, usable by every
+  backend (every scenario has one, declared or derived);
+* ``build_instance`` — returns a :class:`BatchInstance`: a ready
+  steppable network (a :class:`~repro.net.simulator.SyncNetwork` or an
+  :class:`~repro.asynchrony.scheduler.AsyncNetwork`) plus a collector,
+  which the batch backend multiplexes breadth-first.
 
 When only a builder is declared, ``run_trial`` is derived from it, so
 every backend executes literally the same construction — the engine's
@@ -32,51 +27,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..asynchrony.scheduler import AsyncNetwork, AsyncRunResult
-from ..net.simulator import RunResult, SyncNetwork
 from .scenario import Param, ScenarioError, defaults_of, validate_mapping
 from .spec import EngineError, TrialContext, TrialResult
 
 
 @dataclass(frozen=True)
 class BatchInstance:
-    """One trial prepared as a steppable sync network plus collector."""
+    """One trial prepared as a steppable network plus collector.
 
-    network: SyncNetwork
-    max_rounds: int
-    collect: Callable[[RunResult, TrialContext], TrialResult]
-    ctx: TrialContext
+    ``network`` is anything with the stepping primitives both simulators
+    share — ``steps``, ``advance()`` and ``result()`` (a
+    :class:`~repro.net.simulator.SyncNetwork` counts rounds, an
+    :class:`~repro.asynchrony.scheduler.AsyncNetwork` delivery steps);
+    ``max_steps`` caps them.
+    """
 
-
-@dataclass(frozen=True)
-class AsyncInstance:
-    """One trial prepared as a steppable async network plus collector."""
-
-    network: AsyncNetwork
+    network: Any
     max_steps: int
-    collect: Callable[[AsyncRunResult, TrialContext], TrialResult]
+    collect: Callable[[Any, TrialContext], TrialResult]
     ctx: TrialContext
 
 
 def drive_instance(instance: BatchInstance) -> TrialResult:
-    """Run one prepared sync instance to completion (the serial path).
+    """Run one prepared instance to completion (the serial path).
 
-    Mirrors :meth:`SyncNetwork.run`, so a batched execution — which
-    steps the same network through the same rounds, merely interleaved
-    with other instances — produces the identical result.
+    ``network.run(cap)`` is the loop over ``steps`` / ``advance()`` /
+    ``result()`` that the batch backend interleaves across instances,
+    so both executions produce the identical result.
     """
-    result = instance.network.run(max_rounds=instance.max_rounds)
-    return instance.collect(result, instance.ctx)
-
-
-def drive_async_instance(instance: AsyncInstance) -> TrialResult:
-    """Run one prepared async instance to completion (the serial path).
-
-    Mirrors :meth:`AsyncNetwork.run` step for step, so the async
-    backend's delivery-interleaved execution produces the identical
-    result.
-    """
-    result = instance.network.run(max_steps=instance.max_steps)
+    result = instance.network.run(instance.max_steps)
     return instance.collect(result, instance.ctx)
 
 
@@ -85,15 +64,6 @@ def _run_trial_from_builder(
 ) -> Callable[[TrialContext], TrialResult]:
     def run_trial(ctx: TrialContext) -> TrialResult:
         return drive_instance(builder(ctx))
-
-    return run_trial
-
-
-def _run_trial_from_async_builder(
-    builder: Callable[[TrialContext], AsyncInstance]
-) -> Callable[[TrialContext], TrialResult]:
-    def run_trial(ctx: TrialContext) -> TrialResult:
-        return drive_async_instance(builder(ctx))
 
     return run_trial
 
@@ -124,9 +94,6 @@ class Scenario:
     build_instance: Optional[
         Callable[[TrialContext], BatchInstance]
     ] = None
-    build_async_instance: Optional[
-        Callable[[TrialContext], AsyncInstance]
-    ] = None
     description: str = ""
     params: Optional[Tuple[Param, ...]] = None
     metrics: Tuple[str, ...] = ()
@@ -139,7 +106,7 @@ class Scenario:
     check: Optional[
         Callable[[int, Dict[str, Any]], Optional[str]]
     ] = None
-    #: Wave-bulk hook: the batch/async backends call it with every
+    #: Wave-bulk hook: the batch backend calls it with every
     #: instance of a wave (trial-index order) after construction and
     #: before the first step, so a scenario can run batched preparation
     #: — bulk dealing, shared precomputation — across the whole wave.
@@ -150,22 +117,15 @@ class Scenario:
 
     def __post_init__(self) -> None:
         if self.run_trial is None:
-            if self.build_instance is not None:
-                object.__setattr__(
-                    self,
-                    "run_trial",
-                    _run_trial_from_builder(self.build_instance),
-                )
-            elif self.build_async_instance is not None:
-                object.__setattr__(
-                    self,
-                    "run_trial",
-                    _run_trial_from_async_builder(self.build_async_instance),
-                )
-            else:
+            if self.build_instance is None:
                 raise ScenarioError(
                     f"scenario {self.name!r} declares no execution mode"
                 )
+            object.__setattr__(
+                self,
+                "run_trial",
+                _run_trial_from_builder(self.build_instance),
+            )
         if self.params is not None:
             object.__setattr__(self, "params", tuple(self.params))
         object.__setattr__(self, "metrics", tuple(self.metrics))
@@ -179,38 +139,9 @@ class Scenario:
         return self.build_instance is not None
 
     @property
-    def asynchronous(self) -> bool:
-        """Whether the async backend can multiplex this scenario."""
-        return self.build_async_instance is not None
-
-    @property
     def declared(self) -> bool:
         """Whether this scenario carries a parameter schema."""
         return self.params is not None
-
-    @property
-    def capabilities(self) -> Tuple[str, ...]:
-        """Backend names that execute this scenario *natively*.
-
-        Every scenario runs on ``serial``, ``process`` and
-        ``distributed`` (sharded backends ship async scenarios as waves
-        and everything else as isolated trials); a sync builder adds
-        ``batch``; an async builder adds ``async`` and ``hybrid``.  The
-        batch and async backends additionally fall back to serial for
-        unsupported scenarios; the sharded backends do not (they
-        refuse a scenario whose tuple lacks their name, naming it).
-        """
-        caps = ["serial", "process"]
-        if self.batchable:
-            caps.append("batch")
-        if self.asynchronous:
-            caps.extend(("async", "hybrid"))
-        caps.append("distributed")
-        return tuple(caps)
-
-    def supports(self, backend_name: str) -> bool:
-        """Whether ``backend_name`` runs this scenario natively."""
-        return backend_name in self.capabilities
 
     def validate(
         self, raw: Mapping[str, Any], n: Optional[int] = None
@@ -241,10 +172,6 @@ class Scenario:
                     f"{problem}"
                 )
         return validated
-
-
-#: Legacy name from the first engine iteration; same object.
-ExperimentRunner = Scenario
 
 
 _REGISTRY: Dict[str, Scenario] = {}
@@ -288,16 +215,16 @@ def get_runner(name: str) -> Scenario:
 
 
 #: Per-process memo over :func:`get_runner`.  Pool workers execute many
-#: waves/chunks of the same spec; resolving the scenario name once per
-#: worker process (instead of once per wave, each paying the registry
-#: lookup plus the lazy-builtins guard) is the cheap half of the
-#: worker-rebuild contract.  Invalidated by :func:`register`, so ad-hoc
+#: units of the same spec; resolving the scenario name once per worker
+#: process (instead of once per trial, each paying the registry lookup
+#: plus the lazy-builtins guard) is the cheap half of the worker-rebuild
+#: contract.  Invalidated by :func:`register`, so ad-hoc
 #: re-registrations still win.
 _RESOLVED: Dict[str, Scenario] = {}
 
 
 def resolve_cached(name: str) -> Scenario:
-    """Memoised scenario resolution for hot per-trial/per-wave paths."""
+    """Memoised scenario resolution for the hot per-trial path."""
     runner = _RESOLVED.get(name)
     if runner is None:
         runner = get_runner(name)

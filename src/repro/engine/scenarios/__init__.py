@@ -14,7 +14,7 @@ Modules mirror the library's layers:
   baselines the paper is measured against.
 * :mod:`~repro.engine.scenarios.asynchrony` — the asynchronous stack
   (Bracha, Ben-Or, common-coin BA, sparse AEBA over the synchronizer),
-  all exposing ``build_async_instance`` for the async backend.
+  all exposing ``build_instance`` over the asynchronous scheduler.
 """
 
 from . import asynchrony, baselines, core  # noqa: F401

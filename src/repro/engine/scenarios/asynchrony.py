@@ -1,10 +1,10 @@
 """Scenarios for the asynchronous stack (the paper's open problem).
 
-Every scenario here declares ``build_async_instance``: the builder
-returns a ready :class:`~repro.asynchrony.scheduler.AsyncNetwork` plus
-collector, which the engine's async backend multiplexes breadth-first
-over delivery steps — and from which the serial ``run_trial`` is
-derived, so all backends execute the same construction.
+Every scenario here declares ``build_instance``: the builder returns a
+ready :class:`~repro.asynchrony.scheduler.AsyncNetwork` plus collector,
+which the engine's batch backend multiplexes breadth-first over
+delivery steps — and from which the serial ``run_trial`` is derived,
+so all backends execute the same construction.
 
 Per-trial determinism is seed forking all the way down: the delivery
 scheduler, each process's private coins, and the common-coin oracle
@@ -23,7 +23,7 @@ from typing import Optional
 
 from ...asynchrony.scheduler import NullAsyncAdversary
 from ...net.rng import derive_seed
-from ..registry import AsyncInstance, Scenario, register
+from ..registry import BatchInstance, Scenario, register
 from ..scenario import Param
 from ..spec import LedgerStats, TrialContext, TrialResult
 from .common import (
@@ -67,7 +67,7 @@ _ASYNC_BENOR_PARAMS = (
 _abenor = param_reader(_ASYNC_BENOR_PARAMS)
 
 
-def _async_benor_instance(ctx: TrialContext) -> AsyncInstance:
+def _async_benor_instance(ctx: TrialContext) -> BatchInstance:
     from ...asynchrony.benor_async import AsyncBenOrProcess
     from ...asynchrony.scheduler import AsyncNetwork
 
@@ -87,7 +87,7 @@ def _async_benor_instance(ctx: TrialContext) -> AsyncInstance:
         NullAsyncAdversary(n),
         scheduler=make_scheduler(ctx, _abenor(ctx, "scheduler")),
     )
-    return AsyncInstance(
+    return BatchInstance(
         network=network,
         max_steps=50 * n * n * max_phases,
         collect=_collect_async_agreement,
@@ -98,7 +98,7 @@ def _async_benor_instance(ctx: TrialContext) -> AsyncInstance:
 register(
     Scenario(
         name="async-benor",
-        build_async_instance=_async_benor_instance,
+        build_instance=_async_benor_instance,
         description=(
             "asynchronous Ben-Or with local coins (t < n/5, "
             "exponential expected phases — E15's slow lane)"
@@ -122,7 +122,7 @@ _COMMON_COIN_PARAMS = (
 _ccoin = param_reader(_COMMON_COIN_PARAMS)
 
 
-def _common_coin_instance(ctx: TrialContext) -> AsyncInstance:
+def _common_coin_instance(ctx: TrialContext) -> BatchInstance:
     from ...asynchrony.common_coin import CoinBAProcess, SeededCoinOracle
     from ...asynchrony.scheduler import AsyncNetwork
 
@@ -139,7 +139,7 @@ def _common_coin_instance(ctx: TrialContext) -> AsyncInstance:
         NullAsyncAdversary(n),
         scheduler=make_scheduler(ctx, _ccoin(ctx, "scheduler")),
     )
-    return AsyncInstance(
+    return BatchInstance(
         network=network,
         max_steps=50 * n * n * max_phases,
         collect=_collect_async_agreement,
@@ -150,7 +150,7 @@ def _common_coin_instance(ctx: TrialContext) -> AsyncInstance:
 register(
     Scenario(
         name="common-coin-ba",
-        build_async_instance=_common_coin_instance,
+        build_instance=_common_coin_instance,
         description=(
             "asynchronous BA on a common coin oracle — expected O(1) "
             "phases, the async analogue of the paper's coin (E15)"
@@ -182,7 +182,7 @@ def _bracha_check(n, params):
     return None
 
 
-def _bracha_instance(ctx: TrialContext) -> AsyncInstance:
+def _bracha_instance(ctx: TrialContext) -> BatchInstance:
     from ...asynchrony.bracha import BrachaBroadcaster
     from ...asynchrony.scheduler import AsyncNetwork
 
@@ -215,7 +215,7 @@ def _bracha_instance(ctx: TrialContext) -> AsyncInstance:
             ok=bool(good) and accepted == len(good),
         )
 
-    return AsyncInstance(
+    return BatchInstance(
         network=network,
         max_steps=10 * n * n,
         collect=collect,
@@ -226,7 +226,7 @@ def _bracha_instance(ctx: TrialContext) -> AsyncInstance:
 register(
     Scenario(
         name="bracha-broadcast",
-        build_async_instance=_bracha_instance,
+        build_instance=_bracha_instance,
         description=(
             "Bracha reliable broadcast (t < n/3) — the Theta(n^2) "
             "async building block (E15)"
@@ -265,7 +265,7 @@ def _saeba_check(n, params):
     return sparse_degree_problem(n, params)
 
 
-def _async_sparse_aeba_instance(ctx: TrialContext) -> AsyncInstance:
+def _async_sparse_aeba_instance(ctx: TrialContext) -> BatchInstance:
     from ...asynchrony.scheduler import AsyncNetwork
     from ...asynchrony.sparse_aeba import OracleCoinView
     from ...asynchrony.synchronizer import SynchronizedProcess
@@ -347,7 +347,7 @@ def _async_sparse_aeba_instance(ctx: TrialContext) -> AsyncInstance:
             ok=agreement_fraction >= 0.9,
         )
 
-    return AsyncInstance(
+    return BatchInstance(
         network=network,
         max_steps=20 * n * n * max_rounds,
         collect=collect,
@@ -358,7 +358,7 @@ def _async_sparse_aeba_instance(ctx: TrialContext) -> AsyncInstance:
 register(
     Scenario(
         name="async-sparse-aeba",
-        build_async_instance=_async_sparse_aeba_instance,
+        build_instance=_async_sparse_aeba_instance,
         description=(
             "Algorithm 5 on a sparse graph over the envelope "
             "synchronizer — the async almost-everywhere experiment"

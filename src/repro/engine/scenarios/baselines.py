@@ -105,7 +105,7 @@ def _benor_instance(ctx: TrialContext) -> BatchInstance:
     network = SyncNetwork(protocols, adversary)
     return BatchInstance(
         network=network,
-        max_rounds=2 * max_phases + 2,
+        max_steps=2 * max_phases + 2,
         collect=_collect_agreement,
         ctx=ctx,
     )
@@ -159,7 +159,7 @@ def _eig_instance(ctx: TrialContext) -> BatchInstance:
     network = SyncNetwork(protocols, adversary)
     return BatchInstance(
         network=network,
-        max_rounds=t + 2,
+        max_steps=t + 2,
         collect=_collect_agreement,
         ctx=ctx,
     )
@@ -217,7 +217,7 @@ def _phase_king_instance(ctx: TrialContext) -> BatchInstance:
     network = SyncNetwork(protocols, adversary)
     return BatchInstance(
         network=network,
-        max_rounds=2 * num_phases + 1,
+        max_steps=2 * num_phases + 1,
         collect=_collect_agreement,
         ctx=ctx,
     )
@@ -274,7 +274,7 @@ def _rabin_instance(ctx: TrialContext) -> BatchInstance:
     network = SyncNetwork(protocols, adversary)
     return BatchInstance(
         network=network,
-        max_rounds=max_rounds + 2,
+        max_steps=max_rounds + 2,
         collect=_collect_agreement,
         ctx=ctx,
     )

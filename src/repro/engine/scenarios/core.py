@@ -116,7 +116,7 @@ def _everywhere_ba_instance(ctx: TrialContext) -> BatchInstance:
 
     return BatchInstance(
         network=network,
-        max_rounds=_EVERYWHERE_BA_ROUND_CAP,
+        max_steps=_EVERYWHERE_BA_ROUND_CAP,
         collect=collect,
         ctx=ctx,
     )
@@ -258,7 +258,7 @@ def _aeba_instance(ctx: TrialContext) -> BatchInstance:
 
     return BatchInstance(
         network=network,
-        max_rounds=num_rounds + 2,
+        max_steps=num_rounds + 2,
         collect=collect,
         ctx=ctx,
     )
@@ -370,7 +370,7 @@ def _vss_coin_instance(ctx: TrialContext) -> BatchInstance:
         )
 
     return BatchInstance(
-        network=network, max_rounds=5, collect=collect, ctx=ctx
+        network=network, max_steps=5, collect=collect, ctx=ctx
     )
 
 

@@ -187,10 +187,7 @@ class UnitStats:
     the result envelope so the client can split a unit's observed
     latency into *compute* (this) versus *queue + network* (the rest).
 
-    ``trial_seconds`` holds per-trial wall times for ``trials``-mode
-    units; wave-mode units interleave their trials through one step
-    loop, so only the aggregate ``compute_seconds`` is meaningful and
-    ``trial_seconds`` stays empty.
+    ``trial_seconds`` holds the per-trial wall times, in unit order.
     """
 
     compute_seconds: float = 0.0

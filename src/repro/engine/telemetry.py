@@ -18,10 +18,10 @@ perf-gate suite pins the cost):
   summary :meth:`RunTelemetry.report` produces: wall clock, per-lane
   throughput and latency percentiles, retry/rebalance counts,
   straggler ratio, plus the protocol-level bridge (merged
-  :class:`~repro.engine.spec.LedgerStats`, per-trial bit totals, and
-  :class:`~repro.net.tracing.TraceRecorder` counters).  ``merge`` is
-  associative — raw samples concatenate, integers add, wall clocks
-  max — so reports of arbitrary shards fold to the same artifact.
+  :class:`~repro.engine.spec.LedgerStats` and per-trial bit totals).
+  ``merge`` is associative — raw samples concatenate, integers add,
+  wall clocks max — so reports of arbitrary shards fold to the same
+  artifact.
 * :func:`report_to_wire` / :func:`report_from_wire` — the report as a
   versioned wire document under the engine's usual conventions
   (``wire_dumps``, NaN rejection), written by ``repro run-experiment
@@ -101,7 +101,6 @@ class UnitRecord:
     unit_id: int
     lane: str
     attempt: int
-    mode: str
     trials: int
     submit_seconds: float
     collect_seconds: float
@@ -249,8 +248,6 @@ class RunReport:
     ledger: LedgerStats = LedgerStats()
     #: ... and each trial's total sent bits, for percentiles.
     trial_bits: Tuple[int, ...] = ()
-    #: TraceRecorder per-kind counters (empty unless a trace was fed).
-    trace_counters: Tuple[Tuple[str, int], ...] = ()
 
     # -- derived metrics ---------------------------------------------------------------
 
@@ -297,9 +294,6 @@ class RunReport:
                 lanes[lane.lane] = lanes[lane.lane].merge(lane)
             else:
                 lanes[lane.lane] = lane
-        counters: Dict[str, int] = dict(self.trace_counters)
-        for kind, count in other.trace_counters:
-            counters[kind] = counters.get(kind, 0) + count
         return RunReport(
             backend=backend,
             trials=self.trials + other.trials,
@@ -314,7 +308,6 @@ class RunReport:
             ),
             ledger=self.ledger.merge(other.ledger),
             trial_bits=self.trial_bits + other.trial_bits,
-            trace_counters=tuple(sorted(counters.items())),
         )
 
     # -- rendering ---------------------------------------------------------------------
@@ -397,9 +390,9 @@ class RunReport:
                 )
             tables.append(lanes)
 
-        if self.ledger.total_bits or self.trial_bits or self.trace_counters:
+        if self.ledger.total_bits or self.trial_bits:
             protocol = Table(
-                title="protocol bridge (ledger + trace)",
+                title="protocol bridge (ledger)",
                 headers=["metric", "value"],
                 note="per-trial ledger summaries merged run-wide",
             )
@@ -423,8 +416,6 @@ class RunReport:
             )
             for phase, bits in self.ledger.phase_bits:
                 protocol.add_row(f"phase[{phase}] bits", f"{bits:,}")
-            for kind, count in self.trace_counters:
-                protocol.add_row(f"trace[{kind}]", f"{count:,}")
             tables.append(protocol)
         return tables
 
@@ -505,14 +496,14 @@ def report_to_wire(report: RunReport) -> Dict[str, Any]:
         "lanes": [_lane_to_wire(lane) for lane in report.lanes],
         "ledger": _ledger_to_wire(report.ledger),
         "trial_bits": list(report.trial_bits),
-        "trace_counters": [
-            [kind, count] for kind, count in report.trace_counters
-        ],
     }
 
 
 def report_from_wire(doc: Any) -> RunReport:
-    """Decode a report document; inverse of :func:`report_to_wire`."""
+    """Decode a report document; inverse of :func:`report_to_wire`.
+
+    Older documents also carry ``trace_counters``; they are ignored.
+    """
     require_wire(doc, "report")
     try:
         return RunReport(
@@ -527,10 +518,6 @@ def report_from_wire(doc: Any) -> RunReport:
             lanes=tuple(_lane_from_wire(d) for d in doc["lanes"]),
             ledger=_ledger_from_wire(doc["ledger"]),
             trial_bits=tuple(int(v) for v in doc["trial_bits"]),
-            trace_counters=tuple(
-                (str(kind), int(count))
-                for kind, count in doc["trace_counters"]
-            ),
         )
     except WireFormatError:
         raise
@@ -623,12 +610,11 @@ class _Span:
     """Context manager recording one in-process unit span."""
 
     def __init__(
-        self, telemetry: "RunTelemetry", lane: str, trials: int, mode: str
+        self, telemetry: "RunTelemetry", lane: str, trials: int
     ) -> None:
         self._telemetry = telemetry
         self._lane = lane
         self._trials = trials
-        self._mode = mode
         self._start = 0.0
 
     def __enter__(self) -> "_Span":
@@ -639,7 +625,6 @@ class _Span:
         self._telemetry.note_span(
             lane=self._lane,
             trials=self._trials,
-            mode=self._mode,
             start=self._start,
             ok=exc_type is None,
             cause="" if exc_type is None else f"{exc_type.__name__}: {exc}",
@@ -669,9 +654,9 @@ class RunTelemetry:
         self._t0 = time.monotonic()
         self.wall_seconds: Optional[float] = None
         self.records: List[UnitRecord] = []
-        #: unit_id -> (submit offset, attempt, trials, mode)
+        #: unit_id -> (submit offset, attempt, trials, predicted cost)
         self._pending: Dict[
-            int, Tuple[float, int, int, str, Optional[float]]
+            int, Tuple[float, int, int, Optional[float]]
         ] = {}
         self._attempts: Dict[int, int] = {}
         self._next_span_id = -1  # in-process spans count down from -1
@@ -690,7 +675,6 @@ class RunTelemetry:
         self,
         unit_id: int,
         trials: int,
-        mode: str,
         predicted_cost: Optional[float] = None,
     ) -> None:
         """A unit was offered to the transport (lane unknown yet)."""
@@ -698,7 +682,7 @@ class RunTelemetry:
             attempt = self._attempts.get(unit_id, 0) + 1
             self._attempts[unit_id] = attempt
             self._pending[unit_id] = (
-                self.elapsed(), attempt, trials, mode, predicted_cost
+                self.elapsed(), attempt, trials, predicted_cost
             )
 
     def cancel_submit(self, unit_id: int) -> None:
@@ -714,13 +698,12 @@ class RunTelemetry:
             pending = self._pending.pop(envelope.unit_id, None)
             if pending is None:
                 return  # collect without submit: nothing to anchor to
-            submitted, attempt, trials, mode, predicted = pending
+            submitted, attempt, trials, predicted = pending
             stats = getattr(envelope, "stats", None)
             record = UnitRecord(
                 unit_id=envelope.unit_id,
                 lane=envelope.lane,
                 attempt=attempt,
-                mode=mode,
                 trials=trials,
                 submit_seconds=submitted,
                 collect_seconds=self.elapsed(),
@@ -741,21 +724,20 @@ class RunTelemetry:
 
     # -- in-process spans --------------------------------------------------------------
 
-    def span(self, lane: str, trials: int, mode: str = "trials") -> _Span:
+    def span(self, lane: str, trials: int) -> _Span:
         """Context manager timing one in-process unit of work."""
-        return _Span(self, lane, trials, mode)
+        return _Span(self, lane, trials)
 
     def note_span(
         self,
         lane: str,
         trials: int,
-        mode: str,
         start: float,
         ok: bool = True,
         cause: str = "",
         compute_seconds: Optional[float] = None,
     ) -> None:
-        """Record a directly-observed span (serial/batch/async lanes)."""
+        """Record a directly-observed span (serial/batch lanes)."""
         with self._lock:
             end = self.elapsed()
             self.records.append(
@@ -763,7 +745,6 @@ class RunTelemetry:
                     unit_id=self._next_span_id,
                     lane=lane,
                     attempt=1,
-                    mode=mode,
                     trials=trials,
                     submit_seconds=start,
                     collect_seconds=end,
@@ -865,16 +846,12 @@ class RunTelemetry:
     # -- freezing ----------------------------------------------------------------------
 
     def report(
-        self,
-        results: Optional[Sequence[TrialResult]] = None,
-        trace: Any = None,
+        self, results: Optional[Sequence[TrialResult]] = None
     ) -> RunReport:
         """Freeze the accumulated events into a :class:`RunReport`.
 
         ``results`` feeds the protocol bridge (failure count, merged
-        ledger stats, per-trial bit totals); ``trace`` may be a
-        :class:`~repro.net.tracing.TraceRecorder` (its ``counters``
-        attribute is read) or a plain mapping of per-kind counters.
+        ledger stats, per-trial bit totals).
         """
         if self.wall_seconds is None:
             self.finish()
@@ -933,11 +910,6 @@ class RunTelemetry:
             for t in results:
                 ledger = ledger.merge(t.ledger)
             trial_bits = tuple(t.ledger.total_bits for t in results)
-        counters: Dict[str, int] = {}
-        if trace is not None:
-            raw = getattr(trace, "counters", trace)
-            for kind, count in dict(raw).items():
-                counters[str(kind)] = counters.get(str(kind), 0) + int(count)
         return RunReport(
             backend=self.backend,
             trials=trials,
@@ -950,5 +922,4 @@ class RunTelemetry:
             lanes=tuple(lanes[lane_id] for lane_id in sorted(lanes)),
             ledger=ledger,
             trial_bits=trial_bits,
-            trace_counters=tuple(sorted(counters.items())),
         )

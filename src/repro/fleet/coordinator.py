@@ -110,12 +110,11 @@ class _PersistingTelemetry:
         self,
         unit_id: int,
         trials: int,
-        mode: str,
         predicted_cost: Optional[float] = None,
     ) -> None:
         if self._inner is not None:
             self._inner.note_submit(
-                unit_id, trials, mode, predicted_cost=predicted_cost
+                unit_id, trials, predicted_cost=predicted_cost
             )
 
     def cancel_submit(self, unit_id: int) -> None:
@@ -159,7 +158,6 @@ class Coordinator:
         root: str,
         max_jobs: int = 2,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
-        max_live: int = 64,
         connect_timeout: float = 5.0,
         io_timeout: Optional[float] = None,
         crash_after_units: Optional[int] = None,
@@ -175,7 +173,6 @@ class Coordinator:
             root, heartbeat_timeout=heartbeat_timeout
         )
         self.max_jobs = max_jobs
-        self.max_live = max_live
         self.lane_depth = lane_depth
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
@@ -358,12 +355,7 @@ class Coordinator:
         # identical units on resume; predicted costs ride along as
         # advisory stamps, excluded from unit equality.
         (plan,) = plan_specs(
-            [spec],
-            _capacity(addresses),
-            unit_size=job.unit_size,
-            max_live=(
-                job.max_live if job.max_live is not None else self.max_live
-            ),
+            [spec], _capacity(addresses), unit_size=job.unit_size
         )
         units = plan.units(spec)
         store = UnitStore(self.root, job.job_id)

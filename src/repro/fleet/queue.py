@@ -89,10 +89,8 @@ class Job:
     state: str = "pending"
     #: Trials per unit: given at submit (``--unit-size``) or persisted
     #: by the coordinator before the job's first dispatch, so a resumed
-    #: job re-plans identical units.  ``max_live`` bounds wave
-    #: residency (``None``: the coordinator's default).
+    #: job re-plans identical units.
     unit_size: Optional[int] = None
-    max_live: Optional[int] = None
     error: str = ""
     submitted_at: float = 0.0
     updated_at: float = 0.0
@@ -124,7 +122,6 @@ def job_to_wire(job: Job) -> Dict[str, Any]:
         "spec": spec_to_wire(job.spec),
         "state": job.state,
         "unit_size": job.unit_size,
-        "max_live": job.max_live,
         "error": job.error,
         "submitted_at": job.submitted_at,
         "updated_at": job.updated_at,
@@ -132,17 +129,18 @@ def job_to_wire(job: Job) -> Dict[str, Any]:
 
 
 def job_from_wire(doc: Any) -> Job:
-    """Decode a job envelope; inverse of :func:`job_to_wire`."""
+    """Decode a job envelope; inverse of :func:`job_to_wire`.
+
+    Older envelopes also carry ``max_live``; it is ignored.
+    """
     require_wire(doc, "job")
     try:
         unit_size = doc["unit_size"]
-        max_live = doc["max_live"]
         return Job(
             job_id=str(doc["job_id"]),
             spec=spec_from_wire(doc["spec"]),
             state=str(doc["state"]),
             unit_size=None if unit_size is None else int(unit_size),
-            max_live=None if max_live is None else int(max_live),
             error=str(doc["error"]),
             submitted_at=float(doc["submitted_at"]),
             updated_at=float(doc["updated_at"]),
@@ -194,7 +192,6 @@ class JobQueue:
         self,
         spec: ExperimentSpec,
         unit_size: Optional[int] = None,
-        max_live: Optional[int] = None,
     ) -> Job:
         """Enqueue one spec; returns the pending :class:`Job`.
 
@@ -203,8 +200,6 @@ class JobQueue:
         """
         if unit_size is not None and unit_size < 1:
             raise FleetError("unit_size must be >= 1")
-        if max_live is not None and max_live < 1:
-            raise FleetError("max_live must be >= 1")
         number = self._next_number()
         while True:
             job_id = f"job-{number:06d}"
@@ -219,7 +214,6 @@ class JobQueue:
                 job_id=job_id,
                 spec=spec,
                 unit_size=unit_size,
-                max_live=max_live,
                 submitted_at=now,
                 updated_at=now,
             )

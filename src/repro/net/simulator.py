@@ -186,27 +186,48 @@ class SyncNetwork:
         # nor speak, so the per-round corruption scan, rushing view and
         # adversary dispatch are skipped wholesale.
         self._null_adversary = type(adversary) is NullAdversary
+        self._rounds = 0
+        self._halted = False
 
     # -- execution ---------------------------------------------------------------
 
     def run(self, max_rounds: int) -> RunResult:
-        """Run until every good processor has an output or rounds expire."""
-        halted = False
-        round_no = 0
-        for round_no in range(1, max_rounds + 1):
-            self.step(round_no)
-            if self.all_good_decided():
-                halted = True
-                break
-        return self.collect_result(round_no, halted)
+        """Run until every good processor has an output or rounds expire.
+
+        Implemented entirely through :attr:`steps` / :meth:`advance` /
+        :meth:`result` — the primitives external callers use (the
+        engine's batch backend steps many networks breadth-first), so
+        both executions are bit-identical by construction.
+        """
+        while self.steps < max_rounds and self.advance():
+            pass
+        return self.result()
+
+    @property
+    def steps(self) -> int:
+        """Rounds executed so far."""
+        return self._rounds
+
+    def advance(self) -> bool:
+        """Execute one round; False (and no round) once the run is over.
+
+        The run is over once a round ends with every good processor
+        decided.  Callers enforce their own round cap by checking
+        :attr:`steps` before advancing.
+        """
+        if self._halted:
+            return False
+        self._rounds += 1
+        self.step(self._rounds)
+        self._halted = self.all_good_decided()
+        return True
+
+    def result(self) -> RunResult:
+        """The run so far as a :class:`RunResult`."""
+        return self.collect_result(self._rounds, self._halted)
 
     def collect_result(self, rounds: int, halted: bool) -> RunResult:
-        """Freeze the network's current state into a :class:`RunResult`.
-
-        Shared by :meth:`run` and external drivers (the engine's batch
-        backend steps many networks breadth-first and finishes each
-        through this same path, so both executions stay bit-identical).
-        """
+        """Freeze the network's current state into a :class:`RunResult`."""
         outputs = {
             pid: self.protocols[pid].output() for pid in range(self.n)
         }

@@ -151,7 +151,8 @@ def test_run_experiment_list_shows_schema(capsys):
     assert "--param degree: int = auto" in out
     assert "one of: split, thirds, ones, zeros" in out
     assert "metrics: agreed, coin, corrupted" in out
-    assert "common-coin-ba [async]" in out
+    assert "common-coin-ba [batchable]" in out
+    assert "[async]" not in out
 
 
 def test_run_experiment_unknown_param_rejected(capsys):
@@ -180,13 +181,13 @@ def test_run_experiment_bad_choice_rejected(capsys):
     assert "must be one of" in capsys.readouterr().err
 
 
-def test_run_experiment_async_backend(capsys):
+def test_run_experiment_batch_backend_runs_async_scenarios(capsys):
     assert main(
         ["run-experiment", "--name", "common-coin-ba", "-n", "6",
-         "--trials", "3", "--backend", "async"]
+         "--trials", "3", "--backend", "batch"]
     ) == 0
     out = capsys.readouterr().out
-    assert "async backend" in out
+    assert "batch backend" in out
     assert "steps" in out
 
 
@@ -242,25 +243,15 @@ def test_run_experiment_wave_size_reaches_the_process_backend(
     assert sum(lane.units_ok for lane in report.lanes) == 2
 
 
-def test_run_experiment_hybrid_backend(capsys):
+def test_run_experiment_process_backend_runs_async_scenarios(capsys):
     assert main(
         ["run-experiment", "--name", "common-coin-ba", "-n", "6",
-         "--trials", "5", "--backend", "hybrid", "--workers", "2",
+         "--trials", "5", "--backend", "process", "--workers", "2",
          "--wave-size", "2"]
     ) == 0
     out = capsys.readouterr().out
-    assert "hybrid backend" in out
+    assert "process backend" in out
     assert "steps" in out
-
-
-def test_run_experiment_hybrid_rejects_sync_scenario(capsys):
-    assert main(
-        ["run-experiment", "--name", "vss-coin", "-n", "7",
-         "--trials", "2", "--backend", "hybrid"]
-    ) == 2
-    err = capsys.readouterr().err
-    assert "does not support the hybrid backend" in err
-    assert "serial, process, batch" in err
 
 
 def test_run_experiment_cross_field_check_rejected(capsys):

@@ -9,8 +9,8 @@ Pinned here:
 * **plan properties** — over random grids and capacities, planned
   units cover every trial exactly once in contiguous slices and merge
   canonically (bit-identical to a bare serial loop);
-* **grid parity** — the fused ``run_grid`` path of the process, hybrid
-  and distributed backends equals per-spec serial execution on mixed-n
+* **grid parity** — the fused ``run_grid`` path of the process and
+  distributed backends equals per-spec serial execution on mixed-n
   grids, cost-aware and uniform alike;
 * **fallback** — an unpriceable spec anywhere in a grid degrades the
   whole plan to uniform geometry (no predicted costs stamped);
@@ -37,7 +37,6 @@ from repro.engine import (
     Engine,
     EngineError,
     ExperimentSpec,
-    HybridBackend,
     InlineTransport,
     ProcessPoolBackend,
     SerialBackend,
@@ -49,9 +48,7 @@ from repro.engine import (
     run_units,
     spec_trial_cost,
 )
-from repro.engine.costplan import grid_modes
 from repro.engine.dispatch import (
-    MODE_TRIALS,
     run_one_trial,
     unit_from_wire,
     unit_to_wire,
@@ -305,31 +302,23 @@ def test_process_grid_duplicate_specs_share_results():
     assert results[1] == _serial(specs[1])
 
 
-def test_hybrid_grid_parity_on_mixed_n_async_specs():
+def test_process_grid_parity_on_mixed_n_async_specs():
     specs = [
         ExperimentSpec(runner="bracha-broadcast", n=4, trials=6, seed=5),
         ExperimentSpec(runner="bracha-broadcast", n=7, trials=3, seed=5),
     ]
     expected = [_serial(spec) for spec in specs]
-    with HybridBackend(workers=2) as backend:
+    with ProcessPoolBackend(workers=2) as backend:
         assert backend.run_grid(specs) == expected
 
 
-def test_hybrid_grid_rejects_sync_only_scenarios():
-    with HybridBackend(workers=2) as backend:
-        with pytest.raises(EngineError, match="async builder"):
-            backend.run_grid(_mixed_sync_specs())
-
-
 def test_distributed_grid_parity_mixed_modes():
-    """One fused grid mixing chunk-mode and wave-mode specs over real
+    """One fused grid mixing a sync and an async scenario over real
     loopback workers equals serial, bit for bit."""
     specs = [
         ExperimentSpec(runner="phase-king", n=6, trials=6, seed=3),
         ExperimentSpec(runner="bracha-broadcast", n=5, trials=4, seed=3),
     ]
-    modes = grid_modes(specs)
-    assert modes[0] == MODE_TRIALS and modes[1] != MODE_TRIALS
     expected = [_serial(spec) for spec in specs]
     servers = [WorkerServer().start(), WorkerServer().start()]
     try:

@@ -5,8 +5,9 @@ The dispatch plane's contract, pinned piece by piece:
 * **DispatchPlan** is the single home of shard geometry — contiguous
   slices covering each trial exactly once, sized by one rule
   (:func:`~repro.engine.costplan.plan_specs`) for every backend.
-* **run_unit** is the one spawn-safe worker entry: ``trials`` units
-  reproduce the serial path, ``wave`` units reproduce the async path.
+* **run_unit** is the one spawn-safe worker entry: every unit
+  reproduces the serial path, trial for trial, sync and async
+  scenarios alike.
 * **run_units** (the collect loop) keeps lanes fed, retries failed
   units on other lanes with the failing lane excluded, raises instead
   of returning partial results, and merges in canonical trial order —
@@ -16,7 +17,6 @@ The dispatch plane's contract, pinned piece by piece:
 import pytest
 
 from repro.engine import (
-    AsyncBackend,
     DispatchError,
     DispatchPlan,
     EngineError,
@@ -27,9 +27,10 @@ from repro.engine import (
     Transport,
     WorkUnit,
     run_unit,
+    run_unit_timed,
     run_units,
 )
-from repro.engine.dispatch import MODE_TRIALS, MODE_WAVE, unit_from_wire, unit_to_wire
+from repro.engine.dispatch import unit_from_wire, unit_to_wire
 
 
 def _spec(runner="vss-coin", n=7, trials=4, seed=5, **params):
@@ -46,10 +47,6 @@ def test_plan_validation():
         DispatchPlan(trials=0, unit_size=1)
     with pytest.raises(EngineError, match="unit_size"):
         DispatchPlan(trials=4, unit_size=0)
-    with pytest.raises(EngineError, match="mode"):
-        DispatchPlan(trials=4, unit_size=1, mode="teleport")
-    with pytest.raises(EngineError, match="mode"):
-        WorkUnit(spec=_spec(), indices=(0,), mode="teleport")
 
 
 def test_plan_slices_trials_contiguously():
@@ -64,7 +61,7 @@ def test_plan_slices_trials_contiguously():
 
 
 def test_unit_sizes_follow_one_rule_for_every_mode():
-    """Waves and isolated trials size alike: ~4 units per worker
+    """Async and sync scenarios size alike: ~4 units per worker
     (rounded, at least 1), or exactly the explicit size."""
     from repro.engine.costplan import plan_specs
 
@@ -72,15 +69,12 @@ def test_unit_sizes_follow_one_rule_for_every_mode():
     trials = _spec(trials=64)
     for cost_aware in (True, False):
         wave_plan, trial_plan = plan_specs(
-            [waves], 3, max_live=16, cost_aware=cost_aware
-        ) + plan_specs([trials], 2, max_live=16, cost_aware=cost_aware)
+            [waves], 3, cost_aware=cost_aware
+        ) + plan_specs([trials], 2, cost_aware=cost_aware)
         assert wave_plan.unit_size == 2  # round(25 / 12)
-        assert wave_plan.mode == MODE_WAVE and wave_plan.max_live == 16
         assert trial_plan.unit_size == 8  # round(64 / 8)
-        assert trial_plan.mode == MODE_TRIALS
-        assert trial_plan.max_live is None
     assert plan_specs([_spec(trials=1)], 3)[0].unit_size == 1
-    (explicit,) = plan_specs([waves], 2, unit_size=4, max_live=16)
+    (explicit,) = plan_specs([waves], 2, unit_size=4)
     assert explicit.indices()[-1] == [24]
     assert explicit.unit_size == 4
 
@@ -124,12 +118,12 @@ def test_capacity_weights_scale_effective_workers():
     )
 
 
-def test_units_carry_spec_mode_and_reject_mismatched_trials():
+def test_units_carry_spec_and_reject_mismatched_trials():
     spec = _spec(trials=5)
     plan = DispatchPlan(trials=5, unit_size=2)
     units = plan.units(spec)
     assert [u.indices for u in units] == [(0, 1), (2, 3), (4,)]
-    assert all(u.spec == spec and u.mode == MODE_TRIALS for u in units)
+    assert all(u.spec == spec for u in units)
     with pytest.raises(EngineError, match="plan covers"):
         plan.units(_spec(trials=6))
 
@@ -137,28 +131,28 @@ def test_units_carry_spec_mode_and_reject_mismatched_trials():
 # -- run_unit, the unified worker entry ------------------------------------------------
 
 
-def test_run_unit_trials_mode_matches_serial_slice():
-    spec = _spec(trials=5)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _spec(trials=5),
+        _spec(runner="bracha-broadcast", n=5, trials=5, seed=3),
+    ],
+    ids=["sync", "async"],
+)
+def test_run_unit_matches_serial_slice(spec):
     serial = SerialBackend().run_trials(spec)
-    unit = WorkUnit(spec=spec, indices=(1, 3), mode=MODE_TRIALS)
+    unit = WorkUnit(spec=spec, indices=(1, 3))
     assert run_unit(unit) == [serial[1], serial[3]]
-
-
-def test_run_unit_wave_mode_matches_async_slice():
-    spec = _spec(runner="bracha-broadcast", n=5, trials=6, seed=3)
-    serial = SerialBackend().run_trials(spec)
-    unit = WorkUnit(
-        spec=spec, indices=(4, 1, 3), mode=MODE_WAVE, max_live=2
-    )
-    # Index order out, whatever order in (the wave driver's contract).
-    assert run_unit(unit) == [serial[1], serial[3], serial[4]]
-    assert AsyncBackend().run_trials(spec) == serial
+    results, stats = run_unit_timed(unit)
+    assert results == [serial[1], serial[3]]
+    assert len(stats.trial_seconds) == 2
 
 
 def test_work_unit_wire_round_trip():
     spec = _spec(runner="bracha-broadcast", n=5, trials=6, seed=3)
-    unit = WorkUnit(spec=spec, indices=(0, 2), mode=MODE_WAVE, max_live=8)
-    assert unit_from_wire(unit_to_wire(unit)) == unit
+    unit = WorkUnit(spec=spec, indices=(0, 2), predicted_cost=1.5)
+    decoded = unit_from_wire(unit_to_wire(unit))
+    assert decoded == unit and decoded.predicted_cost == 1.5
     plain = WorkUnit(spec=_spec(), indices=(1,))
     assert unit_from_wire(unit_to_wire(plain)) == plain
 
@@ -292,13 +286,12 @@ def test_run_units_rejects_wrong_trial_coverage():
 def test_inline_transport_contains_unit_crash_as_envelope():
     bad_unit = WorkUnit(
         spec=_spec(runner="vss-coin", trials=2),
-        indices=(0, 1),
-        mode=MODE_WAVE,  # vss-coin has no async builder -> run_unit raises
+        indices=(0, 5),  # index 5 is outside the spec -> run_unit raises
     )
     transport = InlineTransport()
     assert transport.try_submit(0, bad_unit)
     envelope = transport.collect()
     assert not envelope.ok
-    assert "async" in envelope.error
+    assert "outside" in envelope.error
     with pytest.raises(DispatchError, match="failed"):
         run_units([bad_unit], InlineTransport())

@@ -5,8 +5,8 @@ Everything here runs against real TCP sockets on loopback —
 byte-for-byte the same code path ``repro worker serve`` runs in a
 separate process (the CI job exercises that spawn path).  Pinned:
 
-* **parity** — distributed == hybrid == process == serial, for sync
-  (chunk-mode) and async (wave-mode) scenarios, at several unit sizes;
+* **parity** — distributed == process == batch == serial, for sync
+  and async scenarios, at several unit sizes;
 * **worker death mid-sweep** — a worker that answers some units and
   then drops connections (indistinguishable from a killed process) is
   excluded and its units retried on the survivor; results stay
@@ -23,13 +23,12 @@ import socket
 import pytest
 
 from repro.engine import (
-    AsyncBackend,
+    BatchBackend,
     DispatchError,
     DistributedBackend,
     Engine,
     EngineError,
     ExperimentSpec,
-    HybridBackend,
     ProcessPoolBackend,
     SerialBackend,
     SocketTransport,
@@ -151,20 +150,19 @@ def test_weighted_host_keeps_multiple_units_in_flight_bit_identically():
 # -- parity: the acceptance criterion --------------------------------------------------
 
 
-def test_distributed_equals_hybrid_equals_process_equals_serial(workers):
-    """The headline chain, both scenario families, all through the
-    shared dispatch core."""
+def test_distributed_equals_process_equals_serial(workers):
+    """The headline chain, both scenario families, the sharded ones
+    through the shared dispatch core."""
     hosts = [w.address for w in workers]
 
     async_spec = _async_spec(trials=8, seed=17)
     serial = SerialBackend().run_trials(async_spec)
-    process = ProcessPoolBackend(workers=2, unit_size=3).run_trials(
-        async_spec
-    )
-    hybrid = HybridBackend(workers=2, unit_size=3).run_trials(async_spec)
+    with ProcessPoolBackend(workers=2, unit_size=3) as pool:
+        process = pool.run_trials(async_spec)
+    batch = BatchBackend(max_live=3).run_trials(async_spec)
     with DistributedBackend(hosts, unit_size=3) as dist:
         distributed = dist.run_trials(async_spec)
-    assert distributed == hybrid == process == serial
+    assert distributed == process == batch == serial
 
     sync_spec = _sync_spec(trials=5)
     serial_sync = SerialBackend().run_trials(sync_spec)
@@ -332,8 +330,6 @@ def test_distributed_constructor_validation(workers):
     hosts = [w.address for w in workers]
     with pytest.raises(EngineError, match="unit_size"):
         DistributedBackend(hosts, unit_size=0)
-    with pytest.raises(EngineError, match="max_live"):
-        DistributedBackend(hosts, max_live=0)
 
 
 def test_unknown_scenario_fails_fast_in_the_client(workers):
@@ -360,8 +356,7 @@ def test_close_drains_inflight_unit_before_teardown():
     import threading
     import time
 
-    from repro.engine import ExperimentRunner, TrialResult, WorkUnit, register
-    from repro.engine.dispatch import MODE_TRIALS
+    from repro.engine import Scenario, TrialResult, WorkUnit, register
 
     started = threading.Event()
 
@@ -371,7 +366,7 @@ def test_close_drains_inflight_unit_before_teardown():
         return TrialResult.make(ctx, {"value": 1.0})
 
     register(
-        ExperimentRunner(
+        Scenario(
             name="test-slow-drain",
             run_trial=_slow_trial,
             description="test-only: sleeps long enough to race close()",
@@ -382,7 +377,7 @@ def test_close_drains_inflight_unit_before_teardown():
     transport = SocketTransport([server.address])
     try:
         assert transport.try_submit(
-            0, WorkUnit(spec=spec, indices=(0,), mode=MODE_TRIALS)
+            0, WorkUnit(spec=spec, indices=(0,))
         )
         assert started.wait(5.0)  # the unit is executing on the server
         begin = time.monotonic()
@@ -417,16 +412,6 @@ def test_draining_server_refuses_new_units_with_an_error_envelope():
     finally:
         transport.close()
         server.close()
-
-
-def test_async_wave_mode_matches_in_process_async(workers):
-    """Distributed wave units reproduce the async backend exactly —
-    the same run_wave driver runs on the remote side."""
-    hosts = [w.address for w in workers]
-    spec = _async_spec(trials=6, seed=21)
-    stepped = AsyncBackend(max_live=4).run_trials(spec)
-    with DistributedBackend(hosts, unit_size=2, max_live=4) as dist:
-        assert dist.run_trials(spec) == stepped
 
 
 # -- pipelined lanes and the wire -------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.engine import (
     run_one_trial,
     runner_names,
 )
-from repro.engine.registry import ExperimentRunner, drive_instance
+from repro.engine.registry import Scenario, drive_instance
 from repro.net.rng import child_rng, derive_seed, fork_rng
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -95,8 +95,12 @@ def test_make_context_bounds():
             runner="sampler-quality", n=60, trials=3, seed=9,
             params={"r": 20, "s": 60, "degree": 8, "inner_trials": 4},
         ),
+        ExperimentSpec(runner="bracha-broadcast", n=5, trials=1, seed=3),
     ],
-    ids=["vss-coin", "unreliable-coin-ba", "sampler-quality"],
+    ids=[
+        "vss-coin", "unreliable-coin-ba", "sampler-quality",
+        "bracha-broadcast-one-trial",
+    ],
 )
 def test_serial_process_batch_bit_identical(spec):
     serial = SerialBackend().run_trials(spec)
@@ -116,6 +120,13 @@ def test_process_pool_chunking_covers_all_trials():
         assert flat == list(range(trials))
 
 
+def test_process_pool_constructor_validation():
+    with pytest.raises(EngineError, match="worker"):
+        ProcessPoolBackend(workers=-1)
+    with pytest.raises(EngineError, match="unit_size"):
+        ProcessPoolBackend(unit_size=0)
+
+
 def test_single_worker_pool_degrades_to_serial():
     spec = ExperimentSpec(runner="vss-coin", n=7, trials=2, seed=1)
     assert (
@@ -130,14 +141,10 @@ def test_single_worker_pool_degrades_to_serial():
 def test_backends_are_idempotently_closable_context_managers():
     """Every backend supports `with backend:` and double-close —
     the lifecycle contract pools/sockets hang off."""
-    from repro.engine import AsyncBackend, HybridBackend
-
     backends = [
         SerialBackend(),
         ProcessPoolBackend(workers=2),
         BatchBackend(),
-        AsyncBackend(),
-        HybridBackend(workers=2),
     ]
     for backend in backends:
         with backend as entered:
@@ -309,7 +316,7 @@ def _mixed_vss_instance(ctx):
 
 
 register(
-    ExperimentRunner(
+    Scenario(
         name="test-mixed-vss",
         run_trial=lambda ctx: drive_instance(_mixed_vss_instance(ctx)),
         build_instance=_mixed_vss_instance,
@@ -372,7 +379,7 @@ def _raise_prep(instances):
 
 
 register(
-    ExperimentRunner(
+    Scenario(
         name="test-exploding-prepare",
         build_instance=_mixed_vss_instance,
         prepare_wave=_raise_prep,
@@ -404,7 +411,7 @@ def _exploding_trial(ctx):
 
 
 register(
-    ExperimentRunner(
+    Scenario(
         name="test-exploding",
         run_trial=_exploding_trial,
         description="test-only: always raises",
@@ -420,7 +427,7 @@ def _fragile_vss_instance(ctx):
 
 
 register(
-    ExperimentRunner(
+    Scenario(
         name="test-fragile-vss",
         run_trial=lambda ctx: drive_instance(_fragile_vss_instance(ctx)),
         build_instance=_fragile_vss_instance,
@@ -459,6 +466,64 @@ def test_unknown_runner_and_backend_fail_fast():
     with pytest.raises(EngineError, match="unknown backend"):
         get_backend("quantum")
     assert "vss-coin" in runner_names()
+
+
+def test_backend_names_are_the_four_backends():
+    from repro.engine import BACKEND_NAMES
+
+    assert BACKEND_NAMES == ("serial", "process", "batch", "distributed")
+    for retired in ("async", "hybrid"):
+        with pytest.raises(EngineError, match="unknown backend"):
+            get_backend(retired)
+
+
+# -- per-process scenario resolution memo ---------------------------------------------
+
+
+def test_worker_scenario_resolution_memoised(monkeypatch):
+    """Units resolve the scenario by name exactly once per process.
+
+    ``run_unit`` is what a pool worker executes per unit; resolution
+    must go through the per-process memo so repeated units of the same
+    spec skip the registry lookup (and its lazy-builtins guard).
+    """
+    from repro.engine import WorkUnit, registry, run_unit
+
+    registry._RESOLVED.pop("bracha-broadcast", None)
+    lookups = []
+    real_get_runner = registry.get_runner
+
+    def counting_get_runner(name):
+        lookups.append(name)
+        return real_get_runner(name)
+
+    monkeypatch.setattr(registry, "get_runner", counting_get_runner)
+    spec = ExperimentSpec(
+        runner="bracha-broadcast", n=5, trials=6, seed=3
+    )
+    serial = SerialBackend().run_trials(spec)
+    first = run_unit(WorkUnit(spec=spec, indices=(0, 1)))
+    second = run_unit(WorkUnit(spec=spec, indices=(2, 3)))
+    assert first + second == serial[:4]
+    assert lookups.count("bracha-broadcast") == 1
+
+
+def test_resolution_memo_invalidated_by_reregistration():
+    """Latest registration wins even through the memo."""
+    from repro.engine import registry
+
+    def _trial_a(ctx):
+        return TrialResult(
+            trial_index=ctx.trial_index, seed=ctx.seed, metrics=(), ok=True
+        )
+
+    name = "test-memo-reregister"
+    a = Scenario(name=name, run_trial=_trial_a, description="first")
+    registry.register(a)
+    assert registry.resolve_cached(name) is a
+    b = Scenario(name=name, run_trial=_trial_a, description="second")
+    registry.register(b)
+    assert registry.resolve_cached(name) is b
 
 
 # -- aggregation and rendering ---------------------------------------------------------

@@ -81,7 +81,7 @@ def workers(root):
 
 def test_job_wire_round_trip(root):
     queue = JobQueue(root)
-    job = queue.submit(_spec(), unit_size=2, max_live=8)
+    job = queue.submit(_spec(), unit_size=2)
     assert job.job_id == "job-000001"
     assert job.state == "pending"
     assert job_from_wire(job_to_wire(job)) == job
@@ -157,6 +157,56 @@ def test_unit_store_resume_log(root):
     other = DispatchPlan(trials=4, unit_size=2).units(_spec(trials=4, seed=99))
     with pytest.raises(FleetError, match="does not match the plan"):
         store.load(0, other[0])
+
+
+def test_documents_from_before_wave_units_still_decode(root):
+    """A fleet root written when async scenarios shipped as step-loop
+    waves resumes across the upgrade: a job envelope carrying
+    ``max_live`` and persisted unit documents carrying ``mode`` /
+    ``max_live`` decode with those keys ignored, and each stored unit
+    equals the freshly planned one."""
+    from repro.engine import plan_specs, result_to_wire, spec_to_wire
+    from repro.engine.spec import wire_dumps
+
+    spec = _spec(runner="bracha-broadcast", n=5, trials=4)
+    job = job_from_wire(
+        {
+            "version": 1, "kind": "job", "job_id": "job-000001",
+            "spec": spec_to_wire(spec), "state": "running",
+            "unit_size": 2, "max_live": 64, "error": "",
+            "submitted_at": 1.0, "updated_at": 2.0,
+        }
+    )
+    assert (job.spec, job.unit_size, job.state) == (spec, 2, "running")
+    assert "max_live" not in job_to_wire(job)
+    (plan,) = plan_specs([spec], 2, unit_size=job.unit_size)
+    units = plan.units(spec)
+    results = SerialBackend().run_trials(spec)
+    store = UnitStore(root, job.job_id)
+    for index, (mode, max_live) in enumerate((("wave", 64), ("trials", None))):
+        unit_doc = {
+            "version": 1, "kind": "unit", "spec": spec_to_wire(spec),
+            "indices": list(units[index].indices), "mode": mode,
+            "max_live": max_live, "predicted_cost": None,
+        }
+        path = os.path.join(store.dir, f"unit-{index:06d}.json")
+        with open(path, "w") as handle:
+            handle.write(
+                wire_dumps(
+                    {
+                        "version": 1, "kind": "unit-results",
+                        "unit_index": index, "unit": unit_doc,
+                        "results": [
+                            result_to_wire(r)
+                            for r in results[2 * index : 2 * index + 2]
+                        ],
+                    }
+                )
+                + "\n"
+            )
+        assert store.load(index, units[index]) == results[
+            2 * index : 2 * index + 2
+        ]
 
 
 # -- the worker registry ---------------------------------------------------------------

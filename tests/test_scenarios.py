@@ -3,13 +3,14 @@
 Three contracts pinned here:
 
 * **Backend parity, registry-wide** — every registered (schema-declared)
-  scenario returns bit-identical trial lists on the serial and
-  process-pool backends, on the batch backend where batchable, on
-  the async and hybrid backends where asynchronous (hybrid at odd wave
-  sizes included: 1, 3, and larger than the trial count), and on the
-  distributed backend against loopback TCP workers — wire round trip
-  included.  This is the acceptance property of the scenario redesign
-  and of every backend added since: execution mode is unobservable.
+  scenario returns bit-identical trial lists on the serial backend, on
+  the process-pool backend at odd unit sizes (1, 3 — larger than the
+  trial count — and the auto default), on the batch backend at
+  ``max_live`` 1 and 64 wherever it has a builder (sync or async), and
+  on the distributed backend against loopback TCP workers — wire round
+  trip included.  This is the acceptance property of the scenario
+  redesign and of every backend added since: execution mode is
+  unobservable.
 * **Schema validation** — unknown parameter keys are rejected with a
   did-you-mean hint, ill-typed values with the expected type, raw CLI
   strings coerce to the declared types without touching trial seeds,
@@ -20,15 +21,16 @@ Three contracts pinned here:
   rely on the schema.
 """
 
+import dataclasses
+import multiprocessing
+
 import pytest
 
 from repro.engine import (
-    AsyncBackend,
     BatchBackend,
+    BatchInstance,
     Engine,
-    EngineError,
     ExperimentSpec,
-    HybridBackend,
     Param,
     ProcessPoolBackend,
     Scenario,
@@ -91,25 +93,19 @@ def test_every_scenario_bit_identical_across_backends(
     spec = _smoke_spec(name)
     serial = SerialBackend().run_trials(spec)
     assert [t.trial_index for t in serial] == list(range(spec.trials))
-    pooled = ProcessPoolBackend(workers=2, unit_size=1).run_trials(spec)
-    assert serial == pooled
+    # Process parity at odd unit sizes: 1 (one trial per worker task),
+    # 3 (> n_trials here, so a single short unit), and the auto
+    # default.  Unit geometry must be unobservable.
+    for unit_size in (1, 3, None):
+        with ProcessPoolBackend(workers=2, unit_size=unit_size) as pool:
+            assert pool.run_trials(spec) == serial, f"unit_size={unit_size}"
     if runner.batchable:
-        assert BatchBackend().run_trials(spec) == serial
-    if runner.asynchronous:
-        assert AsyncBackend(max_live=1).run_trials(spec) == serial
-        assert AsyncBackend(max_live=64).run_trials(spec) == serial
-        # Hybrid parity at odd wave sizes: 1 (one trial per worker
-        # task), 3 (> n_trials here, so a single short wave), and the
-        # auto default.  Wave geometry must be unobservable.
-        for unit_size in (1, 3, None):
-            sharded = HybridBackend(
-                workers=2, unit_size=unit_size
-            ).run_trials(spec)
-            assert sharded == serial, f"unit_size={unit_size}"
+        for max_live in (1, 64):
+            batched = BatchBackend(max_live=max_live).run_trials(spec)
+            assert batched == serial, f"max_live={max_live}"
     # Distributed parity, registry-wide: every scenario ships over the
-    # wire to two TCP workers (waves for async scenarios, chunks
-    # otherwise) and comes back bit-identical through the JSON
-    # envelope round trip.
+    # wire to two TCP workers and comes back bit-identical through the
+    # JSON envelope round trip.
     from repro.engine import DistributedBackend
 
     with DistributedBackend(loopback_workers, unit_size=1) as dist:
@@ -138,101 +134,108 @@ def test_everywhere_ba_batch_bit_identical_under_corruption():
     assert all(t.ok for t in serial)
 
 
-def test_async_backend_falls_back_for_sync_scenarios():
-    spec = _smoke_spec("vss-coin")
-    assert (
-        AsyncBackend().run_trials(spec)
-        == SerialBackend().run_trials(spec)
-    )
-
-
-def test_hybrid_64_trials_bit_identical_to_serial_and_async():
+def test_64_async_trials_bit_identical_on_batch_and_process():
     """The acceptance criterion: a paper-scale async sweep (>= 64
-    trials) sharded across pool workers in waves returns metrics
-    bit-identical to the serial and async backends."""
+    trials) multiplexed by the batch backend and sharded across pool
+    workers returns metrics bit-identical to the serial backend."""
     spec = ExperimentSpec(
         runner="bracha-broadcast", n=5, trials=64, seed=17
     )
     serial = SerialBackend().run_trials(spec)
-    stepped = AsyncBackend(max_live=16).run_trials(spec)
-    sharded = HybridBackend(workers=2, unit_size=13).run_trials(spec)
+    stepped = BatchBackend(max_live=16).run_trials(spec)
+    with ProcessPoolBackend(workers=2, unit_size=13) as pool:
+        sharded = pool.run_trials(spec)
     assert serial == stepped == sharded
     assert [t.trial_index for t in sharded] == list(range(64))
     assert all(t.ok for t in sharded)
 
 
-def test_hybrid_rejects_non_async_scenarios_with_capabilities():
-    """No silent serial fallback: a sync scenario on the hybrid backend
-    is a misconfiguration, reported with the scenario's real backends."""
-    spec = _smoke_spec("vss-coin")
-    with pytest.raises(EngineError, match="hybrid"):
-        HybridBackend(workers=2).run_trials(spec)
-    with pytest.raises(EngineError, match="serial, process, batch"):
-        HybridBackend(workers=2).run_trials(spec)
-    runner = get_scenario("vss-coin")
-    assert runner.capabilities == (
-        "serial", "process", "batch", "distributed"
-    )
-    assert not runner.supports("hybrid")
-    assert runner.supports("distributed")
-    bracha = get_scenario("bracha-broadcast")
-    assert bracha.capabilities == (
-        "serial", "process", "async", "hybrid", "distributed"
-    )
-    assert bracha.supports("hybrid")
-    assert bracha.supports("distributed")
+def _fragile_bracha(ctx):
+    if ctx.trial_index == 1:
+        raise RuntimeError(f"bad async build in trial {ctx.trial_index}")
+    return get_scenario("bracha-broadcast").build_instance(ctx)
 
 
-def test_async_backend_contains_broken_construction():
-    """A scenario whose async builder raises yields a failed TrialResult
-    without killing the wave (mirroring the batch backend's guarantee)."""
+@pytest.mark.parametrize("backend", ["batch", "process"])
+def test_async_builder_crash_is_contained_per_trial(backend):
+    """A raising async builder becomes a failed TrialResult — on the
+    batch backend (without killing the wave) and inside a fork pool
+    worker's unit (without killing the unit) — identically to serial.
+    (A fork pool: ad-hoc registrations don't cross a spawn boundary.)"""
     from repro.engine import register
-
-    def _fragile(ctx):
-        if ctx.trial_index == 1:
-            raise RuntimeError(f"bad async build in trial {ctx.trial_index}")
-        return get_scenario("bracha-broadcast").build_async_instance(ctx)
 
     register(
         Scenario(
             name="test-fragile-bracha",
-            build_async_instance=_fragile,
+            build_instance=_fragile_bracha,
             description="test-only: one trial's async builder raises",
         )
     )
-    spec = ExperimentSpec(runner="test-fragile-bracha", n=7, trials=3, seed=2)
+    spec = ExperimentSpec(runner="test-fragile-bracha", n=7, trials=4, seed=2)
     serial = SerialBackend().run_trials(spec)
-    stepped = AsyncBackend().run_trials(spec)
-    assert serial == stepped
-    assert [t.ok for t in serial] == [True, False, True]
+    if backend == "batch":
+        assert BatchBackend().run_trials(spec) == serial
+    elif "fork" in multiprocessing.get_all_start_methods():
+        with ProcessPoolBackend(
+            workers=2, unit_size=2, start_method="fork"
+        ) as pool:
+            assert pool.run_trials(spec) == serial
+    assert [t.ok for t in serial] == [True, False, True, True]
     assert "bad async build in trial 1" in serial[1].failure
 
 
-def test_async_backend_zero_step_instance_matches_serial():
-    """A zero-step cap still starts processes (begin), exactly as the
-    serial path's run(0) does — outputs must match bit for bit."""
-    from repro.engine import AsyncInstance, register
+@pytest.mark.parametrize("name", ["phase-king", "bracha-broadcast"])
+def test_batch_matches_serial_at_step_caps_zero_and_one(name):
+    """The batch backend runs exactly the loop ``network.run(cap)``
+    runs: at cap 0 a sync network steps no round (and sends no bits),
+    and an async one still starts its processes (``result()`` does) —
+    so batch equals serial at caps 0 and 1, sync and async alike."""
+    from repro.engine import register
 
-    def _stalled(ctx):
-        inner = get_scenario("bracha-broadcast").build_async_instance(ctx)
-        return AsyncInstance(
-            network=inner.network, max_steps=0,
-            collect=inner.collect, ctx=inner.ctx,
-        )
+    for cap in (0, 1):
 
-    register(
-        Scenario(
-            name="test-stalled-bracha",
-            build_async_instance=_stalled,
-            description="test-only: zero delivery steps allowed",
+        def _capped(ctx, cap=cap):
+            inner = get_scenario(name).build_instance(ctx)
+            return BatchInstance(
+                network=inner.network, max_steps=cap,
+                collect=inner.collect, ctx=inner.ctx,
+            )
+
+        capped = f"test-capped-{name}-{cap}"
+        register(
+            Scenario(
+                name=capped,
+                build_instance=_capped,
+                description="test-only: instance cap replaced",
+            )
         )
-    )
-    spec = ExperimentSpec(runner="test-stalled-bracha", n=7, trials=2, seed=1)
-    serial = SerialBackend().run_trials(spec)
-    stepped = AsyncBackend().run_trials(spec)
-    assert serial == stepped
-    for trial in serial:
-        assert trial.metric_dict()["steps"] == 0.0
+        spec = dataclasses.replace(_smoke_spec(name), runner=capped)
+        serial = SerialBackend().run_trials(spec)
+        assert BatchBackend().run_trials(spec) == serial, cap
+        for trial in serial:
+            metrics = trial.metric_dict()
+            assert metrics.get("rounds", metrics.get("steps")) == cap
+            if cap == 0 and name == "phase-king":
+                assert trial.ledger.total_bits == 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ExperimentSpec(runner="vss-coin", n=7, trials=3, seed=5),
+        ExperimentSpec(runner="bracha-broadcast", n=5, trials=6, seed=9),
+    ],
+    ids=lambda spec: spec.runner,
+)
+def test_process_pool_spawn_bit_identical_to_serial(spec):
+    """The worker-rebuild regression: a ``spawn`` worker inherits
+    nothing from the parent (no forked registry, no closures), so
+    matching serial proves specs cross the process boundary as plain
+    data — for a sync and an async scenario alike."""
+    with ProcessPoolBackend(
+        workers=2, unit_size=2, start_method="spawn"
+    ) as pool:
+        assert pool.run_trials(spec) == SerialBackend().run_trials(spec)
 
 
 def test_unreliable_coin_ba_corrupt_param_wires_an_adversary():
@@ -412,14 +415,14 @@ def test_param_signature_rendering():
     assert Param("degree", int, None).signature() == "degree: int = auto"
 
 
-# -- async backend determinism details ------------------------------------------------
+# -- async scenario determinism details -----------------------------------------------
 
 
 def test_async_scheduler_forks_from_trial_seed():
     """Two trials of one spec see different delivery orders, and the
     same trial rebuilt twice sees the same one."""
     spec = ExperimentSpec(runner="async-benor", n=5, trials=2, seed=4)
-    build = get_scenario("async-benor").build_async_instance
+    build = get_scenario("async-benor").build_instance
     once = build(make_context(spec, 0)).network.run(max_steps=10_000)
     again = build(make_context(spec, 0)).network.run(max_steps=10_000)
     assert once.steps == again.steps

@@ -22,7 +22,6 @@ import random
 import pytest
 
 from repro.engine import (
-    AsyncBackend,
     BatchBackend,
     Engine,
     ExperimentSpec,
@@ -162,7 +161,7 @@ def _random_report(rng: random.Random) -> RunReport:
         )
     samples = tuple(s for lane in lanes for s in lane.unit_seconds)
     return RunReport(
-        backend=rng.choice(["distributed", "hybrid", ""]),
+        backend=rng.choice(["distributed", "process", ""]),
         trials=sum(lane.trials for lane in lanes),
         failures=rng.randint(0, 2),
         wall_seconds=rng.random() * 10,
@@ -179,13 +178,6 @@ def _random_report(rng: random.Random) -> RunReport:
         ),
         trial_bits=tuple(
             rng.randint(0, 4096) for _ in range(rng.randint(0, 6))
-        ),
-        trace_counters=tuple(
-            sorted(
-                (kind, rng.randint(1, 9))
-                for kind in rng.sample(["send", "recv", "drop"],
-                                       rng.randint(0, 3))
-            )
         ),
     )
 
@@ -231,6 +223,11 @@ class TestMergeAlgebra:
         old = report_to_wire(RunReport(lanes=(LaneReport(lane="a"),)))
         old["lanes"][0]["codec"] = "binary"
         assert report_from_wire(old).lanes == (LaneReport(lane="a"),)
+        # Artifacts written with the retired trace-counter bridge load,
+        # the counters ignored.
+        traced = report_to_wire(a)
+        traced["trace_counters"] = [["corrupt", 1], ["deliver", 3]]
+        assert report_from_wire(traced) == a
 
     def test_lane_merge_rejects_mismatched_ids(self):
         with pytest.raises(ValueError, match="lane"):
@@ -278,24 +275,6 @@ class TestEdgeCases:
             report_from_wire(doc)
         with pytest.raises(WireFormatError):
             report_from_wire({"version": 1, "kind": "result"})
-
-    def test_trace_counters_bridge(self):
-        """``report(trace=...)`` accepts a TraceRecorder-shaped object
-        or a plain mapping of per-kind counters."""
-        telemetry = RunTelemetry(backend="serial")
-        telemetry.finish()
-
-        class FakeTrace:
-            counters = {"deliver": 3, "corrupt": 1}
-
-        by_object = telemetry.report([], trace=FakeTrace())
-        by_mapping = telemetry.report(
-            [], trace={"deliver": 3, "corrupt": 1}
-        )
-        assert by_object.trace_counters == (("corrupt", 1), ("deliver", 3))
-        assert by_object.trace_counters == by_mapping.trace_counters
-        assert "trace[deliver]" in by_object.render()
-
 
 # -- dispatch integration --------------------------------------------------------------
 
@@ -351,7 +330,7 @@ class TestTelemetryParity:
             seed = serial.run_trials(spec)
             assert serial.telemetry is not None, name
             assert serial.telemetry.report(seed).trials == 3, name
-            for backend in (BatchBackend(), AsyncBackend(max_live=2)):
+            for backend in (BatchBackend(), BatchBackend(max_live=2)):
                 assert backend.run_trials(spec) == seed, (
                     name, backend.name
                 )
