@@ -34,8 +34,6 @@ model.  This bench quantifies the landscape the question lives in:
 
 import os
 
-import pytest
-
 from conftest import print_table
 from repro.asynchrony import (
     RandomScheduler,

@@ -24,8 +24,8 @@ Protocol code subclasses :class:`ProcessorProtocol`; adversaries subclass
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from .accounting import BitLedger
 from .messages import Message

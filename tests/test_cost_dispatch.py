@@ -27,7 +27,6 @@ import pytest
 
 from repro.analysis.costmodel import (
     CostSample,
-    ScenarioCostModel,
     calibrate,
     cost_model_names,
     get_cost_model,

@@ -1,10 +1,13 @@
 """Unit tests for the network simulator, messages, and accounting."""
 
+import collections
+import enum
 import random
-from typing import List
+from typing import Any, List
 
 import pytest
 
+from repro.crypto.bivariate import BivariateRow
 from repro.net.accounting import BitLedger
 from repro.net.messages import HEADER_BITS, Message, MessageError, payload_bits
 from repro.net.rng import child_rng, derive_seed
@@ -52,6 +55,171 @@ class TestPayloadBits:
     def test_message_bits(self):
         m = Message(0, 1, "v", 255)
         assert m.bits() == HEADER_BITS + 8 + 8
+
+
+def reference_payload_bits(payload: Any) -> int:
+    """The recursive sizing rules, one call per node: the oracle the
+    level-wise :func:`payload_bits` must reproduce exactly."""
+    if payload is None:
+        return 1
+    if isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        return max(1, payload.bit_length() + (1 if payload < 0 else 0))
+    if isinstance(payload, str):
+        return 8 * len(payload)
+    if isinstance(payload, (tuple, list)):
+        return sum(reference_payload_bits(item) for item in payload)
+    if isinstance(payload, dict):
+        return sum(
+            reference_payload_bits(k) + reference_payload_bits(v)
+            for k, v in payload.items()
+        )
+    if hasattr(payload, "wire_bits"):
+        return int(payload.wire_bits())
+    raise MessageError(f"payload of type {type(payload)!r} is not measurable")
+
+
+class _Sign(enum.IntEnum):
+    DOWN = -3
+    FLAT = 0
+    UP = 5
+
+
+class _Tag(str):
+    """A str subclass."""
+
+
+class _Words(list):
+    """A list subclass."""
+
+
+_Pair = collections.namedtuple("_Pair", "left right")
+
+_ROW = BivariateRow(x=2, values=(7, 0, 1 << 40, 1))
+
+#: Leaves that are not payloads, reached at any depth.
+_UNMEASURABLE = (1.5, b"xy", object())
+
+
+def _random_int(rng: random.Random) -> int:
+    roll = rng.randrange(5)
+    if roll == 0:
+        return rng.choice((0, 1, -1))
+    if roll == 1:
+        return rng.randint(-9, 9)
+    if roll == 2:
+        return rng.getrandbits(31)
+    if roll == 3:
+        return -rng.getrandbits(rng.randint(1, 70))
+    return rng.choice((1, -1)) * ((1 << 64) + rng.getrandbits(70))
+
+
+def _random_leaf(rng: random.Random, bad: float) -> Any:
+    if rng.random() < bad:
+        return rng.choice(_UNMEASURABLE)
+    roll = rng.randrange(8)
+    if roll < 3:
+        return _random_int(rng)
+    if roll == 3:
+        return rng.choice((None, True, False))
+    if roll == 4:
+        return rng.choice(tuple(_Sign))
+    if roll == 5:
+        return "ab"[: rng.randrange(3)]
+    if roll == 6:
+        return _Tag("xyz"[: rng.randrange(4)])
+    return _ROW
+
+
+def _random_payload(rng: random.Random, depth: int, bad: float) -> Any:
+    """A random payload nested at most ``depth`` levels deep."""
+    if depth == 0 or rng.random() < 0.2:
+        return _random_leaf(rng, bad)
+    size = rng.randrange(5)
+    # Dicts (tuple keys), echoes and rows take two levels themselves.
+    roll = rng.randrange(8 if depth >= 2 else 4)
+    if roll < 3:
+        items = [_random_payload(rng, depth - 1, bad) for _ in range(size)]
+        return (tuple, list, _Words)[roll](items)
+    if roll == 3:
+        return _Pair(
+            _random_payload(rng, depth - 1, bad),
+            _random_payload(rng, depth - 1, bad),
+        )
+    if roll == 4:
+        keys = ((1, -2), (), None, True, False, 7, "k")
+        return {
+            rng.choice(keys): _random_payload(rng, depth - 1, bad)
+            for _ in range(size)
+        }
+    if roll == 5:
+        # The echo shape: (dealer, value) pairs.
+        return tuple((d, _random_int(rng)) for d in range(size))
+    if roll == 6:
+        # The row shape: (pid, values).
+        return (rng.randrange(24), tuple(_random_int(rng) for _ in range(size)))
+    # A level of tuples only, the first one empty.
+    items = [_random_payload(rng, depth - 2, bad) for _ in range(size)]
+    return tuple(tuple(items[:i]) for i in range(size))
+
+
+def _outcome(size, payload: Any):
+    """``size(payload)``, or the text of the MessageError it raises."""
+    try:
+        return size(payload)
+    except MessageError as exc:
+        return f"MessageError: {exc}"
+
+
+class TestPayloadBitsOracle:
+    LISTED = (
+        None, True, False, 0, 1, -1, (1 << 64) + 1, -(1 << 70), _Sign.DOWN,
+        "", "abc", _Tag("ab"),
+        (), [], ((),), ([], ()), ((), ((),), [[], ()]), (None, True, False),
+        (0, 0, -1, 1, True, False, _Sign.DOWN, 1 << 65),
+        _Pair(1, -2), _Pair((), [_Sign.UP]), _Words([1, (2, 3)]),
+        tuple((d, d * 977) for d in range(24)),
+        (3, tuple(range(-2, 23))),
+        {(1, 2): None, None: True, True: "x", False: (0, -1)},
+        _ROW, (_ROW, (_ROW,)),
+        ((1.5,),), [[(b"xy",)]], (1, (2, (3, object()))),
+        ((0, 1), (2, b"xy")), (((1,), 1.5), (b"xy",)),
+    )
+
+    @pytest.mark.parametrize("payload", LISTED)
+    def test_listed_payloads_match_the_reference(self, payload):
+        expected = _outcome(reference_payload_bits, payload)
+        assert _outcome(payload_bits, payload) == expected
+
+    def test_seeded_payloads_match_the_reference(self):
+        rng = random.Random(18)
+        outcomes = collections.Counter()
+        for i in range(20_000):
+            payload = _random_payload(
+                rng, depth=rng.randint(0, 5), bad=0.15 if i % 4 == 0 else 0.0
+            )
+            expected = _outcome(reference_payload_bits, payload)
+            assert _outcome(payload_bits, payload) == expected, payload
+            outcomes[isinstance(expected, str)] += 1
+            tag = rng.choice(("vote", "", _Tag("echo")))
+            message = Message(0, 1, tag, payload)
+            if not isinstance(expected, str):
+                assert message.bits() == (
+                    HEADER_BITS + reference_payload_bits(tag) + expected
+                )
+        # Both outcomes are exercised, not only the measurable one.
+        assert outcomes[True] > 500 and outcomes[False] > 15_000
+
+    def test_self_containing_lists_still_raise(self):
+        loop: List[Any] = []
+        loop.append(loop)
+        with pytest.raises(RecursionError):
+            payload_bits(loop)
+        through_tuple: List[Any] = [1]
+        through_tuple.append((through_tuple, through_tuple))
+        with pytest.raises(RecursionError):
+            payload_bits((through_tuple,))
 
 
 class TestRngDerivation:

@@ -1,6 +1,6 @@
 """Tests for the declarative Scenario API.
 
-Three contracts pinned here:
+Four contracts pinned here:
 
 * **Backend parity, registry-wide** — every registered (schema-declared)
   scenario returns bit-identical trial lists on the serial backend, on
@@ -19,6 +19,9 @@ Three contracts pinned here:
 * **Metric contracts** — a scenario's trials report exactly the metric
   names its registration declares, so downstream tables and sweeps can
   rely on the schema.
+* **Ledger pins** — every declared scenario's serial smoke trials, and
+  two specs shaped like the end-to-end benchmark's message-heavy
+  workloads, reproduce literal per-trial bit ledgers.
 """
 
 import dataclasses
@@ -31,6 +34,7 @@ from repro.engine import (
     BatchInstance,
     Engine,
     ExperimentSpec,
+    LedgerStats,
     Param,
     ProcessPoolBackend,
     Scenario,
@@ -251,6 +255,128 @@ def test_unreliable_coin_ba_corrupt_param_wires_an_adversary():
     for trial in attacked:
         assert trial.metric_dict()["corrupted"] == int(0.25 * n)
     assert clean != attacked
+
+
+# -- ledger pins ---------------------------------------------------------------------
+
+#: Per-trial ledgers of every declared scenario's serial smoke spec
+#: (3 trials, seed 29): total bits, messages, max bits per processor,
+#: rounds, phase bits.  Any change to how messages are sized or
+#: counted moves one of these.
+SMOKE_LEDGERS = {
+    "async-benor": (
+        LedgerStats(4420, 60, 884, 42, (("default", 4420),)),
+        LedgerStats(4493, 61, 957, 41, (("default", 4493),)),
+        LedgerStats(4420, 60, 884, 40, (("default", 4420),)),
+    ),
+    "async-sparse-aeba": (
+        LedgerStats(86160, 720, 5385, 480, (("default", 86160),)),
+        LedgerStats(86160, 720, 5385, 480, (("default", 86160),)),
+        LedgerStats(86160, 720, 5385, 480, (("default", 86160),)),
+    ),
+    "benor": (
+        LedgerStats(13720, 224, 1715, 5, (("default", 13720),)),
+        LedgerStats(13720, 224, 1715, 5, (("default", 13720),)),
+        LedgerStats(20608, 336, 2576, 7, (("default", 20608),)),
+    ),
+    "bracha-broadcast": (
+        LedgerStats(5340, 90, 1164, 75, (("default", 5340),)),
+        LedgerStats(5340, 90, 1164, 77, (("default", 5340),)),
+        LedgerStats(5340, 90, 1164, 84, (("default", 5340),)),
+    ),
+    "common-coin-ba": (
+        LedgerStats(11379, 153, 2006, 123, (("default", 11379),)),
+        LedgerStats(11379, 153, 2006, 120, (("default", 11379),)),
+        LedgerStats(11379, 153, 2006, 121, (("default", 11379),)),
+    ),
+    "cpa": (
+        LedgerStats(0, 0, 0, 0, ()),
+        LedgerStats(0, 0, 0, 0, ()),
+        LedgerStats(0, 0, 0, 0, ()),
+    ),
+    "disc09-ae2e": (
+        LedgerStats(35752, 872, 1312, 2, (("default", 35752),)),
+        LedgerStats(35793, 873, 1312, 2, (("default", 35793),)),
+        LedgerStats(35834, 874, 1312, 2, (("default", 35834),)),
+    ),
+    "eig": (
+        LedgerStats(69654, 1554, 10026, 4, (("default", 69654),)),
+        LedgerStats(69654, 1554, 10026, 4, (("default", 69654),)),
+        LedgerStats(69654, 1554, 10026, 4, (("default", 69654),)),
+    ),
+    "everywhere-ba": (
+        LedgerStats(156008075, 228655, 8390699, 40, ()),
+        LedgerStats(155757524, 228549, 8632952, 40, ()),
+        LedgerStats(157579238, 228607, 9441191, 40, ()),
+    ),
+    "phase-king": (
+        LedgerStats(11760, 240, 1568, 7, (("default", 11760),)),
+        LedgerStats(11760, 240, 1568, 7, (("default", 11760),)),
+        LedgerStats(11760, 240, 1568, 7, (("default", 11760),)),
+    ),
+    "rabin": (
+        LedgerStats(10584, 216, 1176, 4, (("default", 10584),)),
+        LedgerStats(10584, 216, 1176, 4, (("default", 10584),)),
+        LedgerStats(10584, 216, 1176, 4, (("default", 10584),)),
+    ),
+    "sampler-quality": (
+        LedgerStats(0, 0, 0, 0, ()),
+        LedgerStats(0, 0, 0, 0, ()),
+        LedgerStats(0, 0, 0, 0, ()),
+    ),
+    "unreliable-coin-ba": (
+        LedgerStats(21168, 432, 882, 2, (("default", 21168),)),
+        LedgerStats(21168, 432, 882, 2, (("default", 21168),)),
+        LedgerStats(21168, 432, 882, 2, (("default", 21168),)),
+    ),
+    "vss-coin": (
+        LedgerStats(37778, 168, 5426, 5, (("default", 37778),)),
+        LedgerStats(37859, 168, 5457, 5, (("default", 37859),)),
+        LedgerStats(37782, 168, 5421, 5, (("default", 37782),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_smoke_ledgers_are_pinned(name):
+    spec = dataclasses.replace(_smoke_spec(name, trials=3), seed=29)
+    trials = SerialBackend().run_trials(spec)
+    assert tuple(t.ledger for t in trials) == SMOKE_LEDGERS[name]
+
+
+@pytest.mark.parametrize(
+    "spec, ledgers",
+    [
+        (
+            ExperimentSpec(
+                runner="vss-coin", n=24, trials=2, seed=18,
+                params={"adversary": "withhold"},
+            ),
+            (
+                LedgerStats(1284716, 2047, 59604, 5, (("default", 1284716),)),
+                LedgerStats(1284715, 2047, 59770, 5, (("default", 1284715),)),
+            ),
+        ),
+        (
+            ExperimentSpec(
+                runner="unreliable-coin-ba", n=256, trials=1, seed=18,
+                params={
+                    "behavior": "anti_majority", "corrupt": 0.1,
+                    "inputs": "split", "num_rounds": 3,
+                },
+            ),
+            (
+                LedgerStats(1086624, 22176, 4704, 4, (("default", 1086624),)),
+            ),
+        ),
+    ],
+    ids=("vss-coin-k24", "aeba-n256-sparse"),
+)
+def test_benchmark_shaped_ledgers_are_pinned(spec, ledgers):
+    """The committee coin's nested payloads and the sparse protocol's
+    single-int votes, at the sizes the end-to-end benchmark runs."""
+    trials = SerialBackend().run_trials(spec)
+    assert tuple(t.ledger for t in trials) == ledgers
 
 
 # -- schema validation ---------------------------------------------------------------
