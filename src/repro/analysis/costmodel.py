@@ -12,19 +12,11 @@ All functions return bits *per processor* unless noted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.parameters import ProtocolParameters, log2n
+from ..topology.sparse_graph import theorem5_degree
 
 
 @dataclass(frozen=True)
@@ -249,30 +241,13 @@ def crossover_point(
     return high
 
 
-# -- Per-scenario symbolic cost models (the dispatch cost plane) -------------------------
+# -- Per-scenario cost models (the dispatch cost plane) ---------------------------------
 #
-# Every registered scenario gets a ``ScenarioCostModel``: a pair of sympy
-# expressions — predicted communication bits and computation work units
-# per trial — over symbols resolved from (n, declared params).  The
-# dispatch plane sizes work units by ``trial_cost`` so mixed-n grids
-# balance predicted work instead of trial counts; ``calibrate`` fits the
-# constant factors from measured BitLedger totals and per-trial timings.
-# sympy is optional: when it is missing no model is available and every
-# consumer falls back to uniform (trial-count) geometry.
-
-
-def _sympy():
-    import sympy
-
-    return sympy
-
-
-def _have_sympy() -> bool:
-    try:
-        _sympy()
-    except ImportError:
-        return False
-    return True
+# Every built-in scenario has a ``ScenarioCostModel``: a plain function
+# that prices one trial — predicted communication bits and computation
+# work units — from (n, declared params).  The dispatch plane sizes
+# work units by ``trial_cost`` so mixed-n grids balance predicted work
+# instead of trial counts (:mod:`repro.engine.costplan`).
 
 
 @dataclass(frozen=True)
@@ -284,52 +259,29 @@ class TrialCost:
 
     @property
     def cost(self) -> float:
-        """The scalar the dispatch plane bins by (calibrated work)."""
+        """The scalar the dispatch plane bins by (the work units)."""
         return self.work
 
 
 @dataclass(frozen=True)
 class ScenarioCostModel:
-    """Symbolic per-trial cost of one scenario.
+    """Per-trial cost of one scenario.
 
-    ``bits_expr`` / ``work_expr`` are sympy expressions whose free
-    symbols are filled by ``resolver(n, params)`` — the resolver applies
-    the same auto-derivations the scenario builder does (e.g. a ``None``
-    degree becoming ``theorem5_degree(n)``), so the model prices the
-    trial that would actually run.  ``uses`` names the declared params
-    the model reads; everything else is flagged as ignored by
-    ``repro cost``.
+    ``price(n, params)`` applies the same auto-derivations the scenario
+    builder does (e.g. a ``None`` degree becoming ``theorem5_degree(n)``),
+    so the model prices the trial that would actually run.  ``uses``
+    names the declared params the model reads; everything else is
+    flagged as ignored by ``repro cost``.
     """
 
-    scenario: str
-    bits_expr: Any
-    work_expr: Any
-    resolver: Callable[[int, Mapping[str, Any]], Dict[str, float]]
+    price: Callable[[int, Mapping[str, Any]], TrialCost]
     uses: Tuple[str, ...] = ()
-    bits_scale: float = 1.0
-    work_scale: float = 1.0
-
-    def substitutions(self, n: int, params: Mapping[str, Any]) -> Dict[str, float]:
-        subs = dict(self.resolver(n, params))
-        subs["n"] = float(n)
-        return subs
-
-    def _eval(self, expr: Any, subs: Dict[str, float]) -> float:
-        sympy = _sympy()
-        value = expr.subs(
-            {sympy.Symbol(name): value for name, value in subs.items()}
-        )
-        return float(value)
 
     def predict(
         self, n: int, params: Optional[Mapping[str, Any]] = None
     ) -> TrialCost:
         """Predicted (bits, work) for one trial at ``n`` / ``params``."""
-        subs = self.substitutions(n, dict(params or {}))
-        return TrialCost(
-            bits=self.bits_scale * self._eval(self.bits_expr, subs),
-            work=self.work_scale * self._eval(self.work_expr, subs),
-        )
+        return self.price(n, dict(params or {}))
 
     def trial_cost(
         self, n: int, params: Optional[Mapping[str, Any]] = None
@@ -337,72 +289,9 @@ class ScenarioCostModel:
         """Scalar predicted cost of one trial (what dispatch bins by)."""
         return self.predict(n, params).cost
 
-    def symbol_names(self) -> Tuple[str, ...]:
-        names = {
-            str(s)
-            for expr in (self.bits_expr, self.work_expr)
-            for s in expr.free_symbols
-        }
-        return tuple(sorted(names))
-
     def ignored_params(self, declared: Sequence[str]) -> Tuple[str, ...]:
         """Declared params the model does not price."""
         return tuple(sorted(set(declared) - set(self.uses)))
-
-    def calibrated(
-        self,
-        bits_scale: Optional[float] = None,
-        work_scale: Optional[float] = None,
-    ) -> "ScenarioCostModel":
-        return replace(
-            self,
-            bits_scale=self.bits_scale if bits_scale is None else bits_scale,
-            work_scale=self.work_scale if work_scale is None else work_scale,
-        )
-
-
-@dataclass(frozen=True)
-class CostSample:
-    """One measured data point for ``calibrate``.
-
-    ``bits`` is a measured per-trial BitLedger total (``net.accounting``
-    snapshot merged into ``TrialResult.ledger``); ``seconds`` is a
-    measured per-trial wall time (telemetry ``UnitStats.trial_seconds``).
-    Either may be None when only one axis was measured.
-    """
-
-    n: int
-    params: Tuple[Tuple[str, Any], ...] = ()
-    bits: Optional[float] = None
-    seconds: Optional[float] = None
-
-
-def calibrate(
-    model: ScenarioCostModel, samples: Sequence[CostSample]
-) -> ScenarioCostModel:
-    """Fit the model's constant factors to measured samples.
-
-    Least squares through the origin, per axis: the bits scale maps the
-    symbolic bit count onto measured ledger totals, the work scale maps
-    work units onto measured seconds (so calibrated ``trial_cost`` is in
-    seconds).  Axes with no samples keep their current scale.
-    """
-    bits_num = bits_den = 0.0
-    work_num = work_den = 0.0
-    for sample in samples:
-        predicted = model.predict(sample.n, dict(sample.params))
-        raw_bits = predicted.bits / model.bits_scale if model.bits_scale else 0.0
-        raw_work = predicted.work / model.work_scale if model.work_scale else 0.0
-        if sample.bits is not None and raw_bits > 0:
-            bits_num += raw_bits * sample.bits
-            bits_den += raw_bits * raw_bits
-        if sample.seconds is not None and raw_work > 0:
-            work_num += raw_work * sample.seconds
-            work_den += raw_work * raw_work
-    return model.calibrated(
-        bits_scale=bits_num / bits_den if bits_den else None,
-        work_scale=work_num / work_den if work_den else None,
-    )
 
 
 #: Simulator envelope cost per message (header + 1-bit payload), measured
@@ -410,55 +299,11 @@ def calibrate(
 #: charge exactly 49 bits per vote message.
 _VOTE_BITS = 49.0
 
-_MODEL_BUILDERS: Dict[str, Callable[[], ScenarioCostModel]] = {}
-_MODELS: Dict[str, ScenarioCostModel] = {}
-_BUILTINS_REGISTERED = False
 
-
-def register_cost_model(
-    scenario: str, builder: Callable[[], ScenarioCostModel]
-) -> None:
-    """Register (or replace) the cost-model builder for a scenario."""
-    _MODEL_BUILDERS[scenario] = builder
-    _MODELS.pop(scenario, None)
-
-
-def _register_builtins() -> None:
-    """Register the built-in models on first lookup, not at import.
-
-    Building them imports sympy, which every ``import repro.engine``
-    (CLI commands, pool children, ``repro worker serve``) would
-    otherwise pay for.  A model registered before this runs wins.
-    """
-    global _BUILTINS_REGISTERED
-    if not _BUILTINS_REGISTERED:
-        if _have_sympy():
-            _build_builtin_models()
-        _BUILTINS_REGISTERED = True
-
-
-def get_cost_model(scenario: str) -> Optional[ScenarioCostModel]:
-    """The scenario's cost model, or None (unknown scenario / no sympy).
-
-    A ``None`` here is the documented uniform-geometry fallback signal:
-    every consumer (the unit planner in :mod:`repro.engine.costplan`,
-    ``repro cost``) must degrade to trial-count sizing.
-    """
-    _register_builtins()
-    if scenario in _MODELS:
-        return _MODELS[scenario]
-    builder = _MODEL_BUILDERS.get(scenario)
-    if builder is None or not _have_sympy():
-        return None
-    model = builder()
-    _MODELS[scenario] = model
-    return model
-
-
-def cost_model_names() -> Tuple[str, ...]:
-    """Scenarios with a registered cost model."""
-    _register_builtins()
-    return tuple(sorted(_MODEL_BUILDERS))
+def _resolved(params: Mapping[str, Any], key: str, default: Any) -> float:
+    """``params[key]`` as a float, or ``default`` when it is unset/None."""
+    value = params.get(key)
+    return float(default if value is None else value)
 
 
 def _eig_tree_values(n: int, t: int) -> float:
@@ -470,236 +315,139 @@ def _eig_tree_values(n: int, t: int) -> float:
     return total
 
 
-def _resolved(params: Mapping[str, Any], key: str, default: Any) -> Any:
-    value = params.get(key)
-    return default if value is None else value
+def _phase_king(n: int, p: Mapping[str, Any]) -> TrialCost:
+    # `phases` x (2 all-to-all rounds + king broadcast); the ledger
+    # charges exactly phases*(n^2-1) vote messages.
+    phases = _resolved(p, "num_phases", max(0, (n - 1) // 4) + 1)
+    msgs = phases * (n**2 - 1)
+    return TrialCost(_VOTE_BITS * msgs, msgs + 2 * phases * n)
 
 
-def _build_builtin_models() -> None:
-    sympy = _sympy()
-    Sym = sympy.Symbol
+def _rabin(n: int, p: Mapping[str, Any]) -> TrialCost:
+    # All-to-all votes for `rounds` expected rounds (3 at the default
+    # corruption, growing toward max_rounds under faults).
+    corrupt = _resolved(p, "corrupt", 0.0)
+    rounds = min(3.0 + 8.0 * corrupt, _resolved(p, "max_rounds", 64))
+    msgs = rounds * n * (n - 1)
+    return TrialCost(_VOTE_BITS * msgs, msgs + 2 * rounds * n)
 
-    n = Sym("n")
 
-    def simple(
-        scenario: str,
-        bits_expr: Any,
-        work_expr: Any,
-        resolver: Callable[[int, Mapping[str, Any]], Dict[str, float]],
-        uses: Tuple[str, ...],
-    ) -> None:
-        _MODEL_BUILDERS.setdefault(
-            scenario,
-            lambda: ScenarioCostModel(
-                scenario=scenario,
-                bits_expr=bits_expr,
-                work_expr=work_expr,
-                resolver=resolver,
-                uses=uses,
-            ),
-        )
-
-    # phase-king: `phases` x (2 all-to-all rounds + king broadcast);
-    # the ledger charges exactly phases*(n^2-1) vote messages.
-    phases = Sym("phases")
-    pk_msgs = phases * (n**2 - 1)
-    simple(
-        "phase-king",
-        _VOTE_BITS * pk_msgs,
-        pk_msgs + 2 * phases * n,
-        lambda N, p: {
-            "phases": float(
-                _resolved(p, "num_phases", max(0, (N - 1) // 4) + 1)
-            )
-        },
-        ("num_phases",),
-    )
-
-    # rabin: all-to-all votes for `rounds_eff` expected rounds (3 at the
-    # default corruption, growing toward max_rounds under faults).
-    rounds_eff = Sym("rounds_eff")
-    rb_msgs = rounds_eff * n * (n - 1)
-    simple(
-        "rabin",
-        _VOTE_BITS * rb_msgs,
-        rb_msgs + 2 * rounds_eff * n,
-        lambda N, p: {
-            "rounds_eff": float(
-                min(
-                    3.0 + 8.0 * float(p.get("corrupt", 0.0) or 0.0),
-                    _resolved(p, "max_rounds", 64),
-                )
-            )
-        },
-        ("corrupt", "max_rounds"),
-    )
-
-    # benor (sync local-coin): expected phases grow exponentially in the
+def _benor(n: int, p: Mapping[str, Any]) -> TrialCost:
+    # Sync local-coin: expected phases grow exponentially in the
     # corrupted fraction; each phase is two all-to-all vote rounds.
-    exp_phases = Sym("exp_phases")
-    bo_msgs = 2 * exp_phases * n * (n - 1)
-    simple(
-        "benor",
-        _VOTE_BITS * bo_msgs,
-        bo_msgs + 4 * exp_phases * n,
-        lambda N, p: {
-            "exp_phases": float(
-                min(
-                    2.0 * 2.0 ** (float(p.get("corrupt", 0.0) or 0.0) * N),
-                    _resolved(p, "max_phases", 64),
-                )
-            )
-        },
-        ("corrupt", "max_phases"),
-    )
+    corrupt = _resolved(p, "corrupt", 0.0)
+    phases = min(2.0 * 2.0 ** (corrupt * n), _resolved(p, "max_phases", 64))
+    msgs = 2 * phases * n * (n - 1)
+    return TrialCost(_VOTE_BITS * msgs, msgs + 4 * phases * n)
 
-    # eig: exact message count — n(n-1) sends per round, each relaying
-    # the previous level's tree values: sum_{r=0..t} P(n-1, r) values.
-    tree_values = Sym("tree_values")
-    t_sym = Sym("t")
-    eig_msgs = n * (n - 1) * tree_values
-    simple(
-        "eig",
-        (40.0 + 3.0 * t_sym) * eig_msgs,
-        eig_msgs,
-        lambda N, p: (
-            lambda t: {"t": float(t), "tree_values": _eig_tree_values(N, t)}
-        )(int(_resolved(p, "t", max(0, (N - 1) // 3)))),
-        ("t",),
-    )
 
-    # bracha-broadcast: init (n-1) + echo n(n-1) + ready n(n-1) messages.
-    br_msgs = (2 * n + 1) * (n - 1)
-    simple(
-        "bracha-broadcast",
-        58.6 * br_msgs,
-        2 * br_msgs,
-        lambda N, p: {},
-        (),
-    )
+def _eig(n: int, p: Mapping[str, Any]) -> TrialCost:
+    # Exact message count: n(n-1) sends per round, each relaying the
+    # previous level's tree values, sum_{r=0..t} P(n-1, r) of them.
+    t = int(_resolved(p, "t", max(0, (n - 1) // 3)))
+    msgs = n * (n - 1) * _eig_tree_values(n, t)
+    return TrialCost((40.0 + 3.0 * t) * msgs, msgs)
 
+
+def _bracha_broadcast(n: int, p: Mapping[str, Any]) -> TrialCost:
+    # init (n-1) + echo n(n-1) + ready n(n-1) messages.
+    msgs = (2 * n + 1) * (n - 1)
+    return TrialCost(58.6 * msgs, 2 * msgs)
+
+
+def _async_phases(n: int, p: Mapping[str, Any]) -> TrialCost:
     # async-benor / common-coin-ba: expected ~4 phases of all-to-all
     # traffic under the async scheduler (measured ~4.5 n^2 messages).
-    exp_phases_a = Sym("exp_phases")
-    ab_msgs = exp_phases_a * n * (n - 1)
-    for name in ("async-benor", "common-coin-ba"):
-        simple(
-            name,
-            74.0 * ab_msgs,
-            2 * ab_msgs,
-            lambda N, p: {
-                "exp_phases": float(min(5.0, _resolved(p, "max_phases", 64)))
-            },
-            ("max_phases",),
-        )
+    phases = min(5.0, _resolved(p, "max_phases", 64))
+    msgs = phases * n * (n - 1)
+    return TrialCost(74.0 * msgs, 2 * msgs)
 
-    # unreliable-coin-ba: one vote to every sparse-graph neighbor per
-    # round — exactly n * degree * num_rounds ledger messages.
-    degree = Sym("degree")
-    num_rounds = Sym("num_rounds")
-    uc_msgs = n * degree * num_rounds
-    def _uc_resolver(N: int, p: Mapping[str, Any]) -> Dict[str, float]:
-        from ..topology.sparse_graph import theorem5_degree
 
-        return {
-            "degree": float(_resolved(p, "degree", theorem5_degree(N))),
-            "num_rounds": float(_resolved(p, "num_rounds", 1)),
-        }
+def _unreliable_coin_ba(n: int, p: Mapping[str, Any]) -> TrialCost:
+    # One vote to every sparse-graph neighbour per round: exactly
+    # n * degree * num_rounds ledger messages.
+    degree = _resolved(p, "degree", theorem5_degree(n))
+    rounds = _resolved(p, "num_rounds", 1)
+    msgs = n * degree * rounds
+    return TrialCost(_VOTE_BITS * msgs, msgs + 2 * rounds * n)
 
-    simple(
-        "unreliable-coin-ba",
-        _VOTE_BITS * uc_msgs,
-        uc_msgs + 2 * num_rounds * n,
-        _uc_resolver,
-        ("degree", "num_rounds"),
-    )
 
-    # async-sparse-aeba: (num_rounds + 1) sparse vote rounds at a
-    # measured 119.7 bits per message.
-    as_msgs = n * degree * (num_rounds + 1)
-    def _as_resolver(N: int, p: Mapping[str, Any]) -> Dict[str, float]:
-        from ..topology.sparse_graph import theorem5_degree
+def _async_sparse_aeba(n: int, p: Mapping[str, Any]) -> TrialCost:
+    # (num_rounds + 1) sparse vote rounds at a measured 119.7 bits per
+    # message.
+    degree = int(_resolved(p, "degree", theorem5_degree(n)))
+    rounds = _resolved(p, "num_rounds", max(8, degree // 2))
+    msgs = n * degree * (rounds + 1)
+    return TrialCost(119.7 * msgs, 2 * msgs)
 
-        deg = int(_resolved(p, "degree", theorem5_degree(N)))
-        return {
-            "degree": float(deg),
-            "num_rounds": float(
-                _resolved(p, "num_rounds", max(8, deg // 2))
-            ),
-        }
 
-    simple(
-        "async-sparse-aeba",
-        119.7 * as_msgs,
-        2 * as_msgs,
-        _as_resolver,
-        ("degree", "num_rounds"),
-    )
+def _vss_coin(n: int, p: Mapping[str, Any]) -> TrialCost:
+    # 4 k(k-1) dealing/echo/reveal messages whose payloads are rows of
+    # ~k field words; reconstruction work is cubic in k.
+    k = _resolved(p, "k", n)
+    return TrialCost(k * (k - 1) * (214.0 + 98.0 * k), 4 * k * (k - 1) + k**3)
 
-    # vss-coin: 4 k(k-1) dealing/echo/reveal messages whose payloads are
-    # rows of ~k field words; reconstruction work is cubic in k.
-    k = Sym("k")
-    vss_msgs = 4 * k * (k - 1)
-    simple(
-        "vss-coin",
-        k * (k - 1) * (214.0 + 98.0 * k),
-        vss_msgs + k**3,
-        lambda N, p: {"k": float(_resolved(p, "k", N))},
-        ("k",),
-    )
 
-    # cpa: nothing hits the ledger (charge-free flooding sim); work is
+def _cpa(n: int, p: Mapping[str, Any]) -> TrialCost:
+    # Nothing hits the ledger (charge-free flooding sim); work is
     # rounds x n x degree relays.
-    rounds_sym = Sym("rounds")
-    simple(
-        "cpa",
-        sympy.Integer(0),
-        rounds_sym * n * degree,
-        lambda N, p: {
-            "rounds": float(_resolved(p, "rounds", 3 * N)),
-            "degree": float(
-                _resolved(p, "degree", max(2, int(math.log2(max(N, 2))) + 1))
-            ),
-        },
-        ("rounds", "degree"),
-    )
+    rounds = _resolved(p, "rounds", 3 * n)
+    degree = _resolved(p, "degree", max(2, int(math.log2(max(n, 2))) + 1))
+    return TrialCost(0.0, rounds * n * degree)
 
-    # disc09-ae2e: a log(n) pull requests per processor at 41 bits/msg.
-    a_sym = Sym("a")
-    d9_msgs = a_sym * n * sympy.log(n)
-    simple(
-        "disc09-ae2e",
-        41.0 * d9_msgs,
-        d9_msgs,
-        lambda N, p: {"a": float(_resolved(p, "a", 6.0))},
-        ("a",),
-    )
 
-    # sampler-quality: pure computation (no network) — r outer samplers
-    # each drawing s candidates and running inner_trials degree-sized
-    # committee probes.
-    r_sym, s_sym, it_sym = Sym("r"), Sym("s"), Sym("inner_trials")
-    simple(
-        "sampler-quality",
-        sympy.Integer(0),
-        r_sym * (s_sym + it_sym * s_sym),
-        lambda N, p: {
-            "r": float(_resolved(p, "r", 100)),
-            "s": float(_resolved(p, "s", 300)),
-            "inner_trials": float(_resolved(p, "inner_trials", 15)),
-        },
-        ("r", "s", "inner_trials"),
-    )
+def _disc09_ae2e(n: int, p: Mapping[str, Any]) -> TrialCost:
+    # a ln(n) pull requests per processor at 41 bits per message.
+    msgs = _resolved(p, "a", 6.0) * n * math.log(n)
+    return TrialCost(41.0 * msgs, msgs)
 
-    # everywhere-ba: the tournament simulation; bits from the existing
-    # simulation-preset closed form (Theorem 1 constants), work
-    # proportional to the implied message count.
-    bits_pp = Sym("bits_pp")
-    simple(
-        "everywhere-ba",
-        n * bits_pp,
-        n * bits_pp / 31.0,
-        lambda N, p: {"bits_pp": everywhere_ba_bits_simulation(N)},
-        (),
-    )
 
+def _sampler_quality(n: int, p: Mapping[str, Any]) -> TrialCost:
+    # Pure computation (no network): r outer samplers each drawing s
+    # candidates and running inner_trials degree-sized committee probes.
+    r = _resolved(p, "r", 100)
+    s = _resolved(p, "s", 300)
+    inner = _resolved(p, "inner_trials", 15)
+    return TrialCost(0.0, r * (s + inner * s))
+
+
+def _everywhere_ba(n: int, p: Mapping[str, Any]) -> TrialCost:
+    # The tournament simulation: bits from the simulation-preset closed
+    # form (Theorem 1 constants), work proportional to the implied
+    # message count.
+    bits = n * everywhere_ba_bits_simulation(n)
+    return TrialCost(bits, bits / 31.0)
+
+
+_MODELS: Dict[str, ScenarioCostModel] = {
+    "phase-king": ScenarioCostModel(_phase_king, ("num_phases",)),
+    "rabin": ScenarioCostModel(_rabin, ("corrupt", "max_rounds")),
+    "benor": ScenarioCostModel(_benor, ("corrupt", "max_phases")),
+    "eig": ScenarioCostModel(_eig, ("t",)),
+    "bracha-broadcast": ScenarioCostModel(_bracha_broadcast),
+    "async-benor": ScenarioCostModel(_async_phases, ("max_phases",)),
+    "common-coin-ba": ScenarioCostModel(_async_phases, ("max_phases",)),
+    "unreliable-coin-ba": ScenarioCostModel(
+        _unreliable_coin_ba, ("degree", "num_rounds")
+    ),
+    "async-sparse-aeba": ScenarioCostModel(
+        _async_sparse_aeba, ("degree", "num_rounds")
+    ),
+    "vss-coin": ScenarioCostModel(_vss_coin, ("k",)),
+    "cpa": ScenarioCostModel(_cpa, ("rounds", "degree")),
+    "disc09-ae2e": ScenarioCostModel(_disc09_ae2e, ("a",)),
+    "sampler-quality": ScenarioCostModel(
+        _sampler_quality, ("r", "s", "inner_trials")
+    ),
+    "everywhere-ba": ScenarioCostModel(_everywhere_ba),
+}
+
+
+def get_cost_model(scenario: str) -> Optional[ScenarioCostModel]:
+    """The scenario's cost model, or None when it has none."""
+    return _MODELS.get(scenario)
+
+
+def cost_model_names() -> Tuple[str, ...]:
+    """Scenarios with a cost model."""
+    return tuple(sorted(_MODELS))

@@ -595,14 +595,16 @@ def _suite_telemetry_overhead(quick: bool) -> Dict[str, Any]:
 
 
 def _suite_cost_dispatch_mixed_n(quick: bool) -> Dict[str, Any]:
-    """Cost-aware vs uniform shard geometry on a mixed-n grid (GATED).
+    """Cost-sized vs uniform shard geometry on a mixed-n grid (GATED).
 
     The workload the cost plane exists for: one grid mixing many cheap
     phase-king sweeps (n=8) with a few expensive ones (n=40, ~100x the
     per-trial work).  Uniform geometry sizes units by trial count, so
     the expensive spec collapses into a couple of huge units that
-    leave most lanes idle; cost-aware geometry bins by predicted
-    per-trial cost, splitting the expensive trials across lanes.
+    leave most lanes idle; the planner's cost-sized geometry bins by
+    predicted per-trial cost, splitting the expensive trials across
+    lanes.  The uniform baseline is built inline: one plan per spec, in
+    spec order, at the trial-count rule's size.
 
     The gated ``speedup`` is the ratio of the two plans' *makespans*
     under the collect loop's own scheduling discipline (units in
@@ -613,18 +615,13 @@ def _suite_cost_dispatch_mixed_n(quick: bool) -> Dict[str, Any]:
     ratio (only the timing repetitions differ).  Parity of the fused
     grid path against bare serial loops is asserted before timing.
     """
-    from repro.analysis.costmodel import get_cost_model
     from repro.engine import ExperimentSpec
-    from repro.engine.costplan import plan_grid
+    from repro.engine.costplan import GRID_PARTS_PER_WORKER, plan_grid
     from repro.engine.dispatch import (
+        DispatchPlan,
         InlineTransport,
         run_one_trial,
         run_units,
-    )
-
-    assert get_cost_model("phase-king") is not None, (
-        "cost_dispatch_mixed_n needs the phase-king cost model "
-        "(is sympy unavailable?)"
     )
 
     lanes = 4
@@ -633,7 +630,7 @@ def _suite_cost_dispatch_mixed_n(quick: bool) -> Dict[str, Any]:
     specs = [light, heavy]
 
     # Parity first, on a scaled-down copy of the same grid shape: the
-    # fused cost-aware path must be bit-identical to bare serial loops.
+    # fused cost-sized path must be bit-identical to bare serial loops.
     parity_specs = [
         ExperimentSpec(runner="phase-king", n=8, trials=12, seed=11),
         ExperimentSpec(runner="phase-king", n=24, trials=3, seed=11),
@@ -670,14 +667,21 @@ def _suite_cost_dispatch_mixed_n(quick: bool) -> Dict[str, Any]:
             free[lane] += len(unit.indices) * per_trial[unit.spec]
         return max(free)
 
-    uniform_units = plan_grid(specs, capacity=lanes, cost_aware=False)
-    cost_units = plan_grid(specs, capacity=lanes, cost_aware=True)
+    uniform_size = round(
+        sum(spec.trials for spec in specs) / (lanes * GRID_PARTS_PER_WORKER)
+    )
+    uniform_units = [
+        unit
+        for spec in specs
+        for unit in DispatchPlan(spec.trials, uniform_size).units(spec)
+    ]
+    cost_units = plan_grid(specs, capacity=lanes)
     uniform_s = _makespan(uniform_units)
     cost_s = _makespan(cost_units)
     return {
         "desc": (
             f"mixed-n phase-king grid (n=8 x{light.trials} + "
-            f"n=40 x{heavy.trials}), {lanes} lanes: cost-aware vs "
+            f"n=40 x{heavy.trials}), {lanes} lanes: cost-sized vs "
             "uniform unit geometry, measured-trial makespan"
         ),
         "ops": light.trials + heavy.trials,

@@ -320,7 +320,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     model = Table(
         title="Modelled bits/processor vs baselines",
         headers=["n", "this paper", "Rabin", "Phase King"],
-        note="Simulation-preset cost model (cross-validated in E10).",
+        note=(
+            "Simulation-preset closed form; not checked against measured "
+            "bits (E10 prints the measured/model ratio)."
+        ),
     )
     n = 1 << 10
     while n <= 1 << 20:
@@ -347,9 +350,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     body = (
         "# repro experiment report\n\n"
-        "Generated by `repro report` — see DESIGN.md for the full "
-        "E1-E22 index and `pytest benchmarks/ --benchmark-only` for "
-        "the complete battery.\n\n"
+        "Generated by `repro report`. The complete E1-E23 battery is "
+        "`benchmarks/bench_e*.py`; run it with "
+        "`PYTHONPATH=src pytest benchmarks/bench_*.py`.\n\n"
         + tables_to_markdown(tables)
     )
     if args.out == "-":
@@ -537,12 +540,6 @@ def _cmd_run_experiment(args: argparse.Namespace) -> int:
                     params=params,
                 )
             )
-        # Cost-aware sizing defaults on for grids (it only changes
-        # anything when every grid point has a registered cost model);
-        # a single n has nothing to balance.
-        cost_aware = (
-            args.cost_aware if args.cost_aware is not None else len(specs) > 1
-        )
         with get_backend(
             args.backend,
             workers=args.workers,
@@ -558,7 +555,7 @@ def _cmd_run_experiment(args: argparse.Namespace) -> int:
             if len(specs) == 1:
                 results = [engine.run(specs[0])]
             else:
-                results = engine.run_grid(specs, cost_aware=cost_aware)
+                results = engine.run_grid(specs)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -592,16 +589,10 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         runner = get_runner(args.scenario)
         model = get_cost_model(args.scenario)
         if model is None:
-            known = ", ".join(cost_model_names())
-            detail = (
-                f"models exist for: {known}"
-                if known
-                else "no models are registered (is sympy installed?)"
-            )
             raise EngineError(
-                f"no cost model for scenario {args.scenario!r}; {detail}. "
-                "Sweeps of this scenario fall back to uniform dispatch "
-                "geometry."
+                f"no cost model for scenario {args.scenario!r}; models "
+                f"exist for: {', '.join(cost_model_names())}. Sweeps of "
+                "this scenario fall back to uniform dispatch geometry."
             )
         sizes = _parse_n_list(args.n)
         raw = _parse_params(args.param)
@@ -992,8 +983,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="process-pool workers (default: cpu count)")
     p.add_argument("--wave-size", type=int, default=None,
                    help="process/distributed backends: trials "
-                        "per dispatched unit (default: sized from "
-                        "predicted cost, ~4 units per worker)")
+                        "per dispatched unit, fixed by hand (default: "
+                        "sized from each scenario's predicted per-trial "
+                        "cost, ~4 units per worker across the grid)")
     p.add_argument("--hosts", default=None, metavar="HOST:PORT,...",
                    help="distributed backend: comma-separated "
                         "`repro worker serve` addresses")
@@ -1005,12 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="KEY=VALUE",
                    help="scenario parameter, validated against the "
                         "declared schema (repeatable)")
-    p.add_argument("--cost-aware", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="size grid work units by predicted per-trial "
-                        "cost instead of trial counts (default: on for "
-                        "-n grids when every point has a cost model; "
-                        "moot for a single n)")
     p.add_argument("--telemetry", default=None, metavar="PATH",
                    help="write the run's telemetry report (lanes, "
                         "latency percentiles, retries, bit stats) as "
@@ -1030,7 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cost",
         help="predicted per-trial cost of a scenario over a size grid "
-             "(the figures cost-aware dispatch bins by)",
+             "(the figures dispatch sizes work units by)",
     )
     p.add_argument("scenario", help="registered scenario name")
     p.add_argument("-n", default="8,16,32,64", metavar="N[,N...]",

@@ -29,9 +29,10 @@ Layers (see ENGINE.md for the architecture notes):
   worker entry (:func:`run_unit`).
 * :mod:`repro.engine.costplan` — the one unit-size rule
   (:func:`plan_specs`): per-spec predicted trial costs
-  (:func:`spec_trial_cost`, from :mod:`repro.analysis.costmodel`)
-  sized into multi-spec unit plans (:func:`plan_grid`) so mixed-size
-  grids balance predicted work.
+  (:func:`spec_trial_cost`, from the plain-Python models of
+  :mod:`repro.analysis.costmodel`) sized into multi-spec unit plans
+  (:func:`plan_grid`) so mixed-size grids balance predicted work, with
+  the same geometry on every host.
 * :mod:`repro.engine.backends` — :class:`SerialBackend` and
   :class:`ShardedBackend` behind one :class:`ExecutionBackend` API;
   :class:`ProcessPoolBackend` is the sharded backend over a

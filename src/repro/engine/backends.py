@@ -83,14 +83,11 @@ class ExecutionBackend(abc.ABC):
         """All trial results of ``spec``, ordered by trial index."""
 
     def run_grid(
-        self,
-        specs: Sequence[ExperimentSpec],
-        cost_aware: bool = True,
+        self, specs: Sequence[ExperimentSpec]
     ) -> List[List[TrialResult]]:
         """Run several specs; one result list per spec, in order.
 
-        The base implementation runs the specs back to back (and
-        ``cost_aware`` is moot — there is nothing to balance).
+        The base implementation runs the specs back to back.
         :class:`ShardedBackend` overrides this with a *fused* sweep:
         every spec's units share one transport and one collect loop,
         sized by predicted per-trial cost when every spec has a cost
@@ -188,9 +185,7 @@ class ShardedBackend(ExecutionBackend):
         return self.run_grid([spec])[0]
 
     def run_grid(
-        self,
-        specs: Sequence[ExperimentSpec],
-        cost_aware: bool = True,
+        self, specs: Sequence[ExperimentSpec]
     ) -> List[List[TrialResult]]:
         """A fused sweep: every spec's units over one collect loop.
 
@@ -205,7 +200,7 @@ class ShardedBackend(ExecutionBackend):
             get_runner(spec.runner)
         unique = list(dict.fromkeys(specs))
         telemetry = self._begin_telemetry(sum(s.trials for s in unique))
-        units = plan_grid(unique, self.capacity, self.unit_size, cost_aware)
+        units = plan_grid(unique, self.capacity, self.unit_size)
         try:
             results = run_units(
                 units, self._open_transport(telemetry), telemetry=telemetry

@@ -1,4 +1,4 @@
-"""Bridge from the symbolic cost models to dispatch geometry.
+"""Bridge from the per-scenario cost models to dispatch geometry.
 
 The cost plane has two halves: :mod:`repro.analysis.costmodel` predicts
 what one trial of a resolved spec costs, and
@@ -8,18 +8,18 @@ that decides unit sizes (:func:`plan_specs`), so the sharded backends
 and the fleet coordinator shard work identically.
 
 Fallback semantics (load-bearing, tested): :func:`spec_trial_cost`
-answers ``None`` when the scenario has no registered cost model or
-sympy is unavailable, and cost-aware sizing engages only when **every**
-spec in a grid is priceable — a grid half-priced by models would
-balance the priced half against guesses for the rest.  Either way the
-resulting units partition each spec's trial range exactly once, so
-results stay bit-identical to serial.
+answers ``None`` when the scenario has no cost model, and cost-sized
+units engage only when **every** spec in a grid is priceable — a grid
+half-priced by models would balance the priced half against guesses
+for the rest.  Either way the resulting units partition each spec's
+trial range exactly once, so results stay bit-identical to serial.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ..analysis.costmodel import get_cost_model
 from .dispatch import DispatchPlan, WorkUnit
 from .spec import ExperimentSpec
 
@@ -34,13 +34,10 @@ def spec_trial_cost(spec: ExperimentSpec) -> Optional[float]:
 
     Resolves the scenario's cost model and prices the spec's declared
     params (the model applies the same auto-derivations the scenario
-    builder does).  Any model failure — unknown scenario, missing
-    sympy, a param the resolver chokes on, a non-positive prediction —
-    degrades to ``None``: cost-awareness must never make a runnable
-    sweep unrunnable.
+    builder does).  Any model failure — a scenario with no model, a
+    param the model chokes on, a non-positive prediction — degrades to
+    ``None``: pricing must never make a runnable sweep unrunnable.
     """
-    from ..analysis.costmodel import get_cost_model
-
     model = get_cost_model(spec.runner)
     if model is None:
         return None
@@ -57,24 +54,23 @@ def plan_specs(
     specs: Sequence[ExperimentSpec],
     capacity: int,
     unit_size: Optional[int] = None,
-    cost_aware: bool = True,
 ) -> List[DispatchPlan]:
     """One plan per spec: the single rule for unit sizes.
 
     * An explicit ``unit_size`` is honoured exactly, for every spec.
-    * Otherwise, when every spec is priceable (and ``cost_aware``),
-      one grid-wide target unit cost — the grid's total predicted cost
-      over ``capacity x GRID_PARTS_PER_WORKER`` units — sizes each
-      spec's units: a cheap spec gets many trials per unit, an
-      expensive one few (often one).
-    * Otherwise sizes are uniform: the same rule with every trial
-      costing 1, i.e. ~``GRID_PARTS_PER_WORKER`` units per unit of
-      capacity across the grid.
+    * Otherwise, when every spec is priceable, one grid-wide target
+      unit cost — the grid's total predicted cost over
+      ``capacity x GRID_PARTS_PER_WORKER`` units — sizes each spec's
+      units: a cheap spec gets many trials per unit, an expensive one
+      few (often one).
+    * Otherwise (some spec has no model) sizes are uniform: the same
+      rule with every trial costing 1, i.e. ~``GRID_PARTS_PER_WORKER``
+      units per unit of capacity across the grid.
 
     Sizes clamp to ``1..spec.trials``.  Priced plans stamp each unit's
     predicted cost.
     """
-    costs = [spec_trial_cost(spec) if cost_aware else None for spec in specs]
+    costs = [spec_trial_cost(spec) for spec in specs]
     if None in costs:
         costs = [None] * len(specs)
     weights = [1.0 if cost is None else cost for cost in costs]
@@ -102,7 +98,6 @@ def plan_grid(
     specs: Sequence[ExperimentSpec],
     capacity: int,
     unit_size: Optional[int] = None,
-    cost_aware: bool = True,
 ) -> List[WorkUnit]:
     """Work units for specs sharing one collect loop.
 
@@ -113,9 +108,7 @@ def plan_grid(
     """
     units = [
         unit
-        for spec, plan in zip(
-            specs, plan_specs(specs, capacity, unit_size, cost_aware)
-        )
+        for spec, plan in zip(specs, plan_specs(specs, capacity, unit_size))
         for unit in plan.units(spec)
     ]
     units.sort(key=lambda u: -(u.predicted_cost or 0.0))

@@ -141,7 +141,7 @@ class WorkUnit:
     spec: ExperimentSpec
     indices: Tuple[int, ...]
     #: Predicted cost of this unit (cost-model units), stamped by
-    #: cost-aware plans.  Advisory only: excluded from equality so a
+    #: cost-sized plans.  Advisory only: excluded from equality so a
     #: persisted unit from a fleet resume log still matches a freshly
     #: planned one, and absent on old wire documents.
     predicted_cost: Optional[float] = field(default=None, compare=False)

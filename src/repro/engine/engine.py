@@ -114,9 +114,7 @@ class Engine:
         )
 
     def run_grid(
-        self,
-        specs: Sequence[ExperimentSpec],
-        cost_aware: bool = True,
+        self, specs: Sequence[ExperimentSpec]
     ) -> List[ExperimentResult]:
         """Execute several specs as one sweep; one result per spec.
 
@@ -124,11 +122,11 @@ class Engine:
         through the backend's ``run_grid`` — for the sharded backends
         a *fused* sweep in which every spec's units share one
         transport, sized by predicted per-trial cost when every spec
-        has a cost model and ``cost_aware`` holds (uniform geometry
-        otherwise).  Results are bit-identical to running the specs
-        one at a time; ``elapsed_seconds`` and the telemetry report
-        are whole-grid figures, repeated on each result, because the
-        fused sweep has no per-spec clock.
+        has a cost model and the backend fixes no unit size (uniform
+        geometry otherwise).  Results are bit-identical to running the
+        specs one at a time; ``elapsed_seconds`` and the telemetry
+        report are whole-grid figures, repeated on each result, because
+        the fused sweep has no per-spec clock.
         """
         validated_specs: List[ExperimentSpec] = []
         for spec in specs:
@@ -139,9 +137,7 @@ class Engine:
             validated_specs.append(spec)
         start = time.perf_counter()
         try:
-            per_spec = self.backend.run_grid(
-                validated_specs, cost_aware=cost_aware
-            )
+            per_spec = self.backend.run_grid(validated_specs)
         except BaseException:
             self.backend.close()
             raise

@@ -95,11 +95,16 @@ def _everywhere_ba_instance(ctx: TrialContext) -> BatchInstance:
             1, len(good)
         )
         good_bits = [result.bits_per_processor[p] for p in good]
+        # Phases count every sender, as in every other scenario: the
+        # tournament's own phases plus Algorithm 3's push as one entry.
+        phases = result.ae_result.ledger.phase_breakdown()
+        phases["ae2e_push"] = sum(result.ae2e_result.sent_bits.values())
         ledger = LedgerStats(
             total_bits=sum(good_bits),
             total_messages=result.ae_result.ledger.total_messages(),
             max_bits_per_processor=max(good_bits, default=0),
             rounds=result.total_rounds(),
+            phase_bits=tuple(sorted(phases.items())),
         )
         return TrialResult.make(
             ctx,

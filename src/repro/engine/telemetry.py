@@ -109,7 +109,7 @@ class UnitRecord:
     #: Worker-stamped compute time (None when the lane sent no stats).
     compute_seconds: Optional[float] = None
     #: Cost-model prediction stamped on the unit at plan time (None
-    #: when the plan was not cost-aware).
+    #: when the plan was not cost-sized).
     predicted_cost: Optional[float] = None
 
     @property
@@ -140,7 +140,7 @@ class LaneReport:
     #: Socket-level round trip per exchange (distributed lanes only).
     round_trip_seconds: Tuple[float, ...] = ()
     #: Plan-time predicted cost per successful unit that carried one
-    #: (cost-aware plans only; parallel to nothing — raw samples).
+    #: (cost-sized plans only; parallel to nothing — raw samples).
     predicted_costs: Tuple[float, ...] = ()
     bytes_out: int = 0
     bytes_in: int = 0
@@ -363,7 +363,7 @@ class RunReport:
                 note=(
                     "compute/queue+net need worker stats; blank "
                     "columns mean the lane sent none; skew is measured "
-                    "vs predicted unit cost (1.00 = model calibrated); "
+                    "vs predicted unit cost (1.00 = model matches clock); "
                     "frames are socket-lane wire counters"
                 ),
             )

@@ -84,6 +84,39 @@ def test_costmodel_plot(capsys):
     assert "|" in out
 
 
+def test_cost_prices_a_grid_and_names_unpriced_params(capsys):
+    assert main(
+        ["cost", "phase-king", "-n", "8,16", "--param", "num_phases=3"]
+    ) == 0
+    out = capsys.readouterr().out
+    # 49 bits x num_phases x (n^2 - 1) vote messages.
+    rows = [line.split() for line in out.splitlines()[2:4]]
+    assert [row[:2] for row in rows] == [["8", "9,261"], ["16", "37,485"]]
+    assert out.rstrip().endswith(": behavior, corrupt, inputs")
+
+
+def _unpriced_trial(ctx):
+    from repro.engine import TrialResult
+
+    return TrialResult(trial_index=ctx.trial_index, seed=ctx.seed)
+
+
+def test_cost_rejects_a_scenario_without_a_model(capsys):
+    from repro.engine import Scenario, register
+
+    register(
+        Scenario(
+            name="cli-test-unpriced",
+            run_trial=_unpriced_trial,
+            description="cli tests: a scenario with no cost model",
+        )
+    )
+    assert main(["cost", "cli-test-unpriced", "-n", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "no cost model for scenario 'cli-test-unpriced'" in err
+    assert "phase-king" in err  # names the scenarios that have one
+
+
 def test_report_to_stdout(capsys):
     assert main(["report", "-n", "27"]) == 0
     out = capsys.readouterr().out

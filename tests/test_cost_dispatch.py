@@ -1,17 +1,21 @@
-"""The cost plane: symbolic per-trial cost models sized into dispatch.
+"""The cost plane: per-trial cost models sized into dispatch.
 
 Pinned here:
 
+* **model values** — every built-in model's (bits, work) prediction at
+  n = 8 and 27, at default params and at one non-default set per
+  model that reads a param, matches literal values to 1e-12;
 * **model fidelity** — for three exactly-deterministic scenarios
-  (phase-king, rabin, unreliable-coin-ba) the symbolic bits model,
-  calibrated against measured BitLedger totals at one n, predicts the
-  measured totals at a *different* n within a tight tolerance band;
+  (phase-king, rabin, unreliable-coin-ba) the bits model equals the
+  measured BitLedger totals exactly, at two sizes each;
+* **coverage** — every built-in scenario's smoke spec is priced, so no
+  sweep of one silently falls back to uniform sizes;
 * **plan properties** — over random grids and capacities, planned
   units cover every trial exactly once in contiguous slices and merge
   canonically (bit-identical to a bare serial loop);
 * **grid parity** — the fused ``run_grid`` path of the process and
   distributed backends equals per-spec serial execution on mixed-n
-  grids, cost-aware and uniform alike;
+  grids, cost-sized and at an explicit unit size alike;
 * **fallback** — an unpriceable spec anywhere in a grid degrades the
   whole plan to uniform geometry (no predicted costs stamped);
 * **wire tolerance** — ``predicted_cost`` round-trips on unit and
@@ -25,12 +29,7 @@ import random
 
 import pytest
 
-from repro.analysis.costmodel import (
-    CostSample,
-    calibrate,
-    cost_model_names,
-    get_cost_model,
-)
+from repro.analysis.costmodel import cost_model_names, get_cost_model
 from repro.engine import (
     DispatchPlan,
     Engine,
@@ -40,6 +39,7 @@ from repro.engine import (
     ProcessPoolBackend,
     SerialBackend,
     WorkerServer,
+    get_scenario,
     plan_grid,
     plan_specs,
     report_from_wire,
@@ -55,21 +55,88 @@ from repro.engine.dispatch import (
 from repro.engine.distributed import DistributedBackend
 from repro.engine.telemetry import RunTelemetry
 
-pytestmark = pytest.mark.skipif(
-    get_cost_model("phase-king") is None,
-    reason="cost models need sympy",
-)
-
 
 def _serial(spec):
     return [run_one_trial(spec, i) for i in range(spec.trials)]
+
+
+# -- model values ----------------------------------------------------------------------
+
+#: (scenario, n, params, predicted bits, predicted work), recorded from
+#: the symbolic models these plain functions replaced.
+PINNED_PREDICTIONS = [
+    ("phase-king", 8, {}, 6174.0, 158.0),
+    ("phase-king", 27, {}, 249704.0, 5474.0),
+    ("phase-king", 8, {"num_phases": 3}, 9261.0, 237.0),
+    ("phase-king", 27, {"num_phases": 3}, 107016.0, 2346.0),
+    ("rabin", 8, {}, 8232.0, 216.0),
+    ("rabin", 27, {}, 103194.0, 2268.0),
+    ("rabin", 8, {"corrupt": 0.2, "max_rounds": 8}, 12622.4, 331.2),
+    ("rabin", 27, {"corrupt": 0.2, "max_rounds": 8}, 158230.8, 3477.6),
+    ("benor", 8, {}, 10976.0, 288.0),
+    ("benor", 27, {}, 137592.0, 3024.0),
+    (
+        "benor", 8, {"corrupt": 0.2, "max_phases": 16},
+        33273.01006803626, 873.0527423099893,
+    ),
+    ("benor", 27, {"corrupt": 0.2, "max_phases": 16}, 1100736.0, 24192.0),
+    ("eig", 8, {}, 128800.0, 2800.0),
+    ("eig", 27, {}, 2986825762717056.0, 46669152542454.0),
+    ("eig", 8, {"t": 1}, 19264.0, 448.0),
+    ("eig", 27, {"t": 1}, 815022.0, 18954.0),
+    ("bracha-broadcast", 8, {}, 6973.400000000001, 238.0),
+    ("bracha-broadcast", 27, {}, 83798.0, 2860.0),
+    ("async-benor", 8, {}, 20720.0, 560.0),
+    ("async-benor", 27, {}, 259740.0, 7020.0),
+    ("async-benor", 8, {"max_phases": 3}, 12432.0, 336.0),
+    ("async-benor", 27, {"max_phases": 3}, 155844.0, 4212.0),
+    ("common-coin-ba", 8, {}, 20720.0, 560.0),
+    ("common-coin-ba", 27, {}, 259740.0, 7020.0),
+    ("common-coin-ba", 8, {"max_phases": 3}, 12432.0, 336.0),
+    ("common-coin-ba", 27, {"max_phases": 3}, 155844.0, 4212.0),
+    ("unreliable-coin-ba", 8, {}, 2744.0, 72.0),
+    ("unreliable-coin-ba", 27, {}, 25137.0, 567.0),
+    ("unreliable-coin-ba", 8, {"degree": 6, "num_rounds": 3}, 7056.0, 192.0),
+    ("unreliable-coin-ba", 27, {"degree": 6, "num_rounds": 3}, 23814.0, 648.0),
+    ("async-sparse-aeba", 8, {}, 60328.799999999996, 1008.0),
+    ("async-sparse-aeba", 27, {}, 614061.0, 10260.0),
+    ("async-sparse-aeba", 8, {"degree": 20}, 210672.0, 3520.0),
+    ("async-sparse-aeba", 27, {"degree": 20}, 711018.0, 11880.0),
+    ("vss-coin", 8, {}, 55888.0, 736.0),
+    ("vss-coin", 27, {}, 2007720.0, 22491.0),
+    ("vss-coin", 8, {"k": 5}, 14080.0, 205.0),
+    ("vss-coin", 27, {"k": 5}, 14080.0, 205.0),
+    ("cpa", 8, {}, 0.0, 768.0),
+    ("cpa", 27, {}, 0.0, 10935.0),
+    ("cpa", 8, {"rounds": 4, "degree": 3}, 0.0, 96.0),
+    ("cpa", 27, {"rounds": 4, "degree": 3}, 0.0, 324.0),
+    ("disc09-ae2e", 8, {}, 4092.3409540259167, 99.81319400063211),
+    ("disc09-ae2e", 27, {}, 21890.948464000754, 533.9255722927013),
+    ("disc09-ae2e", 8, {"a": 2.5}, 1705.1420641774653, 41.58883083359672),
+    ("disc09-ae2e", 27, {"a": 2.5}, 9121.22852666698, 222.46898845529222),
+    ("sampler-quality", 8, {}, 0.0, 480000.0),
+    ("sampler-quality", 27, {}, 0.0, 480000.0),
+    ("sampler-quality", 8, {"r": 10, "s": 20, "inner_trials": 3}, 0.0, 800.0),
+    ("sampler-quality", 27, {"r": 10, "s": 20, "inner_trials": 3}, 0.0, 800.0),
+    ("everywhere-ba", 8, {}, 33984.0, 1096.258064516129),
+    ("everywhere-ba", 27, {}, 365726.6862835551, 11797.635041405003),
+]
+
+
+def test_models_reproduce_pinned_predictions():
+    for name, n, params, bits, work in PINNED_PREDICTIONS:
+        predicted = get_cost_model(name).predict(n, params)
+        case = (name, n, params)
+        assert predicted.bits == pytest.approx(bits, rel=1e-12), case
+        assert predicted.work == pytest.approx(work, rel=1e-12), case
+    assert {row[0] for row in PINNED_PREDICTIONS} == set(cost_model_names())
 
 
 # -- model fidelity against measured ledgers -------------------------------------------
 
 
 FIDELITY_CASES = [
-    # (scenario, calibrate-at n, predict-at n)
+    # (scenario, first size, second size)
     ("phase-king", 8, 16),
     ("rabin", 8, 14),
     ("unreliable-coin-ba", 16, 24),
@@ -80,23 +147,18 @@ FIDELITY_CASES = [
 def test_bits_model_calibrated_at_one_n_predicts_another(
     name, n_fit, n_check
 ):
-    """The acceptance-criterion fidelity band: fit constants from
-    measured BitLedger snapshots at one size, predict a different size
-    within 5% (these scenarios are exactly deterministic, so the model
-    should in fact be exact)."""
+    """These scenarios' traffic does not depend on the seed, and their
+    bits models count it exactly: with no fitted constants left, the
+    model that matches the measured ledger at one size matches it at a
+    different size too (prediction == measured total at both)."""
     model = get_cost_model(name)
-    measured = {}
     for n in (n_fit, n_check):
         spec = ExperimentSpec(runner=name, n=n, trials=2, seed=5)
-        results = SerialBackend().run_trials(spec)
-        totals = {r.ledger.total_bits for r in results}
+        totals = {
+            r.ledger.total_bits for r in SerialBackend().run_trials(spec)
+        }
         assert len(totals) == 1  # deterministic communication pattern
-        measured[n] = totals.pop()
-    fitted = calibrate(
-        model, [CostSample(n=n_fit, bits=measured[n_fit])]
-    )
-    predicted = fitted.predict(n_check).bits
-    assert predicted == pytest.approx(measured[n_check], rel=0.05)
+        assert totals == {model.predict(n).bits}, (name, n)
 
 
 def test_bits_model_is_exact_for_deterministic_scenarios():
@@ -105,23 +167,6 @@ def test_bits_model_is_exact_for_deterministic_scenarios():
         (result,) = SerialBackend().run_trials(spec)
         predicted = get_cost_model(name).predict(n).bits
         assert predicted == result.ledger.total_bits
-
-
-def test_calibrate_recovers_a_known_scale_factor():
-    model = get_cost_model("phase-king")
-    samples = [
-        CostSample(n=n, bits=2.5 * model.predict(n).bits)
-        for n in (8, 12, 16)
-    ]
-    fitted = calibrate(model, samples)
-    assert fitted.bits_scale == pytest.approx(2.5 * model.bits_scale)
-    # The seconds axis fits the work scale independently.
-    timed = calibrate(
-        model,
-        [CostSample(n=8, seconds=3e-6 * model.predict(8).work)],
-    )
-    assert timed.work_scale == pytest.approx(3e-6 * model.work_scale)
-    assert timed.bits_scale == model.bits_scale  # untouched axis
 
 
 def test_every_builtin_scenario_has_a_cost_model():
@@ -153,6 +198,15 @@ def test_every_builtin_scenario_has_a_cost_model():
         predicted = model.predict(16)
         assert predicted.bits >= 0
         assert predicted.work > 0
+        # The smoke spec, at its smoke params, is priced: a sweep of
+        # this scenario never falls back to uniform sizes.
+        runner = get_scenario(name)
+        smoke = ExperimentSpec(
+            runner=name, n=runner.smoke_n, trials=2,
+            params=dict(runner.smoke_params),
+        )
+        cost = spec_trial_cost(smoke)
+        assert isinstance(cost, float) and cost > 0, name
 
 
 def test_ignored_params_names_what_the_model_does_not_price():
@@ -188,7 +242,6 @@ def test_cost_plans_partition_random_grids_exactly_once():
             specs,
             capacity=rng.randint(1, 12),
             unit_size=rng.choice([None, None, rng.randint(1, 9)]),
-            cost_aware=rng.random() < 0.7,
         )
         for spec in specs:
             groups = [list(u.indices) for u in units if u.spec == spec]
@@ -214,10 +267,9 @@ def test_cost_weighted_units_merge_canonically():
 
 
 def test_uniform_costs_degenerate_to_contiguous_chunks():
-    for cost_aware in (True, False):
-        for unit in plan_grid(_mixed_sync_specs(), 3, cost_aware=cost_aware):
-            group = list(unit.indices)
-            assert group == list(range(group[0], group[-1] + 1))
+    for unit in plan_grid(_mixed_sync_specs(), 3):
+        group = list(unit.indices)
+        assert group == list(range(group[0], group[-1] + 1))
 
 
 # -- grid planning and backend parity --------------------------------------------------
@@ -285,11 +337,13 @@ def test_run_units_checks_per_spec_coverage():
 
 
 def test_process_grid_parity_cost_aware_and_uniform():
+    """The cost-sized plan and an explicit unit size both merge back to
+    the serial results."""
     specs = _mixed_sync_specs()
     expected = [_serial(spec) for spec in specs]
-    for aware in (True, False):
-        with ProcessPoolBackend(workers=2) as backend:
-            assert backend.run_grid(specs, cost_aware=aware) == expected
+    for unit_size in (None, 2):
+        with ProcessPoolBackend(workers=2, unit_size=unit_size) as backend:
+            assert backend.run_grid(specs) == expected
 
 
 def test_process_grid_duplicate_specs_share_results():

@@ -67,12 +67,9 @@ def test_unit_sizes_follow_one_rule_for_every_mode():
 
     waves = _spec(runner="bracha-broadcast", n=5, trials=25)
     trials = _spec(trials=64)
-    for cost_aware in (True, False):
-        wave_plan, trial_plan = plan_specs(
-            [waves], 3, cost_aware=cost_aware
-        ) + plan_specs([trials], 2, cost_aware=cost_aware)
-        assert wave_plan.unit_size == 2  # round(25 / 12)
-        assert trial_plan.unit_size == 8  # round(64 / 8)
+    wave_plan, trial_plan = plan_specs([waves], 3) + plan_specs([trials], 2)
+    assert wave_plan.unit_size == 2  # round(25 / 12)
+    assert trial_plan.unit_size == 8  # round(64 / 8)
     assert plan_specs([_spec(trials=1)], 3)[0].unit_size == 1
     (explicit,) = plan_specs([waves], 2, unit_size=4)
     assert explicit.indices()[-1] == [24]

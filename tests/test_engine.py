@@ -191,24 +191,6 @@ def test_pool_is_reused_across_runs_and_reaped_by_close(monkeypatch):
     assert set(multiprocessing.active_children()) <= before
 
 
-def test_engine_import_leaves_sympy_unloaded():
-    """Cost models build on first lookup, so importing the engine (every
-    CLI command, pool child and worker) does not pay for sympy."""
-    import os
-    import subprocess
-    import sys
-
-    probe = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, repro.engine; print('sympy' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(SRC_ROOT)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert probe.stdout.strip() == "False"
-
-
 def test_engine_releases_backend_on_error_paths():
     """A backend that dies mid-run is closed before the error
     propagates — no orphaned pools or sockets."""

@@ -5,7 +5,13 @@ import pytest
 from repro.adversary.adaptive import BinStuffingAdversary, TournamentAdversary
 from repro.core.byzantine_agreement import run_everywhere_ba
 from repro.core.parameters import ProtocolParameters
-from repro.engine import ExperimentSpec, LedgerStats, SerialBackend
+from repro.engine import (
+    ExperimentSpec,
+    LedgerStats,
+    SerialBackend,
+    TrialContext,
+    get_scenario,
+)
 
 N = 27
 
@@ -93,20 +99,85 @@ class TestDeterminism:
 #: ``send_down`` landed.  Both must return exactly what the key-equation
 #: solve returned, so these values must never move.  The first spec is
 #: the end-to-end benchmark's ``eba-n9-adaptive`` shape; in the second,
-#: most decodes still reach the key-equation solve.
+#: most decodes still reach the key-equation solve.  Phase bits (the
+#: tournament's phases plus Algorithm 3's ``ae2e_push``) count every
+#: sender, corrupted ones included, so under corruption they exceed the
+#: good-processor total.
 PINNED_SWEEPS = [
     (
         dict(n=9, trials=2, corrupt=0.1),
         [
-            LedgerStats(10767274, 15257, 1950999, 23),
-            LedgerStats(10894268, 15276, 2225902, 23),
+            LedgerStats(
+                10767274, 15257, 1950999, 23,
+                (
+                    ("ae2e_push", 14008),
+                    ("agree_level_2", 1728),
+                    ("default", 16920),
+                    ("expose_level_2", 1439892),
+                    ("output_reveal", 7513044),
+                    ("root_agreement", 288),
+                    ("root_reveal", 3756522),
+                    ("send_up_level_1", 135360),
+                    ("send_up_level_2", 360960),
+                ),
+            ),
+            LedgerStats(
+                10894268, 15276, 2225902, 23,
+                (
+                    ("ae2e_push", 14008),
+                    ("agree_level_2", 1728),
+                    ("default", 16920),
+                    ("expose_level_2", 1441396),
+                    ("output_reveal", 7451944),
+                    ("root_agreement", 288),
+                    ("root_reveal", 3725972),
+                    ("send_up_level_1", 135360),
+                    ("send_up_level_2", 360960),
+                ),
+            ),
         ],
     ),
     (
         dict(n=12, trials=1, corrupt=0.25),
-        [LedgerStats(44976251, 89127, 6236605, 35)],
+        [
+            LedgerStats(
+                44976251, 89127, 6236605, 35,
+                (
+                    ("ae2e_push", 11187),
+                    ("agree_level_2", 3024),
+                    ("agree_level_3", 4032),
+                    ("default", 42300),
+                    ("expose_level_2", 1475424),
+                    ("expose_level_3", 23076718),
+                    ("output_reveal", 25385452),
+                    ("root_agreement", 252),
+                    ("root_reveal", 12692726),
+                    ("send_up_level_1", 338400),
+                    ("send_up_level_2", 1323520),
+                    ("send_up_level_3", 1925120),
+                ),
+            ),
+        ],
     ),
 ]
+
+
+def test_phase_bits_sum_to_total_bits_without_corruption():
+    """The scenario attributes every bit to a phase: the tournament's
+    own phases plus one ``ae2e_push`` entry for Algorithm 3."""
+    direct = run_everywhere_ba(9, [p % 2 for p in range(9)], seed=3)
+    spec = ExperimentSpec(
+        runner="everywhere-ba", n=9, trials=1, params={"inputs": "split"}
+    )
+    ledger = get_scenario("everywhere-ba").run_trial(
+        TrialContext(spec, 0, 3)
+    ).ledger
+    phases = dict(ledger.phase_bits)
+    assert phases.pop("ae2e_push") == 8_136
+    assert phases == direct.ae_result.ledger.phase_breakdown()
+    assert sum(phases.values()) == 13_157_850
+    assert ledger.total_bits == 13_165_986
+    assert sum(bits for _, bits in ledger.phase_bits) == ledger.total_bits
 
 
 @pytest.mark.parametrize("shape, expected", PINNED_SWEEPS)

@@ -305,9 +305,57 @@ SMOKE_LEDGERS = {
         LedgerStats(69654, 1554, 10026, 4, (("default", 69654),)),
     ),
     "everywhere-ba": (
-        LedgerStats(156008075, 228655, 8390699, 40, ()),
-        LedgerStats(155757524, 228549, 8632952, 40, ()),
-        LedgerStats(157579238, 228607, 9441191, 40, ()),
+        LedgerStats(
+            156008075, 228655, 8390699, 40,
+            (
+                ("ae2e_push", 102384),
+                ("agree_level_2", 20250),
+                ("agree_level_3", 48600),
+                ("default", 95175),
+                ("expose_level_2", 3776356),
+                ("expose_level_3", 50459059),
+                ("output_reveal", 63251754),
+                ("root_agreement", 1620),
+                ("root_reveal", 31625877),
+                ("send_up_level_1", 761400),
+                ("send_up_level_2", 2977920),
+                ("send_up_level_3", 2887680),
+            ),
+        ),
+        LedgerStats(
+            155757524, 228549, 8632952, 40,
+            (
+                ("ae2e_push", 141588),
+                ("agree_level_2", 20250),
+                ("agree_level_3", 48600),
+                ("default", 95175),
+                ("expose_level_2", 3789140),
+                ("expose_level_3", 50934135),
+                ("output_reveal", 62733344),
+                ("root_agreement", 1620),
+                ("root_reveal", 31366672),
+                ("send_up_level_1", 761400),
+                ("send_up_level_2", 2977920),
+                ("send_up_level_3", 2887680),
+            ),
+        ),
+        LedgerStats(
+            157579238, 228607, 9441191, 40,
+            (
+                ("ae2e_push", 102384),
+                ("agree_level_2", 20250),
+                ("agree_level_3", 48600),
+                ("default", 95175),
+                ("expose_level_2", 3802676),
+                ("expose_level_3", 51022965),
+                ("output_reveal", 63905712),
+                ("root_agreement", 1620),
+                ("root_reveal", 31952856),
+                ("send_up_level_1", 761400),
+                ("send_up_level_2", 2977920),
+                ("send_up_level_3", 2887680),
+            ),
+        ),
     ),
     "phase-king": (
         LedgerStats(11760, 240, 1568, 7, (("default", 11760),)),
