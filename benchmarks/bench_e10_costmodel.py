@@ -1,6 +1,6 @@
 """E10 — Lemma 5: the bit-accounting model vs the measured simulator.
 
-Python cannot message-level-simulate n = 10^6 (DESIGN.md §3), so the
+Python cannot message-level-simulate n = 10^6, so the
 large-n claims ride on the closed-form model.  This benchmark earns that
 right: at small n the simulator's measured bits and the model's counted
 bits must track each other (same growth, constant-factor gap), and the
@@ -91,6 +91,6 @@ def test_e10_model_vs_simulator(benchmark, capsys):
         note=(
             "Lemma 5/Theorem 1 shape: O~(sqrt n) growth with simulation "
             "constants; the literal paper constants carry enormous "
-            "polylogs (DESIGN.md §3)."
+            "polylogs."
         ),
     )

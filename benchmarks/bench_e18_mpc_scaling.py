@@ -146,6 +146,6 @@ def test_e18c_distributed_triple_generation(benchmark, capsys):
             "Preprocessing is Theta(k^2) per triple (3 dealings of k "
             "shares by each of k members) and amortises across the "
             "batch; the online multiplication stays at two openings. "
-            "This removes the trusted dealer entirely (DESIGN.md 5b)."
+            "This removes the trusted dealer entirely."
         ),
     )

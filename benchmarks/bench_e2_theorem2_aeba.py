@@ -54,7 +54,6 @@ def test_e2_theorem2_aeba(benchmark, capsys):
         note=(
             "Theorem 2 shape: agreement above the 1-1/log n line at "
             "moderate corruption; committee-size variance (k1 ~ log n "
-            "instead of log^3 n) erodes it near the 1/3 bound — see "
-            "DESIGN.md §3."
+            "instead of log^3 n) erodes it near the 1/3 bound."
         ),
     )

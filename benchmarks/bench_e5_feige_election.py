@@ -4,7 +4,7 @@ Series 1 sweeps rushing adversary strategies over the bin choices and
 shows the winner set stays representative (good fraction within 1/log n
 of the population), matching Lemma 4's bound.
 
-Series 2 is the design ablation DESIGN.md calls out: electing
+Series 2 is a design ablation: electing
 *processors* lets an adaptive adversary corrupt the winners after the
 election (the classic attack that kills [17] under adaptivity), while
 electing *arrays* — whose randomness is committed before winners are

@@ -7,7 +7,7 @@ Three series:
   iteration forces the adversary to win at *every* level);
 * the erasure ablation: corrupting the original committee after
   sendSecretUp (and its mandatory deletion) yields nothing;
-* the threshold-fraction ablation DESIGN.md calls out: secrecy margin vs
+* the threshold-fraction ablation: secrecy margin vs
   Reed-Solomon error tolerance as t/n sweeps across the paper's allowed
   [1/3, 2/3] range.
 """

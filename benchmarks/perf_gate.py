@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Perf-gate entry point: ``python benchmarks/perf_gate.py [options]``.
 
-Thin wrapper over :mod:`repro.analysis.perf_gate` (also reachable as
-``python -m repro bench --json``) so the harness runs straight from a
-checkout without installation.  See that module for the suite list,
-the JSON schema, and the speedup-based gating rules.
+Runs ``python -m repro bench`` with the same ``--out`` and
+``--baseline`` flags straight from a checkout, without installation.
+See :mod:`repro.analysis.perf_gate` for the suites, the JSON schema,
+and the gating rules.
 """
 
 import os
@@ -14,7 +14,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.analysis.perf_gate import main  # noqa: E402
+from repro.cli import main  # noqa: E402
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["bench", *sys.argv[1:]]))

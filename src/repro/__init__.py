@@ -10,7 +10,7 @@ Quickstart::
     result = run_everywhere_ba(n=81, inputs=[p % 2 for p in range(81)])
     print(result.bit, result.success(), result.max_bits_per_processor())
 
-Package map (see DESIGN.md for the full inventory):
+Package map:
 
 * :mod:`repro.core` — Algorithms 1-5 and their composition (Theorem 1).
 * :mod:`repro.crypto` — iterated Shamir secret sharing (§3.1).

@@ -79,7 +79,7 @@ class CorruptScheduled(TargetingPolicy):
     """Corrupt a scripted set of processors at scripted rounds.
 
     Used to reproduce the adaptive attack on processor-elections: wait for
-    the election result, then take over the winners (DESIGN.md ablation).
+    the election result, then take over the winners.
     """
 
     def __init__(self, schedule: Dict[int, Iterable[int]]) -> None:

@@ -1,62 +1,95 @@
-"""Machine-readable perf baseline: the repo's reconstruction fast paths.
+"""The perf gate: paired ratios for the repo's fast paths, one baseline.
 
-The ROADMAP's north star is "as fast as the hardware allows", but until
-this harness existed no speedup was ever *recorded* — so none was ever
-*protected*.  ``run_suites`` times the reconstruction-heavy workloads
-(the shapes of benches E9, E17 and E19) on both the naive reference
-kernels (:mod:`repro.crypto.polynomial`) and the cached plan kernels
-(:mod:`repro.crypto.kernels`), plus a simulator round-loop micro-bench,
-and emits one JSON document — ``BENCH_core.json`` — that seeds the
-repo's perf trajectory.
+``run_suites`` measures each fast path against its reference on the
+same inputs: the cached plan and batch kernels that reconstruction
+bottoms out in (the shapes of benches E9 and E17, and ``sendDown``'s
+decode), the simulator's ``NullAdversary`` path, and the engine's
+dispatch, telemetry, cost-sized geometry and pipelined wire.  It
+emits one JSON document, ``BENCH_core.json``.
 
-Gating: :func:`compare` checks a fresh run against the committed
-baseline.  Because absolute wall-clock is machine-bound, the gate
-compares the **dimensionless speedups** (plan vs naive on identical
-inputs — the suites that emit a ``speedup`` field); a suite whose
-speedup drops by more than ``--max-regression`` (default 25%)
-soft-fails with exit code 3, which CI surfaces via a
-``continue-on-error`` job.  Wall-clock fields, the simulator
-``null_vs_tracked`` ratio and the engine ``dispatch_overhead`` /
-``telemetry_overhead`` micro-benches are recorded for trend reading,
-not gated.
+Every suite has one shape.  It builds its inputs, asserts parity
+between the two arms before any timing, and returns its row's
+identity (a ``desc`` naming every size and count the ratio depends
+on, plus the batch ``engine`` where one serves the run) and a
+sampler.  One call of the sampler is one pair: both arms timed on the
+same inputs, call by call in alternation, returning reference time
+over candidate time.  The runner takes :data:`PAIRS` pairs per suite
+and records the median ``ratio`` and its quartiles ``q1`` and ``q3``.
+Absolute wall-clock is machine-bound; a ratio of two arms timed
+together is not, so every row is gated.
 
-Entry points:
+:func:`compare` checks a run against the committed baseline.  It
+returns :data:`EXIT_STALE` when the baseline measured something else
+(another schema, another set of suites, a changed ``desc`` or batch
+``engine``), so a stale baseline fails instead of drifting, and
+:data:`EXIT_REGRESSION` when a median ratio fell more than
+:data:`MAX_REGRESSION` below its baseline.
 
-* ``python benchmarks/perf_gate.py [--quick] [--out F] [--baseline F]``
-* ``python -m repro bench --json [--quick] [--out F] [--baseline F]``
+Entry points, one parser (``repro bench``'s) with two flags:
 
-Every suite also asserts bit-exact parity between the naive and plan
-results before timing is trusted — a gate that records a speedup for a
-wrong answer would be worse than no gate.
+* ``python -m repro bench [--out F] [--baseline F]``
+* ``python benchmarks/perf_gate.py [--out F] [--baseline F]``, the same
+  command from a checkout
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
+import statistics
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-SCHEMA = "repro-perf-gate/1"
+SCHEMA = "repro-perf-gate/2"
 
-#: Exit code for a soft regression (CI marks the step continue-on-error).
+#: Paired samples per suite; the row records their median and quartiles.
+PAIRS = 9
+
+#: A median ratio this far below its baseline fails the gate.
+MAX_REGRESSION = 0.25
+
+#: Exit code when the baseline does not describe the current suites.
+EXIT_STALE = 1
+
+#: Exit code for a ratio regression (CI reports it as a warning).
 EXIT_REGRESSION = 3
 
+Sampler = Callable[[], float]
+Suite = Tuple[Dict[str, str], Sampler]
 
-def _time(fn, reps: int) -> float:
+
+def _time(fn: Callable[[], Any]) -> float:
     start = time.perf_counter()
-    for _ in range(reps):
-        fn()
+    fn()
     return time.perf_counter() - start
 
 
-def _suite_e9_reconstruct(quick: bool) -> Dict[str, Any]:
+def _paired(
+    reference: Callable[[], Any], candidate: Callable[[], Any], reps: int
+) -> Sampler:
+    """A sampler: ``reps`` rounds that each time one call of both arms.
+
+    Alternating the arms call by call lets both see the same machine,
+    so a neighbour's load cancels out of the ratio.
+    """
+
+    def sample() -> float:
+        reference_s = candidate_s = 0.0
+        for _ in range(reps):
+            reference_s += _time(reference)
+            candidate_s += _time(candidate)
+        return reference_s / candidate_s
+
+    return sample
+
+
+def _suite_e9_reconstruct() -> Suite:
     """E9 shape: iterated-sharing reconstruction at n=64 (threshold 33).
 
     Reconstruct-at-0 over the fixed player grid — the exact call
-    ``sendDown`` and ``ShareTree.reconstruct_from`` bottom out in.
+    ``sendDown`` and ``ShareTree.reconstruct_from`` bottom out in —
+    through the naive Lagrange reference and the cached plan kernel.
     """
     from repro.crypto import kernels
     from repro.crypto.field import DEFAULT_FIELD as field
@@ -76,8 +109,6 @@ def _suite_e9_reconstruct(quick: bool) -> Dict[str, Any]:
             interpolate_constant(field, pool)
         )
 
-    reps = 40 if quick else 400
-
     def naive() -> None:
         for pool in pools:
             interpolate_constant(field, pool)
@@ -86,21 +117,14 @@ def _suite_e9_reconstruct(quick: bool) -> Dict[str, Any]:
         for pool in pools:
             kernels.interpolate_constant(field, pool)
 
-    naive_s = _time(naive, reps)
-    plan_s = _time(plan, reps)
-    ops = reps * len(pools)
-    return {
-        "desc": "reconstruct-at-0, grid 1..33 (n=64 iterated sharing)",
-        "ops": ops,
-        "naive_s": round(naive_s, 6),
-        "plan_s": round(plan_s, 6),
-        "plan_us_per_op": round(plan_s / ops * 1e6, 3),
-        "speedup": round(naive_s / plan_s, 2) if plan_s else float("inf"),
-        "parity": True,
-    }
+    desc = (
+        f"reconstruct-at-0 of {len(pools)} pools, grid 1..{threshold} "
+        "(n=64 iterated sharing): naive vs plan"
+    )
+    return {"desc": desc}, _paired(naive, plan, reps=32)
 
 
-def _suite_e17_row_check(quick: bool) -> Dict[str, Any]:
+def _suite_e17_row_check() -> Suite:
     """E17 shape: bivariate VSS row-degree verification at n=64.
 
     Predict every off-basis point of a dealt row from the first
@@ -127,36 +151,31 @@ def _suite_e17_row_check(quick: bool) -> Dict[str, Any]:
                 ok &= predict(basis, y) == value
         return ok
 
-    def naive_predict(basis, y):
-        return lagrange_interpolate_at(field, basis, y)
+    def naive() -> bool:
+        return check_with(
+            lambda basis, y: lagrange_interpolate_at(field, basis, y)
+        )
 
-    def plan_predict(basis, y):
-        return kernels.interpolate_at(field, basis, y)
+    def plan() -> bool:
+        return check_with(
+            lambda basis, y: kernels.interpolate_at(field, basis, y)
+        )
 
-    assert check_with(naive_predict) and check_with(plan_predict)
-
-    reps = 2 if quick else 12
-    naive_s = _time(lambda: check_with(naive_predict), reps)
-    plan_s = _time(lambda: check_with(plan_predict), reps)
-    ops = reps * len(rows) * (n + 1 - t)
-    return {
-        "desc": "bivariate row-degree checks (n=64 VSS ablation)",
-        "ops": ops,
-        "naive_s": round(naive_s, 6),
-        "plan_s": round(plan_s, 6),
-        "plan_us_per_op": round(plan_s / ops * 1e6, 3),
-        "speedup": round(naive_s / plan_s, 2) if plan_s else float("inf"),
-        "parity": True,
-    }
+    assert naive() and plan()
+    desc = (
+        f"row-degree checks of {len(rows)} bivariate rows, basis {t}, "
+        f"n={n}: naive vs plan"
+    )
+    return {"desc": desc}, _paired(naive, plan, reps=3)
 
 
-def _suite_e9_batch_reveal(quick: bool) -> Dict[str, Any]:
+def _suite_e9_batch_reveal() -> Suite:
     """E9 shape, batched: windowed robust reveal across many dealers.
 
     The exact call shape of ``VSSCoinMember._reveal_secrets``: every
     dealer's share pool sits on the same member grid, and each pool is
     probed through the same ``ROBUST_REVEAL_WINDOWS`` threshold-sized
-    windows.  The baseline is the *plan path* (the repo's previous fast
+    windows.  The reference is the *plan path* (the repo's previous fast
     path: one cached-lambda dot product per (dealer, window) pair); the
     batched path collapses all pairs into a single ``(dealers, k) @
     (k, windows)`` product via
@@ -205,30 +224,18 @@ def _suite_e9_batch_reveal(quick: bool) -> Dict[str, Any]:
         for row, secret in zip(expected, secrets)
         for value in row
     )
-
-    reps = 2 if quick else 10
-    plan_s = _time(plan, reps)
-    batch_s = _time(batched, reps)
-    ops = reps * dealers * len(windows)
-    return {
-        "desc": (
-            f"windowed robust reveal: {dealers} dealers x "
-            f"{len(windows)} windows, grid 1..{n}"
-        ),
-        "engine": kernels.batch_engine(field),
-        "ops": ops,
-        "plan_s": round(plan_s, 6),
-        "batch_s": round(batch_s, 6),
-        "batch_us_per_op": round(batch_s / ops * 1e6, 3),
-        "speedup": round(plan_s / batch_s, 2) if batch_s else float("inf"),
-        "parity": True,
-    }
+    desc = (
+        f"windowed robust reveal: {dealers} dealers x {len(windows)} "
+        f"windows, grid 1..{n}: plan vs batch"
+    )
+    row = {"desc": desc, "engine": kernels.batch_engine(field)}
+    return row, _paired(plan, batched, reps=10)
 
 
-def _suite_e17_batch_rows(quick: bool) -> Dict[str, Any]:
+def _suite_e17_batch_rows() -> Suite:
     """E17 shape, batched: a whole dealing's row-degree checks at once.
 
-    The baseline is the plan path (``row_degree_ok``: one cached-lambda
+    The reference is the plan path (``row_degree_ok``: one cached-lambda
     dot product per off-basis point); the batched path is
     ``rows_degree_ok`` — every row of the dealing predicted through one
     ``(rows, t) @ (t, rest)`` product against the shared basis grid.
@@ -257,31 +264,19 @@ def _suite_e17_batch_rows(quick: bool) -> Dict[str, Any]:
     expected = plan()
     assert batched() == expected  # parity before speed
     assert not expected[3] and all(expected[:3] + expected[4:])
-
-    reps = 2 if quick else 12
-    plan_s = _time(plan, reps)
-    batch_s = _time(batched, reps)
-    ops = reps * len(rows) * (n + 1 - scheme.threshold)
-    return {
-        "desc": (
-            f"row-degree checks, whole dealing ({len(rows)} rows) at "
-            f"n={n}"
-        ),
-        "engine": kernels.batch_engine(field),
-        "ops": ops,
-        "plan_s": round(plan_s, 6),
-        "batch_s": round(batch_s, 6),
-        "batch_us_per_op": round(batch_s / ops * 1e6, 3),
-        "speedup": round(plan_s / batch_s, 2) if batch_s else float("inf"),
-        "parity": True,
-    }
+    desc = (
+        f"row-degree checks, whole dealing ({len(rows)} rows, basis "
+        f"{scheme.threshold}) at n={n}: plan vs batch"
+    )
+    row = {"desc": desc, "engine": kernels.batch_engine(field)}
+    return row, _paired(plan, batched, reps=8)
 
 
-def _suite_rs_decode(quick: bool) -> Dict[str, Any]:
+def _suite_rs_decode() -> Suite:
     """sendDown's decode shape: 8 shares, threshold 3, one wrong value.
 
     Under the adaptive adversary nearly every pool ``send_down`` decodes
-    looks like this.  The baseline is the key-equation solve
+    looks like this.  The reference is the key-equation solve
     (``_solve_key_equation``); ``berlekamp_welch`` returns the same
     coefficients from the first window of 3 shares whose polynomial
     misses at most 2 pool points.
@@ -316,60 +311,21 @@ def _suite_rs_decode(quick: bool) -> Dict[str, Any]:
     expected = solve()
     assert windows() == expected  # parity before speed
     assert None not in expected
-
-    reps = 8 if quick else 80
-    solve_s = _time(solve, reps)
-    windows_s = _time(windows, reps)
-    ops = reps * len(pools)
-    return {
-        "desc": (
-            f"Berlekamp-Welch decode, {len(pools)} pools of {m} shares, "
-            f"threshold {t}, one wrong value each"
-        ),
-        "ops": ops,
-        "solve_s": round(solve_s, 6),
-        "windows_s": round(windows_s, 6),
-        "windows_us_per_op": round(windows_s / ops * 1e6, 3),
-        "speedup": (
-            round(solve_s / windows_s, 2) if windows_s else float("inf")
-        ),
-        "parity": True,
-    }
+    desc = (
+        f"Berlekamp-Welch decode, {len(pools)} pools of {m} shares, "
+        f"threshold {t}, one wrong value each: key-equation solve vs "
+        "windows"
+    )
+    return {"desc": desc}, _paired(solve, windows, reps=8)
 
 
-def _suite_e19_vss_coin(quick: bool) -> Dict[str, Any]:
-    """E19 end-to-end: full VSS-coin protocol runs (wall-clock trend).
+def _suite_sim_round_loop() -> Suite:
+    """Simulator: a tracked do-nothing adversary vs ``NullAdversary``.
 
-    No naive twin — this is the whole stack (bivariate dealing, echo,
-    blame, robust reveal) through the simulator; recorded so the
-    trajectory of the integrated path is visible commit over commit.
-    """
-    from repro.core.vss_coin import run_vss_coin
-
-    k = 7 if quick else 16
-    reps = 2 if quick else 4
-    results = []
-
-    def run() -> None:
-        results.append(run_vss_coin(k, seed=len(results)))
-
-    seconds = _time(run, reps)
-    assert all(r.halted for r in results)
-    return {
-        "desc": f"full vss-coin toss, k={k} committee",
-        "ops": reps,
-        "seconds": round(seconds, 6),
-        "s_per_op": round(seconds / reps, 6),
-    }
-
-
-def _suite_sim_round_loop(quick: bool) -> Dict[str, Any]:
-    """Simulator micro-bench: NullAdversary fast path vs tracked path.
-
-    The same ping protocol under (a) an exact ``NullAdversary`` — which
-    skips corruption scans, the rushing view and adversary dispatch, and
-    reuses inbox buffers — and (b) a do-nothing ``Adversary`` subclass
-    that still pays the full bookkeeping.  Outputs must match exactly.
+    The same ping protocol under (a) a do-nothing ``Adversary``
+    subclass that still pays the full bookkeeping and (b) an exact
+    ``NullAdversary``, which skips corruption scans, the rushing view
+    and adversary dispatch.  Outputs must match exactly.
     """
     from repro.net.messages import Message
     from repro.net.simulator import (
@@ -379,8 +335,7 @@ def _suite_sim_round_loop(quick: bool) -> Dict[str, Any]:
         SyncNetwork,
     )
 
-    n = 32
-    rounds = 40 if quick else 200
+    n, rounds = 32, 100
 
     class Ping(ProcessorProtocol):
         def on_round(self, round_no, inbox):
@@ -405,124 +360,23 @@ def _suite_sim_round_loop(quick: bool) -> Dict[str, Any]:
             net.step(rnd)
         return net.ledger.total_bits()
 
-    fast_bits = drive(NullAdversary(n))
-    tracked_bits = drive(TrackedIdle(n))
-    assert fast_bits == tracked_bits  # identical executions
+    def tracked() -> int:
+        return drive(TrackedIdle(n))
 
-    reps = 1 if quick else 3
-    tracked_s = _time(lambda: drive(TrackedIdle(n)), reps)
-    fast_s = _time(lambda: drive(NullAdversary(n)), reps)
-    ops = reps * rounds
-    # null_vs_tracked is informational, not gated: buffer reuse benefits
-    # both paths, so the remaining delta (skipped corruption scans and
-    # rushing views) is small and noisy on shared runners.
-    return {
-        "desc": f"sync round loop, n={n}, {rounds} rounds, 4 msgs/proc",
-        "ops": ops,
-        "tracked_s": round(tracked_s, 6),
-        "fast_s": round(fast_s, 6),
-        "fast_us_per_round": round(fast_s / ops * 1e6, 3),
-        "null_vs_tracked": (
-            round(tracked_s / fast_s, 2) if fast_s else float("inf")
-        ),
-        "parity": True,
-    }
+    def null() -> int:
+        return drive(NullAdversary(n))
 
-
-def _suite_dispatch_overhead(quick: bool) -> Dict[str, Any]:
-    """Dispatch-plane bookkeeping per work unit (trend, not gated).
-
-    Every sharded backend (process, distributed) routes units
-    through ``plan_grid`` + ``run_units``; this measures what that
-    plumbing costs over a bare serial loop by driving no-op trials
-    through the in-process ``InlineTransport`` at unit size 1 — the
-    worst case, one full submit/collect/merge round per trial.  Real
-    workloads amortise this over multi-trial units and actual protocol
-    work; the number recorded here is the ceiling on what the dispatch
-    refactor can ever cost a sweep.
-    """
-    from repro.engine import (
-        ExperimentSpec,
-        Scenario,
-        TrialResult,
-        register,
+    assert tracked() == null()  # identical executions
+    desc = (
+        f"sync round loop, n={n}, {rounds} rounds, 4 msgs/proc: "
+        "tracked idle adversary vs NullAdversary"
     )
-    from repro.engine.dispatch import (
-        DispatchPlan,
-        InlineTransport,
-        run_one_trial,
-        run_units,
-    )
-
-    def _noop_trial(ctx) -> TrialResult:
-        return TrialResult(
-            trial_index=ctx.trial_index, seed=ctx.seed,
-            metrics=(("one", 1.0),),
-        )
-
-    register(
-        Scenario(
-            name="perf-gate-noop",
-            run_trial=_noop_trial,
-            description="perf-gate only: a free trial",
-        )
-    )
-    trials = 128 if quick else 512
-    spec = ExperimentSpec(runner="perf-gate-noop", n=1, trials=trials)
-    units = DispatchPlan(trials=trials, unit_size=1).units(spec)
-
-    def serial() -> List[Any]:
-        return [run_one_trial(spec, i) for i in range(trials)]
-
-    def dispatched() -> List[Any]:
-        return run_units(units, InlineTransport())
-
-    assert serial() == dispatched()  # parity before timing
-
-    reps = 4 if quick else 20
-    serial_s = _time(serial, reps)
-    dispatched_s = _time(dispatched, reps)
-    ops = reps * trials
-    return {
-        "desc": f"run_units vs bare loop, {trials} no-op units of 1 trial",
-        "ops": ops,
-        "serial_s": round(serial_s, 6),
-        "dispatched_s": round(dispatched_s, 6),
-        "dispatch_us_per_unit": round(
-            max(0.0, dispatched_s - serial_s) / ops * 1e6, 3
-        ),
-        "parity": True,
-    }
+    return {"desc": desc}, _paired(tracked, null, reps=1)
 
 
-def _suite_telemetry_overhead(quick: bool) -> Dict[str, Any]:
-    """Telemetry-plane cost over a real sweep (trend, not gated).
-
-    The telemetry layer is always on — every backend records per-unit
-    spans — so its cost must stay in the noise.  Two measurements:
-
-    * ``overhead_fraction``: a full ``SerialBackend`` sweep of a real
-      scenario (per-trial spans, report-ready records) against a bare
-      ``run_one_trial`` loop over the same spec.  This is the number
-      the <5% budget is judged against.
-    * ``span_us_per_unit``: ``run_units`` over no-op units with a live
-      ``RunTelemetry`` vs with ``telemetry=None`` — the absolute
-      bookkeeping cost per unit attempt, worst case (free trials).
-    """
-    from repro.engine import (
-        ExperimentSpec,
-        Scenario,
-        SerialBackend,
-        TrialResult,
-        register,
-    )
-    from repro.engine.backends import run_one_trial
-    from repro.engine.dispatch import (
-        DispatchPlan,
-        InlineTransport,
-        run_units,
-    )
-    from repro.engine.telemetry import RunTelemetry
+def _register_noop() -> str:
+    """Register the free trial the engine suites dispatch; its name."""
+    from repro.engine import Scenario, TrialResult, register
 
     def _noop_trial(ctx) -> TrialResult:
         return TrialResult(
@@ -538,10 +392,46 @@ def _suite_telemetry_overhead(quick: bool) -> Dict[str, Any]:
             description="perf-gate only: a free trial",
         )
     )
+    return "perf-gate-noop"
 
-    spec = ExperimentSpec(
-        runner="bracha-broadcast", n=5, trials=8 if quick else 24, seed=7
-    )
+
+def _suite_dispatch_overhead() -> Suite:
+    """Dispatch-plane bookkeeping per work unit: bare loop vs run_units.
+
+    Every sharded backend routes units through ``run_units``; this
+    drives no-op trials through the in-process ``InlineTransport`` at
+    unit size 1 — the worst case, one full submit/collect/merge round
+    per trial — against a bare serial loop over the same trials.  The
+    ratio is below 1 by design; it falls when dispatch gets dearer.
+    """
+    from repro.engine import ExperimentSpec, run_one_trial
+    from repro.engine.dispatch import DispatchPlan, InlineTransport, run_units
+
+    trials = 512
+    spec = ExperimentSpec(runner=_register_noop(), n=1, trials=trials)
+    units = DispatchPlan(trials=trials, unit_size=1).units(spec)
+
+    def serial() -> List[Any]:
+        return [run_one_trial(spec, i) for i in range(trials)]
+
+    def dispatched() -> List[Any]:
+        return run_units(units, InlineTransport())
+
+    assert serial() == dispatched()  # parity before timing
+    desc = f"{trials} no-op trials: bare loop vs run_units, 1 trial a unit"
+    return {"desc": desc}, _paired(serial, dispatched, reps=4)
+
+
+def _suite_telemetry_overhead() -> Suite:
+    """Telemetry's cost over a real sweep: bare loop vs SerialBackend.
+
+    The serial backend records a span and a report-ready record per
+    trial; the reference is a bare ``run_one_trial`` loop over the same
+    spec.  Telemetry watches and never steers, so results must match.
+    """
+    from repro.engine import ExperimentSpec, SerialBackend, run_one_trial
+
+    spec = ExperimentSpec(runner="bracha-broadcast", n=5, trials=24, seed=7)
 
     def bare() -> List[Any]:
         return [run_one_trial(spec, i) for i in range(spec.trials)]
@@ -550,79 +440,63 @@ def _suite_telemetry_overhead(quick: bool) -> Dict[str, Any]:
         return SerialBackend().run_trials(spec)
 
     assert bare() == telemetered()  # telemetry must not perturb results
+    desc = (
+        f"{spec.trials} bracha-broadcast trials, n={spec.n}: bare loop "
+        "vs SerialBackend sweep"
+    )
+    return {"desc": desc}, _paired(bare, telemetered, reps=2)
 
-    reps = 2 if quick else 6
-    bare_s = _time(bare, reps)
-    telemetered_s = _time(telemetered, reps)
 
-    # Worst-case per-unit span cost: free trials through the dispatch
-    # plane, with and without a live telemetry sink.
-    noop_trials = 128 if quick else 512
-    noop_spec = ExperimentSpec(runner="perf-gate-noop", n=1, trials=noop_trials)
-    units = DispatchPlan(trials=noop_trials, unit_size=1).units(noop_spec)
-    span_reps = 4 if quick else 20
+def _suite_telemetry_spans() -> Suite:
+    """Telemetry's per-unit span cost: run_units without and with it.
+
+    No-op units through the dispatch plane with ``telemetry=None`` and
+    with a live ``RunTelemetry`` — the bookkeeping cost per unit
+    attempt in its worst case, free trials.
+    """
+    from repro.engine import ExperimentSpec
+    from repro.engine.dispatch import DispatchPlan, InlineTransport, run_units
+    from repro.engine.telemetry import RunTelemetry
+
+    trials = 512
+    spec = ExperimentSpec(runner=_register_noop(), n=1, trials=trials)
+    units = DispatchPlan(trials=trials, unit_size=1).units(spec)
 
     def plain() -> List[Any]:
         return run_units(units, InlineTransport())
 
     def spanned() -> List[Any]:
-        telemetry = RunTelemetry(backend="bench", total_trials=noop_trials)
+        telemetry = RunTelemetry(backend="bench", total_trials=trials)
         out = run_units(units, InlineTransport(), telemetry=telemetry)
         telemetry.finish()
         return out
 
     assert plain() == spanned()
-
-    plain_s = _time(plain, span_reps)
-    spanned_s = _time(spanned, span_reps)
-    span_ops = span_reps * noop_trials
-    return {
-        "desc": (
-            f"serial sweep w/ telemetry vs bare loop, "
-            f"{spec.trials} bracha-broadcast trials"
-        ),
-        "ops": reps * spec.trials,
-        "bare_s": round(bare_s, 6),
-        "telemetered_s": round(telemetered_s, 6),
-        "overhead_fraction": round(
-            max(0.0, telemetered_s - bare_s) / bare_s, 4
-        ) if bare_s else 0.0,
-        "span_us_per_unit": round(
-            max(0.0, spanned_s - plain_s) / span_ops * 1e6, 3
-        ),
-        "parity": True,
-    }
+    desc = f"run_units of {trials} no-op 1-trial units: telemetry off vs on"
+    return {"desc": desc}, _paired(plain, spanned, reps=3)
 
 
-def _suite_cost_dispatch_mixed_n(quick: bool) -> Dict[str, Any]:
-    """Cost-sized vs uniform shard geometry on a mixed-n grid (GATED).
+def _suite_cost_dispatch_mixed_n() -> Suite:
+    """Uniform vs cost-sized shard geometry on a mixed-n grid.
 
     The workload the cost plane exists for: one grid mixing many cheap
-    phase-king sweeps (n=8) with a few expensive ones (n=40, ~100x the
+    phase-king trials (n=8) with a few expensive ones (n=40, ~100x the
     per-trial work).  Uniform geometry sizes units by trial count, so
     the expensive spec collapses into a couple of huge units that
     leave most lanes idle; the planner's cost-sized geometry bins by
     predicted per-trial cost, splitting the expensive trials across
-    lanes.  The uniform baseline is built inline: one plan per spec, in
-    spec order, at the trial-count rule's size.
+    lanes.  The uniform reference is built inline: one plan per spec,
+    in spec order, at the trial-count rule's size.
 
-    The gated ``speedup`` is the ratio of the two plans' *makespans*
-    under the collect loop's own scheduling discipline (units in
-    submit order, each to the earliest-free lane), with per-unit
-    durations taken from measured per-trial wall time of each spec —
-    i.e. the model prices the plan, the clock prices the trials.  Both
-    modes use the same grid, so quick and full runs land on the same
-    ratio (only the timing repetitions differ).  Parity of the fused
-    grid path against bare serial loops is asserted before timing.
+    Each sample re-times a batch of each spec's trials and prices both
+    plans' *makespans* under the collect loop's own discipline (units
+    in submit order, each to the earliest-free lane) — the model
+    prices the plan, the clock prices the trials.  Parity of the
+    cost-sized grid path against bare serial loops is asserted first.
     """
-    from repro.engine import ExperimentSpec
+    from repro.engine import ExperimentSpec, run_one_trial
     from repro.engine.costplan import GRID_PARTS_PER_WORKER, plan_grid
-    from repro.engine.dispatch import (
-        DispatchPlan,
-        InlineTransport,
-        run_one_trial,
-        run_units,
-    )
+    from repro.engine.dispatch import DispatchPlan, InlineTransport, run_units
 
     lanes = 4
     light = ExperimentSpec(runner="phase-king", n=8, trials=96, seed=11)
@@ -644,29 +518,6 @@ def _suite_cost_dispatch_mixed_n(quick: bool) -> Dict[str, Any]:
     ]
     assert merged == serial  # parity before timing
 
-    # Measured per-trial seconds per spec (the simulation's clock).
-    light_reps, light_count = (2, 8) if quick else (6, 16)
-    heavy_reps, heavy_count = (1, 2) if quick else (3, 3)
-
-    def _light_batch() -> List[Any]:
-        return [run_one_trial(light, i) for i in range(light_count)]
-
-    def _heavy_batch() -> List[Any]:
-        return [run_one_trial(heavy, i) for i in range(heavy_count)]
-
-    _light_batch(), _heavy_batch()  # warm caches before the clock starts
-    per_trial = {
-        light: _time(_light_batch, light_reps) / (light_reps * light_count),
-        heavy: _time(_heavy_batch, heavy_reps) / (heavy_reps * heavy_count),
-    }
-
-    def _makespan(units: List[Any]) -> float:
-        free = [0.0] * lanes
-        for unit in units:
-            lane = min(range(lanes), key=free.__getitem__)
-            free[lane] += len(unit.indices) * per_trial[unit.spec]
-        return max(free)
-
     uniform_size = round(
         sum(spec.trials for spec in specs) / (lanes * GRID_PARTS_PER_WORKER)
     )
@@ -676,22 +527,34 @@ def _suite_cost_dispatch_mixed_n(quick: bool) -> Dict[str, Any]:
         for unit in DispatchPlan(spec.trials, uniform_size).units(spec)
     ]
     cost_units = plan_grid(specs, capacity=lanes)
-    uniform_s = _makespan(uniform_units)
-    cost_s = _makespan(cost_units)
-    return {
-        "desc": (
-            f"mixed-n phase-king grid (n=8 x{light.trials} + "
-            f"n=40 x{heavy.trials}), {lanes} lanes: cost-sized vs "
-            "uniform unit geometry, measured-trial makespan"
-        ),
-        "ops": light.trials + heavy.trials,
-        "uniform_units": len(uniform_units),
-        "cost_units": len(cost_units),
-        "uniform_makespan_s": round(uniform_s, 6),
-        "cost_makespan_s": round(cost_s, 6),
-        "speedup": round(uniform_s / cost_s, 2) if cost_s else 0.0,
-        "parity": True,
-    }
+    timed = {light: 16, heavy: 2}  # trials timed per spec, per sample
+
+    def makespan(units: List[Any], per_trial: Dict[Any, float]) -> float:
+        free = [0.0] * lanes
+        for unit in units:
+            lane = min(range(lanes), key=free.__getitem__)
+            free[lane] += len(unit.indices) * per_trial[unit.spec]
+        return max(free)
+
+    def sample() -> float:
+        per_trial = {
+            spec: _time(
+                lambda: [run_one_trial(spec, i) for i in range(count)]
+            ) / count
+            for spec, count in timed.items()
+        }
+        return makespan(uniform_units, per_trial) / makespan(
+            cost_units, per_trial
+        )
+
+    sample()  # warm caches before the clock starts
+    desc = (
+        f"mixed-n phase-king grid (n=8 x{light.trials} + "
+        f"n=40 x{heavy.trials}), {lanes} lanes: {len(uniform_units)} "
+        f"uniform vs {len(cost_units)} cost-sized units, measured-trial "
+        "makespan"
+    )
+    return {"desc": desc}, sample
 
 
 class _LinkRelay:
@@ -702,8 +565,8 @@ class _LinkRelay:
     which is exactly the shape of the real links the lane pipeline
     exists to hide (bare loopback has ~10 us round trips, so a
     latency-hiding optimisation measured against it would be measuring
-    nothing).  Both the baseline and the pipelined path dial the same
-    relay, so the comparison isolates the client's exchange discipline.
+    nothing).  Both arms dial the same relay, so the comparison
+    isolates the client's exchange discipline.
     """
 
     def __init__(self, host: str, port: int, delay: float) -> None:
@@ -781,34 +644,28 @@ class _LinkRelay:
             pass
 
 
-def _suite_dispatch_wire(quick: bool) -> Dict[str, Any]:
-    """Pipelined lanes vs one exchange in flight (GATED).
+def _suite_dispatch_wire() -> Suite:
+    """One exchange in flight vs pipelined lanes over a slow link.
 
     The data-plane workload pipelining exists for: many small work
     units whose round trips — not whose compute — dominate the sweep.
-    One in-process ``WorkerServer``, reached through a loopback
+    An in-process ``WorkerServer``, reached through a loopback
     :class:`_LinkRelay` adding 2 ms of one-way latency (the emulated
-    cluster link), serves the same 64-unit spec twice:
-
-    * **baseline**: ``lane_depth=1`` — one exchange in flight, so
-      every unit pays the full round trip;
-    * **fast path**: ``lane_depth=4`` — the sender streams request
-      frames while the receiver completes earlier units off the same
-      connection, so the link latency is paid once per *window*, not
-      once per unit.
-
-    The gated ``speedup`` is the units/sec ratio; ``wire_bytes`` and
-    ``inflight_peak`` come from the depth-4 lane's telemetry.  Both
-    depths must match the bare serial loop bit for bit before timing
-    counts.
+    cluster link), serves the same 64-unit spec at ``lane_depth=1``
+    (every unit pays the full round trip) and at ``lane_depth=4`` (the
+    sender streams request frames while the receiver completes earlier
+    units, so the latency is paid once per window).  Both depths must
+    match the bare serial loop bit for bit, and depth 4 must actually
+    have had more than one unit in flight.  Each sample serves both
+    depths from a fresh server and relay.
     """
     from repro.engine import (
         ExperimentSpec,
         Scenario,
         TrialResult,
         register,
+        run_one_trial,
     )
-    from repro.engine.backends import run_one_trial
     from repro.engine.distributed import DistributedBackend, WorkerServer
 
     def _wire_trial(ctx) -> TrialResult:
@@ -832,184 +689,157 @@ def _suite_dispatch_wire(quick: bool) -> Dict[str, Any]:
         )
     )
 
-    trials = 64
+    trials, delay = 64, 0.002
     spec = ExperimentSpec(runner="perf-gate-wire", n=1, trials=trials)
-    serial = [run_one_trial(spec, i) for i in range(trials)]
 
-    def sweep(depth: int):
+    def sweep(relay: _LinkRelay, depth: int):
         backend = DistributedBackend(
-            hosts=[(relay.host, relay.port)],
-            unit_size=1,
-            lane_depth=depth,
+            hosts=[(relay.host, relay.port)], unit_size=1, lane_depth=depth
         )
         try:
             results = backend.run_trials(spec)
-            report = backend.telemetry.report(results)
+            return results, backend.telemetry.report(results)
         finally:
             backend.close()
-        return results, report
 
-    with WorkerServer() as server:
-        relay = _LinkRelay(server.host, server.port, delay=0.002)
-        try:
-            depth1_results, _ = sweep(1)
-            depth4_results, depth4_report = sweep(4)
-            # Parity before speed: depth changes overlap, never content.
-            assert depth1_results == serial
-            assert depth4_results == serial
+    def on_link(measure: Callable[[_LinkRelay], Any]) -> Any:
+        with WorkerServer() as server:
+            relay = _LinkRelay(server.host, server.port, delay=delay)
+            try:
+                return measure(relay)
+            finally:
+                relay.close()
 
-            reps = 2 if quick else 4
-            depth1_s = _time(lambda: sweep(1), reps)
-            depth4_s = _time(lambda: sweep(4), reps)
-        finally:
-            relay.close()
+    def parity(relay: _LinkRelay) -> bool:
+        serial = [run_one_trial(spec, i) for i in range(trials)]
+        depth4, report = sweep(relay, 4)
+        return (
+            sweep(relay, 1)[0] == serial == depth4
+            and report.lanes[0].inflight_peak > 1
+        )
 
-    ops = reps * trials
-    lane = depth4_report.lanes[0]
-    return {
-        "desc": (
-            f"{trials} single-trial units over a 2ms loopback link: "
-            "lane_depth=4 vs lane_depth=1"
-        ),
-        "ops": ops,
-        "depth1_s": round(depth1_s, 6),
-        "depth4_s": round(depth4_s, 6),
-        "depth1_units_per_s": (
-            round(ops / depth1_s, 1) if depth1_s else 0.0
-        ),
-        "depth4_units_per_s": (
-            round(ops / depth4_s, 1) if depth4_s else 0.0
-        ),
-        "wire_bytes": lane.bytes_out + lane.bytes_in,
-        "inflight_peak": lane.inflight_peak,
-        "speedup": round(depth1_s / depth4_s, 2) if depth4_s else 0.0,
-        "parity": True,
-    }
+    def pair(relay: _LinkRelay) -> float:
+        return _paired(
+            lambda: sweep(relay, 1), lambda: sweep(relay, 4), reps=1
+        )()
+
+    assert on_link(parity)
+    desc = (
+        f"{trials} single-trial units over a {delay * 1e3:g}ms loopback "
+        "link: lane_depth=1 vs lane_depth=4"
+    )
+    return {"desc": desc}, lambda: on_link(pair)
 
 
-_SUITES = {
+_SUITES: Dict[str, Callable[[], Suite]] = {
     "e9_reconstruct_n64": _suite_e9_reconstruct,
     "e9_batch_reveal_n64": _suite_e9_batch_reveal,
     "e17_row_check_n64": _suite_e17_row_check,
     "e17_batch_rows_n64": _suite_e17_batch_rows,
     "rs_decode_n8": _suite_rs_decode,
-    "e19_vss_coin": _suite_e19_vss_coin,
     "sim_round_loop_n32": _suite_sim_round_loop,
     "dispatch_overhead": _suite_dispatch_overhead,
     "telemetry_overhead": _suite_telemetry_overhead,
+    "telemetry_spans": _suite_telemetry_spans,
     "cost_dispatch_mixed_n": _suite_cost_dispatch_mixed_n,
     "dispatch_wire_n64": _suite_dispatch_wire,
 }
 
 
-def run_suites(quick: bool = False) -> Dict[str, Any]:
-    """Execute every suite and assemble the baseline document."""
-    suites = {name: fn(quick) for name, fn in _SUITES.items()}
+def _measure(sample: Sampler) -> Dict[str, float]:
+    """The median and quartiles of :data:`PAIRS` paired ratios."""
+    q1, median, q3 = statistics.quantiles(
+        [sample() for _ in range(PAIRS)], n=4
+    )
+    return {"ratio": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+
+
+def run_suites() -> Dict[str, Any]:
+    """Build, check and measure every suite; the baseline document."""
+    rows = {}
+    for name, suite in _SUITES.items():
+        row, sample = suite()
+        rows[name] = {**row, **_measure(sample)}
     return {
         "schema": SCHEMA,
-        "mode": "quick" if quick else "full",
+        "pairs": PAIRS,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
-        "suites": suites,
+        "suites": rows,
     }
 
 
 def compare(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float = 0.25,
-) -> List[str]:
-    """Speedup regressions of ``current`` against ``baseline``.
+    current: Dict[str, Any], baseline: Dict[str, Any]
+) -> Tuple[int, List[str]]:
+    """Gate ``current`` against ``baseline``: an exit code, and one line
+    per problem.
 
-    Only the dimensionless ``speedup`` fields are gated (machine-
-    portable); wall-clock fields are informational.  Returns one
-    human-readable line per regressed suite.
+    :data:`EXIT_STALE` when the baseline does not describe the current
+    suites — another schema, a suite missing from either side, or a
+    changed ``desc`` or ``engine``; else :data:`EXIT_REGRESSION` when a
+    ratio fell below its baseline by more than :data:`MAX_REGRESSION`;
+    else 0.
     """
-    problems = []
-    for name, base in baseline.get("suites", {}).items():
-        base_speedup = base.get("speedup")
-        cur = current.get("suites", {}).get(name)
-        if base_speedup is None or cur is None:
-            continue
-        cur_speedup = cur.get("speedup")
-        if cur_speedup is None:
-            problems.append(f"{name}: speedup field missing from current run")
-            continue
-        floor = base_speedup * (1.0 - max_regression)
-        if cur_speedup < floor:
-            problems.append(
-                f"{name}: speedup {cur_speedup:.2f}x < "
-                f"{floor:.2f}x floor (baseline {base_speedup:.2f}x, "
-                f"max regression {max_regression:.0%})"
+    if baseline.get("schema") != SCHEMA:
+        return EXIT_STALE, [
+            f"baseline schema {baseline.get('schema')!r}, not {SCHEMA!r}"
+        ]
+    base, cur = baseline["suites"], current["suites"]
+    stale = [f"{name}: not measured" for name in sorted(base.keys() - cur)]
+    stale += [f"{name}: no baseline row" for name in sorted(cur.keys() - base)]
+    slow = []
+    for name in sorted(base.keys() & cur.keys()):
+        was, now = base[name], cur[name]
+        for key in ("desc", "engine"):
+            if was.get(key) != now.get(key):
+                stale.append(
+                    f"{name}: {key} {now.get(key)!r}, baseline "
+                    f"{was.get(key)!r}"
+                )
+        floor = was["ratio"] * (1.0 - MAX_REGRESSION)
+        if now["ratio"] < floor:
+            slow.append(
+                f"{name}: ratio {now['ratio']:.3g} < {floor:.3g} floor "
+                f"(baseline {was['ratio']:.3g}, max regression "
+                f"{MAX_REGRESSION:.0%})"
             )
-    return problems
+    if stale:
+        return EXIT_STALE, stale
+    return (EXIT_REGRESSION if slow else 0), slow
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="perf_gate",
-        description=(
-            "Run the reconstruction/simulator perf suites, emit the "
-            "BENCH_core.json baseline, and optionally gate against a "
-            "committed baseline."
-        ),
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized repetitions (same suites, smaller reps/committees)",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the JSON document here ('-' for stdout only)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="committed baseline to gate speedups against",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=0.25,
-        help="allowed fractional speedup drop before soft-failing "
-             "(default 0.25)",
-    )
-    args = parser.parse_args(argv)
-
-    # Load the baseline *before* writing --out: CI points both flags at
-    # BENCH_core.json (gate against the committed file, upload the fresh
-    # one), which must not degenerate into comparing a file to itself.
+def gate(out: Optional[str], baseline_path: Optional[str]) -> int:
+    """``repro bench``: run the suites, write the document to ``out``
+    (stdout when unset or ``-``), gate it against ``baseline_path``."""
+    # Load the baseline *before* writing ``out``: pointing both at one
+    # file must not compare the file to itself.
     baseline = None
-    if args.baseline:
-        try:
-            with open(args.baseline) as f:
-                baseline = json.load(f)
-        except FileNotFoundError:
-            print(
-                f"no baseline at {args.baseline}; nothing to gate against",
-                file=sys.stderr,
-            )
+    if baseline_path:
+        with open(baseline_path) as f:
+            baseline = json.load(f)
 
-    current = run_suites(quick=args.quick)
+    current = run_suites()
     body = json.dumps(current, indent=2, sort_keys=True) + "\n"
-    if args.out and args.out != "-":
-        with open(args.out, "w") as f:
+    if out and out != "-":
+        with open(out, "w") as f:
             f.write(body)
-        print(f"wrote {args.out}")
+        print(f"wrote {out}")
     else:
         print(body, end="")
 
-    if baseline is not None:
-        problems = compare(
-            current, baseline, max_regression=args.max_regression
-        )
-        if problems:
-            print("PERF REGRESSION (soft fail):", file=sys.stderr)
-            for line in problems:
-                print(f"  {line}", file=sys.stderr)
-            return EXIT_REGRESSION
+    if baseline is None:
+        return 0
+    code, problems = compare(current, baseline)
+    if code == EXIT_STALE:
         print(
-            f"perf gate ok against {args.baseline} "
-            f"(max regression {args.max_regression:.0%})"
+            f"STALE BASELINE: {baseline_path} does not describe these "
+            "suites; regenerate it (ENGINE.md, 'The perf gate'):",
+            file=sys.stderr,
         )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    elif code == EXIT_REGRESSION:
+        print("PERF REGRESSION (soft fail):", file=sys.stderr)
+    else:
+        print(f"perf gate ok against {baseline_path}")
+    for line in problems:
+        print(f"  {line}", file=sys.stderr)
+    return code

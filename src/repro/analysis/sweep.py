@@ -1,18 +1,16 @@
-"""Multi-trial experiment sweeps with seeded reproducibility.
+"""Per-metric summaries of multi-trial results.
 
-The benchmarks repeatedly need "run this protocol k times across seeds
-and report mean/min/max of some metric, per parameter point".  This
-module centralises that: a :class:`Sweep` runs a factory over a parameter
-grid and seed list and aggregates named metrics into :class:`SeriesPoint`
-rows ready for tabulation.
+:func:`summarise` folds one metric's per-trial values into a
+:class:`MetricSummary` (mean, minimum, maximum, population standard
+deviation); :mod:`repro.engine.aggregate` builds its per-metric
+summaries with it.
 """
 
 from __future__ import annotations
 
-import math
 import statistics
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -31,18 +29,6 @@ class MetricSummary:
         return (self.mean, self.minimum, self.maximum)
 
 
-@dataclass
-class SeriesPoint:
-    """One parameter point's aggregated results."""
-
-    params: Dict[str, Any]
-    metrics: Dict[str, MetricSummary]
-
-    def metric(self, name: str) -> MetricSummary:
-        """Summary for one named metric."""
-        return self.metrics[name]
-
-
 def summarise(name: str, values: Sequence[float]) -> MetricSummary:
     """Aggregate raw per-trial values into a summary."""
     if not values:
@@ -56,59 +42,3 @@ def summarise(name: str, values: Sequence[float]) -> MetricSummary:
         stdev=statistics.pstdev(values) if len(values) > 1 else 0.0,
         count=len(values),
     )
-
-
-def run_sweep(
-    points: Iterable[Mapping[str, Any]],
-    trial: Callable[..., Mapping[str, float]],
-    seeds: Sequence[int],
-) -> List[SeriesPoint]:
-    """Run ``trial(seed=..., **point)`` for every point x seed.
-
-    ``trial`` returns a mapping of metric name -> value; metrics are
-    aggregated per point across seeds.
-    """
-    series: List[SeriesPoint] = []
-    for point in points:
-        raw: Dict[str, List[float]] = {}
-        for seed in seeds:
-            metrics = trial(seed=seed, **dict(point))
-            for name, value in metrics.items():
-                raw.setdefault(name, []).append(float(value))
-        series.append(
-            SeriesPoint(
-                params=dict(point),
-                metrics={
-                    name: summarise(name, values)
-                    for name, values in raw.items()
-                },
-            )
-        )
-    return series
-
-
-def fit_power_law(
-    xs: Sequence[float], ys: Sequence[float]
-) -> tuple:
-    """Least-squares exponent and constant of y = c * x^alpha.
-
-    The benchmarks use this to report the measured growth exponent of
-    bits-per-processor curves (Theorem 1's sqrt shape, Phase King's
-    square shape).
-    """
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("need at least two (x, y) pairs")
-    if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
-        raise ValueError("power-law fit needs positive data")
-    log_x = [math.log(x) for x in xs]
-    log_y = [math.log(y) for y in ys]
-    n = len(xs)
-    mean_x = sum(log_x) / n
-    mean_y = sum(log_y) / n
-    covariance = sum(
-        (lx - mean_x) * (ly - mean_y) for lx, ly in zip(log_x, log_y)
-    )
-    variance = sum((lx - mean_x) ** 2 for lx in log_x)
-    alpha = covariance / variance if variance else 0.0
-    constant = math.exp(mean_y - alpha * mean_x)
-    return alpha, constant

@@ -13,9 +13,10 @@ Python.  Subcommands:
 * ``report``    — a compact battery written as Markdown, or — given a
   ``--telemetry`` artifact path — a plain-text rendering of that run's
   telemetry report (lanes, latency percentiles, protocol bits).
-* ``bench``     — the perf-gate suites (reconstruction kernels +
-  simulator round loop) as machine-readable JSON; ``--baseline``
-  soft-gates speedups against a committed ``BENCH_core.json``.
+* ``bench``     — the perf gate: every suite's paired ratio (median
+  and quartiles) as JSON; ``--baseline`` gates the ratios against a
+  committed ``BENCH_core.json`` (exit 1 when it is stale, 3 when a
+  ratio regressed).
 * ``run-experiment`` — Monte-Carlo trials of a registered scenario
   through the :mod:`repro.engine` backends (serial / process pool /
   batched / distributed).  ``--list`` prints every
@@ -880,18 +881,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: run the perf-gate suites, emit/gate JSON."""
-    from .analysis.perf_gate import main as perf_gate_main
+    """``repro bench``: the perf gate (:mod:`repro.analysis.perf_gate`)."""
+    from .analysis.perf_gate import gate
 
-    forwarded: List[str] = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.out is not None:
-        forwarded.extend(["--out", args.out])
-    if args.baseline is not None:
-        forwarded.extend(["--baseline", args.baseline])
-    forwarded.extend(["--max-regression", str(args.max_regression)])
-    return perf_gate_main(forwarded)
+    return gate(args.out, args.baseline)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1153,16 +1146,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the perf-gate suites and emit BENCH_core-style JSON",
     )
-    p.add_argument("--json", action="store_true",
-                   help="accepted for symmetry; output is always JSON")
-    p.add_argument("--quick", action="store_true",
-                   help="CI-sized repetitions")
     p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the JSON here ('-' for stdout only)")
+                   help="write the JSON document here ('-' or unset: "
+                        "stdout)")
     p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="gate speedups against this committed baseline")
-    p.add_argument("--max-regression", type=float, default=0.25,
-                   help="allowed fractional speedup drop (default 0.25)")
+                   help="committed baseline to gate against "
+                        "(BENCH_core.json)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(

@@ -10,8 +10,6 @@ before the tree has more than one level).  We therefore keep every
 * :meth:`ProtocolParameters.simulation` — scaled-down constants chosen so
   the end-to-end protocol runs at simulation scale (n up to a few
   thousand) while preserving the shape of every phase.
-
-See DESIGN.md Section 3 for the substitution rationale.
 """
 
 from __future__ import annotations

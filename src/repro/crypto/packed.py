@@ -10,10 +10,9 @@ saving at the cost of a higher reconstruction threshold
 (coalitions below t learn nothing; between t and t+k they learn partial
 information).
 
-This is the classic Franklin-Yung trade-off; DESIGN.md lists it as a
-design-choice ablation (bench E9 companion), and the library exposes it
-as an alternative backend for :mod:`repro.core.communication`-style block
-flows.
+This is the classic Franklin-Yung trade-off, a design-choice ablation
+next to bench E9; the library exposes it as an alternative backend for
+:mod:`repro.core.communication`-style block flows.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ with ``c = a * b`` (the *triple*), the committee multiplies shared
 Triple generation here uses a **trusted dealer** (the standard
 preprocessing model; in a full deployment triples are produced by a
 distributed protocol — e.g. the committee's own sharing plus degree
-reduction — at Theta(k^2) communication per triple).  The substitution
-is documented in DESIGN.md: the dealer exercises the same online code
-path the distributed generation would feed.
+reduction — at Theta(k^2) communication per triple;
+:mod:`repro.mpc.triples` is that protocol).  The dealer exercises the
+same online code path the distributed generation feeds.
 
 Cost per multiplication: two openings (2k field elements) on top of the
 free linear algebra — so an arithmetic circuit with m multiplication

@@ -1,8 +1,7 @@
 """Dealer-free Beaver triple generation (GRR degree reduction).
 
-Removes the trusted dealer that :mod:`repro.mpc.beaver` assumes,
-closing the substitution documented in DESIGN.md §5b.  The committee
-generates its own triples with the Gennaro-Rabin-Rabin (1998)
+Removes the trusted dealer that :mod:`repro.mpc.beaver` assumes.  The
+committee generates its own triples with the Gennaro-Rabin-Rabin (1998)
 simplification of BGW multiplication:
 
 1. **Random sharings without a dealer**: every member deals a random

@@ -13,7 +13,8 @@ tree, mirroring Figure 1 of the paper:
 
 The paper adds a log^3 n redundancy factor to the node count per level for
 its w.h.p. union bounds; like Figure 1 we build the plain q-ary tree and
-surface redundancy through the samplers' seed (see DESIGN.md §3).
+surface redundancy through the samplers' seed, since at simulation
+scale the factor alone exceeds n (log^3 81 is about 255).
 """
 
 from __future__ import annotations

@@ -1,15 +1,8 @@
-"""Tests for the experiment-sweep utilities."""
-
-import math
+"""Tests for the per-metric summaries."""
 
 import pytest
 
-from repro.analysis.sweep import (
-    MetricSummary,
-    fit_power_law,
-    run_sweep,
-    summarise,
-)
+from repro.analysis.sweep import summarise
 
 
 class TestSummarise:
@@ -29,56 +22,3 @@ class TestSummarise:
 
     def test_as_tuple(self):
         assert summarise("m", [2, 4]).as_tuple() == (3.0, 2.0, 4.0)
-
-
-class TestRunSweep:
-    def test_grid_and_seeds(self):
-        calls = []
-
-        def trial(seed, x):
-            calls.append((seed, x))
-            return {"y": x * 10 + seed}
-
-        series = run_sweep(
-            points=[{"x": 1}, {"x": 2}],
-            trial=trial,
-            seeds=[0, 1],
-        )
-        assert len(series) == 2
-        assert len(calls) == 4
-        assert series[0].params == {"x": 1}
-        assert series[0].metric("y").mean == pytest.approx(10.5)
-        assert series[1].metric("y").maximum == 21
-
-    def test_multiple_metrics(self):
-        series = run_sweep(
-            points=[{}],
-            trial=lambda seed: {"a": seed, "b": 2 * seed},
-            seeds=[1, 3],
-        )
-        assert series[0].metric("a").mean == 2
-        assert series[0].metric("b").mean == 4
-
-
-class TestPowerLawFit:
-    def test_exact_square(self):
-        xs = [1, 2, 4, 8]
-        ys = [x * x for x in xs]
-        alpha, c = fit_power_law(xs, ys)
-        assert alpha == pytest.approx(2.0)
-        assert c == pytest.approx(1.0)
-
-    def test_exact_sqrt(self):
-        xs = [4, 16, 64, 256]
-        ys = [3 * math.sqrt(x) for x in xs]
-        alpha, c = fit_power_law(xs, ys)
-        assert alpha == pytest.approx(0.5)
-        assert c == pytest.approx(3.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fit_power_law([1], [1])
-        with pytest.raises(ValueError):
-            fit_power_law([1, -2], [1, 2])
-        with pytest.raises(ValueError):
-            fit_power_law([1, 2], [0, 2])
