@@ -73,21 +73,37 @@ class AntiMajorityBehavior(VoteBehavior):
 
     Because the adversary is rushing it sees all good votes addressed to
     corrupted processors before it must speak; it votes against whatever
-    majority it observed, maximising confusion.
+    majority it observed, maximising confusion.  Every corrupted sender
+    of a round gets the same view, so the view is tallied on the first
+    sender's call and its opposing bit reused by the others.  With
+    nothing to oppose, each sender draws its own random bit.
     """
 
+    def __init__(self) -> None:
+        self._view: Optional[AdversaryView] = None
+        self._opposing: Optional[int] = None
+
     def votes(self, view, sender, recipients, rng):
-        tally = Counter(
-            message.payload
-            for message in view.inbound
-            if message.tag == "vote" and isinstance(message.payload, int)
-        )
-        if tally:
-            majority_bit = max(tally.items(), key=lambda kv: kv[1])[0]
-            push = 1 - int(majority_bit) % 2
-        else:
+        if view is not self._view:
+            self._view = view
+            self._opposing = _opposing_bit(view.inbound)
+        push = self._opposing
+        if push is None:
             push = rng.randrange(2)
-        return {recipient: push for recipient in recipients}
+        return dict.fromkeys(recipients, push)
+
+
+def _opposing_bit(inbound: Iterable[Message]) -> Optional[int]:
+    """The bit against the majority of the observed votes, if any."""
+    tally = Counter(
+        message.payload
+        for message in inbound
+        if message.tag == "vote" and isinstance(message.payload, int)
+    )
+    if not tally:
+        return None
+    majority_bit = max(tally.items(), key=lambda kv: kv[1])[0]
+    return 1 - int(majority_bit) % 2
 
 
 class KeepSplitBehavior(VoteBehavior):

@@ -3,9 +3,8 @@
 ``run_suites`` measures each fast path against its reference on the
 same inputs: the cached plan and batch kernels that reconstruction
 bottoms out in (the shapes of benches E9 and E17, and ``sendDown``'s
-decode), the simulator's ``NullAdversary`` path, and the engine's
-dispatch, telemetry, cost-sized geometry and pipelined wire.  It
-emits one JSON document, ``BENCH_core.json``.
+decode) and the engine's dispatch, telemetry, cost-sized geometry
+and pipelined wire.  It emits one JSON document, ``BENCH_core.json``.
 
 Every suite has one shape.  It builds its inputs, asserts parity
 between the two arms before any timing, and returns its row's
@@ -317,61 +316,6 @@ def _suite_rs_decode() -> Suite:
         "windows"
     )
     return {"desc": desc}, _paired(solve, windows, reps=8)
-
-
-def _suite_sim_round_loop() -> Suite:
-    """Simulator: a tracked do-nothing adversary vs ``NullAdversary``.
-
-    The same ping protocol under (a) a do-nothing ``Adversary``
-    subclass that still pays the full bookkeeping and (b) an exact
-    ``NullAdversary``, which skips corruption scans, the rushing view
-    and adversary dispatch.  Outputs must match exactly.
-    """
-    from repro.net.messages import Message
-    from repro.net.simulator import (
-        Adversary,
-        NullAdversary,
-        ProcessorProtocol,
-        SyncNetwork,
-    )
-
-    n, rounds = 32, 100
-
-    class Ping(ProcessorProtocol):
-        def on_round(self, round_no, inbox):
-            return [
-                Message(self.pid, (self.pid + j) % n, "ping", round_no)
-                for j in range(1, 5)
-            ]
-
-        def output(self):
-            return None
-
-    class TrackedIdle(Adversary):
-        def __init__(self, count: int) -> None:
-            super().__init__(count, budget=0)
-
-        def act(self, view):
-            return []
-
-    def drive(adversary) -> int:
-        net = SyncNetwork([Ping(pid) for pid in range(n)], adversary)
-        for rnd in range(1, rounds + 1):
-            net.step(rnd)
-        return net.ledger.total_bits()
-
-    def tracked() -> int:
-        return drive(TrackedIdle(n))
-
-    def null() -> int:
-        return drive(NullAdversary(n))
-
-    assert tracked() == null()  # identical executions
-    desc = (
-        f"sync round loop, n={n}, {rounds} rounds, 4 msgs/proc: "
-        "tracked idle adversary vs NullAdversary"
-    )
-    return {"desc": desc}, _paired(tracked, null, reps=1)
 
 
 def _register_noop() -> str:
@@ -737,7 +681,6 @@ _SUITES: Dict[str, Callable[[], Suite]] = {
     "e17_row_check_n64": _suite_e17_row_check,
     "e17_batch_rows_n64": _suite_e17_batch_rows,
     "rs_decode_n8": _suite_rs_decode,
-    "sim_round_loop_n32": _suite_sim_round_loop,
     "dispatch_overhead": _suite_dispatch_overhead,
     "telemetry_overhead": _suite_telemetry_overhead,
     "telemetry_spans": _suite_telemetry_spans,

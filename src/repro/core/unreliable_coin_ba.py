@@ -91,6 +91,7 @@ class SparseAEBAProcessor(ProcessorProtocol):
         super().__init__(pid)
         self.vote = int(input_bit)
         self.neighbors = list(neighbors)
+        self._neighbor_set = frozenset(self.neighbors)
         self.coin_view = coin_view
         self.num_rounds = num_rounds
         self.threshold = threshold
@@ -99,10 +100,11 @@ class SparseAEBAProcessor(ProcessorProtocol):
     def on_round(self, round_no: int, inbox: List[Message]) -> List[Message]:
         if round_no > 1:
             # Finish algorithm round (round_no - 1).
+            neighbor_set = self._neighbor_set
             received = [
                 int(m.payload)
                 for m in inbox
-                if m.tag == "vote" and m.sender in self.neighbors
+                if m.tag == "vote" and m.sender in neighbor_set
                 and isinstance(m.payload, (bool, int))
             ]
             coin = self.coin_view(round_no - 2)  # 0-based coin index

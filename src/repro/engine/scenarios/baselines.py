@@ -212,7 +212,7 @@ def _phase_king_instance(ctx: TrialContext) -> BatchInstance:
     ]
     adversary = static_adversary(
         ctx, n, float(_pk(ctx, "corrupt")),
-        str(_pk(ctx, "behavior")), vote_tag="value",
+        str(_pk(ctx, "behavior")),
     )
     network = SyncNetwork(protocols, adversary)
     return BatchInstance(

@@ -16,6 +16,9 @@ from typing import Dict, Iterable, Optional, Sequence
 
 from .messages import Message
 
+#: Matches no message field, so an outbox's first message is sized.
+_UNSIZED = object()
+
 
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile (q in [0, 100]) of raw values.
@@ -85,18 +88,35 @@ class BitLedger:
         """Attribute subsequent traffic to a named protocol phase."""
         self._phase = phase
 
-    def record(self, message: Message) -> None:
-        """Account one message's bits to sender, recipient and phase."""
-        bits = message.bits()
-        self.sent_bits[message.sender] += bits
-        self.received_bits[message.recipient] += bits
-        self.sent_messages[message.sender] += 1
-        self.phase_bits[self._phase] += bits
+    def record(self, *messages: Message) -> None:
+        """Account one sender's messages to it, their recipients and phase.
 
-    def record_many(self, messages: Iterable[Message]) -> None:
-        """Account a batch of messages."""
+        ``record(m)`` charges one message; ``SyncNetwork.step`` charges
+        a good sender's whole outbox of a round with one call.  Either
+        way every counter ends as one call per message would leave it:
+        each message's bits go to its recipient, and the total bits and
+        message count go to the sender and the phase in one add each.
+        A message is sized by :meth:`Message.bits` only when its tag or
+        payload is not the same object as the previous message's, so a
+        broadcast of one vote is sized once.  No messages charge
+        nothing.  Every message must be from the first one's sender.
+        """
+        if not messages:
+            return
+        received = self.received_bits
+        tag = payload = _UNSIZED
+        bits = total = 0
         for message in messages:
-            self.record(message)
+            if message.tag is not tag or message.payload is not payload:
+                tag = message.tag
+                payload = message.payload
+                bits = message.bits()
+            received[message.recipient] += bits
+            total += bits
+        sender = messages[0].sender
+        self.sent_bits[sender] += total
+        self.sent_messages[sender] += len(messages)
+        self.phase_bits[self._phase] += total
 
     def record_abstract(
         self, sender: int, recipient: int, bits: int, messages: int = 1

@@ -107,7 +107,12 @@ class Message:
     Slotted: a round of an n-processor protocol allocates O(n^2) of
     these, and ``__slots__`` drops the per-instance ``__dict__`` — less
     memory traffic in the simulator's inner loop for an object that is
-    immutable data anyway.
+    immutable data anyway.  ``__init__`` is written by hand (the
+    dataclass keeps it) and fills the slots through their descriptors,
+    which is cheaper than the generated frozen ``__init__``'s
+    ``object.__setattr__`` call per field.  Equality, hashing,
+    ``repr``, pickling, ``dataclasses.replace`` and
+    ``FrozenInstanceError`` are the dataclass's own.
 
     Attributes:
         sender: origin processor ID (authenticated by the channel — the
@@ -122,9 +127,24 @@ class Message:
     tag: str
     payload: Any = None
 
+    def __init__(
+        self, sender: int, recipient: int, tag: str, payload: Any = None
+    ) -> None:
+        _set_sender(self, sender)
+        _set_recipient(self, recipient)
+        _set_tag(self, tag)
+        _set_payload(self, payload)
+
     def bits(self) -> int:
         """Total on-wire size of this message."""
         return HEADER_BITS + payload_bits(self.tag) + payload_bits(self.payload)
+
+
+# The slot descriptors' setters, bound once.
+_set_sender = Message.sender.__set__
+_set_recipient = Message.recipient.__set__
+_set_tag = Message.tag.__set__
+_set_payload = Message.payload.__set__
 
 
 def total_bits(messages: Iterable[Message]) -> int:

@@ -182,10 +182,6 @@ class SyncNetwork:
         self._spare_inboxes: List[List[Message]] = [
             [] for _ in range(self.n)
         ]
-        # Exactly a NullAdversary (not a subclass) can neither corrupt
-        # nor speak, so the per-round corruption scan, rushing view and
-        # adversary dispatch are skipped wholesale.
-        self._null_adversary = type(adversary) is NullAdversary
         self._rounds = 0
         self._halted = False
 
@@ -240,70 +236,76 @@ class SyncNetwork:
         )
 
     def step(self, round_no: int) -> None:
-        """Execute one synchronous round."""
+        """Execute one synchronous round.
+
+        Each good sender's outbox takes one pass that checks every
+        message and delivers it to next round's inbox, then one ledger
+        charge (:meth:`BitLedger.record`).  A forged sender or an
+        unknown recipient raises before anything from that outbox is
+        charged.
+        """
         if self.trace is not None:
             self.trace.set_round(round_no)
-        fast = self._null_adversary
-        if not fast:
-            self._apply_corruptions(round_no)
+        self._apply_corruptions(round_no)
         corrupted = self.adversary.corrupted
 
-        outgoing: List[Message] = []
+        n = self.n
+        ledger = self.ledger
         protocols = self.protocols
         inboxes = self._inboxes
-        for pid in range(self.n):
+        # Clear-and-refill the spare buffers instead of allocating a
+        # fresh list per processor every round.
+        next_inboxes = self._spare_inboxes
+        for box in next_inboxes:
+            box.clear()
+        # Good traffic the rushing adversary may see; kept only when
+        # something is corrupted.
+        outgoing: List[Message] = []
+        for pid in range(n):
             if corrupted and pid in corrupted:
                 continue
             messages = protocols[pid].on_round(round_no, inboxes[pid])
+            if not messages:
+                continue
             for message in messages:
+                recipient = message.recipient
                 if message.sender != pid:
                     raise SimulationError(
                         f"processor {pid} forged sender {message.sender}"
                     )
-                if not 0 <= message.recipient < self.n:
+                if not 0 <= recipient < n:
                     raise SimulationError(
-                        f"message to unknown recipient {message.recipient}"
+                        f"message to unknown recipient {recipient}"
                     )
-            self.ledger.record_many(messages)
-            outgoing.extend(messages)
+                next_inboxes[recipient].append(message)
+            ledger.record(*messages)
+            if corrupted:
+                outgoing.extend(messages)
 
-        if fast:
-            adversary_messages: List[Message] = []
-        else:
-            # Rushing: adversary sees its inbound traffic before acting.
-            view = AdversaryView(
-                round_no=round_no,
-                corrupted=set(corrupted),
-                inbound=[m for m in outgoing if m.recipient in corrupted],
-                n=self.n,
-            )
-            adversary_messages = self.adversary.act(view)
-            for message in adversary_messages:
-                if message.sender not in corrupted:
-                    raise SimulationError(
-                        "adversary may only send from corrupted processors"
-                    )
-                if not 0 <= message.recipient < self.n:
-                    raise SimulationError(
-                        f"adversary message to unknown recipient "
-                        f"{message.recipient}"
-                    )
-                self.flood_bits += message.bits()
-                if self.count_adversary_traffic:
-                    self.ledger.record(message)
-
-        # Swap in the spare buffers: clear-and-refill instead of a
-        # fresh dict of lists every round.
-        next_inboxes = self._spare_inboxes
-        for box in next_inboxes:
-            box.clear()
-        for message in outgoing:
-            next_inboxes[message.recipient].append(message)
-        for message in adversary_messages:
+        # Rushing: adversary sees its inbound traffic before acting.
+        view = AdversaryView(
+            round_no=round_no,
+            corrupted=set(corrupted),
+            inbound=[m for m in outgoing if m.recipient in corrupted],
+            n=n,
+        )
+        for message in self.adversary.act(view):
+            if message.sender not in corrupted:
+                raise SimulationError(
+                    "adversary may only send from corrupted processors"
+                )
+            if not 0 <= message.recipient < n:
+                raise SimulationError(
+                    f"adversary message to unknown recipient "
+                    f"{message.recipient}"
+                )
+            self.flood_bits += message.bits()
+            if self.count_adversary_traffic:
+                ledger.record(message)
             next_inboxes[message.recipient].append(message)
         self._spare_inboxes = inboxes
         self._inboxes = next_inboxes
-        self.ledger.tick_round()
+        ledger.tick_round()
 
     # -- internals ---------------------------------------------------------------
 

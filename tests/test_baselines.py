@@ -56,6 +56,28 @@ class TestPhaseKing:
         result = run_phase_king(n, [p % 2 for p in range(n)], adversary=adversary)
         assert len(set(result.good_outputs().values())) == 1
 
+    def test_scenario_adversary_speaks_the_protocols_vote_tag(self):
+        """The phase-king scenario's static adversary must send what
+        the protocol reads: ``fixed0`` drives every split-input trial
+        to 0, which a silent (crash) adversary does not."""
+        from repro.engine import ExperimentSpec, SerialBackend
+
+        def decided(behavior):
+            spec = ExperimentSpec(
+                runner="phase-king", n=16, trials=20, seed=5,
+                params={
+                    "behavior": behavior, "corrupt": 0.3, "inputs": "split",
+                },
+            )
+            trials = SerialBackend().run_trials(spec)
+            assert all(trial.ok for trial in trials)
+            return [dict(trial.metrics)["value"] for trial in trials]
+
+        silent = decided("silent")
+        assert decided("fixed0") == [0.0] * 20
+        assert decided("fixed1") == [1.0] * 20
+        assert 0.0 in silent and 1.0 in silent
+
     def test_quadratic_bits(self):
         """Per-processor bits grow ~n^2: the barrier the paper breaks."""
         costs = {}

@@ -1,7 +1,10 @@
 """Unit tests for the network simulator, messages, and accounting."""
 
 import collections
+import copy
+import dataclasses
 import enum
+import pickle
 import random
 from typing import Any, List
 
@@ -309,6 +312,126 @@ class TestBitLedger:
         ).bits()
 
 
+_LEDGER_FIELDS = ("sent_bits", "received_bits", "sent_messages", "phase_bits")
+
+#: Payload objects an outbox may share between messages.
+_SHARED = (
+    (1, (2, -3)), [4, None, [5]], -7, True, False, None, 0, (), "ab",
+    ((0, 1), (2, (3, -4))), _ROW,
+)
+
+
+def _random_outbox(rng: random.Random, sender: int, n: int) -> List[Message]:
+    """Runs of messages that share one tag and payload object (as a
+    broadcast does), interleaved with equal-but-distinct copies and
+    fresh nested payloads."""
+    messages: List[Message] = []
+    for _ in range(rng.randrange(12)):
+        roll = rng.randrange(4)
+        if roll == 0:
+            payload = rng.choice(_SHARED)
+        elif roll == 1:
+            # Equal, but a distinct object wherever Python allows one.
+            payload = pickle.loads(pickle.dumps(rng.choice(_SHARED)))
+        elif roll == 2:
+            payload = _random_payload(rng, depth=3, bad=0.0)
+        else:
+            payload = rng.choice((0, 1, -1, -(1 << 70), True, None))
+        tag = rng.choice(("v", "vote", "", "a-much-longer-tag", _Tag("ab")))
+        for _ in range(rng.randint(1, 4)):
+            messages.append(Message(sender, rng.randrange(n), tag, payload))
+    return messages
+
+
+def _record_one(ledger: BitLedger, message: Message, phase: str) -> None:
+    """The per-message charge, written out: the oracle for ``record``."""
+    bits = message.bits()
+    ledger.sent_bits[message.sender] += bits
+    ledger.received_bits[message.recipient] += bits
+    ledger.sent_messages[message.sender] += 1
+    ledger.phase_bits[phase] += bits
+
+
+class TestRecordOutbox:
+    """One ``record`` of a whole outbox leaves every counter as charging
+    its messages one by one."""
+
+    def test_seeded_outboxes_match_per_message_record(self):
+        rng = random.Random(21)
+        n = 9
+        outbox, reference = BitLedger(n), BitLedger(n)
+        charged = distinct_equal = 0
+        for _ in range(400):
+            phase = rng.choice(("default", "alpha", "a-longer-phase"))
+            outbox.set_phase(phase)
+            sender = rng.randrange(n)
+            messages = _random_outbox(rng, sender, n)
+            outbox.record(*messages)
+            for message in messages:
+                _record_one(reference, message, phase)
+            charged += len(messages)
+            distinct_equal += sum(
+                a.payload is not b.payload and a.payload == b.payload
+                for a, b in zip(messages, messages[1:])
+            )
+            for name in _LEDGER_FIELDS:
+                # Same entries, inserted in the same order.
+                assert list(getattr(outbox, name).items()) == list(
+                    getattr(reference, name).items()
+                ), name
+        assert charged > 2000 and distinct_equal > 20
+        assert outbox.snapshot() == reference.snapshot()
+
+    def test_empty_outbox_charges_nothing(self):
+        ledger = BitLedger(4)
+        ledger.record(Message(2, 1, "v", 1))
+        before = {
+            name: list(getattr(ledger, name).items())
+            for name in _LEDGER_FIELDS
+        }
+        ledger.set_phase("quiet")
+        ledger.record()
+        ledger.record(*[])
+        for name in _LEDGER_FIELDS:
+            assert list(getattr(ledger, name).items()) == before[name]
+        assert "quiet" not in ledger.phase_bits
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (Message(0, 2, "v", 1), "forged sender 0"),
+            (Message(1, 3, "v", 1), "unknown recipient 3"),
+            (Message(1, -1, "v", 1), "unknown recipient -1"),
+        ],
+    )
+    def test_bad_message_rejected_before_its_outbox_is_charged(
+        self, bad, error
+    ):
+        class Sends(ProcessorProtocol):
+            def __init__(self, pid, outbox):
+                super().__init__(pid)
+                self.outbox = outbox
+
+            def on_round(self, round_no, inbox):
+                return self.outbox
+
+        good = [Message(0, 1, "v", 1), Message(0, 2, "v", 1)]
+        protocols = [
+            Sends(0, good),
+            Sends(1, [Message(1, 0, "v", 1), bad, Message(1, 2, "v", 1)]),
+            Sends(2, []),
+        ]
+        net = SyncNetwork(protocols, NullAdversary(3))
+        with pytest.raises(SimulationError, match=error):
+            net.step(1)
+        # Processor 0's outbox was charged; nothing of processor 1's.
+        assert dict(net.ledger.sent_bits) == {0: 2 * good[0].bits()}
+        assert dict(net.ledger.sent_messages) == {0: 2}
+        assert dict(net.ledger.received_bits) == {
+            1: good[0].bits(), 2: good[1].bits(),
+        }
+
+
 class EchoProtocol(ProcessorProtocol):
     """Sends its pid to everyone in round 1; decides on sum of inputs."""
 
@@ -409,7 +532,7 @@ class TestSyncNetwork:
 
 
 class _IdleAdversary(Adversary):
-    """Does nothing, but is *not* a NullAdversary: takes the slow path."""
+    """Does nothing, but is *not* a NullAdversary."""
 
     def __init__(self, n: int) -> None:
         super().__init__(n, budget=0)
@@ -419,9 +542,10 @@ class _IdleAdversary(Adversary):
 
 
 class TestSimulatorFastPaths:
-    """The NullAdversary fast path and reused inbox buffers are pure
-    optimisations: executions must be indistinguishable from the fully
-    tracked path, message for message and bit for bit."""
+    """One round loop for every adversary, reused inbox buffers and
+    the per-outbox ledger charge are pure optimisations: a
+    NullAdversary run must be indistinguishable from a tracked idle
+    adversary's, message for message and bit for bit."""
 
     def _run(self, adversary_factory, n=5, rounds=4):
         protocols = [EchoProtocol(pid, n) for pid in range(n)]
@@ -485,3 +609,44 @@ class TestMessageSlots:
         b = Message(0, 1, "tag", 7)
         assert a == b and hash(a) == hash(b)
         assert a.bits() == HEADER_BITS + payload_bits("tag") + payload_bits(7)
+
+    def test_message_semantics_are_pinned(self):
+        """Construction, equality, hash, repr, pickling, ``replace`` and
+        frozenness: the dataclass contract, whatever builds the fields."""
+        a = Message(3, 4, "vote", (1, -2))
+        b = Message(sender=3, recipient=4, tag="vote", payload=(1, -2))
+        fields = (a.sender, a.recipient, a.tag, a.payload)
+        assert fields == (3, 4, "vote", (1, -2))
+        assert a == b and hash(a) == hash(b)
+        assert a != Message(3, 4, "vote", (1, 2))
+        assert a != (3, 4, "vote", (1, -2))
+        assert hash(a) == hash((3, 4, "vote", (1, -2)))
+        assert repr(a) == (
+            "Message(sender=3, recipient=4, tag='vote', payload=(1, -2))"
+        )
+        assert Message(0, 1, "t").payload is None
+        assert Message(0, 1, "t") == Message(0, 1, "t", None)
+        assert dataclasses.astuple(a) == (3, 4, "vote", (1, -2))
+        assert [f.name for f in dataclasses.fields(Message)] == [
+            "sender", "recipient", "tag", "payload",
+        ]
+        assert Message.__match_args__ == (
+            "sender", "recipient", "tag", "payload",
+        )
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(a, protocol))
+            assert clone == a and type(clone) is Message
+        assert copy.copy(a) == a and copy.deepcopy(a) == a
+        moved = dataclasses.replace(a, recipient=9)
+        assert moved == Message(3, 9, "vote", (1, -2))
+        assert a.recipient == 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.sender = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del a.tag
+        with pytest.raises(TypeError):
+            Message(0, 1)
+        with pytest.raises(TypeError):
+            Message(0, 1, "t", None, "extra")
+        with pytest.raises(TypeError):
+            Message(0, 1, "t", colour=1)

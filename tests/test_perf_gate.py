@@ -71,7 +71,7 @@ def test_suites_emit_the_declared_schema(gate_run):
     _, doc = gate_run
     assert doc["schema"] == SCHEMA
     assert doc["pairs"] == perf_gate.PAIRS
-    assert len(doc["suites"]) == 11
+    assert len(doc["suites"]) == 10
     for name, row in doc["suites"].items():
         fields = {"desc", "ratio", "q1", "q3"}
         if name in BATCH_SUITES:

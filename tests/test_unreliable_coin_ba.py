@@ -8,16 +8,19 @@ from repro.adversary.behaviors import (
     AntiMajorityBehavior,
     EquivocatingBehavior,
     SilentBehavior,
+    behavior_by_name,
 )
 from repro.adversary.static import StaticByzantineAdversary
 from repro.core.coins import perfect_coin_source, unreliable_coin_source
 from repro.core.unreliable_coin_ba import (
+    SparseAEBAProcessor,
     aeba_vote_update,
     majority_and_fraction,
     run_aeba_dataflow,
     run_unreliable_coin_ba,
     vote_threshold,
 )
+from repro.net.simulator import SyncNetwork
 
 
 class TestPureFunctions:
@@ -136,6 +139,78 @@ class TestAgainstAdversaries:
             seed=8,
         )
         assert result.agreement_fraction() >= 0.9
+
+
+def _explicit_graph(n, picks, seed):
+    """A seeded symmetric graph built here, without networkx: each
+    processor links to ``picks`` random others (so degrees vary)."""
+    rng = random.Random(seed)
+    adjacency = {p: set() for p in range(n)}
+    for p in range(n):
+        for q in rng.sample([q for q in range(n) if q != p], picks):
+            adjacency[p].add(q)
+            adjacency[q].add(p)
+    return {p: sorted(adjacency[p]) for p in range(n)}
+
+
+class TestPinnedAntiMajorityRun:
+    """Literal outcome of one rushing anti-majority run on an explicit
+    graph: the good processors' final votes, the ledger, the flood and
+    the adversary's RNG position.  Every vote costs one bit whichever
+    way it goes, so bit ledgers alone cannot see a wrong vote; the
+    votes and the RNG probe can."""
+
+    N, ROUNDS = 48, 4
+    TARGETS = [0, 2, 5, 9, 16, 31, 36, 37]
+
+    def _run(self, behavior):
+        n, rounds = self.N, self.ROUNDS
+        graph = _explicit_graph(n, 6, seed=3)
+        rng = random.Random(4)
+        inputs = [1 if rng.random() < 0.5 else 0 for _ in range(n)]
+        source = unreliable_coin_source(
+            n, rounds, good_round_indices=[2], confused_fraction=0.4,
+            rng=random.Random(5),
+        )
+        threshold = vote_threshold(1 / 12, 0.05)
+        protocols = [
+            SparseAEBAProcessor(
+                p, inputs[p], graph[p],
+                coin_view=lambda idx, p=p: source.view(idx, p),
+                num_rounds=rounds, threshold=threshold,
+            )
+            for p in range(n)
+        ]
+        targets = set(random.Random(6).sample(range(n), n // 6))
+        assert sorted(targets) == self.TARGETS
+        adversary = StaticByzantineAdversary(
+            n, targets, behavior_by_name(behavior),
+            recipients_of=graph, seed=7,
+        )
+        network = SyncNetwork(protocols, adversary)
+        result = network.run(max_rounds=rounds + 2)
+        good = [p for p in range(n) if p not in targets]
+        ledger = result.ledger
+        votes = "".join(str(protocols[p].vote) for p in good)
+        metrics = (
+            result.rounds,
+            ledger.total_bits(),
+            ledger.total_messages(),
+            ledger.max_bits_per_processor(include=good),
+            network.flood_bits,
+            adversary.rng.randrange(1 << 30),
+        )
+        return votes, metrics
+
+    def test_anti_majority_votes_and_metrics_are_pinned(self):
+        votes, metrics = self._run("anti_majority")
+        assert votes == "1101111011111110101111101111110101011110"
+        assert metrics == (5, 88984, 1816, 3528, 24010, 461060838)
+
+    def test_silent_run_is_pinned_and_differs(self):
+        votes, metrics = self._run("silent")
+        assert votes == "1100000000000000101010100000000001010001"
+        assert metrics == (5, 88984, 1816, 3528, 0, 695425564)
 
 
 class TestDataflowVariant:
