@@ -76,6 +76,9 @@ def vss_coin_fault_bound(k: int) -> int:
 #: How many threshold-sized windows the robust reveal tries per dealer.
 ROBUST_REVEAL_WINDOWS = 40
 
+#: The types a row's points may have: field elements are ints.
+_INTS = frozenset((int, bool))
+
 
 class VSSCoinMember(ProcessorProtocol):
     """One good committee member of the 4-round VSS coin protocol."""
@@ -95,8 +98,8 @@ class VSSCoinMember(ProcessorProtocol):
         self.secret = self.scheme.field.random_element(self.rng)
         # rows[dealer] = my BivariateRow from that dealer.
         self.rows: Dict[int, BivariateRow] = {}
-        # echoes[(dealer, sender)] = claimed F_dealer(sender, me).
-        self.echoes: Dict[Tuple[int, int], int] = {}
+        # echoes[sender][dealer] = claimed F_dealer(sender, me).
+        self.echoes: Dict[int, Dict[int, int]] = {}
         self.complaints_against: Dict[int, Set[int]] = defaultdict(set)
         self.qualified: List[int] = []
         self.reveal_shares: Dict[int, Dict[int, int]] = defaultdict(dict)
@@ -150,60 +153,77 @@ class VSSCoinMember(ProcessorProtocol):
         for m in inbox:
             if m.tag != "row":
                 continue
-            dealer, values = m.payload
-            if dealer != m.sender or dealer in self.rows:
+            try:
+                dealer, values = m.payload
+                values = tuple(values)
+            except (TypeError, ValueError):
                 continue
-            if len(values) != self.k + 1:
+            if (
+                dealer != m.sender
+                or m.sender in self.rows
+                or len(values) != self.k + 1
+                or not _INTS.issuperset(map(type, values))
+            ):
                 continue
-            self.rows[dealer] = BivariateRow(
-                x=self.pid + 1, values=tuple(values)
-            )
+            self.rows[m.sender] = BivariateRow(x=self.pid + 1, values=values)
 
     # -- round 2: echo ---------------------------------------------------------------
 
     def _echo(self) -> List[Message]:
-        out = []
-        for peer in range(self.k):
-            if peer == self.pid:
-                continue
-            points = tuple(
-                (dealer, row.at(peer + 1))
-                for dealer, row in sorted(self.rows.items())
+        """Send every peer its column of my rows.
+
+        The points peer p can check are ``F_dealer(me, p)`` for every
+        dealer: column ``p + 1`` of my rows, so one transpose of the
+        rows (sorted by dealer) yields every peer's echo at once.
+        """
+        dealers = sorted(self.rows)
+        columns = list(zip(*(self.rows[dealer].values for dealer in dealers)))
+        return [
+            Message(
+                self.pid, peer, "echo", tuple(zip(dealers, columns[peer + 1]))
             )
-            out.append(Message(self.pid, peer, "echo", points))
-        return out
+            for peer in range(self.k)
+            if peer != self.pid
+        ]
 
     def _absorb_echoes(self, inbox: List[Message]) -> None:
+        echoes = self.echoes
         for m in inbox:
             if m.tag != "echo":
                 continue
-            for dealer, value in m.payload:
-                if isinstance(dealer, int) and isinstance(value, int):
-                    self.echoes.setdefault((dealer, m.sender), value)
+            claims = echoes.setdefault(m.sender, {})
+            try:
+                for dealer, value in m.payload:
+                    if isinstance(dealer, int) and isinstance(value, int):
+                        claims.setdefault(dealer, value)
+            except (TypeError, ValueError):
+                continue
 
     # -- round 3: blame --------------------------------------------------------------
 
     def _blame(self) -> List[Message]:
-        complaints = []
-        for dealer, row in self.rows.items():
-            for peer in range(self.k):
-                if peer == self.pid:
-                    continue
-                claimed = self.echoes.get((dealer, peer))
-                if claimed is None:
-                    continue
-                if claimed != row.at(peer + 1):
-                    complaints.append(dealer)
-                    break
-        # Dealers whose row never arrived are also complained about.
-        for dealer in range(self.k):
-            if dealer not in self.rows:
-                complaints.append(dealer)
-        complaints = sorted(set(complaints))
+        """Complain about every dealer whose row some peer contradicts.
+
+        Peer p's claims are checked against column ``p + 1`` of my
+        rows, read straight from each row's values (every admitted row
+        has all k + 1 points).  Dealers whose row never arrived are
+        complained about too.
+        """
+        values = {dealer: row.values for dealer, row in self.rows.items()}
+        bad = {dealer for dealer in range(self.k) if dealer not in values}
+        for peer, claims in self.echoes.items():
+            if peer == self.pid:
+                continue
+            y = peer + 1
+            for dealer, claimed in claims.items():
+                row = values.get(dealer)
+                if row is not None and row[y] != claimed:
+                    bad.add(dealer)
+        complaints = tuple(sorted(bad))
         for dealer in complaints:
             self.complaints_against[dealer].add(self.pid)
         return [
-            Message(self.pid, peer, "blame", tuple(complaints))
+            Message(self.pid, peer, "blame", complaints)
             for peer in range(self.k)
             if peer != self.pid
         ]
@@ -212,9 +232,12 @@ class VSSCoinMember(ProcessorProtocol):
         for m in inbox:
             if m.tag != "blame":
                 continue
-            for dealer in m.payload:
-                if isinstance(dealer, int) and 0 <= dealer < self.k:
-                    self.complaints_against[dealer].add(m.sender)
+            try:
+                for dealer in m.payload:
+                    if isinstance(dealer, int) and 0 <= dealer < self.k:
+                        self.complaints_against[dealer].add(m.sender)
+            except TypeError:
+                continue
 
     # -- round 4: reveal -------------------------------------------------------------
 
@@ -226,13 +249,11 @@ class VSSCoinMember(ProcessorProtocol):
             and dealer in self.rows
         ]
         shares = tuple(
-            (dealer, self.rows[dealer].shamir_share().value)
+            (dealer, self.rows[dealer].values[0])
             for dealer in self.qualified
         )
-        for dealer in self.qualified:
-            self.reveal_shares[dealer][self.pid] = (
-                self.rows[dealer].shamir_share().value
-            )
+        for dealer, value in shares:
+            self.reveal_shares[dealer][self.pid] = value
         return [
             Message(self.pid, peer, "reveal", shares)
             for peer in range(self.k)
@@ -240,12 +261,16 @@ class VSSCoinMember(ProcessorProtocol):
         ]
 
     def _absorb_reveals(self, inbox: List[Message]) -> None:
+        reveal_shares = self.reveal_shares
         for m in inbox:
             if m.tag != "reveal":
                 continue
-            for dealer, value in m.payload:
-                if isinstance(dealer, int) and isinstance(value, int):
-                    self.reveal_shares[dealer].setdefault(m.sender, value)
+            try:
+                for dealer, value in m.payload:
+                    if isinstance(dealer, int) and isinstance(value, int):
+                        reveal_shares[dealer].setdefault(m.sender, value)
+            except (TypeError, ValueError):
+                continue
 
     def _toss(self) -> None:
         total = 0

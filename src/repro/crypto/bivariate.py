@@ -145,28 +145,24 @@ class BivariateScheme:
             [row for coeffs in coeffs_list for row in coeffs]
         )
         # Stage 2, all dealings at once: F(x, y) = sum_i g_i(y) * x^i.
+        # Column y's polynomial has coefficients g_0(y), ..., g_t(y):
+        # column y of the dealing's stage-1 grid.
         col_polys = []
         for d in range(len(coeffs_list)):
             on_grid = on_grid_flat[d * (t + 1) : (d + 1) * (t + 1)]
-            for y in range(n + 1):
-                col_polys.append([on_grid[i][y] for i in range(t + 1)])
+            col_polys.extend(zip(*on_grid))
         cols_flat = x_plan.evaluate_many(col_polys)
-        out = []
-        for d in range(len(coeffs_list)):
-            # columns[y][x-1] = F(x, y) for this dealing.
-            columns = cols_flat[d * (n + 1) : (d + 1) * (n + 1)]
-            out.append(
-                [
-                    BivariateRow(
-                        x=x,
-                        values=tuple(
-                            columns[y][x - 1] for y in range(n + 1)
-                        ),
-                    )
-                    for x in range(1, n + 1)
-                ]
-            )
-        return out
+        # columns[y][x-1] = F(x, y), so one transpose of a dealing's
+        # columns yields its rows x = 1..n.
+        return [
+            [
+                BivariateRow(x=x, values=values)
+                for x, values in enumerate(
+                    zip(*cols_flat[d * (n + 1) : (d + 1) * (n + 1)]), 1
+                )
+            ]
+            for d in range(len(coeffs_list))
+        ]
 
     def _symmetric_coefficients(
         self, secret: int, t: int, rng: random.Random

@@ -27,7 +27,7 @@ import abc
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set
 
-from .accounting import BitLedger
+from .accounting import _UNSIZED, BitLedger
 from .messages import Message
 from .tracing import TraceRecorder
 
@@ -289,6 +289,10 @@ class SyncNetwork:
             inbound=[m for m in outgoing if m.recipient in corrupted],
             n=n,
         )
+        # As in BitLedger.record, a message is sized only when its tag
+        # or payload is not the same object as the previous message's.
+        tag = payload = _UNSIZED
+        bits = 0
         for message in self.adversary.act(view):
             if message.sender not in corrupted:
                 raise SimulationError(
@@ -299,7 +303,11 @@ class SyncNetwork:
                     f"adversary message to unknown recipient "
                     f"{message.recipient}"
                 )
-            self.flood_bits += message.bits()
+            if message.tag is not tag or message.payload is not payload:
+                tag = message.tag
+                payload = message.payload
+                bits = message.bits()
+            self.flood_bits += bits
             if self.count_adversary_traffic:
                 ledger.record(message)
             next_inboxes[message.recipient].append(message)

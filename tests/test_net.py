@@ -593,6 +593,150 @@ class TestSimulatorFastPaths:
             net.run(max_rounds=2)
 
 
+class _Recording(Adversary):
+    """Passes another adversary through and keeps every message it sends."""
+
+    def __init__(self, inner: Adversary) -> None:
+        super().__init__(inner.n, inner.budget)
+        self.inner = inner
+        self.corrupted = inner.corrupted
+        self.sent: List[Message] = []
+
+    def select_corruptions(self, round_no):
+        return self.inner.select_corruptions(round_no)
+
+    def record_capture(self, pid, state):
+        self.inner.record_capture(pid, state)
+
+    def act(self, view):
+        messages = list(self.inner.act(view))
+        self.sent.extend(messages)
+        return messages
+
+
+def _recorded_run(protocols, adversary, counted, rounds):
+    """The network after ``rounds`` rounds, and every adversary message."""
+    recording = _Recording(adversary)
+    network = SyncNetwork(
+        protocols, recording, count_adversary_traffic=counted
+    )
+    network.run(max_rounds=rounds)
+    return network, recording.sent
+
+
+def _anti_majority_run(counted: bool):
+    """Algorithm 5 against a rushing anti-majority adversary, shaped
+    like the end-to-end ``aeba-n256-sparse`` workload at n=48 on an
+    explicit circulant graph (no networkx)."""
+    from repro.adversary.behaviors import AntiMajorityBehavior
+    from repro.core.coins import unreliable_coin_source
+    from repro.core.unreliable_coin_ba import (
+        SparseAEBAProcessor,
+        vote_threshold,
+    )
+
+    n, rounds = 48, 3
+    graph = {
+        p: sorted({(p + d) % n for d in (1, 2, 3, 5, -1, -2, -3, -5)})
+        for p in range(n)
+    }
+    rng = random.Random(8)
+    source = unreliable_coin_source(
+        n, rounds, good_round_indices=[1], confused_fraction=0.3,
+        rng=random.Random(9),
+    )
+    protocols = [
+        SparseAEBAProcessor(
+            p, rng.randrange(2), graph[p],
+            coin_view=lambda idx, p=p: source.view(idx, p),
+            num_rounds=rounds, threshold=vote_threshold(1 / 12, 0.05),
+        )
+        for p in range(n)
+    ]
+    adversary = StaticByzantineAdversary(
+        n, set(range(0, n, 6)), AntiMajorityBehavior(),
+        recipients_of=graph, seed=10,
+    )
+    return _recorded_run(protocols, adversary, counted, rounds + 2)
+
+
+def _flooding_run(counted: bool):
+    n = 6
+    adversary = FloodingAdversary(
+        StaticByzantineAdversary(
+            n, targets={0, 4}, behavior=FixedBitBehavior(1),
+            vote_tag="hello",
+        ),
+        flood_factor=7,
+        junk_bits=1,  # the junk payload is the same object as the votes
+        seed=3,
+    )
+    protocols = [EchoProtocol(pid, n) for pid in range(n)]
+    return _recorded_run(protocols, adversary, counted, 3)
+
+
+class _MixedOutboxes(Adversary):
+    """Corrupted senders emit :func:`_random_outbox` outboxes: runs of
+    one shared tag and payload, equal-but-distinct copies and fresh
+    nested payloads."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n, budget=2)
+        self.rng = random.Random(17)
+
+    def select_corruptions(self, round_no):
+        return {1, 3} if round_no == 1 else set()
+
+    def act(self, view):
+        return [
+            message
+            for sender in sorted(view.corrupted)
+            for message in _random_outbox(self.rng, sender, view.n)
+        ]
+
+
+def _mixed_run(counted: bool):
+    n = 5
+    protocols = [EchoProtocol(pid, n) for pid in range(n)]
+    return _recorded_run(protocols, _MixedOutboxes(n), counted, 4)
+
+
+class TestFloodSizing:
+    """``flood_bits`` sizes an adversary message only when its tag or
+    payload object changes, and must still equal the per-message sum;
+    counted adversary traffic lands in the ledger message by message."""
+
+    @pytest.mark.parametrize(
+        "run", [_anti_majority_run, _flooding_run, _mixed_run]
+    )
+    def test_flood_bits_and_ledger_match_per_message_sums(self, run):
+        quiet, quiet_sent = run(counted=False)
+        loud, loud_sent = run(counted=True)
+        assert quiet_sent == loud_sent and loud_sent
+        # The shortcut is exercised: runs of one shared payload object.
+        assert any(
+            a.tag is b.tag and a.payload is b.payload
+            for a, b in zip(loud_sent, loud_sent[1:])
+        )
+        flood = sum(message.bits() for message in loud_sent)
+        assert quiet.flood_bits == loud.flood_bits == flood
+        expected = {
+            name: collections.Counter(getattr(quiet.ledger, name))
+            for name in ("sent_bits", "received_bits", "sent_messages")
+        }
+        for message in loud_sent:
+            bits = message.bits()
+            expected["sent_bits"][message.sender] += bits
+            expected["received_bits"][message.recipient] += bits
+            expected["sent_messages"][message.sender] += 1
+        for name, counts in expected.items():
+            assert dict(getattr(loud.ledger, name)) == dict(counts), name
+        assert loud.ledger.total_bits() == quiet.ledger.total_bits() + flood
+        assert sum(loud.ledger.phase_bits.values()) == (
+            sum(quiet.ledger.phase_bits.values()) + flood
+        )
+
+
 class TestMessageSlots:
     def test_message_has_no_instance_dict(self):
         message = Message(0, 1, "tag", 7)

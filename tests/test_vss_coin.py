@@ -11,8 +11,11 @@ from repro.core.vss_coin import (
     run_vss_coin,
     vss_coin_fault_bound,
 )
+from repro.crypto import kernels
+from repro.crypto.bivariate import BivariateScheme
+from repro.crypto.kernels import clear_plan_caches
 from repro.net.messages import Message
-from repro.net.simulator import Adversary, NullAdversary
+from repro.net.simulator import Adversary, NullAdversary, SyncNetwork
 
 
 def test_fault_bound():
@@ -218,3 +221,310 @@ def test_coin_uniform_at_k7_regression():
         tally[result.agreement_value()] += 1
     assert tally[0] >= 6
     assert tally[1] >= 6
+
+
+# -- malformed messages from one corrupted member ---------------------------------
+
+#: The round in which good members send each kind of message.
+_SENT_IN = {"row": 1, "echo": 2, "blame": 3, "reveal": 4}
+
+
+class OneMalformedKind(Adversary):
+    """Member 0, corrupted from the start, sends every good member
+    ``payload`` under ``tag`` in the round that kind is sent."""
+
+    def __init__(self, k, tag, payload):
+        super().__init__(k, budget=1)
+        self.tag = tag
+        self.payload = payload
+
+    def select_corruptions(self, round_no):
+        return {0} if round_no == 1 else set()
+
+    def act(self, view):
+        if view.round_no != _SENT_IN[self.tag]:
+            return []
+        return [
+            Message(0, member, self.tag, self.payload)
+            for member in range(1, view.n)
+        ]
+
+
+@pytest.mark.parametrize(
+    "tag, payload",
+    [
+        ("echo", 5),
+        ("echo", ((1,),)),
+        ("echo", None),
+        ("echo", "ab"),
+        ("echo", (5, 6)),
+        ("row", 5),
+        ("row", (0, 5)),
+        ("row", None),
+        ("blame", 5),
+        ("blame", None),
+        ("reveal", 5),
+        ("reveal", ((1, 2, 3),)),
+        ("reveal", "xy"),
+        ("reveal", None),
+    ],
+)
+def test_malformed_message_is_dropped_not_raised(tag, payload):
+    """Regression: each of these payloads used to raise in every good
+    member's ``on_round`` and end the trial."""
+    k = 7
+    members = [VSSCoinMember(pid, k, seed=3) for pid in range(k)]
+    SyncNetwork(members, OneMalformedKind(k, tag, payload)).run(
+        max_rounds=5
+    )
+    coins = {m.output() for m in members[1:]}
+    assert len(coins) == 1
+    assert coins.pop() in (0, 1)
+
+
+class NonIntRowToOne(Adversary):
+    """Dealer 0 deals honestly, except that member 1's row holds
+    points that are not field elements."""
+
+    def __init__(self, k, seed, points):
+        super().__init__(k, budget=1)
+        self.shadow = VSSCoinMember(0, k, seed)
+        self.points = points
+
+    def select_corruptions(self, round_no):
+        return {0} if round_no == 1 else set()
+
+    def act(self, view):
+        if view.round_no != 1:
+            return []
+        out = []
+        for message in self.shadow.on_round(1, []):
+            if message.recipient == 1:
+                message = Message(0, 1, "row", (0, self.points))
+            out.append(message)
+        return out
+
+
+@pytest.mark.parametrize("points", ["abcdefgh", (None,) * 8])
+def test_row_of_non_int_points_is_dropped(points):
+    """Regression: such a row was kept, and member 1's own reveal share
+    then raised a TypeError inside the reconstruction."""
+    k = 7
+    members = [VSSCoinMember(pid, k, seed=3) for pid in range(k)]
+    SyncNetwork(members, NonIntRowToOne(k, 3, points)).run(max_rounds=5)
+    assert 0 not in members[1].rows
+    assert all(0 in m.rows for m in members[2:])
+    assert all(m.output() in (0, 1) for m in members[1:])
+
+
+# -- column reads against the per-point reference ---------------------------------
+
+
+class PointwiseMember(VSSCoinMember):
+    """The per-point echo, echo absorption and blame: one ``at`` call
+    per point and one (dealer, sender) key per received claim.  The
+    stock member reads whole row columns instead and must behave
+    identically."""
+
+    def _echo(self):
+        out = []
+        for peer in range(self.k):
+            if peer == self.pid:
+                continue
+            points = tuple(
+                (dealer, row.at(peer + 1))
+                for dealer, row in sorted(self.rows.items())
+            )
+            out.append(Message(self.pid, peer, "echo", points))
+        return out
+
+    def _absorb_echoes(self, inbox):
+        # Here echoes[(dealer, sender)] = claimed F_dealer(sender, me).
+        for m in inbox:
+            if m.tag != "echo":
+                continue
+            for dealer, value in m.payload:
+                if isinstance(dealer, int) and isinstance(value, int):
+                    self.echoes.setdefault((dealer, m.sender), value)
+
+    def _blame(self):
+        complaints = []
+        for dealer, row in self.rows.items():
+            for peer in range(self.k):
+                if peer == self.pid:
+                    continue
+                claimed = self.echoes.get((dealer, peer))
+                if claimed is None:
+                    continue
+                if claimed != row.at(peer + 1):
+                    complaints.append(dealer)
+                    break
+        for dealer in range(self.k):
+            if dealer not in self.rows:
+                complaints.append(dealer)
+        complaints = sorted(set(complaints))
+        for dealer in complaints:
+            self.complaints_against[dealer].add(self.pid)
+        return [
+            Message(self.pid, peer, "blame", tuple(complaints))
+            for peer in range(self.k)
+            if peer != self.pid
+        ]
+
+
+#: Measurable echo points that are not (int, int) pairs; ``True`` is an
+#: int and names dealer 1.
+_NOT_INT_POINTS = (
+    ("3", 7), (4, "v"), (None, 1), (2, None), (1, (1, 2)), ((5,), 3),
+    (True, 11),
+)
+
+
+class LyingEchoes(Adversary):
+    """t members follow the protocol, except that their echoes lie.
+
+    Each corrupted member's honest messages come from a shadow member
+    fed what good members send it.  Every echo it sends a good member
+    then frames the lowest good dealer with a wrong value (at about
+    half the recipients), repeats a dealer with a conflicting value
+    before or after its true one, carries a point that is not an int
+    pair, and is followed by a second echo message that contradicts
+    the first and claims points for dealers it left out.
+    """
+
+    def __init__(self, k, seed):
+        t = vss_coin_fault_bound(k)
+        super().__init__(k, budget=t)
+        self.k = k
+        self.rng = random.Random(seed)
+        self.shadows = [VSSCoinMember(pid, k, seed) for pid in range(t)]
+        self.inboxes = {pid: [] for pid in range(t)}
+
+    def select_corruptions(self, round_no):
+        return set(self.inboxes) if round_no == 1 else set()
+
+    def act(self, view):
+        out = []
+        for shadow in self.shadows:
+            sent = shadow.on_round(view.round_no, self.inboxes[shadow.pid])
+            if view.round_no == 2:
+                sent = [lie for echo in sent for lie in self._lie(echo)]
+            out.extend(sent)
+        self.inboxes = {
+            pid: [m for m in view.inbound if m.recipient == pid]
+            for pid in self.inboxes
+        }
+        return out
+
+    def _lie(self, echo):
+        rng = self.rng
+        framed = self.budget  # the lowest good dealer
+        points = list(echo.payload)
+        if rng.random() < 0.5:
+            points = [
+                (dealer, value + 1 if dealer == framed else value)
+                for dealer, value in points
+            ]
+        dealer, value = rng.choice(points)
+        points.insert(rng.randrange(len(points) + 1), (dealer, value ^ 1))
+        points.insert(
+            rng.randrange(len(points) + 1), rng.choice(_NOT_INT_POINTS)
+        )
+        claimed = dict(echo.payload)
+        second = tuple(
+            (d, claimed[d] + 2 if d in claimed else rng.randrange(99))
+            for d in range(self.k)
+        )
+        return [
+            Message(echo.sender, echo.recipient, "echo", tuple(points)),
+            Message(echo.sender, echo.recipient, "echo", second),
+        ]
+
+
+_LEDGER_FIELDS = ("sent_bits", "received_bits", "sent_messages", "phase_bits")
+
+
+def _observed(member_class, k, seed, adversary):
+    members = [member_class(pid, k, seed) for pid in range(k)]
+    network = SyncNetwork(members, adversary)
+    result = network.run(max_rounds=5)
+    good = [m for m in members if m.pid not in result.corrupted]
+    return {
+        "complaints_against": [dict(m.complaints_against) for m in good],
+        "qualified": [m.qualified for m in good],
+        "outputs": result.outputs,
+        "ledger": {
+            name: list(getattr(result.ledger, name).items())
+            for name in _LEDGER_FIELDS
+        },
+        "flood_bits": network.flood_bits,
+    }
+
+
+_ADVERSARIES = {
+    "none": lambda k, seed: NullAdversary(k),
+    "inconsistent": InconsistentDealer,
+    "lying": LyingEchoes,
+}
+
+
+@pytest.mark.parametrize("k", [7, 10])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("adversary", sorted(_ADVERSARIES))
+def test_column_reads_match_the_per_point_reference(k, seed, adversary):
+    make = _ADVERSARIES[adversary]
+    reference = _observed(PointwiseMember, k, seed, make(k, seed))
+    stock = _observed(VSSCoinMember, k, seed, make(k, seed))
+    assert stock == reference
+    disqualified = [
+        set(range(k)) - set(qualified) for qualified in stock["qualified"]
+    ]
+    if adversary == "none":
+        assert not any(disqualified)
+    else:
+        # Complaints fired, so the comparison covered the blame path.
+        assert all(disqualified)
+
+
+# -- dealing ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, t", [(4, 1), (7, 2), (24, 7)])
+def test_dealt_rows_equal_pointwise_evaluation(monkeypatch, n, t):
+    """``deal_from_coefficients`` transposes its column grids into rows;
+    every row must hold F(x, y) as nested Horner evaluates it, as plain
+    ints, on the numpy engine (where installed) and on the column
+    fallback."""
+    scheme = BivariateScheme(n_players=n, threshold=t + 1)
+    rng = random.Random(100 * n + t)
+    coeffs = [
+        scheme._symmetric_coefficients(rng.randrange(1 << 20), t, rng)
+        for _ in range(3)
+    ]
+    expected = [
+        [
+            (x, tuple(
+                scheme._evaluate_bivariate(c, x, y) for y in range(n + 1)
+            ))
+            for x in range(1, n + 1)
+        ]
+        for c in coeffs
+    ]
+
+    def dealt():
+        dealings = scheme.deal_from_coefficients(coeffs)
+        assert all(
+            type(v) is int
+            for rows in dealings
+            for row in rows
+            for v in row.values
+        )
+        return [[(row.x, row.values) for row in rows] for rows in dealings]
+
+    clear_plan_caches()
+    assert dealt() == expected
+    monkeypatch.setattr(kernels, "_np", None)
+    clear_plan_caches()
+    assert kernels.batch_engine(scheme.field) == "columns"
+    assert dealt() == expected
+    clear_plan_caches()
