@@ -14,11 +14,14 @@ celebrated, and the paper why O~(sqrt n) changes the game.  Only tiny
 from __future__ import annotations
 
 from collections import Counter
+from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..adversary.static import StaticByzantineAdversary
 from ..net.messages import Message
 from ..net.simulator import (
     Adversary,
+    AdversaryView,
     NullAdversary,
     ProcessorProtocol,
     RunResult,
@@ -124,6 +127,48 @@ class EIGProcessor(ProcessorProtocol):
 
     def output(self) -> Optional[int]:
         return self._decided
+
+
+class EIGRelayAdversary(StaticByzantineAdversary):
+    """Static corruption that speaks EIG: forged relays, not bare votes.
+
+    In round r <= t + 1, each corrupted sender relays every
+    depth-(r-1) path of distinct pids that excludes itself (the paths
+    a good processor relays) to each good recipient, tagged ``eig``,
+    with the behaviour's bit for that recipient as the value.  Targets,
+    seed and behaviour are the base class's, so ``silent`` still sends
+    nothing; ``recipients_of`` and ``vote_tag`` go unused, since EIG
+    is full-mesh and reads tag ``eig`` only.
+    """
+
+    def __init__(self, *args, t: int, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.t = t
+
+    def act(self, view: AdversaryView) -> List[Message]:
+        depth = view.round_no - 1
+        if depth > self.t:
+            return []
+        recipients = [
+            pid for pid in range(self.n) if pid not in view.corrupted
+        ]
+        messages: List[Message] = []
+        for sender in sorted(view.corrupted):
+            votes = self.behavior.votes(view, sender, recipients, self.rng)
+            paths = [
+                list(path)
+                for path in permutations(
+                    [pid for pid in range(self.n) if pid != sender], depth
+                )
+            ]
+            for recipient, bit in votes.items():
+                if bit is None:
+                    continue
+                messages.extend(
+                    Message(sender, recipient, "eig", (path, bit))
+                    for path in paths
+                )
+        return messages
 
 
 def run_eig(

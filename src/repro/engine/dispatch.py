@@ -326,12 +326,15 @@ class Transport(abc.ABC):
     a TCP worker, an in-process loop.  A lane may hold more than one
     unit at a time (the socket transport pipelines a ``lane_depth``
     window per connection); the collect loop neither knows nor cares —
-    it just keeps offering units until every lane declines.  The
-    contract :func:`run_units` relies on:
+    it offers units until the transport declines one that excludes no
+    lane.  The contract :func:`run_units` relies on:
 
     * :meth:`try_submit` either accepts a unit onto a live lane with
       window room, not in ``exclude`` (returning ``True``), or
       declines (``False``) — without blocking on the unit's execution;
+      it declines only when no live lane outside ``exclude`` has
+      window room, so a decline with nothing excluded means every
+      live lane is full;
     * every accepted unit eventually yields exactly one
       :class:`Envelope` from :meth:`collect` — success or failure,
       never silence; completion order across units is arbitrary;
@@ -358,7 +361,12 @@ class Transport(abc.ABC):
         unit: WorkUnit,
         exclude: FrozenSet[str] = frozenset(),
     ) -> bool:
-        """Offer a unit to an idle live lane outside ``exclude``."""
+        """Offer a unit to a live lane outside ``exclude``.
+
+        Returns ``False`` only when no live lane outside ``exclude``
+        has window room: :func:`run_units` ends its offer pass at the
+        first unit declined with nothing excluded.
+        """
 
     @abc.abstractmethod
     def collect(self) -> Envelope:
@@ -541,7 +549,14 @@ def run_units(
 
     The transport-agnostic core every sharded backend shares:
 
-    * keeps submitting queued units while the transport has idle lanes;
+    * offers queued units in order, one pass per collected envelope,
+      and ends a pass at the first unit the transport declines while
+      that unit excludes no lane: by the :meth:`Transport.try_submit`
+      contract every live lane is then full, and the rest of the queue
+      keeps its order for the next pass.  A declined retry (a unit
+      with lanes excluded) does not end the pass, since a unit behind
+      it may fit a lane it excludes.  So a sweep makes about one
+      offer per free slot, not one per queued unit per collect;
     * on a failure envelope, re-queues the unit with the failing lane
       *excluded* so the retry lands elsewhere;
     * raises :class:`DispatchError` when a unit has failed on every
@@ -609,6 +624,11 @@ def run_units(
                         f"{last_error.get(uid, 'no error recorded')}"
                     )
                 unplaced.append(uid)
+                if not excluded[uid]:
+                    # Declined with no lane excluded: no live lane has
+                    # room, so every unit behind it would be declined.
+                    break
+        unplaced.extend(todo)
         todo = unplaced
         if inflight == 0:
             # Nothing running, nothing placeable, sweep incomplete:

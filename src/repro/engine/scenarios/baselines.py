@@ -21,6 +21,7 @@ is the single source of defaults.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from ...net.rng import derive_seed
 from ...net.simulator import RunResult, SyncNetwork
@@ -141,7 +142,11 @@ _eig = param_reader(_EIG_PARAMS)
 
 
 def _eig_instance(ctx: TrialContext) -> BatchInstance:
-    from ...baselines.eig import EIGProcessor, eig_fault_bound
+    from ...baselines.eig import (
+        EIGProcessor,
+        EIGRelayAdversary,
+        eig_fault_bound,
+    )
 
     n = ctx.n
     inputs = input_bits(_eig(ctx, "inputs"), n)
@@ -155,6 +160,7 @@ def _eig_instance(ctx: TrialContext) -> BatchInstance:
     adversary = static_adversary(
         ctx, n, float(_eig(ctx, "corrupt")),
         str(_eig(ctx, "behavior")),
+        make=partial(EIGRelayAdversary, t=t),
     )
     network = SyncNetwork(protocols, adversary)
     return BatchInstance(

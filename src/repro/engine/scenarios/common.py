@@ -8,7 +8,7 @@ its randomness from the trial context, never from global state.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ...adversary.behaviors import behavior_by_name
 from ...adversary.static import StaticByzantineAdversary, random_target_set
@@ -73,6 +73,7 @@ def static_adversary(
     behavior: str,
     recipients_of: Optional[Dict[int, Sequence[int]]] = None,
     vote_tag: str = "vote",
+    make: Callable[..., Adversary] = StaticByzantineAdversary,
 ) -> Adversary:
     """The standard static adversary behind a ``corrupt`` fraction.
 
@@ -80,14 +81,17 @@ def static_adversary(
     and wires a named :mod:`~repro.adversary.behaviors` vote behavior —
     silent (crash) by default in the scenarios that use it.  A zero
     fraction yields :class:`NullAdversary`, keeping fault-free specs
-    bit-identical to the pre-schema engine.
+    bit-identical to the pre-schema engine.  A protocol that reads
+    more than bare votes passes ``make``, a
+    :class:`StaticByzantineAdversary` subclass that speaks its messages
+    from the same targets, behavior and seed (EIG's relays).
     """
     if corrupt <= 0:
         return NullAdversary(n)
     targets = random_target_set(n, corrupt, ctx.rng("adversary-targets"))
     if not targets:
         return NullAdversary(n)
-    return StaticByzantineAdversary(
+    return make(
         n,
         targets,
         behavior_by_name(behavior),

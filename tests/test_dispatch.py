@@ -31,6 +31,7 @@ from repro.engine import (
     run_units,
 )
 from repro.engine.dispatch import unit_from_wire, unit_to_wire
+from repro.engine.telemetry import RunTelemetry
 
 
 def _spec(runner="vss-coin", n=7, trials=4, seed=5, **params):
@@ -209,6 +210,91 @@ class ScriptedTransport(Transport):
                     results=tuple(run_unit(unit)),
                 )
         raise AssertionError("collect() with nothing in flight")
+
+
+class WindowedTransport(Transport):
+    """Lanes with a window of ``depth`` units that finish oldest first.
+
+    Logs every offer and collect as ``("submit", unit_id, lane)``,
+    ``("decline", unit_id, None)`` and ``("collect", unit_id, lane)``.
+    ``fail`` maps ``(unit_id, lane)`` to an error reply; the lane
+    survives it, as a worker that answers ``error`` does.
+    """
+
+    name = "windowed"
+
+    def __init__(self, depth, fail=None, lanes=("lane-a", "lane-b")):
+        self._lane_ids = list(lanes)
+        self._depth = depth
+        self._inflight = []  # (unit_id, unit, lane), oldest first
+        self.fail = dict(fail or {})
+        self.events = []
+
+    @property
+    def offers(self):
+        return sum(1 for kind, _, _ in self.events if kind != "collect")
+
+    def lanes(self):
+        return tuple(self._lane_ids)
+
+    def try_submit(self, unit_id, unit, exclude=frozenset()):
+        for lane in self._lane_ids:
+            busy = sum(1 for _, _, held in self._inflight if held == lane)
+            if lane not in exclude and busy < self._depth:
+                self._inflight.append((unit_id, unit, lane))
+                self.events.append(("submit", unit_id, lane))
+                return True
+        self.events.append(("decline", unit_id, None))
+        return False
+
+    def collect(self):
+        unit_id, unit, lane = self._inflight.pop(0)
+        self.events.append(("collect", unit_id, lane))
+        if (unit_id, lane) in self.fail:
+            return Envelope(
+                unit_id=unit_id, lane=lane, error=self.fail[unit_id, lane]
+            )
+        return Envelope(
+            unit_id=unit_id, lane=lane, results=tuple(run_unit(unit))
+        )
+
+
+def test_run_units_offers_about_once_per_free_slot():
+    """250 one-trial units behind two depth-2 lanes: a pass ends at the
+    first unit declined with no lane excluded, so the sweep makes about
+    one offer per freed slot instead of re-offering the whole queue
+    after every collect (30,631 offers)."""
+    spec = _spec(runner="phase-king", n=8, trials=250, inputs="split")
+    units = DispatchPlan(trials=250, unit_size=1).units(spec)
+    transport = WindowedTransport(depth=2)
+    telemetry = RunTelemetry()
+    results = run_units(units, transport, telemetry=telemetry)
+    assert results == SerialBackend().run_trials(spec)
+    assert transport.offers <= 2 * len(units)
+    assert sorted(r.unit_id for r in telemetry.records) == list(range(250))
+    assert all(r.ok and r.attempt == 1 for r in telemetry.records)
+
+
+def test_declined_retry_does_not_end_the_pass():
+    """Unit 0 failed on lane-a and unit 1 on lane-b.  When lane-a frees
+    up, retry 0 at the head of the queue is declined (lane-a is
+    excluded, lane-b is full), and retry 1 behind it takes lane-a
+    before the next collect."""
+    spec = _spec(trials=4)
+    units = DispatchPlan(trials=4, unit_size=1).units(spec)
+    transport = WindowedTransport(
+        depth=1,
+        fail={(0, "lane-a"): "error reply", (1, "lane-b"): "error reply"},
+    )
+    assert run_units(units, transport) == SerialBackend().run_trials(spec)
+    events = transport.events
+    freed = events.index(("collect", 2, "lane-a"))
+    assert events[freed + 1 : freed + 4] == [
+        ("decline", 0, None),
+        ("submit", 1, "lane-a"),
+        ("collect", 3, "lane-b"),
+    ]
+    assert ("submit", 0, "lane-b") in events[freed:]
 
 
 def test_run_units_inline_matches_serial():

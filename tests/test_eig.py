@@ -1,10 +1,21 @@
 """Tests for the EIG baseline."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.adversary.behaviors import EquivocatingBehavior, SilentBehavior
 from repro.adversary.static import StaticByzantineAdversary
-from repro.baselines.eig import EIGProcessor, eig_fault_bound, run_eig
+from repro.baselines.eig import (
+    EIGProcessor,
+    EIGRelayAdversary,
+    eig_fault_bound,
+    run_eig,
+)
+from repro.engine import ExperimentSpec, SerialBackend
+from repro.engine.spec import result_to_wire
+from repro.net.simulator import AdversaryView
 
 
 class TestFaultBound:
@@ -41,16 +52,85 @@ class TestByzantine:
 
     def test_tolerates_equivocators(self):
         n, t = 7, 2
-        adversary = StaticByzantineAdversary(
+        adversary = EIGRelayAdversary(
             n,
             targets=set(range(t)),
             behavior=EquivocatingBehavior(),
             seed=2,
-            vote_tag="eig",
+            t=t,
         )
         result = run_eig(n, [1] * n, adversary=adversary)
-        good = result.good_outputs()
-        assert len(set(good.values())) == 1
+        assert set(result.good_outputs().values()) == {1}
+        silent = StaticByzantineAdversary(
+            n, targets=set(range(t)), behavior=SilentBehavior()
+        )
+        # Good processors relay what they heard from the equivocators.
+        assert result.ledger.total_bits() > (
+            run_eig(n, [1] * n, adversary=silent).ledger.total_bits()
+        )
+
+    def test_relays_the_paths_a_good_processor_relays(self):
+        n, t = 5, 1
+        adversary = EIGRelayAdversary(
+            n, targets={0}, behavior=EquivocatingBehavior(), t=t
+        )
+
+        def relays(round_no):
+            view = AdversaryView(round_no, {0}, [], n)
+            return [
+                (m.recipient, m.tag, tuple(m.payload[0]), m.payload[1])
+                for m in adversary.act(view)
+            ]
+
+        assert relays(1) == [(r, "eig", (), r % 2) for r in range(1, 5)]
+        assert relays(2) == [
+            (r, "eig", (p,), r % 2)
+            for r in range(1, 5)
+            for p in range(1, 5)
+        ]
+        assert relays(3) == []  # past round t + 1 no good processor relays
+
+
+BEHAVIORS = (
+    "silent", "fixed0", "fixed1", "random", "equivocate",
+    "anti_majority", "keep_split",
+)
+
+
+def _eig_trials(behavior, inputs, seed):
+    spec = ExperimentSpec(
+        runner="eig", n=7, trials=4, seed=seed,
+        params={"corrupt": 0.15, "inputs": inputs, "behavior": behavior},
+    )
+    return SerialBackend().run_trials(spec)
+
+
+def _digest(results):
+    wire = json.dumps([result_to_wire(r) for r in results], sort_keys=True)
+    return hashlib.sha256(wire.encode()).hexdigest()
+
+
+class TestScenarioAdversary:
+    """The eig scenario's corrupted processor speaks EIG, so each
+    behaviour reaches the protocol (n=7, t=2, one corrupted)."""
+
+    @pytest.mark.parametrize("behavior", BEHAVIORS)
+    def test_agreement_and_validity_under_every_behavior(self, behavior):
+        for seed in range(6):
+            assert all(r.ok for r in _eig_trials(behavior, "split", seed))
+            for r in _eig_trials(behavior, "ones", seed):
+                assert r.ok and dict(r.metrics)["value"] == 1.0
+
+    def test_behaviors_change_the_outcome(self):
+        silent = _digest(_eig_trials("silent", "split", 5))
+        # Corrupted processors that say nothing send what they always did.
+        assert silent == (
+            "407b87346c5072a58d0a4abb61b8aac9f4dd61a1f180381827530695377e63e2"
+        )
+        for behavior in ("fixed0", "fixed1", "equivocate"):
+            assert _digest(_eig_trials(behavior, "split", 5)) != silent
+        fixed0 = _eig_trials("fixed0", "split", 5)
+        assert [dict(r.metrics)["value"] for r in fixed0] == [0.0] * 4
 
 
 class TestExponentialCost:
