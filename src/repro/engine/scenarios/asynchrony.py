@@ -29,6 +29,7 @@ from ..spec import LedgerStats, TrialContext, TrialResult
 from .common import (
     INPUTS_PARAM,
     SCHEDULER_PARAM,
+    dealer_problem,
     input_bits,
     make_scheduler,
     param_reader,
@@ -174,14 +175,6 @@ _BRACHA_PARAMS = (
 _bracha = param_reader(_BRACHA_PARAMS)
 
 
-def _bracha_check(n, params):
-    """The dealer must be one of the ``n`` processors."""
-    dealer = int(params.get("dealer") or 0)
-    if dealer >= n:
-        return f"dealer {dealer} out of range for n = {n} processors"
-    return None
-
-
 def _bracha_instance(ctx: TrialContext) -> BatchInstance:
     from ...asynchrony.bracha import BrachaBroadcaster
     from ...asynchrony.scheduler import AsyncNetwork
@@ -234,7 +227,7 @@ register(
         params=_BRACHA_PARAMS,
         metrics=("accepted_fraction", "messages", "steps"),
         smoke_n=7,
-        check=_bracha_check,
+        check=dealer_problem,
     )
 )
 
@@ -258,11 +251,6 @@ _SPARSE_AEBA_PARAMS = (
     ),
 )
 _saeba = param_reader(_SPARSE_AEBA_PARAMS)
-
-
-def _saeba_check(n, params):
-    """Explicit degrees must leave the sparse graph constructible."""
-    return sparse_degree_problem(n, params)
 
 
 def _async_sparse_aeba_instance(ctx: TrialContext) -> BatchInstance:
@@ -370,6 +358,6 @@ register(
         ),
         smoke_n=16,
         smoke_params=(("num_rounds", 2),),
-        check=_saeba_check,
+        check=sparse_degree_problem,
     )
 )

@@ -28,7 +28,14 @@ from ...net.simulator import RunResult, SyncNetwork
 from ..registry import BatchInstance, Scenario, register
 from ..scenario import Param
 from ..spec import LedgerStats, TrialContext, TrialResult
-from .common import INPUTS_PARAM, input_bits, param_reader, static_adversary
+from .common import (
+    INPUTS_PARAM,
+    dealer_problem,
+    input_bits,
+    param_reader,
+    sparse_degree_problem,
+    static_adversary,
+)
 
 _CORRUPT_PARAM = Param(
     "corrupt", float, 0.0,
@@ -316,6 +323,11 @@ _CPA_PARAMS = (
 _cpa = param_reader(_CPA_PARAMS)
 
 
+def _cpa_check(n, params):
+    """A constructible graph and a dealer among the ``n`` processors."""
+    return sparse_degree_problem(n, params) or dealer_problem(n, params)
+
+
 def _cpa_trial(ctx: TrialContext) -> TrialResult:
     from ...baselines.cpa import run_cpa
 
@@ -355,6 +367,7 @@ register(
             "accepted_wrong", "degree", "reached_fraction", "unreached",
         ),
         smoke_n=16,
+        check=_cpa_check,
     )
 )
 

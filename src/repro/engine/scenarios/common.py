@@ -114,13 +114,23 @@ def sparse_degree_problem(n: int, params: Dict) -> Optional[str]:
     """Cross-field check shared by the sparse-graph scenarios.
 
     An explicit ``degree`` must leave ``random_regular_graph``
-    constructible (``degree < n``); ``None`` means auto-derived from
-    ``n`` and is always legal.
+    constructible (``0 <= degree < n``); ``None`` means auto-derived
+    from ``n`` and is always legal.
     """
     degree = params.get("degree")
+    if degree is not None and int(degree) < 0:
+        return f"degree {degree} must be >= 0"
     if degree is not None and int(degree) >= n:
         return (
             f"degree {degree} must be < n = {n} "
             "(the sparse graph needs room for every edge)"
         )
+    return None
+
+
+def dealer_problem(n: int, params: Dict) -> Optional[str]:
+    """Cross-field check for broadcasts: the ``dealer`` is one of ``n``."""
+    dealer = int(params.get("dealer") or 0)
+    if dealer >= n:
+        return f"dealer {dealer} out of range for n = {n} processors"
     return None

@@ -3,7 +3,6 @@
 from .links import LinkStructure, UplinkKey
 from .sparse_graph import (
     GraphError,
-    circulant_graph,
     edge_count,
     expansion_estimate,
     is_regular,
@@ -17,7 +16,6 @@ __all__ = [
     "LinkStructure",
     "UplinkKey",
     "GraphError",
-    "circulant_graph",
     "edge_count",
     "expansion_estimate",
     "is_regular",

@@ -1,16 +1,15 @@
 """Sparse regular random graphs — substrate for Algorithm 5 (Theorem 5).
 
 Theorem 5 requires a random ``k * log n``-regular graph G on the
-processors of a node.  We implement the standard pairing-model
-construction with retries, falling back to a circulant construction if
-pairing repeatedly fails (only relevant for tiny, odd corner cases).
+processors of a node.  We build it in plain Python with Steger and
+Wormald's algorithm (*Generating random regular graphs quickly*, 1999).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set
 
 
 class GraphError(ValueError):
@@ -26,73 +25,74 @@ def theorem5_degree(n: int, k: float = 4.0) -> int:
 
 
 def random_regular_graph(
-    n: int, degree: int, rng: random.Random, max_attempts: int = 200
+    n: int, degree: int, rng: random.Random
 ) -> Dict[int, Set[int]]:
-    """A uniform-ish random ``degree``-regular simple graph on ``n`` vertices.
+    """A random ``degree``-regular simple graph on ``n`` vertices.
 
-    Uses networkx's Steger-Wormald generator (robust even at the dense
-    degrees Theorem 5's k·log n reaches for small committees), falling
-    back to the configuration model and finally a circulant graph.
-    ``n * degree`` must be even and ``degree < n`` (an odd degree sum is
-    fixed up by bumping the degree).  Returns vertex -> neighbor set.
+    Steger-Wormald: pair shuffled stubs, keep the new edges, re-pair the
+    leftover stubs while two of them could still form one, and start
+    over when none can.  It takes one draw from ``rng``, the generator's
+    seed, so the same ``rng`` state gives the same graph on every host.
+    ``degree < n`` is required; an odd degree sum is fixed up by bumping
+    the degree.  Returns vertex -> neighbor set.
     """
     if degree < 0 or degree >= n:
         raise GraphError(f"degree {degree} invalid for {n} vertices")
     if degree == 0:
         return {v: set() for v in range(n)}
     if (n * degree) % 2 != 0:
-        # Regular graph of odd total degree doesn't exist; bump degree.
+        # Regular graph of odd total degree doesn't exist; bump degree
+        # (n is odd, so the odd degree was at most n - 2).
         degree += 1
-        if degree >= n:
-            raise GraphError("cannot fix odd degree sum")
 
-    try:
-        import networkx as nx
-
-        graph = nx.random_regular_graph(
-            degree, n, seed=rng.randrange(1 << 30)
-        )
-        return {v: set(graph.neighbors(v)) for v in range(n)}
-    except Exception:  # pragma: no cover - nx absent or generator failure
-        pass
-
-    for _attempt in range(max_attempts):
-        stubs = [v for v in range(n) for _ in range(degree)]
-        rng.shuffle(stubs)
-        adjacency: Dict[int, Set[int]] = {v: set() for v in range(n)}
-        ok = True
-        for i in range(0, len(stubs), 2):
-            a, b = stubs[i], stubs[i + 1]
-            if a == b or b in adjacency[a]:
-                ok = False
-                break
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        if ok:
-            return adjacency
-    # Deterministic last resort: circulant graph — regular, but clusters
-    # contiguous corrupted ranges; only used when both generators fail.
-    return circulant_graph(n, degree)
-
-
-def circulant_graph(n: int, degree: int) -> Dict[int, Set[int]]:
-    """Circulant fallback: connect to offsets 1..degree//2 on both sides."""
-    if degree >= n:
-        raise GraphError(f"degree {degree} invalid for {n} vertices")
+    seed = random.Random(rng.randrange(1 << 30))
+    edges = None
+    while edges is None:
+        edges = _try_creation(n, degree, seed)
     adjacency: Dict[int, Set[int]] = {v: set() for v in range(n)}
-    half = degree // 2
-    for v in range(n):
-        for offset in range(1, half + 1):
-            adjacency[v].add((v + offset) % n)
-            adjacency[v].add((v - offset) % n)
-    if degree % 2 == 1:
-        if n % 2 != 0:
-            raise GraphError("odd-degree circulant needs even n")
-        for v in range(n):
-            adjacency[v].add((v + n // 2) % n)
-    for v in range(n):
-        adjacency[v].discard(v)
+    for s1, s2 in edges:
+        adjacency[s1].add(s2)
+        adjacency[s2].add(s1)
     return adjacency
+
+
+def _try_creation(n, degree, seed):
+    """One attempt at an edge set, or ``None`` when it gets stuck."""
+    edges = set()
+    stubs = list(range(n)) * degree
+    while stubs:
+        potential_edges = {}
+        seed.shuffle(stubs)
+        stubiter = iter(stubs)
+        for s1, s2 in zip(stubiter, stubiter):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                potential_edges[s1] = potential_edges.get(s1, 0) + 1
+                potential_edges[s2] = potential_edges.get(s2, 0) + 1
+        if not _suitable(edges, potential_edges):
+            return None
+        stubs = [s for s, k in potential_edges.items() for _ in range(k)]
+    return edges
+
+
+def _suitable(edges, potential_edges):
+    """Whether two leftover stubs could still form a new edge."""
+    if not potential_edges:
+        return True
+    for s1 in potential_edges:
+        for s2 in potential_edges:
+            # The swap rebinds s1 for the rest of the inner loop; which
+            # attempts restart, and so which graphs are drawn, depends on it.
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
 
 
 def edge_count(adjacency: Dict[int, Set[int]]) -> int:
@@ -113,8 +113,8 @@ def expansion_estimate(
 ) -> float:
     """Crude edge-expansion estimate: min over random halves of cut/|S|.
 
-    Used by tests to sanity-check that the pairing-model graphs expand
-    (Theorem 5's proof needs expander-like concentration).
+    Used by tests to sanity-check that ``random_regular_graph``'s graphs
+    expand (Theorem 5's proof needs expander-like concentration).
     """
     n = len(adjacency)
     if n < 4:

@@ -21,10 +21,14 @@ Four contracts pinned here:
   rely on the schema.
 * **Ledger pins** — every declared scenario's serial smoke trials, and
   two specs shaped like the end-to-end benchmark's message-heavy
-  workloads, reproduce literal per-trial bit ledgers.
+  workloads, reproduce literal per-trial bit ledgers; three
+  sparse-graph specs reproduce literal result digests, which see the
+  edges drawn.
 """
 
 import dataclasses
+import hashlib
+import json
 import multiprocessing
 
 import pytest
@@ -43,6 +47,7 @@ from repro.engine import (
     TrialResult,
     get_scenario,
     make_context,
+    result_to_wire,
     scenario_names,
 )
 
@@ -427,6 +432,45 @@ def test_benchmark_shaped_ledgers_are_pinned(spec, ledgers):
     assert tuple(t.ledger for t in trials) == ledgers
 
 
+#: sha256 of the serial ``result_to_wire`` envelopes (4 trials, seed 29)
+#: of three scenarios that run on ``random_regular_graph``, recorded with
+#: networkx's generator behind the builder.  Every d-regular graph
+#: charges the same bits, so ledgers cannot see which edges were drawn;
+#: these outcomes can, and must not depend on the host's packages.  At
+#: n = 16 Theorem 5's degree is 15, the complete graph, so the two
+#: smoke-n specs set a degree of 4 (and cpa a 3-round horizon, so how
+#: far the broadcast gets depends on the edges).
+SPARSE_GRAPH_DIGESTS = (
+    (
+        "unreliable-coin-ba", 64,
+        {"corrupt": 0.1, "behavior": "anti_majority"},
+        "33e641e63d21b06527d1935d72a2a4101563acd7d73e5f0464ee92ed27dafd07",
+    ),
+    (
+        "async-sparse-aeba", 16, {"degree": 4},
+        "d48696e084d29de7c95df287ae105ffd08d73d765449751bfa0af79ffdca587a",
+    ),
+    (
+        "cpa", 16, {"degree": 4, "rounds": 3},
+        "75413df9c03fd3e784b78c47ddcb280dd492b20901a724e9a092192fa5e9b973",
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "runner, n, params, digest",
+    SPARSE_GRAPH_DIGESTS,
+    ids=[row[0] for row in SPARSE_GRAPH_DIGESTS],
+)
+def test_sparse_graph_outcomes_are_pinned(runner, n, params, digest):
+    spec = ExperimentSpec(
+        runner=runner, n=n, trials=4, seed=29, params=params
+    )
+    trials = SerialBackend().run_trials(spec)
+    wire = json.dumps([result_to_wire(t) for t in trials], sort_keys=True)
+    assert hashlib.sha256(wire.encode()).hexdigest() == digest
+
+
 # -- schema validation ---------------------------------------------------------------
 
 
@@ -531,15 +575,22 @@ def test_vss_coin_degenerate_committee_rejected():
 
 
 def test_check_hook_degree_must_be_below_n():
-    """A degree >= n fails at validation with a schema error instead of
-    a GraphError deep inside the builder."""
-    for name in ("unreliable-coin-ba", "async-sparse-aeba"):
+    """A degree outside [0, n), or a cpa dealer that is not one of the n
+    processors, fails at validation with a schema error instead of a
+    GraphError or a failed trial deep inside the builder."""
+    for name in ("unreliable-coin-ba", "async-sparse-aeba", "cpa"):
         runner = get_scenario(name)
         with pytest.raises(ScenarioError, match="degree 24 must be < n"):
             runner.validate({"degree": 24}, n=24)
+        with pytest.raises(ScenarioError, match="degree -1 must be >= 0"):
+            runner.validate({"degree": -1}, n=24)
         assert runner.validate({"degree": 8}, n=24)["degree"] == 8
         # Default (auto) degrees are derived from n and always legal.
         runner.validate({}, n=24)
+    cpa = get_scenario("cpa")
+    with pytest.raises(ScenarioError, match="dealer 20 out of range"):
+        cpa.validate({"dealer": 20}, n=16)
+    assert cpa.validate({"dealer": 15}, n=16)["dealer"] == 15
 
 
 def test_check_hook_corrupt_budget_vs_fault_bound():

@@ -1,16 +1,19 @@
 """Unit tests for the committee tree, links, and sparse graphs."""
 
+import hashlib
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import repro
 from repro.topology.links import LinkStructure
 from repro.topology.sparse_graph import (
     GraphError,
-    circulant_graph,
     edge_count,
     expansion_estimate,
     is_regular,
@@ -239,33 +242,112 @@ class TestSparseGraph:
         with pytest.raises(GraphError):
             random_regular_graph(5, 5, random.Random(5))
 
-    def test_circulant_regular(self):
-        g = circulant_graph(10, 4)
-        assert is_regular(g)
-        assert all(len(neigh) == 4 for neigh in g.values())
-
-    def test_circulant_odd_degree_even_n(self):
-        g = circulant_graph(10, 3)
-        assert all(len(neigh) == 3 for neigh in g.values())
-
-    def test_circulant_odd_degree_odd_n_raises(self):
-        with pytest.raises(GraphError):
-            circulant_graph(9, 3)
-
     def test_expansion_positive(self):
         g = random_regular_graph(40, 6, random.Random(6))
         assert expansion_estimate(g, trials=5, rng=random.Random(7)) > 0.5
 
 
-@given(
-    n=st.integers(min_value=4, max_value=60),
-    seed=st.integers(min_value=0, max_value=2**32),
-)
-@settings(max_examples=30, deadline=None)
-def test_random_regular_graph_property(n, seed):
-    degree = min(4, n - 1)
-    g = random_regular_graph(n, degree, random.Random(seed))
-    # Symmetric adjacency.
-    for v, neighbors in g.items():
-        for u in neighbors:
-            assert v in g[u]
+def test_random_regular_graph_property():
+    """Symmetric adjacency at every n from 4 to 60, one seed drawn each."""
+    seeds = random.Random(2024)
+    for n in range(4, 61):
+        seed = seeds.randint(0, 2**32)
+        degree = min(4, n - 1)
+        g = random_regular_graph(n, degree, random.Random(seed))
+        # Symmetric adjacency.
+        for v, neighbors in g.items():
+            for u in neighbors:
+                assert v in g[u]
+
+
+def _graph_digest(n, degree, seeds=(0, 1, 2)):
+    """sha256 over one graph per seed: the vertex order, every neighbour
+    set in iteration order, and the caller rng's next draw."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        rng = random.Random(seed)
+        g = random_regular_graph(n, degree, rng)
+        neighbours = [list(g[v]) for v in range(n)]
+        digest.update(
+            repr((list(g), neighbours, rng.getrandbits(64))).encode()
+        )
+    return digest.hexdigest()
+
+
+#: Recorded with networkx 3.6.1's generator behind the builder, before
+#: the plain-Python port replaced it: the port must draw the same graphs.
+GRAPH_DIGESTS = {
+    # Algorithm 5 at the end-to-end benchmark's n = 256.
+    (256, 32): (
+        "09f39c0c20d288441a23b2f225e296671d2862619815eaf2cc85f02fa244d5c6"
+    ),
+    # A tree node's intra-node links (everywhere-ba at n = 9).
+    (9, 6): "513c8d9eaf4c1e0721812da1f46c1d4c8657899e913570867453121e0b5b3665",
+    # Odd degree sum, bumped to degree 4 (the complete graph).
+    (5, 3): "faabcccd42f5bca8f9df8f06577408194c95d9d50e3147b5e2485da292b9b777",
+    # The complete graph Theorem 5's degree gives at n = 16.
+    (16, 15): (
+        "600f5686b8cced9aaf291b22c68dea7df2bb05a5df927d4188c1340e03d3b5f2"
+    ),
+    # Dense enough that most attempts get stuck and restart.
+    (40, 21): (
+        "929f396c9c0c9a1b10da940cf708538ca14e95540d527c6fbc048224ee331e29"
+    ),
+}
+
+
+class TestStegerWormaldBuilder:
+    """One builder on every host: the same graphs, draw for draw."""
+
+    @pytest.mark.parametrize(
+        "n, degree", sorted(GRAPH_DIGESTS), ids=lambda v: str(v)
+    )
+    def test_graphs_are_pinned(self, n, degree):
+        assert _graph_digest(n, degree) == GRAPH_DIGESTS[(n, degree)]
+
+    def test_equals_networkx_generator(self):
+        """Where networkx is installed, its generator, seeded with the
+        builder's one draw, gives the same neighbour sets, filled in the
+        same order."""
+        nx = pytest.importorskip("networkx")
+        cases = 0
+        for n in (3, 4, 5, 8, 9, 12, 16, 17, 24, 33, 40, 64):
+            for degree in sorted({1, 2, 3, 6, theorem5_degree(n), n - 1}):
+                if degree >= n or (n * degree) % 2:
+                    continue
+                for seed in range(3):
+                    rng = random.Random(seed)
+                    nx_seed = random.Random(seed).randrange(1 << 30)
+                    ours = random_regular_graph(n, degree, rng)
+                    theirs = nx.random_regular_graph(degree, n, seed=nx_seed)
+                    assert [list(ours[v]) for v in range(n)] == [
+                        list(set(theirs.neighbors(v))) for v in range(n)
+                    ], (n, degree, seed)
+                    cases += 1
+        assert cases > 100
+
+    def test_algorithm5_trial_leaves_networkx_unloaded(self):
+        """An Algorithm 5 trial, run in a fresh interpreter, imports
+        nothing from networkx, installed or not."""
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        path = os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))
+        )
+        code = (
+            "import sys\n"
+            "from repro.engine import ExperimentSpec, SerialBackend\n"
+            "spec = ExperimentSpec(runner='unreliable-coin-ba', n=64,"
+            " trials=1, seed=29)\n"
+            "assert all(r.ok for r in SerialBackend().run_trials(spec))\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'networkx'))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "[]"
