@@ -275,10 +275,11 @@ def _suite_rs_decode() -> Suite:
     """sendDown's decode shape: 8 shares, threshold 3, one wrong value.
 
     Under the adaptive adversary nearly every pool ``send_down`` decodes
-    looks like this.  The reference is the key-equation solve
-    (``_solve_key_equation``); ``berlekamp_welch`` returns the same
-    coefficients from the first window of 3 shares whose polynomial
-    misses at most 2 pool points.
+    looks like this, and ``send_down`` hands the decoder a node hop's
+    pools at once.  The reference is the key-equation solve
+    (``_solve_key_equation``) per pool; one ``berlekamp_welch`` call
+    decodes the whole batch, each pool from the first window of 3
+    shares whose polynomial misses at most 2 pool points.
     """
     from repro.crypto.field import DEFAULT_FIELD as field
     from repro.crypto.polynomial import evaluate, random_polynomial
@@ -305,15 +306,15 @@ def _suite_rs_decode() -> Suite:
         return [_solve_key_equation(field, pool, t) for pool in pools]
 
     def windows() -> List[Any]:
-        return [berlekamp_welch(field, pool, t) for pool in pools]
+        return berlekamp_welch(field, pools, t)
 
     expected = solve()
     assert windows() == expected  # parity before speed
     assert None not in expected
     desc = (
         f"Berlekamp-Welch decode, {len(pools)} pools of {m} shares, "
-        f"threshold {t}, one wrong value each: key-equation solve vs "
-        "windows"
+        f"threshold {t}, one wrong value each: key-equation solve per "
+        "pool vs one batched windowed call"
     )
     return {"desc": desc}, _paired(solve, windows, reps=8)
 

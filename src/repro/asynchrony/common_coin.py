@@ -153,8 +153,3 @@ def run_common_coin_ba(
     network = AsyncNetwork(processes, adversary, scheduler=scheduler)
     cap = max_steps if max_steps is not None else 50 * n * n * max_phases
     return network.run(max_steps=cap)
-
-
-def max_phase_reached(processes: Sequence[CoinBAProcess]) -> int:
-    """Highest phase any process entered — the liveness metric for E15."""
-    return max(process.phase for process in processes)

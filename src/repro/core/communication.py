@@ -27,12 +27,27 @@ Implementation notes:
   shares and reconstruct").  Reconstruction of a (j-1)-share succeeds at a
   child node iff enough shares of that dealing arrive — exactly the
   condition Lemma 3(2) argues holds along good paths.
+* **One record per coordinate.**  A sendDown frontier holds at most one
+  record per (dealing, x): :meth:`~TreeCommunicator._deal` gives each
+  share of a dealing to exactly one target, each upward record is
+  re-dealt once and then erased, and a reconstructed dealing yields one
+  record of its parent.  Grouping a frontier checks this and raises
+  :class:`CommunicationError` on a duplicate instead of merging it.
 * **Grouping.**  What a node sends does not depend on the child: its
   frontier is grouped by dealing id once per node (per dealing, each
-  coordinate's (holder, delivered value) pairs; each holder's record
-  count).  A child then only weighs each holder by how many of its
-  members the holder's uplinks reach, and decodes each distinct
-  (threshold, points) pool once per call.
+  coordinate's record: its value and holders, and which of them are
+  corrupted; each holder's record count).  A child then only weighs
+  each holder by how many of its members the holder's uplinks reach.
+  Where good and corrupted holders of one record mix, the coordinate is
+  a weighted vote between the value v and v + 1.
+* **One decode per node hop.**  A node builds the pools of all its
+  children first, then decodes every pool that is new to the call in
+  one :func:`~repro.crypto.reed_solomon.berlekamp_welch` call per
+  threshold, and only then builds the children's frontiers.  Each
+  distinct (threshold, points) pool decodes once per call: the memo
+  keeps the pool and a one-element slot that the batch fills, and the
+  children hold only the slots.  The leaf step decodes the pools of all
+  leaves in one call per threshold.
 * **Holder ranks.**  The members that forward a reconstructed record are
   the (at most ``REPLICATION_CAP``) child members that received the most
   of its shares, ties to the smaller pid.  Those counts depend only on
@@ -61,7 +76,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..crypto.field import PrimeField
-from ..crypto.reed_solomon import decode_constant
+from ..crypto.reed_solomon import berlekamp_welch, decode_constant
 from ..crypto.shamir import ShamirScheme, Share
 from ..net.accounting import BitLedger
 from ..net.messages import HEADER_BITS
@@ -94,15 +109,16 @@ _Frontier = Dict[SecretKey, Dict[int, _Arrivals]]
 #: One decoder input: (reconstruction threshold, majority points).
 _PoolKey = Tuple[int, Tuple[Tuple[int, int], ...]]
 
-#: One coordinate of a grouped dealing: (x, the decoder point (x, value)
-#: when every holder delivers the same value or else None, holders, and
-#: only on disagreement each holder's (holder, delivered value) pair).
-_Coordinate = Tuple[
-    int,
-    Optional[Tuple[int, int]],
-    Tuple[int, ...],
-    Tuple[Tuple[int, int], ...],
-]
+#: A pool's entry in the sendDown decode memo: [its constant term, or
+#: None when decoding fails], filled by the node hop's batch decode.
+_Slot = List[Optional[int]]
+
+#: One coordinate of a grouped dealing: (the decoder point (x, value),
+#: holders, corrupted holders).  When the holders agree, the point is the
+#: value they all deliver and the last field is empty; when good and
+#: corrupted holders mix, it is the good holders' value v, the corrupted
+#: ones deliver v + 1, and the last field lists the corrupted ones.
+_Coordinate = Tuple[Tuple[int, int], Tuple[int, ...], Tuple[int, ...]]
 
 #: The holders tuple of each record of one dealing, in record order.
 _Signature = Tuple[Tuple[int, ...], ...]
@@ -110,6 +126,14 @@ _Signature = Tuple[Tuple[int, ...], ...]
 #: One dealing of a grouped node frontier: (dealing id, threshold, its
 #: coordinates by ascending x, holder signature).
 _Dealing = Tuple[int, int, List[_Coordinate], _Signature]
+
+#: One child's half of a node hop: per key of the grouped frontier, the
+#: slot of each dealing's pool, in the grouped dealings' order.
+_Hop = List[List[_Slot]]
+
+#: Pools waiting for one batch decode: threshold -> (points, slot) per
+#: pool, in first-seen order.
+_Queue = Dict[int, List[Tuple[Sequence[Tuple[int, int]], _Slot]]]
 
 
 @dataclass(frozen=True)
@@ -146,8 +170,10 @@ def robust_reconstruct_points(
     wrong points deterministically (two degree-(threshold-1) polynomials
     agree on <= threshold-1 points, so the decoded one is unique).  A
     pool with a clean window of ``threshold`` consecutive points — every
-    clean pool, and most tampered ones — costs one interpolation; see
-    :func:`~repro.crypto.reed_solomon.berlekamp_welch`.
+    clean pool, and most tampered ones — needs no linear solve; see
+    :func:`~repro.crypto.reed_solomon.berlekamp_welch`.  This is the
+    one-pool front end: the pool goes to the decoder as a batch of one,
+    while ``sendDown`` hands the decoder whole node hops at once.
 
     Returns None when no consistent polynomial exists within the decoding
     radius (the caller treats the dealing as unrecoverable, the same as
@@ -439,8 +465,9 @@ class TreeCommunicator:
 
         per_node: Dict[NodeId, _Frontier] = {top: frontier}
         # Sibling children often pool the same majority points for a
-        # dealing; each distinct (threshold, points) pool decodes once.
-        decoded: Dict[_PoolKey, Optional[int]] = {}
+        # dealing; each distinct (threshold, points) pool decodes once,
+        # in one batch per node hop.
+        decoded: Dict[_PoolKey, _Slot] = {}
         level = top.level
         while level > 1:
             next_per_node: Dict[NodeId, _Frontier] = {}
@@ -448,21 +475,31 @@ class TreeCommunicator:
                 grouped, holder_records = self._group_frontier(
                     node_frontier, corrupted
                 )
-                for child in self.tree.children(node):
-                    next_per_node[child] = self._transfer_down(
-                        child, grouped, holder_records, decoded
+                queued: _Queue = {}
+                hops = [
+                    (child, self._pools_down(
+                        child, grouped, holder_records, decoded, queued
+                    ))
+                    for child in self.tree.children(node)
+                ]
+                self._decode(queued)
+                for child, hop in hops:
+                    next_per_node[child] = self._frontier_below(
+                        child, grouped, hop
                     )
             per_node = next_per_node
             level -= 1
 
         # Level-1 nodes: members exchange all shares and reconstruct the
-        # secret itself (the paper's final step).
+        # secret itself (the paper's final step), every leaf's pools in
+        # one batch per threshold.
         mod = self.field.modulus
         per_word = self.word_bits + HEADER_BITS
-        leaf_values: Dict[NodeId, Dict[SecretKey, Optional[int]]] = {}
+        leaf_pools: _Queue = {}
+        leaf_slots: Dict[NodeId, Dict[SecretKey, _Slot]] = {}
         for leaf, leaf_frontier in per_node.items():
             members = sorted(self.tree.members(leaf))
-            values: Dict[SecretKey, Optional[int]] = {}
+            slots: Dict[SecretKey, _Slot] = {}
             holder_records: Dict[int, int] = {}
             for key, by_dealing in leaf_frontier.items():
                 by_x: Dict[int, Dict[int, int]] = {}
@@ -481,10 +518,9 @@ class TreeCommunicator:
                 group_size = (
                     len(members) if root is None else self._dealings[root][4]
                 )
-                values[key] = robust_reconstruct_points(
-                    self.field,
-                    _majority_points(by_x),
-                    self._threshold(group_size),
+                slot = slots[key] = [None]
+                leaf_pools.setdefault(self._threshold(group_size), []).append(
+                    (_majority_points(by_x), slot)
                 )
             # Intra-node exchange cost: every holder sends each record
             # to every other member.
@@ -494,8 +530,12 @@ class TreeCommunicator:
                         self.ledger.record_abstract(
                             holder, other, n_records * per_word
                         )
-            leaf_values[leaf] = values
-        return leaf_values
+            leaf_slots[leaf] = slots
+        self._decode(leaf_pools)
+        return {
+            leaf: {key: value for key, (value,) in slots.items()}
+            for leaf, slots in leaf_slots.items()
+        }
 
     #: Cap on how many members replicate one reconstructed record on the
     #: way down.  3 keeps a lone corrupted holder outvoted while bounding
@@ -513,7 +553,8 @@ class TreeCommunicator:
         holder's number of (record, holder) pairs over the frontier.  A
         dealing's signature is the holders tuple of each of its records,
         in record order.  A corrupted holder delivers its records' values
-        plus one.
+        plus one.  A dealing holds one record per x (module docstring);
+        a second one raises :class:`CommunicationError`.
         """
         mod = self.field.modulus
         table = self._dealings
@@ -522,43 +563,53 @@ class TreeCommunicator:
         for key, by_dealing in node_frontier.items():
             dealings: List[_Dealing] = []
             for dealing, (xs, holders_column, values) in by_dealing.items():
+                if len(set(xs)) != len(xs):
+                    raise CommunicationError(
+                        f"dealing {dealing} of key {key} holds a coordinate "
+                        "twice in one frontier"
+                    )
                 holder_records.update(chain.from_iterable(holders_column))
-                by_x: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
-                for x, holders, value in zip(xs, holders_column, values):
-                    held = by_x.get(x)
-                    if held is None:
-                        by_x[x] = [(holders, value)]
+                coordinates: List[_Coordinate] = []
+                for x, holders, value in sorted(
+                    zip(xs, holders_column, values)
+                ):
+                    if corrupted.isdisjoint(holders):
+                        coordinates.append(((x, value), holders, ()))
+                        continue
+                    bad = tuple(h for h in holders if h in corrupted)
+                    if len(bad) == len(holders):
+                        coordinates.append(
+                            ((x, (value + 1) % mod), holders, ())
+                        )
                     else:
-                        held.append((holders, value))
+                        coordinates.append(((x, value), holders, bad))
                 dealings.append((
                     dealing,
                     self._threshold(table[dealing][4]),
-                    [
-                        _coordinate(x, held, corrupted, mod)
-                        for x, held in sorted(by_x.items())
-                    ],
+                    coordinates,
                     tuple(holders_column),
                 ))
             grouped[key] = dealings
         return grouped, holder_records
 
-    def _transfer_down(
+    def _pools_down(
         self,
         child: NodeId,
         grouped: Dict[SecretKey, List[_Dealing]],
         holder_records: Dict[int, int],
-        decoded: Dict[_PoolKey, Optional[int]],
-    ) -> _Frontier:
-        """Send a grouped node frontier into ``child``; collapse the pools.
+        decoded: Dict[_PoolKey, _Slot],
+        queued: _Queue,
+    ) -> _Hop:
+        """Send a grouped node frontier into ``child``: its dealings' pools.
 
         Each holder v sends every record it holds to the child members
         whose uplinks include v (the reversed uplink graph), so a value
-        weighs as many votes as v has recipients there.  A dealing is
-        recoverable when enough of its shares arrived; its (i-1)-share is
-        replicated to the (up to REPLICATION_CAP) members that received
-        the most of its shares — they forward it further down, and a
-        corrupted one among them is outvoted at the next hop.  ``decoded``
-        memoises the decoder per ``(threshold, majority points)`` pool.
+        weighs as many votes as v has recipients there.  A coordinate
+        whose holders mix good and corrupted processors is a weighted
+        vote between v and v + 1: the higher weight wins, a tie goes to
+        the smaller value.  ``decoded`` memoises each ``(threshold,
+        majority points)`` pool's slot; a pool not yet in it is queued
+        under its threshold for the node hop's batch decode.
         """
         reverse = self.links.reverse_uplinks(child)
         per_word = self.word_bits + HEADER_BITS
@@ -570,33 +621,66 @@ class TreeCommunicator:
 
         coverage = {h: len(recipients) for h, recipients in reverse.items()}
         covered = coverage.keys()
+        mod = self.field.modulus
+        hop: _Hop = []
+        for dealings in grouped.values():
+            slots = []
+            for _dealing, threshold, coordinates, _signature in dealings:
+                points: List[Tuple[int, int]] = []
+                for point, holders, bad in coordinates:
+                    if not bad:
+                        if not covered.isdisjoint(holders):
+                            points.append(point)
+                        continue
+                    good_weight = bad_weight = 0
+                    for holder in holders:
+                        if holder in bad:
+                            bad_weight += coverage.get(holder, 0)
+                        else:
+                            good_weight += coverage.get(holder, 0)
+                    if good_weight or bad_weight:
+                        points.append(
+                            _vote(point, good_weight, bad_weight, mod)
+                        )
+                pool = (threshold, tuple(points))
+                slot = decoded.get(pool)
+                if slot is None:
+                    slot = decoded[pool] = [None]
+                    queued.setdefault(threshold, []).append((pool[1], slot))
+                slots.append(slot)
+            hop.append(slots)
+        return hop
+
+    def _decode(self, queued: _Queue) -> None:
+        """Fill each queued pool's slot: one decoder call per threshold."""
+        for threshold, pools in queued.items():
+            results = berlekamp_welch(
+                self.field, [points for points, _slot in pools], threshold
+            )
+            for (_points, slot), coefficients in zip(pools, results):
+                if coefficients is not None:
+                    slot[0] = coefficients[0]
+
+    def _frontier_below(
+        self,
+        child: NodeId,
+        grouped: Dict[SecretKey, List[_Dealing]],
+        hop: _Hop,
+    ) -> _Frontier:
+        """``child``'s frontier once its pools are decoded.
+
+        A dealing is recoverable when its pool decodes; its (i-1)-share
+        is replicated to the (up to REPLICATION_CAP) members that
+        received the most of its shares — they forward it further down,
+        and a corrupted one among them is outvoted at the next hop.
+        """
+        reverse = self.links.reverse_uplinks(child)
         ranks: Dict[_Signature, Tuple[int, ...]] = {}
         table = self._dealings
         out: _Frontier = {}
-        for key, dealings in grouped.items():
+        for (key, dealings), slots in zip(grouped.items(), hop):
             by_parent: Dict[int, _Arrivals] = {}
-            for dealing, threshold, coordinates, signature in dealings:
-                points: List[Tuple[int, int]] = []
-                for x, agreed, holders, pairs in coordinates:
-                    if agreed is not None:
-                        if not covered.isdisjoint(holders):
-                            points.append(agreed)
-                        continue
-                    votes: Dict[int, int] = {}
-                    for holder, delivered in pairs:
-                        weight = coverage.get(holder)
-                        if weight:
-                            votes[delivered] = votes.get(delivered, 0) + weight
-                    if votes:
-                        points.append((x, _plurality(votes)))
-                memo_key = (threshold, tuple(points))
-                if memo_key in decoded:
-                    value = decoded[memo_key]
-                else:
-                    value = robust_reconstruct_points(
-                        self.field, memo_key[1], threshold
-                    )
-                    decoded[memo_key] = value
+            for (dealing, _t, _c, signature), (value,) in zip(dealings, slots):
                 if value is None:
                     continue
                 holders = ranks.get(signature)
@@ -796,30 +880,18 @@ class TreeCommunicator:
         return len(coordinates) >= self._threshold(table[root][4])
 
 
-def _coordinate(
-    x: int,
-    held: List[Tuple[Tuple[int, ...], int]],
-    corrupted: Set[int],
-    mod: int,
-) -> _Coordinate:
-    """Group one coordinate's arrivals: ``held`` is (holders, value) per
-    record.  A corrupted holder delivers the value plus one."""
-    if len(held) == 1:
-        holders, value = held[0]
-        if corrupted.isdisjoint(holders):
-            return (x, (x, value), holders, ())
-        if corrupted.issuperset(holders):
-            return (x, (x, (value + 1) % mod), holders, ())
-    pairs = tuple(
-        (holder, (value + 1) % mod if holder in corrupted else value)
-        for holders, value in held
-        for holder in holders
-    )
-    holders = tuple(holder for holder, _delivered in pairs)
-    first = pairs[0][1]
-    if all(delivered == first for _holder, delivered in pairs):
-        return (x, (x, first), holders, ())
-    return (x, None, holders, pairs)
+def _vote(
+    point: Tuple[int, int], good: int, bad: int, mod: int
+) -> Tuple[int, int]:
+    """The decoder point of a coordinate whose good holders deliver the
+    value v of ``point`` with total weight ``good`` and whose corrupted
+    holders deliver v + 1 with weight ``bad``: the higher weight wins,
+    a tie goes to the smaller value (the rule of :func:`_plurality`)."""
+    x, value = point
+    shifted = (value + 1) % mod
+    if bad > good or (bad == good and shifted < value):
+        return (x, shifted)
+    return point
 
 
 def _plurality(counts: Dict[int, int]) -> int:

@@ -12,13 +12,17 @@ by solving the linear system; then P = Q / E is the dealer's polynomial.
 This is deterministic and one-shot — the hot path of every ``sendDown``
 reconstruction, replacing randomized sample-and-verify decoding.
 
-Most pools hold few wrong values, so :func:`berlekamp_welch` first tries
-the floor(m/t) disjoint windows of t = ``degree_bound`` consecutive
-points: it interpolates each window through its cached plan and counts
-the pool points the window's polynomial misses.  A window that misses at
-most ``max_errors`` points is the answer.  Only when every window misses
-more does the key equation above get built and solved
-(:func:`_solve_key_equation`, the reference decoder).
+:func:`berlekamp_welch` decodes a batch of pools; ``sendDown`` hands it
+every new pool of one node hop at once.  Most pools hold few wrong
+values, so it first tries the floor(m/t) disjoint windows of t =
+``degree_bound`` consecutive points.  Pools on the same x grid share
+each window's cached plan: one
+:meth:`~repro.crypto.kernels.InterpPlan.interpolate_grid` call predicts
+the points outside the window for all of them, and a pool whose
+prediction misses at most ``max_errors`` points takes that window's
+polynomial.  Only a pool that every window misses by more gets the key
+equation above built and solved, on its own (:func:`_solve_key_equation`,
+the reference decoder).
 
 The windows return exactly what the solve would, under three guards:
 the x values are distinct modulo p, ``t >= 1``, and ``t + 2 *
@@ -32,8 +36,8 @@ guards go straight to the solve.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from operator import ne
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .field import FieldError, PrimeField
 from .kernels import get_eval_plan, get_interp_plan
@@ -112,73 +116,95 @@ def _poly_divmod(
 
 def berlekamp_welch(
     field: PrimeField,
-    points: Sequence[Tuple[int, int]],
+    pools: Sequence[Sequence[Tuple[int, int]]],
     degree_bound: int,
     max_errors: Optional[int] = None,
-) -> Optional[List[int]]:
-    """Decode a degree < ``degree_bound`` polynomial from noisy points.
+) -> List[Optional[List[int]]]:
+    """Decode a degree < ``degree_bound`` polynomial from each noisy pool.
 
     Args:
-        points: distinct (x, y) pairs, at most ``max_errors`` of them wrong.
+        pools: per pool, distinct (x, y) pairs, at most ``max_errors`` of
+            them wrong.
         degree_bound: t, the number of coefficients of the true polynomial
             (Shamir's reconstruction threshold).
-        max_errors: defaults to the unique-decoding radius
-            (len(points) - degree_bound) // 2.
+        max_errors: defaults to each pool's unique-decoding radius
+            (len(pool) - degree_bound) // 2.
 
-    Returns the coefficient list (low-to-high, length <= degree_bound) or
-    None if decoding fails.
+    Returns, per pool, the coefficient list (low-to-high, length <=
+    degree_bound) or None if decoding fails.
 
-    Tries the disjoint windows of ``degree_bound`` consecutive points
-    first and solves the key equation only when none of them explains
-    all but ``max_errors`` points.  The result is the solve's, bit for
-    bit: the windows run only for distinct x values, ``degree_bound >=
-    1`` and ``degree_bound + 2 * max_errors <= len(points)``, where at
-    most one polynomial lies within the radius (module docstring).
+    Pools on one x grid share their windows: window by window, one
+    :meth:`~repro.crypto.kernels.InterpPlan.interpolate_grid` call
+    predicts every point outside the window for every pool that no
+    earlier window explained.  Only a pool that no window explains
+    within ``max_errors`` points is solved, alone, through the key
+    equation.  Each result is the solve's, bit for bit: the windows run
+    only for distinct x values, ``degree_bound >= 1`` and
+    ``degree_bound + 2 * max_errors <= len(pool)``, where at most one
+    polynomial lies within the radius (module docstring).
     """
-    m = len(points)
-    if max_errors is None:
-        max_errors = max(0, (m - degree_bound) // 2)
-    if degree_bound >= 1 and degree_bound + 2 * max_errors <= m:
-        mod = field.modulus
-        xs = [x % mod for x, _y in points]
-        if len(set(xs)) == m:
-            decoded = _decode_by_windows(
-                field, xs, [y % mod for _x, y in points], degree_bound,
-                max_errors,
-            )
-            if decoded is not None:
-                return decoded
-    return _solve_key_equation(field, points, degree_bound, max_errors)
+    t = degree_bound
+    mod = field.modulus
+    grids: Dict[Tuple[int, ...], List[int]] = {}
+    for b, pool in enumerate(pools):
+        grids.setdefault(tuple([x % mod for x, _y in pool]), []).append(b)
+    decoded: List[Optional[List[int]]] = [None] * len(pools)
+    unexplained: List[int] = []
+    for xs, members in grids.items():
+        m = len(xs)
+        errors = max(0, (m - t) // 2) if max_errors is None else max_errors
+        if not (t >= 1 and t + 2 * errors <= m and len(set(xs)) == m):
+            unexplained.extend(members)
+            continue
+        rows = [[y % mod for _x, y in pools[b]] for b in members]
+        for b, coefficients in zip(
+            members, _decode_by_windows(field, xs, rows, t, errors)
+        ):
+            if coefficients is None:
+                unexplained.append(b)
+            else:
+                decoded[b] = coefficients
+    for b in sorted(unexplained):
+        decoded[b] = _solve_key_equation(field, pools[b], t, max_errors)
+    return decoded
 
 
 def _decode_by_windows(
     field: PrimeField,
-    xs: List[int],
-    ys: List[int],
+    xs: Tuple[int, ...],
+    rows: List[List[int]],
     t: int,
     max_errors: int,
-) -> Optional[List[int]]:
-    """The first disjoint t-point window within ``max_errors`` of the pool.
+) -> List[Optional[List[int]]]:
+    """Per row of y values over ``xs``, the first disjoint t-point window
+    within ``max_errors`` of it.
 
-    Each window's cached plan predicts every point outside the window;
-    counting stops at the first miss past ``max_errors``.  Returns that
-    window's coefficients (length t, from the plan's basis table), or
-    None when every window misses too many points.
+    Each window's cached plan predicts the points outside the window
+    for every row that no earlier window explained, in one grid
+    interpolation.  Returns per row that window's coefficients (length
+    t, from the plan's basis table), or None when every window misses
+    too many points.
     """
     m = len(xs)
+    decoded: List[Optional[List[int]]] = [None] * len(rows)
+    open_rows = list(range(len(rows)))
     for start in range(0, m - t + 1, t):
         stop = start + t
         plan = get_interp_plan(field, xs[start:stop])
-        window_ys = ys[start:stop]
-        misses = 0
-        for i in chain(range(start), range(stop, m)):
-            if plan.interpolate_at(xs[i], window_ys) != ys[i]:
-                misses += 1
-                if misses > max_errors:
-                    break
-        if misses <= max_errors:
-            return plan.coefficients(window_ys)
-    return None
+        predicted = plan.interpolate_grid(
+            xs[:start] + xs[stop:], [rows[r][start:stop] for r in open_rows]
+        )
+        still_open = []
+        for r, guess in zip(open_rows, predicted):
+            ys = rows[r]
+            if sum(map(ne, guess, ys[:start] + ys[stop:])) <= max_errors:
+                decoded[r] = plan.coefficients(ys[start:stop])
+            else:
+                still_open.append(r)
+        open_rows = still_open
+        if not open_rows:
+            break
+    return decoded
 
 
 def _solve_key_equation(
@@ -254,8 +280,13 @@ def decode_constant(
     degree_bound: int,
     max_errors: Optional[int] = None,
 ) -> Optional[int]:
-    """The Shamir secret (constant term), or None on decoding failure."""
-    coefficients = berlekamp_welch(field, points, degree_bound, max_errors)
+    """The Shamir secret (constant term), or None on decoding failure.
+
+    One pool: a batch of one through :func:`berlekamp_welch`.
+    """
+    (coefficients,) = berlekamp_welch(
+        field, [points], degree_bound, max_errors
+    )
     if coefficients is None:
         return None
     return coefficients[0]

@@ -256,12 +256,3 @@ class ShamirScheme:
     def share_bits(self) -> int:
         """Size of one share in bits (equal to one secret word, per Def. 1)."""
         return self.field.element_bits
-
-
-def split_words(scheme: ShamirScheme, secrets: Sequence[int], rng: random.Random):
-    """Convenience wrapper used by the communication layer: share words.
-
-    Returns ``(per_player, scheme)`` where ``per_player[p]`` is player p's
-    share vector.
-    """
-    return scheme.deal_sequence(secrets, rng)

@@ -113,13 +113,15 @@ def make_scheduler(ctx: TrialContext, name: str) -> Scheduler:
 def sparse_degree_problem(n: int, params: Dict) -> Optional[str]:
     """Cross-field check shared by the sparse-graph scenarios.
 
-    An explicit ``degree`` must leave ``random_regular_graph``
-    constructible (``0 <= degree < n``); ``None`` means auto-derived
-    from ``n`` and is always legal.
+    An explicit ``degree`` must give a graph with edges that
+    ``random_regular_graph`` can build (``1 <= degree < n``): with
+    degree 0 no message leaves its sender, so the run would measure
+    nothing.  ``None`` means auto-derived from ``n`` and is always
+    legal.
     """
     degree = params.get("degree")
-    if degree is not None and int(degree) < 0:
-        return f"degree {degree} must be >= 0"
+    if degree is not None and int(degree) < 1:
+        return f"degree {degree} must be >= 1"
     if degree is not None and int(degree) >= n:
         return (
             f"degree {degree} must be < n = {n} "

@@ -5,14 +5,18 @@ import random
 
 import pytest
 
+from repro.core import communication
 from repro.core.communication import (
+    CommunicationError,
     SecretKey,
     ShareRecord,
     TreeCommunicator,
     robust_reconstruct,
 )
+from repro.crypto import reed_solomon
 from repro.crypto.field import PrimeField
 from repro.crypto.shamir import ShamirScheme, Share
+from repro.engine import ExperimentSpec, SerialBackend
 from repro.net.accounting import BitLedger
 from repro.net.messages import HEADER_BITS
 from repro.topology.links import LinkStructure
@@ -468,3 +472,105 @@ def test_reveal_cascade_matches_golden_digest(
     n, q, k1, uplink, fraction, digest
 ):
     assert reveal_cascade_digest(n, q, k1, uplink, fraction) == digest
+
+
+@pytest.mark.parametrize("value", [0, 5, FIELD.modulus - 2, FIELD.modulus - 1])
+def test_mixed_coordinate_vote_follows_the_plurality_rule(value):
+    """Good holders deliver v, corrupted ones v + 1 mod p; the weighted
+    vote between them is the plurality of those weighted deliveries,
+    ties to the smaller value, also where v + 1 wraps to 0."""
+    mod = FIELD.modulus
+    for good, bad in [(3, 1), (1, 3), (2, 2), (1, 0), (0, 1)]:
+        weights = {value: good, (value + 1) % mod: bad}
+        votes = {v: w for v, w in weights.items() if w}
+        expected = (7, communication._plurality(votes))
+        assert communication._vote((7, value), good, bad, mod) == expected
+
+
+def test_frontiers_hold_one_record_per_dealing_and_x(monkeypatch):
+    """Every frontier of the golden reveal cascades, the revealing
+    node's and each one built on the way down to the leaves, holds at
+    most one record per (dealing, x), and the digests still match."""
+    records = []
+
+    def check(frontier):
+        for by_dealing in frontier.values():
+            for xs, _holders, _values in by_dealing.values():
+                assert len(set(xs)) == len(xs)
+                records.append(len(xs))
+
+    group = TreeCommunicator._group_frontier
+    below = TreeCommunicator._frontier_below
+
+    def checked_group(self, frontier, corrupted):
+        check(frontier)
+        return group(self, frontier, corrupted)
+
+    def checked_below(self, child, grouped, hop):
+        frontier = below(self, child, grouped, hop)
+        check(frontier)
+        return frontier
+
+    monkeypatch.setattr(TreeCommunicator, "_group_frontier", checked_group)
+    monkeypatch.setattr(TreeCommunicator, "_frontier_below", checked_below)
+    for n, q, k1, uplink, fraction, digest in GOLDEN_REVEALS:
+        assert reveal_cascade_digest(n, q, k1, uplink, fraction) == digest
+    assert sum(records) > 0
+
+
+def test_a_coordinate_held_twice_raises():
+    """A second record of one (dealing, x) in a frontier is a protocol
+    violation, not something to group silently."""
+    tree, links, comm = build_comm()
+    key = (5, 0)
+    comm.initial_share(5, {key: 4242})
+    leaf = NodeId(1, 5)
+    comm.send_secret_up(leaf, [key], corrupted=set())
+    parent = tree.parent(leaf)
+    first, second = [pid for node, pid in comm.stores if node == parent][:2]
+    ids, xs, values = comm.stores[(parent, first)][key]
+    copy = comm.stores[(parent, second)][key]
+    copy[0].append(ids[0])
+    copy[1].append(xs[0])
+    copy[2].append(values[0])
+    with pytest.raises(CommunicationError, match="twice"):
+        comm.send_down(parent, [key], corrupted=set())
+
+
+def test_w1_shaped_trial_decodes_in_one_batch_per_hop_and_threshold(
+    monkeypatch,
+):
+    """One everywhere-ba trial shaped like the end-to-end benchmark's
+    W1 (n=9, bin-stuffing adversary, corrupt 0.1, split inputs).  The
+    decoder receives the 1,260 pools it received one call per pool
+    before sendDown batched them, in 12 calls: at most one per decode
+    step (11 node hops and 5 leaf steps) and threshold."""
+    calls = []
+    steps = [0]
+    decode_pools = reed_solomon.berlekamp_welch
+
+    def spy(field, pools, degree_bound, max_errors=None):
+        calls.append((steps[0], degree_bound, len(pools)))
+        return decode_pools(field, pools, degree_bound, max_errors)
+
+    decode_step = TreeCommunicator._decode
+
+    def counted(self, queued):
+        steps[0] += 1
+        return decode_step(self, queued)
+
+    monkeypatch.setattr(reed_solomon, "berlekamp_welch", spy)
+    monkeypatch.setattr(communication, "berlekamp_welch", spy)
+    monkeypatch.setattr(TreeCommunicator, "_decode", counted)
+    spec = ExperimentSpec(
+        runner="everywhere-ba", n=9, trials=1, seed=1,
+        params={
+            "adversary": "bin-stuffing", "corrupt": 0.1, "inputs": "split",
+        },
+    )
+    (result,) = SerialBackend().run_trials(spec)
+    assert result.ok
+    assert sum(size for _step, _t, size in calls) == 1260
+    assert len(calls) == 12
+    assert steps[0] == 16
+    assert len({(step, t) for step, t, _size in calls}) == len(calls)

@@ -67,7 +67,7 @@ class TestPolyDivmod:
 class TestBerlekampWelch:
     def test_no_errors(self):
         points, poly = noisy_points(42, 4, 8, 0, 1)
-        decoded = berlekamp_welch(FIELD, points, 4)
+        (decoded,) = berlekamp_welch(FIELD, [points], 4)
         assert decoded[: len(poly)] == poly
 
     def test_max_errors_corrected(self):
@@ -82,7 +82,7 @@ class TestBerlekampWelch:
 
     def test_insufficient_points(self):
         points, _ = noisy_points(5, 6, 4, 0, 4)
-        assert berlekamp_welch(FIELD, points, 6) is None
+        assert berlekamp_welch(FIELD, [points], 6)[0] is None
 
     def test_every_error_count_up_to_radius(self):
         for wrong in range(0, 5):
@@ -186,7 +186,7 @@ def test_windows_return_exactly_what_the_solve_returns(
     points, poly = tampered_pool(
         field, degree_bound, xs, rng.sample(range(m), wrong), rng
     )
-    decoded = berlekamp_welch(field, points, degree_bound, max_errors)
+    (decoded,) = berlekamp_welch(field, [points], degree_bound, max_errors)
     assert decoded == _solve_key_equation(
         field, points, degree_bound, max_errors
     )
@@ -203,7 +203,7 @@ class TestWindowedDecoding:
         points, poly = tampered_pool(
             DEFAULT_FIELD, 3, range(1, 9), [1], random.Random(21)
         )
-        decoded = berlekamp_welch(DEFAULT_FIELD, points, 3)
+        (decoded,) = berlekamp_welch(DEFAULT_FIELD, [points], 3)
         assert decoded == poly
         assert solve_calls == []
         assert decoded == _solve_key_equation(DEFAULT_FIELD, points, 3)
@@ -212,14 +212,14 @@ class TestWindowedDecoding:
         points, poly = tampered_pool(
             DEFAULT_FIELD, 3, range(1, 9), [1, 4], random.Random(22)
         )
-        assert berlekamp_welch(DEFAULT_FIELD, points, 3) == poly
+        assert berlekamp_welch(DEFAULT_FIELD, [points], 3)[0] == poly
         assert len(solve_calls) == 1
 
     def test_duplicate_x_goes_straight_to_the_solve(self, solve_calls):
         points = [(1, 5), (1, 6), (2, 7), (3, 9), (4, 11), (5, 13)]
-        assert berlekamp_welch(FIELD, points, 2) == [3, 2]
+        assert berlekamp_welch(FIELD, [points], 2)[0] == [3, 2]
         assert len(solve_calls) == 1
 
     def test_degree_bound_zero_goes_straight_to_the_solve(self, solve_calls):
-        assert berlekamp_welch(FIELD, [(1, 0), (2, 0), (3, 5)], 0) == []
+        assert berlekamp_welch(FIELD, [[(1, 0), (2, 0), (3, 5)]], 0)[0] == []
         assert len(solve_calls) == 1

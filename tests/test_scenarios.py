@@ -575,15 +575,19 @@ def test_vss_coin_degenerate_committee_rejected():
 
 
 def test_check_hook_degree_must_be_below_n():
-    """A degree outside [0, n), or a cpa dealer that is not one of the n
+    """A degree outside [1, n), or a cpa dealer that is not one of the n
     processors, fails at validation with a schema error instead of a
-    GraphError or a failed trial deep inside the builder."""
+    GraphError or a failed trial deep inside the builder.  Degree 0 is
+    a bad parameter, not a failed run: a graph without edges delivers
+    nothing."""
     for name in ("unreliable-coin-ba", "async-sparse-aeba", "cpa"):
         runner = get_scenario(name)
         with pytest.raises(ScenarioError, match="degree 24 must be < n"):
             runner.validate({"degree": 24}, n=24)
-        with pytest.raises(ScenarioError, match="degree -1 must be >= 0"):
+        with pytest.raises(ScenarioError, match="degree -1 must be >= 1"):
             runner.validate({"degree": -1}, n=24)
+        with pytest.raises(ScenarioError, match="degree 0 must be >= 1"):
+            runner.validate({"degree": 0}, n=24)
         assert runner.validate({"degree": 8}, n=24)["degree"] == 8
         # Default (auto) degrees are derived from n and always legal.
         runner.validate({}, n=24)
