@@ -139,6 +139,11 @@ class EIGRelayAdversary(StaticByzantineAdversary):
     seed and behaviour are the base class's, so ``silent`` still sends
     nothing; ``recipients_of`` and ``vote_tag`` go unused, since EIG
     is full-mesh and reads tag ``eig`` only.
+
+    Behaviours read ``vote`` messages, so the behaviour sees the round
+    through a view, built once per round, whose ``inbound`` lists as
+    ``vote`` messages the values of the depth-(r-1) relays that reached
+    corrupted processors (the rushing adversary's view of round r).
     """
 
     def __init__(self, *args, t: int, **kwargs) -> None:
@@ -152,9 +157,21 @@ class EIGRelayAdversary(StaticByzantineAdversary):
         recipients = [
             pid for pid in range(self.n) if pid not in view.corrupted
         ]
+        relayed = AdversaryView(
+            round_no=view.round_no,
+            corrupted=view.corrupted,
+            inbound=[
+                Message(m.sender, m.recipient, "vote", m.payload[1])
+                for m in view.inbound
+                if m.tag == "eig" and len(m.payload[0]) == depth
+            ],
+            n=view.n,
+        )
         messages: List[Message] = []
         for sender in sorted(view.corrupted):
-            votes = self.behavior.votes(view, sender, recipients, self.rng)
+            votes = self.behavior.votes(
+                relayed, sender, recipients, self.rng
+            )
             paths = [
                 list(path)
                 for path in permutations(

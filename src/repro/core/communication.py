@@ -33,26 +33,36 @@ Implementation notes:
   re-dealt once and then erased, and a reconstructed dealing yields one
   record of its parent.  Grouping a frontier checks this and raises
   :class:`CommunicationError` on a duplicate instead of merging it.
-* **Grouping.**  What a node sends does not depend on the child: its
-  frontier is grouped by dealing id once per node (per dealing, each
-  coordinate's record: its value and holders, and which of them are
-  corrupted; each holder's record count).  A child then only weighs
-  each holder by how many of its members the holder's uplinks reach.
-  Where good and corrupted holders of one record mix, the coordinate is
-  a weighted vote between the value v and v + 1.
-* **One decode per node hop.**  A node builds the pools of all its
-  children first, then decodes every pool that is new to the call in
-  one :func:`~repro.crypto.reed_solomon.berlekamp_welch` call per
-  threshold, and only then builds the children's frontiers.  Each
-  distinct (threshold, points) pool decodes once per call: the memo
-  keeps the pool and a one-element slot that the batch fills, and the
-  children hold only the slots.  The leaf step decodes the pools of all
-  leaves in one call per threshold.
-* **Holder ranks.**  The members that forward a reconstructed record are
-  the (at most ``REPLICATION_CAP``) child members that received the most
-  of its shares, ties to the smaller pid.  Those counts depend only on
-  the child and the dealing's holders, which every key of an owner
-  repeats, so the ranking is memoised per (child, holder signature).
+* **Holder structures.**  A dealing's *structure* is its records' x's
+  and holders, in record order.  :meth:`~TreeCommunicator.send_secret_up`
+  deals all of a holder's keys to the same uplink targets, so every key
+  of an owner reaches a node with the same structure.  Each hop groups
+  its frontier's dealings by structure and computes once per structure
+  what does not depend on the recipient: the x order, each coordinate's
+  class (clean, all-corrupted or mixed) and each holder's record count.
+  A dealing keeps only its values, its all-corrupted coordinates
+  shifted to the v + 1 their holders deliver.
+* **Plans.**  Per recipient node, a structure gets one *plan* from how
+  many of the node's members each holder reaches: which coordinates
+  enter the pool (those with a holder that reaches it), and how each
+  mixed coordinate votes — v, v + 1, or a tie, which goes to the
+  smaller of the two (v + 1 only when v = p - 1).  Siblings with equal
+  plans share each dealing's pool, so a pool is built once per
+  (distinct plan, dealing).  The members that forward a decoded record
+  are the (at most ``REPLICATION_CAP``) child members that received
+  the most of its shares, ties to the smaller pid; they are ranked once
+  per (child, structure) from the holder counts.  The leaf step is the
+  same hop with weight one per leaf member, and a leaf holds at most
+  its key's initial dealing.  Structures and plans live for one hop.
+* **One decode per hop.**  A node builds the pools of all its children
+  first, then decodes every pool that is new to the call in one
+  :func:`~repro.crypto.reed_solomon.berlekamp_welch` call per
+  threshold, and only then builds the children's frontiers; the leaf
+  step decodes the pools of all leaves in one call per threshold.
+  Each distinct (threshold, points) pool decodes once per
+  ``send_down`` call, leaf pools included: the memo keeps the pool and
+  a one-element slot that the batch fills, and the children hold only
+  the slots.
 * **Message counts.**  Every transfer is charged to the ledger at word
   granularity, preserving Lemma 5's counting (including the ``d_m^ℓ``
   replication blow-up), with one ledger call per (sender, recipient) per
@@ -110,30 +120,116 @@ _Frontier = Dict[SecretKey, Dict[int, _Arrivals]]
 _PoolKey = Tuple[int, Tuple[Tuple[int, int], ...]]
 
 #: A pool's entry in the sendDown decode memo: [its constant term, or
-#: None when decoding fails], filled by the node hop's batch decode.
+#: None when decoding fails], filled by the hop's batch decode.
 _Slot = List[Optional[int]]
 
-#: One coordinate of a grouped dealing: (the decoder point (x, value),
-#: holders, corrupted holders).  When the holders agree, the point is the
-#: value they all deliver and the last field is empty; when good and
-#: corrupted holders mix, it is the good holders' value v, the corrupted
-#: ones deliver v + 1, and the last field lists the corrupted ones.
-_Coordinate = Tuple[Tuple[int, int], Tuple[int, ...], Tuple[int, ...]]
+#: A holder structure's identity: its records' x's and holders, in
+#: record order.
+_Shape = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
 
-#: The holders tuple of each record of one dealing, in record order.
-_Signature = Tuple[Tuple[int, ...], ...]
+#: A frontier grouped by holder structure: per key, each dealing as
+#: (structure index, the dealing's index in that structure), in the
+#: frontier's dealing order.
+_Grouped = Dict[SecretKey, List[Tuple[int, int]]]
 
-#: One dealing of a grouped node frontier: (dealing id, threshold, its
-#: coordinates by ascending x, holder signature).
-_Dealing = Tuple[int, int, List[_Coordinate], _Signature]
+#: What one recipient node makes of a holder structure: the coordinates
+#: that enter its pools, by position in x order, and per mixed one
+#: (its index in the pool, whether v wins, whether v + 1 wins), both
+#: on a tie.
+_Plan = Tuple[Tuple[int, ...], Tuple[Tuple[int, bool, bool], ...]]
 
-#: One child's half of a node hop: per key of the grouped frontier, the
-#: slot of each dealing's pool, in the grouped dealings' order.
+#: One recipient node's half of a hop: per structure, the slot of each
+#: of its dealings' pools.
 _Hop = List[List[_Slot]]
 
 #: Pools waiting for one batch decode: threshold -> (points, slot) per
 #: pool, in first-seen order.
 _Queue = Dict[int, List[Tuple[Sequence[Tuple[int, int]], _Slot]]]
+
+
+class _Structure:
+    """The x's and holders, in record order, that dealings of one
+    frontier share, with the child-independent facts about them.
+
+    ``send_secret_up`` deals all of a holder's keys to the same uplink
+    targets, so every key of an owner reaches a node with the same
+    structure; what a recipient node makes of a dealing depends on the
+    structure alone, apart from the values.
+    """
+
+    __slots__ = ("order", "xs", "coordinates", "shifted", "counts", "dealings")
+
+    def __init__(
+        self,
+        xs: Sequence[int],
+        holders_column: Sequence[Tuple[int, ...]],
+        corrupted: Set[int],
+    ) -> None:
+        #: Record positions by ascending x, and the x's in that order.
+        self.order = sorted(range(len(xs)), key=xs.__getitem__)
+        self.xs = [xs[i] for i in self.order]
+        #: Per coordinate in x order: (holders, corrupted holders).  The
+        #: second is empty unless good and corrupted holders mix: then
+        #: the good ones deliver the value v and the corrupted ones v + 1.
+        self.coordinates: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+        #: Coordinates whose holders are all corrupted: they deliver v + 1.
+        self.shifted: List[int] = []
+        for position, i in enumerate(self.order):
+            holders = holders_column[i]
+            bad: Tuple[int, ...] = ()
+            if not corrupted.isdisjoint(holders):
+                bad = tuple(h for h in holders if h in corrupted)
+                if len(bad) == len(holders):
+                    self.shifted.append(position)
+                    bad = ()
+            self.coordinates.append((holders, bad))
+        #: Each holder's record count, in first-seen order.
+        self.counts = Counter(chain.from_iterable(holders_column))
+        #: Per dealing: (dealing id, threshold, the values its holders
+        #: deliver in x order; a mixed coordinate keeps v).
+        self.dealings: List[Tuple[int, int, List[int]]] = []
+
+    def add(
+        self, dealing: int, threshold: int, values: Sequence[int], mod: int
+    ) -> None:
+        """Append a dealing whose records hold ``values``."""
+        ordered = [values[i] for i in self.order]
+        for position in self.shifted:
+            ordered[position] = (ordered[position] + 1) % mod
+        self.dealings.append((dealing, threshold, ordered))
+
+    def plan(self, coverage: Mapping[int, int]) -> _Plan:
+        """The plan of a recipient node where holder h reaches
+        ``coverage[h]`` members (absent: none).
+
+        A coordinate whose holders agree enters the pool if any holder
+        reaches the node.  A mixed one is a vote between v and v + 1
+        weighted by reach; :func:`_vote` compares the weights only, so
+        the plan keeps which side they favour and siblings that vote
+        alike get equal plans.
+        """
+        covered = coverage.keys()
+        positions: List[int] = []
+        votes: List[Tuple[int, bool, bool]] = []
+        for position, (holders, bad) in enumerate(self.coordinates):
+            if not bad:
+                if not covered.isdisjoint(holders):
+                    positions.append(position)
+                continue
+            good_weight = bad_weight = 0
+            for holder in holders:
+                if holder in bad:
+                    bad_weight += coverage.get(holder, 0)
+                else:
+                    good_weight += coverage.get(holder, 0)
+            if good_weight or bad_weight:
+                votes.append((
+                    len(positions),
+                    good_weight >= bad_weight,
+                    bad_weight >= good_weight,
+                ))
+                positions.append(position)
+        return tuple(positions), tuple(votes)
 
 
 @dataclass(frozen=True)
@@ -464,77 +560,80 @@ class TreeCommunicator:
                         arrivals[2].append(value)
 
         per_node: Dict[NodeId, _Frontier] = {top: frontier}
-        # Sibling children often pool the same majority points for a
-        # dealing; each distinct (threshold, points) pool decodes once,
-        # in one batch per node hop.
+        # Sibling children, and leaves, often pool the same points for a
+        # dealing; each distinct (threshold, points) pool decodes once.
         decoded: Dict[_PoolKey, _Slot] = {}
+        per_word = self.word_bits + HEADER_BITS
         level = top.level
         while level > 1:
             next_per_node: Dict[NodeId, _Frontier] = {}
             for node, node_frontier in per_node.items():
-                grouped, holder_records = self._group_frontier(
+                grouped, structures = self._group_frontier(
                     node_frontier, corrupted
                 )
-                queued: _Queue = {}
-                hops = [
-                    (child, self._pools_down(
-                        child, grouped, holder_records, decoded, queued
-                    ))
-                    for child in self.tree.children(node)
+                records = _holder_records(structures)
+                children = self.tree.children(node)
+                reverses = [
+                    self.links.reverse_uplinks(child) for child in children
                 ]
+                # Each holder v sends every record it holds to the child
+                # members whose uplinks include v (the reversed uplink
+                # graph), so a value weighs as many votes as v has
+                # recipients there.
+                for reverse in reverses:
+                    for holder, n_records in records.items():
+                        for recipient in reverse.get(holder, ()):
+                            self.ledger.record_abstract(
+                                holder, recipient, n_records * per_word
+                            )
+                queued: _Queue = {}
+                hops = self._pools_down(
+                    structures,
+                    [
+                        {h: len(members) for h, members in reverse.items()}
+                        for reverse in reverses
+                    ],
+                    decoded,
+                    queued,
+                )
                 self._decode(queued)
-                for child, hop in hops:
+                for child, reverse, hop in zip(children, reverses, hops):
                     next_per_node[child] = self._frontier_below(
-                        child, grouped, hop
+                        reverse, grouped, structures, hop
                     )
             per_node = next_per_node
             level -= 1
 
         # Level-1 nodes: members exchange all shares and reconstruct the
-        # secret itself (the paper's final step), every leaf's pools in
-        # one batch per threshold.
-        mod = self.field.modulus
-        per_word = self.word_bits + HEADER_BITS
-        leaf_pools: _Queue = {}
-        leaf_slots: Dict[NodeId, Dict[SecretKey, _Slot]] = {}
+        # secret itself (the paper's final step).  This is the same hop
+        # with weight one per leaf member, every leaf's pools in one
+        # batch per threshold.
+        queued = {}
+        leaf_hops = []
         for leaf, leaf_frontier in per_node.items():
             members = sorted(self.tree.members(leaf))
-            slots: Dict[SecretKey, _Slot] = {}
-            holder_records: Dict[int, int] = {}
-            for key, by_dealing in leaf_frontier.items():
-                by_x: Dict[int, Dict[int, int]] = {}
-                for xs, holders_column, arrived in by_dealing.values():
-                    for x, holders, value in zip(xs, holders_column, arrived):
-                        for holder in holders:
-                            holder_records[holder] = (
-                                holder_records.get(holder, 0) + 1
-                            )
-                            delivered = value
-                            if holder in corrupted:
-                                delivered = (value + 1) % mod
-                            votes = by_x.setdefault(x, {})
-                            votes[delivered] = votes.get(delivered, 0) + 1
-                root = self._roots.get(key)
-                group_size = (
-                    len(members) if root is None else self._dealings[root][4]
-                )
-                slot = slots[key] = [None]
-                leaf_pools.setdefault(self._threshold(group_size), []).append(
-                    (_majority_points(by_x), slot)
-                )
+            grouped, structures = self._group_frontier(
+                leaf_frontier, corrupted
+            )
             # Intra-node exchange cost: every holder sends each record
             # to every other member.
-            for holder, n_records in holder_records.items():
+            for holder, n_records in _holder_records(structures).items():
                 for other in members:
                     if other != holder:
                         self.ledger.record_abstract(
                             holder, other, n_records * per_word
                         )
-            leaf_slots[leaf] = slots
-        self._decode(leaf_pools)
+            (hop,) = self._pools_down(
+                structures, [dict.fromkeys(members, 1)], decoded, queued
+            )
+            leaf_hops.append((leaf, grouped, hop))
+        self._decode(queued)
         return {
-            leaf: {key: value for key, (value,) in slots.items()}
-            for leaf, slots in leaf_slots.items()
+            leaf: {
+                key: _leaf_value(key, entries, hop)
+                for key, entries in grouped.items()
+            }
+            for leaf, grouped, hop in leaf_hops
         }
 
     #: Cap on how many members replicate one reconstructed record on the
@@ -546,110 +645,80 @@ class TreeCommunicator:
         self,
         node_frontier: _Frontier,
         corrupted: Set[int],
-    ) -> Tuple[Dict[SecretKey, List[_Dealing]], Dict[int, int]]:
-        """The child-independent half of one sendDown hop from a node.
+    ) -> Tuple[_Grouped, List[_Structure]]:
+        """The recipient-independent half of one sendDown hop.
 
-        Returns, per key, its dealings in first-seen order, and each
-        holder's number of (record, holder) pairs over the frontier.  A
-        dealing's signature is the holders tuple of each of its records,
-        in record order.  A corrupted holder delivers its records' values
-        plus one.  A dealing holds one record per x (module docstring);
-        a second one raises :class:`CommunicationError`.
+        Groups the frontier's dealings by holder structure, structures
+        in first-seen order.  A dealing holds one record per x (module
+        docstring); a second one raises :class:`CommunicationError`.
         """
         mod = self.field.modulus
         table = self._dealings
-        holder_records: Counter = Counter()
-        grouped: Dict[SecretKey, List[_Dealing]] = {}
+        index: Dict[_Shape, int] = {}
+        structures: List[_Structure] = []
+        grouped: _Grouped = {}
         for key, by_dealing in node_frontier.items():
-            dealings: List[_Dealing] = []
+            entries = grouped[key] = []
             for dealing, (xs, holders_column, values) in by_dealing.items():
-                if len(set(xs)) != len(xs):
-                    raise CommunicationError(
-                        f"dealing {dealing} of key {key} holds a coordinate "
-                        "twice in one frontier"
-                    )
-                holder_records.update(chain.from_iterable(holders_column))
-                coordinates: List[_Coordinate] = []
-                for x, holders, value in sorted(
-                    zip(xs, holders_column, values)
-                ):
-                    if corrupted.isdisjoint(holders):
-                        coordinates.append(((x, value), holders, ()))
-                        continue
-                    bad = tuple(h for h in holders if h in corrupted)
-                    if len(bad) == len(holders):
-                        coordinates.append(
-                            ((x, (value + 1) % mod), holders, ())
+                shape = (tuple(xs), tuple(holders_column))
+                s = index.get(shape)
+                if s is None:
+                    if len(set(xs)) != len(xs):
+                        raise CommunicationError(
+                            f"dealing {dealing} of key {key} holds a "
+                            "coordinate twice in one frontier"
                         )
-                    else:
-                        coordinates.append(((x, value), holders, bad))
-                dealings.append((
-                    dealing,
-                    self._threshold(table[dealing][4]),
-                    coordinates,
-                    tuple(holders_column),
-                ))
-            grouped[key] = dealings
-        return grouped, holder_records
+                    s = index[shape] = len(structures)
+                    structures.append(
+                        _Structure(xs, holders_column, corrupted)
+                    )
+                structure = structures[s]
+                entries.append((s, len(structure.dealings)))
+                structure.add(
+                    dealing, self._threshold(table[dealing][4]), values, mod
+                )
+        return grouped, structures
 
     def _pools_down(
         self,
-        child: NodeId,
-        grouped: Dict[SecretKey, List[_Dealing]],
-        holder_records: Dict[int, int],
+        structures: Sequence[_Structure],
+        coverages: Sequence[Mapping[int, int]],
         decoded: Dict[_PoolKey, _Slot],
         queued: _Queue,
-    ) -> _Hop:
-        """Send a grouped node frontier into ``child``: its dealings' pools.
+    ) -> List[_Hop]:
+        """The hop of each recipient node: the slot of every dealing's pool.
 
-        Each holder v sends every record it holds to the child members
-        whose uplinks include v (the reversed uplink graph), so a value
-        weighs as many votes as v has recipients there.  A coordinate
-        whose holders mix good and corrupted processors is a weighted
-        vote between v and v + 1: the higher weight wins, a tie goes to
-        the smaller value.  ``decoded`` memoises each ``(threshold,
-        majority points)`` pool's slot; a pool not yet in it is queued
-        under its threshold for the node hop's batch decode.
+        ``coverages`` gives, per recipient node, each holder's weight
+        there (see :meth:`_Structure.plan`).  Recipients whose plans of
+        a structure are equal share its pools.  ``decoded`` memoises
+        each ``(threshold, points)`` pool's slot; a pool not yet in it
+        is queued under its threshold for the hop's batch decode.
         """
-        reverse = self.links.reverse_uplinks(child)
-        per_word = self.word_bits + HEADER_BITS
-        for holder, n_records in holder_records.items():
-            for recipient in reverse.get(holder, ()):
-                self.ledger.record_abstract(
-                    holder, recipient, n_records * per_word
-                )
-
-        coverage = {h: len(recipients) for h, recipients in reverse.items()}
-        covered = coverage.keys()
         mod = self.field.modulus
-        hop: _Hop = []
-        for dealings in grouped.values():
-            slots = []
-            for _dealing, threshold, coordinates, _signature in dealings:
-                points: List[Tuple[int, int]] = []
-                for point, holders, bad in coordinates:
-                    if not bad:
-                        if not covered.isdisjoint(holders):
-                            points.append(point)
-                        continue
-                    good_weight = bad_weight = 0
-                    for holder in holders:
-                        if holder in bad:
-                            bad_weight += coverage.get(holder, 0)
-                        else:
-                            good_weight += coverage.get(holder, 0)
-                    if good_weight or bad_weight:
-                        points.append(
-                            _vote(point, good_weight, bad_weight, mod)
-                        )
-                pool = (threshold, tuple(points))
-                slot = decoded.get(pool)
-                if slot is None:
-                    slot = decoded[pool] = [None]
-                    queued.setdefault(threshold, []).append((pool[1], slot))
-                slots.append(slot)
-            hop.append(slots)
-        return hop
+        hops: List[_Hop] = [[] for _ in coverages]
+        for structure in structures:
+            shared: Dict[_Plan, List[_Slot]] = {}
+            for coverage, hop in zip(coverages, hops):
+                plan = structure.plan(coverage)
+                slots = shared.get(plan)
+                if slots is None:
+                    slots = shared[plan] = []
+                    positions, votes = plan
+                    xs = [structure.xs[i] for i in positions]
+                    for _dealing, threshold, values in structure.dealings:
+                        points = list(zip(xs, [values[i] for i in positions]))
+                        for j, good, bad in votes:
+                            points[j] = _vote(points[j], good, bad, mod)
+                        pool = (threshold, tuple(points))
+                        slot = decoded.get(pool)
+                        if slot is None:
+                            slot = decoded[pool] = [None]
+                            queued.setdefault(threshold, []).append(
+                                (pool[1], slot)
+                            )
+                        slots.append(slot)
+                hop.append(slots)
+        return hops
 
     def _decode(self, queued: _Queue) -> None:
         """Fill each queued pool's slot: one decoder call per threshold."""
@@ -663,30 +732,35 @@ class TreeCommunicator:
 
     def _frontier_below(
         self,
-        child: NodeId,
-        grouped: Dict[SecretKey, List[_Dealing]],
+        reverse: Mapping[int, Tuple[int, ...]],
+        grouped: _Grouped,
+        structures: Sequence[_Structure],
         hop: _Hop,
     ) -> _Frontier:
-        """``child``'s frontier once its pools are decoded.
+        """A child's frontier once its pools are decoded; ``reverse``
+        is the child's
+        :meth:`~repro.topology.links.LinkStructure.reverse_uplinks`.
 
         A dealing is recoverable when its pool decodes; its (i-1)-share
         is replicated to the (up to REPLICATION_CAP) members that
         received the most of its shares — they forward it further down,
         and a corrupted one among them is outvoted at the next hop.
         """
-        reverse = self.links.reverse_uplinks(child)
-        ranks: Dict[_Signature, Tuple[int, ...]] = {}
+        ranks: Dict[int, Tuple[int, ...]] = {}
         table = self._dealings
         out: _Frontier = {}
-        for (key, dealings), slots in zip(grouped.items(), hop):
+        for key, entries in grouped.items():
             by_parent: Dict[int, _Arrivals] = {}
-            for (dealing, _t, _c, signature), (value,) in zip(dealings, slots):
+            for s, i in entries:
+                (value,) = hop[s][i]
                 if value is None:
                     continue
-                holders = ranks.get(signature)
+                holders = ranks.get(s)
                 if holders is None:
-                    holders = self._top_recipients(reverse, signature)
-                    ranks[signature] = holders
+                    holders = ranks[s] = self._top_recipients(
+                        reverse, structures[s].counts
+                    )
+                dealing = structures[s].dealings[i][0]
                 _key, parent, x, _dealer, _size = table[dealing]
                 if parent < 0:  # fully reconstructed secret
                     parent, x = dealing, 0
@@ -702,17 +776,17 @@ class TreeCommunicator:
 
     def _top_recipients(
         self,
-        reverse: Dict[int, Tuple[int, ...]],
-        signature: _Signature,
+        reverse: Mapping[int, Tuple[int, ...]],
+        counts: Mapping[int, int],
     ) -> Tuple[int, ...]:
         """The REPLICATION_CAP child members sent the most of a dealing's
         shares, by (count descending, pid); one share per (record,
-        holder, recipient)."""
+        holder, recipient), so a holder counts once per record it holds
+        (``counts``)."""
         received: Dict[int, int] = {}
-        for holders in signature:
-            for holder in holders:
-                for recipient in reverse.get(holder, ()):
-                    received[recipient] = received.get(recipient, 0) + 1
+        for holder, count in counts.items():
+            for recipient in reverse.get(holder, ()):
+                received[recipient] = received.get(recipient, 0) + count
         ranked = sorted(received, key=lambda m: (-received[m], m))
         return tuple(ranked[: self.REPLICATION_CAP])
 
@@ -878,6 +952,37 @@ class TreeCommunicator:
             return False
         coordinates = {x for dealing, x in known if dealing == root}
         return len(coordinates) >= self._threshold(table[root][4])
+
+
+def _holder_records(structures: Sequence[_Structure]) -> Dict[int, int]:
+    """Each holder's record count over a grouped frontier, in the order
+    the frontier first names the holders (structures are in first-seen
+    order, and so are each structure's holders)."""
+    records: Dict[int, int] = {}
+    for structure in structures:
+        copies = len(structure.dealings)
+        for holder, count in structure.counts.items():
+            records[holder] = records.get(holder, 0) + count * copies
+    return records
+
+
+def _leaf_value(
+    key: SecretKey, entries: Sequence[Tuple[int, int]], hop: _Hop
+) -> Optional[int]:
+    """A leaf's value for ``key``: its dealing's decoded value, or None.
+
+    A leaf holds at most one dealing per key, the key's initial one:
+    each dealing the level above decodes yields a record of its parent,
+    and every dealing above a leaf descends from the initial dealing.
+    """
+    if not entries:
+        return None
+    if len(entries) > 1:
+        raise CommunicationError(
+            f"key {key} reaches a leaf in {len(entries)} dealings"
+        )
+    ((s, i),) = entries
+    return hop[s][i][0]
 
 
 def _vote(

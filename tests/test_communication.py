@@ -489,7 +489,7 @@ def test_mixed_coordinate_vote_follows_the_plurality_rule(value):
 
 def test_frontiers_hold_one_record_per_dealing_and_x(monkeypatch):
     """Every frontier of the golden reveal cascades, the revealing
-    node's and each one built on the way down to the leaves, holds at
+    node's, each one built on the way down and each leaf's, holds at
     most one record per (dealing, x), and the digests still match."""
     records = []
 
@@ -506,8 +506,8 @@ def test_frontiers_hold_one_record_per_dealing_and_x(monkeypatch):
         check(frontier)
         return group(self, frontier, corrupted)
 
-    def checked_below(self, child, grouped, hop):
-        frontier = below(self, child, grouped, hop)
+    def checked_below(self, reverse, grouped, structures, hop):
+        frontier = below(self, reverse, grouped, structures, hop)
         check(frontier)
         return frontier
 
@@ -537,20 +537,33 @@ def test_a_coordinate_held_twice_raises():
         comm.send_down(parent, [key], corrupted=set())
 
 
+#: One everywhere-ba trial shaped like the end-to-end benchmark's W1.
+W1_SHAPED = ExperimentSpec(
+    runner="everywhere-ba", n=9, trials=1, seed=1,
+    params={"adversary": "bin-stuffing", "corrupt": 0.1, "inputs": "split"},
+)
+
+
 def test_w1_shaped_trial_decodes_in_one_batch_per_hop_and_threshold(
     monkeypatch,
 ):
     """One everywhere-ba trial shaped like the end-to-end benchmark's
     W1 (n=9, bin-stuffing adversary, corrupt 0.1, split inputs).  The
-    decoder receives the 1,260 pools it received one call per pool
-    before sendDown batched them, in 12 calls: at most one per decode
-    step (11 node hops and 5 leaf steps) and threshold."""
+    decoder receives 1,044 pools in 12 calls: at most one per decode
+    step (11 node hops and 5 leaf steps) and threshold.  Node hops and
+    the leaf step share one memo, so within one ``send_down`` call no
+    (threshold, points) pool reaches the decoder twice."""
     calls = []
     steps = [0]
+    seen = set()
     decode_pools = reed_solomon.berlekamp_welch
 
     def spy(field, pools, degree_bound, max_errors=None):
         calls.append((steps[0], degree_bound, len(pools)))
+        for points in pools:
+            pool = (degree_bound, tuple(points))
+            assert pool not in seen
+            seen.add(pool)
         return decode_pools(field, pools, degree_bound, max_errors)
 
     decode_step = TreeCommunicator._decode
@@ -559,18 +572,236 @@ def test_w1_shaped_trial_decodes_in_one_batch_per_hop_and_threshold(
         steps[0] += 1
         return decode_step(self, queued)
 
+    send_down = TreeCommunicator.send_down
+
+    def one_call(self, top, keys, corrupted):
+        seen.clear()
+        return send_down(self, top, keys, corrupted)
+
     monkeypatch.setattr(reed_solomon, "berlekamp_welch", spy)
     monkeypatch.setattr(communication, "berlekamp_welch", spy)
     monkeypatch.setattr(TreeCommunicator, "_decode", counted)
-    spec = ExperimentSpec(
-        runner="everywhere-ba", n=9, trials=1, seed=1,
-        params={
-            "adversary": "bin-stuffing", "corrupt": 0.1, "inputs": "split",
-        },
-    )
-    (result,) = SerialBackend().run_trials(spec)
+    monkeypatch.setattr(TreeCommunicator, "send_down", one_call)
+    (result,) = SerialBackend().run_trials(W1_SHAPED)
     assert result.ok
-    assert sum(size for _step, _t, size in calls) == 1260
+    assert sum(size for _step, _t, size in calls) == 1044
     assert len(calls) == 12
     assert steps[0] == 16
     assert len({(step, t) for step, t, _size in calls}) == len(calls)
+
+
+def _reference_points(records, corrupted, weight, mod):
+    """The per-coordinate rule sendDown's plans stand for: the leaf
+    tally sendDown ran before plans, with each holder weighted as its
+    node hops weighed it.
+
+    ``records`` are one pool's (x, holders, value) records.  Each
+    holder h delivers the value, plus one when h is corrupted, with
+    ``weight(h)`` votes; every x that gets a vote enters the pool with
+    its plurality value, ties to the smaller value.
+    """
+    by_x = {}
+    for x, holders, value in records:
+        for holder in holders:
+            votes_for = weight(holder)
+            if not votes_for:
+                continue
+            delivered = (value + 1) % mod if holder in corrupted else value
+            votes = by_x.setdefault(x, {})
+            votes[delivered] = votes.get(delivered, 0) + votes_for
+    return tuple(communication._majority_points(by_x))
+
+
+def _reference_node_pools(comm, frontier, corrupted, reverse):
+    """(key, dealing) -> the pool a child with uplinks ``reverse``
+    builds from a node frontier: each holder weighs as many votes as it
+    has recipients in the child."""
+    return {
+        (key, dealing): (
+            comm._threshold(comm._dealings[dealing][4]),
+            _reference_points(
+                zip(*arrivals), corrupted,
+                lambda h: len(reverse.get(h, ())), comm.field.modulus,
+            ),
+        )
+        for key, by_dealing in frontier.items()
+        for dealing, arrivals in by_dealing.items()
+    }
+
+
+def _reference_leaf_pools(comm, leaf, frontier, corrupted):
+    """key -> a leaf's pool: every record of the key's dealings, tallied
+    by x with one vote per holder, at the initial dealing's threshold."""
+    pools = {}
+    for key, by_dealing in frontier.items():
+        root = comm._roots.get(key)
+        size = (
+            len(comm.tree.members(leaf)) if root is None
+            else comm._dealings[root][4]
+        )
+        records = [
+            record for arrivals in by_dealing.values()
+            for record in zip(*arrivals)
+        ]
+        pools[key] = (
+            comm._threshold(size),
+            _reference_points(
+                records, corrupted, lambda h: 1, comm.field.modulus
+            ),
+        )
+    return pools
+
+
+def _reference_ranks(reverse, holders_column):
+    """The REPLICATION_CAP child members sent the most shares of one
+    dealing, one share per (record, holder, recipient)."""
+    received = {}
+    for holders in holders_column:
+        for holder in holders:
+            for recipient in reverse.get(holder, ()):
+                received[recipient] = received.get(recipient, 0) + 1
+    ranked = sorted(received, key=lambda m: (-received[m], m))
+    return tuple(ranked[: TreeCommunicator.REPLICATION_CAP])
+
+
+def _hop_pools(structures, grouped, hop, decoded):
+    """(key, dealing) -> the pool behind each slot of one hop."""
+    pools = {id(slot): pool for pool, slot in decoded.items()}
+    return {
+        (key, structures[s].dealings[i][0]): pools[id(hop[s][i])]
+        for key, entries in grouped.items()
+        for s, i in entries
+    }
+
+
+def _visit_order(tree, top):
+    """The nodes ``send_down`` groups, in order: level by level from
+    ``top``, each level's nodes in the order their parents list them,
+    down to the leaves."""
+    order, nodes = [], [top]
+    while True:
+        order.extend(nodes)
+        if nodes[0].level == 1:
+            return order
+        nodes = [child for node in nodes for child in tree.children(node)]
+
+
+def test_pools_follow_the_per_coordinate_rule(monkeypatch):
+    """Every (child, dealing) pool of every node hop, and every leaf's
+    pool per key, of the golden reveal cascades and a W1-shaped trial
+    equals the pool the per-coordinate rule builds from the same
+    frontier, and the digests still match."""
+    state = {}
+    checked = []
+    send_down = TreeCommunicator.send_down
+    group = TreeCommunicator._group_frontier
+    pools_down = TreeCommunicator._pools_down
+
+    def traced_send_down(self, top, keys, corrupted):
+        state["order"] = iter(_visit_order(self.tree, top))
+        return send_down(self, top, keys, corrupted)
+
+    def traced_group(self, frontier, corrupted):
+        grouped, structures = group(self, frontier, corrupted)
+        state["hop"] = (next(state["order"]), frontier, corrupted, grouped)
+        return grouped, structures
+
+    def traced_pools(self, structures, coverages, decoded, queued):
+        hops = pools_down(self, structures, coverages, decoded, queued)
+        node, frontier, corrupted, grouped = state["hop"]
+        if node.level > 1:
+            children = self.tree.children(node)
+            assert len(hops) == len(children)
+            for child, hop in zip(children, hops):
+                expected = _reference_node_pools(
+                    self, frontier, corrupted,
+                    self.links.reverse_uplinks(child),
+                )
+                actual = _hop_pools(structures, grouped, hop, decoded)
+                assert actual == expected
+                checked.append(len(actual))
+        else:
+            (hop,) = hops
+            expected = _reference_leaf_pools(self, node, frontier, corrupted)
+            actual = _hop_pools(structures, grouped, hop, decoded)
+            for key, entries in grouped.items():
+                if not entries:
+                    assert expected[key][1] == ()
+                    continue
+                ((s, i),) = entries
+                dealing = structures[s].dealings[i][0]
+                assert dealing == self._roots[key]
+                assert actual[(key, dealing)] == expected[key]
+            checked.append(len(actual))
+        return hops
+
+    monkeypatch.setattr(TreeCommunicator, "send_down", traced_send_down)
+    monkeypatch.setattr(TreeCommunicator, "_group_frontier", traced_group)
+    monkeypatch.setattr(TreeCommunicator, "_pools_down", traced_pools)
+    for n, q, k1, uplink, fraction, digest in GOLDEN_REVEALS:
+        assert reveal_cascade_digest(n, q, k1, uplink, fraction) == digest
+    (result,) = SerialBackend().run_trials(W1_SHAPED)
+    assert result.ok
+    assert sum(checked) > 0
+
+
+def test_a_shared_structure_plans_like_the_per_coordinate_rule():
+    """Three keys whose dealings share one holder structure, with an
+    all-corrupted coordinate and two mixed ones that v wins, v + 1 wins
+    or tie depending on the child, and values at p - 1, where a tie
+    goes to v + 1 = 0.  Each child's pools follow the per-coordinate
+    rule, children that weigh every holder alike share them, and the
+    forwarding ranks count one share per record."""
+    tree, links, comm = build_comm()
+    mod = FIELD.modulus
+    corrupted = {7, 8}
+    # By x: 1 clean, 2 all corrupted, 3 and 4 mixed, 5 and 6 clean.
+    xs = [4, 1, 3, 2, 6, 5]
+    holders = [(2, 8), (1,), (1, 7), (7, 8), (1,), (2,)]
+    values = {
+        (0, 0): [mod - 1, 10, 11, 12, 13, 14],
+        (0, 1): [20, 21, mod - 1, 22, 23, 24],
+        (0, 2): [30, 31, 32, mod - 1, 33, 34],
+    }
+    frontier, roots = {}, {}
+    for key, arrived in values.items():
+        root = roots[key] = len(comm._dealings)
+        comm._dealings.append((key, -1, 0, 0, 5))
+        comm._dealings.append((key, root, 2, 0, 6))
+        frontier[key] = {root + 1: (list(xs), list(holders), arrived)}
+    reverses = [
+        # x=3 goes to v, x=4 ties.
+        {1: (10, 11), 2: (12,), 7: (13,), 8: (14,)},
+        # x=3 and x=4 go to v + 1; holder 2 does not reach the child.
+        {1: (10,), 7: (11, 12), 8: (13,)},
+        # x=3 goes to v + 1, x=4 to v; holder 1 does not reach it.
+        {2: (10, 11), 7: (12,)},
+        # The first child's weights, other recipients.
+        {1: (30, 31), 2: (21,), 7: (22,), 8: (23,)},
+    ]
+    grouped, structures = comm._group_frontier(frontier, corrupted)
+    assert len(structures) == 1
+    decoded, queued = {}, {}
+    hops = comm._pools_down(
+        structures,
+        [{h: len(r) for h, r in reverse.items()} for reverse in reverses],
+        decoded, queued,
+    )
+    for reverse, hop in zip(reverses, hops):
+        assert _hop_pools(structures, grouped, hop, decoded) == (
+            _reference_node_pools(comm, frontier, corrupted, reverse)
+        )
+    assert hops[0][0] is hops[3][0]
+    assert len(decoded) == 3 * len(values)
+    # The first child's pool of key (0, 0): x=2 is shifted, x=3 keeps v
+    # and x=4 ties at v = p - 1, so it goes to v + 1 = 0.
+    tie = ((1, 10), (2, 13), (3, 11), (4, 0), (5, 14), (6, 13))
+    assert (3, tie) in decoded
+    for slot in decoded.values():
+        slot[0] = 1
+    for reverse, hop in zip(reverses, hops):
+        below = comm._frontier_below(reverse, grouped, structures, hop)
+        ranks = _reference_ranks(reverse, holders)
+        assert below == {
+            key: {root: ([2], [ranks], [1])} for key, root in roots.items()
+        }

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -131,6 +132,45 @@ class TestScenarioAdversary:
             assert _digest(_eig_trials(behavior, "split", 5)) != silent
         fixed0 = _eig_trials("fixed0", "split", 5)
         assert [dict(r.metrics)["value"] for r in fixed0] == [0.0] * 4
+
+
+class TestAntiMajorityReadsTheRelays:
+    def test_each_push_opposes_the_rounds_relayed_majority(
+        self, monkeypatch
+    ):
+        """Anti-majority tallies the values relayed to the corrupted
+        processor in each round and pushes the other bit, one bit per
+        round (n=7, t=2, one corrupted, split inputs), and EIG still
+        agrees."""
+        rounds = []
+        act = EIGRelayAdversary.act
+
+        def watched(adversary, view):
+            messages = act(adversary, view)
+            relayed = Counter(
+                m.payload[1] for m in view.inbound
+                if m.tag == "eig" and len(m.payload[0]) == view.round_no - 1
+            )
+            rounds.append((relayed, {m.payload[1] for m in messages}))
+            return messages
+
+        monkeypatch.setattr(EIGRelayAdversary, "act", watched)
+        for seed in range(6):
+            for r in _eig_trials("anti_majority", "split", seed):
+                assert r.ok and dict(r.metrics)["value"] in (0.0, 1.0)
+        opposed = 0
+        for relayed, pushed in rounds:
+            if not relayed:
+                assert pushed == set()
+                continue
+            assert len(pushed) == 1
+            if relayed[0] != relayed[1]:
+                majority = 0 if relayed[0] > relayed[1] else 1
+                assert pushed == {1 - majority}
+                opposed += 1
+        # Three relay rounds per trial, 24 trials.
+        assert sum(1 for relayed, _ in rounds if relayed) == 72
+        assert opposed > 0
 
 
 class TestExponentialCost:

@@ -94,15 +94,17 @@ class TestDeterminism:
         assert a.bits_per_processor == b.bits_per_processor
 
 
-#: Literal per-trial outcomes of two adversarial sweeps, recorded before
-#: the windowed Reed-Solomon decoder and the per-call decode memo in
-#: ``send_down`` landed.  Both must return exactly what the key-equation
-#: solve returned, so these values must never move.  The first spec is
-#: the end-to-end benchmark's ``eba-n9-adaptive`` shape; in the second,
-#: most decodes still reach the key-equation solve.  Phase bits (the
-#: tournament's phases plus Algorithm 3's ``ae2e_push``) count every
-#: sender, corrupted ones included, so under corruption they exceed the
-#: good-processor total.
+#: Literal per-trial outcomes of three adversarial sweeps.  The first two
+#: were recorded before the windowed Reed-Solomon decoder and the
+#: per-call decode memo in ``send_down`` landed, and must return exactly
+#: what the key-equation solve returned, so these values must never
+#: move.  The first spec is the end-to-end benchmark's
+#: ``eba-n9-adaptive`` shape; in the second, most decodes still reach
+#: the key-equation solve.  The third runs the scenario's smoke size,
+#: n=27, under corruption; it was recorded before ``send_down`` grouped
+#: dealings by holder structure.  Phase bits (the tournament's phases
+#: plus Algorithm 3's ``ae2e_push``) count every sender, corrupted ones
+#: included, so under corruption they exceed the good-processor total.
 PINNED_SWEEPS = [
     (
         dict(n=9, trials=2, corrupt=0.1),
@@ -155,6 +157,28 @@ PINNED_SWEEPS = [
                     ("send_up_level_1", 338400),
                     ("send_up_level_2", 1323520),
                     ("send_up_level_3", 1925120),
+                ),
+            ),
+        ],
+    ),
+    (
+        dict(n=27, trials=1, corrupt=0.1),
+        [
+            LedgerStats(
+                144002963, 223243, 8255360, 40,
+                (
+                    ("ae2e_push", 126502),
+                    ("agree_level_2", 18750),
+                    ("agree_level_3", 45000),
+                    ("default", 95175),
+                    ("expose_level_2", 3790644),
+                    ("expose_level_3", 50664355),
+                    ("output_reveal", 63332594),
+                    ("root_agreement", 1500),
+                    ("root_reveal", 31666297),
+                    ("send_up_level_1", 761400),
+                    ("send_up_level_2", 2977920),
+                    ("send_up_level_3", 2887680),
                 ),
             ),
         ],
