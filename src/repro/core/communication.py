@@ -762,8 +762,6 @@ class TreeCommunicator:
                     )
                 dealing = structures[s].dealings[i][0]
                 _key, parent, x, _dealer, _size = table[dealing]
-                if parent < 0:  # fully reconstructed secret
-                    parent, x = dealing, 0
                 arrivals = by_parent.get(parent)
                 if arrivals is None:
                     by_parent[parent] = ([x], [holders], [value])

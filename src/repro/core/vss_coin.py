@@ -16,33 +16,73 @@ Round 2 (echo).   For every dealer i, members j and k cross-check the
 Round 3 (blame).  Members broadcast complaint lists; a dealer drawing
                   complaints from more than t members is disqualified
                   (an honest dealer's points always verify between good
-                  members, so it draws at most t complaints).
+                  members, so only a lying echo draws a good member's
+                  complaint against it; see below).
 Round 4 (reveal). Members broadcast their effective Shamir share of
                   every qualified dealer's secret; each member
                   reconstructs the qualified secrets and outputs
                   coin = (sum of qualified secrets) mod 2.
 
-Soundness at t < n/3 with a rushing adversary: a qualified dealer's
-secret is fixed by the good members' rows before the reveal round, so
-the adversary cannot steer it; reconstruction needs t + 1 of the n - t
-good shares, so withholding cannot abort it; and any single qualified
-good dealer's uniform secret makes the sum uniform.
+Wire format.  Echoes and reveals travel as column pairs, not points:
+member j sends peer p the echo ``(dealers, column)``, where ``column``
+is column p + 1 of j's rows (F_i(j, p + 1) for each dealer i in
+``dealers``), and reveals ``(qualified, shares)``.  Since
+:func:`~repro.net.messages.payload_bits` sizes a tuple as the sum of
+its items, a pair costs exactly what the tuple of ``(dealer, value)``
+points it replaces cost (``((), ())`` costs 0 bits, like ``()``), so
+every message, its size, every ledger counter and every round are those
+of the per-point format.  A column payload is absorbed whole or dropped:
+it must be an exact 2-tuple of two exact tuples of equal length whose
+items are exact ints or bools.  Within a payload, and across one
+sender's payloads, the first value per dealer wins.  The one narrowing
+against per-point absorption: a payload with a single non-int point
+used to keep its other points and is now dropped whole, which gives a
+corrupted member nothing that silence does not already give it.  A peer
+whose first echo names exactly the member's own dealers is cleared or
+convicted by one column comparison, and when every revealer's first
+reveal names the member's qualified dealers, one transpose builds every
+dealer's pool; any other payload is read point by point under the same
+rules.
+
+Soundness at t < n/3 with a rushing adversary, given the qualified
+set: a qualified dealer's secret is fixed by the good members' rows
+before the reveal round, so the adversary cannot steer it;
+reconstruction needs t + 1 of the n - t good shares, so withholding
+cannot abort it; and any single qualified good dealer's uniform secret
+makes the sum uniform.
 
 Cost: Theta(k^2) field elements per member per coin (the echo round
 dominates) — against the paper's amortized polylog per coin.  That gap
 is why the tournament exists.
 
 Documented simplification: qualification is decided from the complaint
-broadcasts as received.  A Byzantine member that *equivocates its
-complaint list* against a dealer sitting exactly at the threshold could
-split the qualified set between good members; the full Canetti-Rabin
-protocol closes this with a complaint-response round plus one committee
-Byzantine agreement per borderline dealer (O(k) extra rounds, same
-asymptotic bit cost).  Good dealers always qualify at every good member
-(they draw complaints only from the <= t bad members) and dealers whose
-rows fail verification at more than t good members are disqualified at
-every good member, so the coin's unpredictability and the all-good-case
-agreement are unaffected by the simplification.
+broadcasts as received.  The full Canetti-Rabin protocol adds a
+complaint-response round, in which the dealer answers each complaint
+with the disputed row in public, plus one committee Byzantine agreement
+per borderline dealer (O(k) extra rounds, same asymptotic bit cost).
+Without them, and with a reveal that votes over a prefix of the
+windows instead of decoding, the coin has three known gaps (ROADMAP,
+"VSS coin soundness"; the first two are pinned as expected failures
+in ``tests/test_vss_coin.py``):
+
+* A good member complains about a dealer on any single contradicting
+  echo, so one corrupted member that echoes a wrong point for every
+  dealer gets every good dealer disqualified at every good member; the
+  qualified set is then empty and the coin is 0.
+* A dealer qualifies only where its row arrived, so a dealer that deals
+  honestly but withholds one good member's row splits the coin: that
+  member drops the dealer while the others, seeing at most t
+  complaints, keep it.  A member that equivocates its complaint list
+  against a dealer sitting exactly at the threshold splits the
+  qualified set the same way.
+* The reveal votes over the first ``ROBUST_REVEAL_WINDOWS`` windows
+  only, and each holds the lowest-numbered revealers, so above k = 7
+  such members can steer a dealer's reconstruction with wrong shares.
+
+What does hold: a dealer whose rows fail verification at more than t
+good members is disqualified at every good member, and when corrupted
+members only crash or withhold their reveals, every good dealer
+qualifies at every good member and all good members toss one coin.
 """
 
 from __future__ import annotations
@@ -54,10 +94,7 @@ from itertools import combinations, islice
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..crypto.bivariate import BivariateRow, BivariateScheme
-from ..crypto.kernels import (
-    interpolate_constant,
-    interpolate_windows_at_zero,
-)
+from ..crypto.kernels import interpolate_windows_at_zero
 from ..net.messages import Message
 from ..net.simulator import (
     Adversary,
@@ -98,11 +135,17 @@ class VSSCoinMember(ProcessorProtocol):
         self.secret = self.scheme.field.random_element(self.rng)
         # rows[dealer] = my BivariateRow from that dealer.
         self.rows: Dict[int, BivariateRow] = {}
-        # echoes[sender][dealer] = claimed F_dealer(sender, me).
-        self.echoes: Dict[int, Dict[int, int]] = {}
+        # echoes[sender] = that sender's well-formed (dealers, column)
+        # echo payloads, in arrival order; reveals likewise holds the
+        # (qualified, shares) reveals, mine included.
+        self.echoes: Dict[int, List[Tuple[tuple, tuple]]] = {}
         self.complaints_against: Dict[int, Set[int]] = defaultdict(set)
         self.qualified: List[int] = []
-        self.reveal_shares: Dict[int, Dict[int, int]] = defaultdict(dict)
+        self.reveals: Dict[int, List[Tuple[tuple, tuple]]] = {}
+        # My dealers and my rows' columns, from _echo: column y holds
+        # F_dealer(me, y) per dealer.
+        self._dealers: Tuple[int, ...] = ()
+        self._columns: List[Tuple[int, ...]] = []
         self._coin: Optional[int] = None
         # Rows staged by bulk_predeal (wave-bulk dealing); consumed by
         # _deal in round 1.
@@ -176,28 +219,18 @@ class VSSCoinMember(ProcessorProtocol):
         dealer: column ``p + 1`` of my rows, so one transpose of the
         rows (sorted by dealer) yields every peer's echo at once.
         """
-        dealers = sorted(self.rows)
+        dealers = tuple(sorted(self.rows))
         columns = list(zip(*(self.rows[dealer].values for dealer in dealers)))
+        self._dealers = dealers
+        self._columns = columns
         return [
-            Message(
-                self.pid, peer, "echo", tuple(zip(dealers, columns[peer + 1]))
-            )
+            Message(self.pid, peer, "echo", (dealers, columns[peer + 1]))
             for peer in range(self.k)
             if peer != self.pid
         ]
 
     def _absorb_echoes(self, inbox: List[Message]) -> None:
-        echoes = self.echoes
-        for m in inbox:
-            if m.tag != "echo":
-                continue
-            claims = echoes.setdefault(m.sender, {})
-            try:
-                for dealer, value in m.payload:
-                    if isinstance(dealer, int) and isinstance(value, int):
-                        claims.setdefault(dealer, value)
-            except (TypeError, ValueError):
-                continue
+        _absorb_columns(inbox, "echo", self.echoes)
 
     # -- round 3: blame --------------------------------------------------------------
 
@@ -205,19 +238,31 @@ class VSSCoinMember(ProcessorProtocol):
         """Complain about every dealer whose row some peer contradicts.
 
         Peer p's claims are checked against column ``p + 1`` of my
-        rows, read straight from each row's values (every admitted row
-        has all k + 1 points).  Dealers whose row never arrived are
-        complained about too.
+        rows.  When its first echo names exactly my dealers, that is one
+        tuple comparison, and only a mismatch is read point by point;
+        otherwise its claims are read point by point, the first per
+        dealer winning, and checked against the rows I hold.  Dealers
+        whose row never arrived are complained about too.
         """
-        values = {dealer: row.values for dealer, row in self.rows.items()}
-        bad = {dealer for dealer in range(self.k) if dealer not in values}
-        for peer, claims in self.echoes.items():
-            if peer == self.pid:
-                continue
+        dealers = self._dealers
+        columns = self._columns
+        rows = self.rows
+        bad = set(range(self.k)).difference(rows)
+        for peer, payloads in self.echoes.items():
             y = peer + 1
-            for dealer, claimed in claims.items():
-                row = values.get(dealer)
-                if row is not None and row[y] != claimed:
+            named, claimed = payloads[0]
+            if named == dealers:
+                mine = columns[y]
+                if claimed != mine:
+                    bad.update(
+                        dealer
+                        for dealer, value, own in zip(named, claimed, mine)
+                        if value != own
+                    )
+                continue
+            for dealer, value in _first_claims(payloads).items():
+                row = rows.get(dealer)
+                if row is not None and row.values[y] != value:
                     bad.add(dealer)
         complaints = tuple(sorted(bad))
         for dealer in complaints:
@@ -242,35 +287,26 @@ class VSSCoinMember(ProcessorProtocol):
     # -- round 4: reveal -------------------------------------------------------------
 
     def _reveal(self) -> List[Message]:
-        self.qualified = [
+        qualified = tuple(
             dealer
             for dealer in range(self.k)
             if len(self.complaints_against[dealer]) <= self.fault_bound
             and dealer in self.rows
-        ]
-        shares = tuple(
-            (dealer, self.rows[dealer].values[0])
-            for dealer in self.qualified
         )
-        for dealer, value in shares:
-            self.reveal_shares[dealer][self.pid] = value
+        self.qualified = list(qualified)
+        payload = (
+            qualified,
+            tuple(self.rows[dealer].values[0] for dealer in qualified),
+        )
+        self.reveals[self.pid] = [payload]
         return [
-            Message(self.pid, peer, "reveal", shares)
+            Message(self.pid, peer, "reveal", payload)
             for peer in range(self.k)
             if peer != self.pid
         ]
 
     def _absorb_reveals(self, inbox: List[Message]) -> None:
-        reveal_shares = self.reveal_shares
-        for m in inbox:
-            if m.tag != "reveal":
-                continue
-            try:
-                for dealer, value in m.payload:
-                    if isinstance(dealer, int) and isinstance(value, int):
-                        reveal_shares[dealer].setdefault(m.sender, value)
-            except (TypeError, ValueError):
-                continue
+        _absorb_columns(inbox, "reveal", self.reveals)
 
     def _toss(self) -> None:
         total = 0
@@ -288,26 +324,50 @@ class VSSCoinMember(ProcessorProtocol):
     ) -> Dict[int, int]:
         """The windowed robust reveal of every dealer, batched.
 
-        Dealers whose pools cover the same member coordinates (all of
-        them, absent withholding) share one x-grid, so their windows
-        collapse into a single matrix product per grid
-        (:func:`~repro.crypto.kernels.interpolate_windows_at_zero`)
-        instead of one interpolation per window per dealer.  Window
-        order — and therefore the plurality vote's insertion-order
-        tie-break — is exactly :meth:`_reconstruct_robust`'s, so the
-        result per dealer is bit-identical; dealers with too few shares
-        are simply absent from the result.
+        A dealer's pool holds one share per revealing member (the first
+        each named for it), ordered by member.  When every revealer's
+        first reveal names exactly ``dealers``, all pools share one
+        x-grid and one transpose of the revealed columns builds them;
+        otherwise each pool is filled point by point.  Dealers whose
+        pools cover the same member coordinates share one x-grid, so
+        their windows collapse into a single matrix product per grid
+        (:func:`~repro.crypto.kernels.interpolate_windows_at_zero`).
+        Each dealer's secret is the plurality over its first
+        ``ROBUST_REVEAL_WINDOWS`` threshold-sized windows, in
+        ``combinations`` order, the first inserted winning a tie.  Those
+        windows are a prefix that always holds the lowest-numbered
+        revealers, so the vote outvotes wrong shares only where every
+        window is tried (k <= 7) or those revealers are honest.  Dealers
+        with fewer than threshold shares are absent from the result.
+        ``tests/test_vss_coin.py`` pins this bit-identical to a
+        per-dealer, per-window reference.
         """
         threshold = self.scheme.threshold
+        reveals = self.reveals
+        revealers = sorted(reveals)
+        dealers = tuple(dealers)
+        groups: Dict[Tuple[int, ...], List[Tuple[int, Sequence[int]]]] = {}
+        if all(reveals[member][0][0] == dealers for member in revealers):
+            if dealers and len(revealers) >= threshold:
+                xs = tuple(member + 1 for member in revealers)
+                groups[xs] = list(
+                    zip(
+                        dealers,
+                        zip(*(reveals[member][0][1] for member in revealers)),
+                    )
+                )
+        else:
+            pools: Dict[int, Dict[int, int]] = {}
+            for member in revealers:
+                for dealer, share in _first_claims(reveals[member]).items():
+                    pools.setdefault(dealer, {})[member] = share
+            for dealer in dealers:
+                pool = pools.get(dealer, {})
+                if len(pool) < threshold:
+                    continue
+                xs = tuple(member + 1 for member in pool)
+                groups.setdefault(xs, []).append((dealer, list(pool.values())))
         field = self.scheme.field
-        groups: Dict[Tuple[int, ...], List[Tuple[int, List[int]]]] = {}
-        for dealer in dealers:
-            shares = sorted(self.reveal_shares[dealer].items())
-            if len(shares) < threshold:
-                continue
-            xs = tuple(member + 1 for member, _ in shares)
-            ys = [value for _, value in shares]
-            groups.setdefault(xs, []).append((dealer, ys))
         out: Dict[int, int] = {}
         for xs, pool in groups.items():
             windows = list(
@@ -320,47 +380,52 @@ class VSSCoinMember(ProcessorProtocol):
                 field, xs, [ys for _, ys in pool], windows
             )
             for (dealer, _), candidates in zip(pool, values):
-                counts: Counter = Counter(candidates)
-                out[dealer] = counts.most_common(1)[0][0]
+                first = candidates[0]
+                if 2 * candidates.count(first) > len(candidates):
+                    out[dealer] = first
+                else:
+                    out[dealer] = Counter(candidates).most_common(1)[0][0]
         return out
 
-    def _reconstruct_robust(self, dealer: int) -> Optional[int]:
-        """Majority-vote reconstruction over threshold-sized subsets.
 
-        With at most t corrupt shares among >= 2t+1, the value produced
-        by the honest majority of share subsets is the dealt secret; we
-        approximate the (expensive) exhaustive decoding by trying
-        threshold-sized windows and taking the plurality result, which
-        suffices at the committee sizes simulated here.
+def _absorb_columns(
+    inbox: List[Message],
+    tag: str,
+    into: Dict[int, List[Tuple[tuple, tuple]]],
+) -> None:
+    """Append each well-formed ``tag`` column payload to its sender's list.
 
-        The per-dealer reference path: :meth:`_reveal_secrets` batches
-        the same windows across every dealer of a toss and is pinned
-        bit-identical to this method by ``tests/test_vss_coin.py``.
+    A column payload is an exact 2-tuple of two exact tuples of equal
+    length (dealers, values) whose items are exact ints or bools;
+    anything else is dropped whole.
+    """
+    for m in inbox:
+        if m.tag != tag:
+            continue
+        payload = m.payload
+        if type(payload) is not tuple or len(payload) != 2:
+            continue
+        named, values = payload
+        if (
+            type(named) is tuple
+            and type(values) is tuple
+            and len(named) == len(values)
+            and _INTS.issuperset(map(type, named))
+            and _INTS.issuperset(map(type, values))
+        ):
+            into.setdefault(m.sender, []).append(payload)
 
-        The same windows over the same member coordinates recur for
-        every dealer of every coin, so each window's interpolation plan
-        (weights + lambdas at zero) is a cache hit after the first toss.
-        """
-        shares = sorted(self.reveal_shares[dealer].items())
-        if len(shares) < self.scheme.threshold:
-            return None
-        candidates: Counter = Counter()
-        points = [(member + 1, value) for member, value in shares]
-        window = self.scheme.threshold
-        field = self.scheme.field
-        tried = 0
-        for combo in combinations(range(len(points)), window):
-            subset = [points[i] for i in combo]
-            try:
-                candidates[interpolate_constant(field, subset)] += 1
-            except Exception:
-                continue
-            tried += 1
-            if tried >= ROBUST_REVEAL_WINDOWS:
-                break
-        if not candidates:
-            return None
-        return candidates.most_common(1)[0][0]
+
+def _first_claims(
+    payloads: Iterable[Tuple[tuple, tuple]]
+) -> Dict[int, int]:
+    """One sender's column payloads read point by point: the first value
+    per dealer."""
+    claims: Dict[int, int] = {}
+    for named, values in payloads:
+        for dealer, value in zip(named, values):
+            claims.setdefault(dealer, value)
+    return claims
 
 
 def bulk_predeal(members: Iterable["VSSCoinMember"]) -> None:

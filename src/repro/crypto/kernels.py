@@ -41,10 +41,11 @@ objects and caches the plans:
 
 Cache invalidation rules (also documented in ENGINE.md):
 
-* Plans are keyed on ``(modulus, xs)`` and are immutable with respect to
-  that key — the weights depend on nothing else — so a cached plan can
-  never go stale; the caches exist purely to bound memory.
-* Both global plan caches and the per-plan lambda memo are bounded;
+* Plans are keyed on ``(modulus, xs)`` (window plans on ``(modulus,
+  xs, windows)``) and are immutable with respect to that key — the
+  weights depend on nothing else — so a cached plan can never go stale;
+  the caches exist purely to bound memory.
+* Every global plan cache and the per-plan lambda memo are bounded;
   overflowing them evicts the **oldest** entry (FIFO over the
   insertion-ordered dict), so a plan or lambda vector in active use
   survives adversarial access patterns — e.g. sliding reconstruction
@@ -456,11 +457,50 @@ class InterpPlan:
         ]
 
 
+class WindowPlan:
+    """Reconstruct-at-0 through fixed windows of one fixed grid.
+
+    ``windows`` are index tuples into the grid, and ``lambdas[w]`` is
+    window ``w``'s lambda vector at zero, from the (cached) sub-plan
+    over its own nodes.  The numpy engine reads the same vectors as one
+    ``(grid, windows)`` matrix, zero-padded to the grid width and built
+    on first use; the stacked-column engine reads them directly.
+    """
+
+    __slots__ = ("width", "windows", "lambdas", "_matrix")
+
+    def __init__(
+        self,
+        field: PrimeField,
+        nodes: Tuple[int, ...],
+        windows: Tuple[Tuple[int, ...], ...],
+    ) -> None:
+        self.width = len(nodes)
+        self.windows = windows
+        self.lambdas: Tuple[Tuple[int, ...], ...] = tuple(
+            get_interp_plan(field, [nodes[i] for i in combo]).lambdas_at(0)
+            for combo in windows
+        )
+        self._matrix = None
+
+    def matrix(self):
+        """The ``(grid, windows)`` int64 lambda matrix (numpy engine)."""
+        if self._matrix is None:
+            mat = _np.zeros((self.width, len(self.windows)), dtype=_np.int64)
+            for w, (combo, lam) in enumerate(zip(self.windows, self.lambdas)):
+                mat[list(combo), w] = lam
+            self._matrix = mat
+        return self._matrix
+
+
 # -- plan caches --------------------------------------------------------------------
 
 _EVAL_PLANS: Dict[Tuple[int, Tuple[int, ...]], EvalPlan] = {}
 _BATCH_EVAL_PLANS: Dict[Tuple[int, Tuple[int, ...]], BatchEvalPlan] = {}
 _INTERP_PLANS: Dict[Tuple[int, Tuple[int, ...]], InterpPlan] = {}
+_WINDOW_PLANS: Dict[
+    Tuple[int, Tuple[int, ...], Tuple[Tuple[int, ...], ...]], WindowPlan
+] = {}
 
 
 def get_eval_plan(field: PrimeField, xs: Sequence[int]) -> EvalPlan:
@@ -501,11 +541,28 @@ def get_interp_plan(field: PrimeField, xs: Sequence[int]) -> InterpPlan:
     return plan
 
 
+def _get_window_plan(
+    field: PrimeField, nodes: Tuple[int, ...], windows: Sequence[Sequence[int]]
+) -> WindowPlan:
+    """The cached :class:`WindowPlan` for ``(field.modulus, nodes,
+    windows)``; ``nodes`` are already reduced into the field."""
+    combos = tuple(map(tuple, windows))
+    key = (field.modulus, nodes, combos)
+    plan = _WINDOW_PLANS.get(key)
+    if plan is None:
+        plan = WindowPlan(field, nodes, combos)
+        if len(_WINDOW_PLANS) >= PLAN_CACHE_MAX:
+            _evict_oldest(_WINDOW_PLANS)
+        _WINDOW_PLANS[key] = plan
+    return plan
+
+
 def clear_plan_caches() -> None:
     """Drop every cached plan (tests; never required for correctness)."""
     _EVAL_PLANS.clear()
     _BATCH_EVAL_PLANS.clear()
     _INTERP_PLANS.clear()
+    _WINDOW_PLANS.clear()
 
 
 # -- drop-in fast front ends ---------------------------------------------------------
@@ -570,9 +627,11 @@ def interpolate_windows_at_zero(
     window's indices.  This is the shape of windowed robust reveal: many
     dealers' share pools over the same member grid, each probed through
     the same threshold-sized windows.  Each window's lambda vector comes
-    from the (cached) sub-plan over its own nodes, zero-padded to the
-    full pool width, so all windows of all rows collapse into a single
-    ``(rows, k) @ (k, windows)`` product on the numpy path.
+    from the (cached) sub-plan over its own nodes; the window list's
+    vectors are kept, with the numpy engine's zero-padded ``(k,
+    windows)`` matrix, in a cached :class:`WindowPlan` per ``(modulus,
+    xs, windows)``, so a repeated call is one ``(rows, k) @ (k,
+    windows)`` product on the numpy path.
     """
     mod = field.modulus
     nodes = tuple(x % mod for x in xs)
@@ -580,27 +639,19 @@ def interpolate_windows_at_zero(
     for ys in ys_rows:
         if len(ys) != k:
             raise FieldError("one y value per pool node required")
-    win_lams: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-    for combo in windows:
-        combo = tuple(combo)
-        sub = get_interp_plan(field, tuple(nodes[i] for i in combo))
-        win_lams.append((combo, sub.lambdas_at(0)))
+    plan = _get_window_plan(field, nodes, windows)
     if not ys_rows:
         return []
-    if not win_lams:
+    if not plan.windows:
         return [[] for _ in ys_rows]
     if _numpy_ready(mod) and k <= _MATMUL_MAX_K:
         arr = _rows_to_array(ys_rows, mod)
         if arr is not None:
-            lam_mat = _np.zeros((k, len(win_lams)), dtype=_np.int64)
-            for w, (combo, lam) in enumerate(win_lams):
-                for i, value in zip(combo, lam):
-                    lam_mat[i, w] = value
-            return _matmul_mod(arr, lam_mat, mod).tolist()
+            return _matmul_mod(arr, plan.matrix(), mod).tolist()
     return [
         [
             sum(lam[j] * ys[i] for j, i in enumerate(combo)) % mod
-            for combo, lam in win_lams
+            for combo, lam in zip(plan.windows, plan.lambdas)
         ]
         for ys in ys_rows
     ]

@@ -8,8 +8,6 @@ import pytest
 from repro.core import communication
 from repro.core.communication import (
     CommunicationError,
-    SecretKey,
-    ShareRecord,
     TreeCommunicator,
     robust_reconstruct,
 )

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.adversary.adaptive import BinStuffingAdversary, TournamentAdversary
+from repro.adversary.adaptive import BinStuffingAdversary
 from repro.core.byzantine_agreement import run_everywhere_ba
-from repro.core.parameters import ProtocolParameters
 from repro.engine import (
     ExperimentSpec,
     LedgerStats,

@@ -334,6 +334,68 @@ def test_windowed_reconstruction_matches_per_window_naive():
         ) == [[] for _ in ys_rows]
 
 
+def test_window_plans_are_cached_bounded_and_cleared(monkeypatch):
+    """A window list over one grid is planned once: a repeated call
+    reuses its cached lambdas (numpy matrix included) without a single
+    sub-plan lookup, on either engine.  The cache is bounded by
+    PLAN_CACHE_MAX with FIFO eviction and emptied by clear_plan_caches,
+    like the other plan caches."""
+    clear_plan_caches()
+    rng = random.Random(808)
+    field = DEFAULT_FIELD
+    xs = rng.sample(range(1, 1 << 12), 6)
+    ys_rows = [
+        [rng.randrange(field.modulus) for _ in range(6)] for _ in range(4)
+    ]
+    windows = [(0, 1, 2), (3, 4, 5), (0, 2, 4)]
+    expected = [
+        [
+            interpolate_constant(field, [(xs[i], ys[i]) for i in combo])
+            for combo in windows
+        ]
+        for ys in ys_rows
+    ]
+    assert kernels.interpolate_windows_at_zero(
+        field, xs, ys_rows, windows
+    ) == expected
+    (plan,) = kernels._WINDOW_PLANS.values()
+    lookups = []
+    monkeypatch.setattr(
+        kernels, "get_interp_plan", lambda *args: lookups.append(args)
+    )
+    lists = [list(combo) for combo in windows]
+    assert kernels.interpolate_windows_at_zero(
+        field, xs, ys_rows, lists
+    ) == expected
+    monkeypatch.setattr(kernels, "_np", None)
+    assert kernels.interpolate_windows_at_zero(
+        field, xs, ys_rows, windows
+    ) == expected
+    assert not lookups
+    assert list(kernels._WINDOW_PLANS.values()) == [plan]
+    monkeypatch.undo()
+
+    monkeypatch.setattr(kernels, "PLAN_CACHE_MAX", 3)
+    for shift in range(1, 4):
+        kernels.interpolate_windows_at_zero(
+            field, xs, ys_rows, [(shift, 0, 5)]
+        )
+    assert len(kernels._WINDOW_PLANS) == 3
+    assert plan not in kernels._WINDOW_PLANS.values()
+    clear_plan_caches()
+    assert not kernels._WINDOW_PLANS
+
+
+def test_window_with_a_repeated_node_is_rejected_on_every_call():
+    clear_plan_caches()
+    for _ in range(2):
+        with pytest.raises(FieldError):
+            kernels.interpolate_windows_at_zero(
+                DEFAULT_FIELD, [1, 2, 3], [[4, 5, 6]], [(0, 0)]
+            )
+    assert not kernels._WINDOW_PLANS
+
+
 def test_batch_kernels_degrade_gracefully_without_numpy(monkeypatch):
     """With numpy unavailable the stacked-column fallback must produce
     bit-identical output through every batch entry point (on a numpy-

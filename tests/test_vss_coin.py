@@ -2,10 +2,12 @@
 
 import random
 from collections import Counter
+from itertools import combinations, islice
 
 import pytest
 
 from repro.core.vss_coin import (
+    ROBUST_REVEAL_WINDOWS,
     CoinCostModel,
     VSSCoinMember,
     run_vss_coin,
@@ -13,7 +15,7 @@ from repro.core.vss_coin import (
 )
 from repro.crypto import kernels
 from repro.crypto.bivariate import BivariateScheme
-from repro.crypto.kernels import clear_plan_caches
+from repro.crypto.kernels import clear_plan_caches, interpolate_constant
 from repro.net.messages import Message
 from repro.net.simulator import Adversary, NullAdversary, SyncNetwork
 
@@ -250,6 +252,19 @@ class OneMalformedKind(Adversary):
         ]
 
 
+#: Column payloads that must be dropped whole: unequal lengths, a
+#: non-int value, lists for tuples, and a third part.
+_MALFORMED_COLUMNS = (
+    ((0, 1), (5,)),
+    ((0,), ("x",)),
+    ([0], [5]),
+    ((0,), (5,), ()),
+)
+
+#: Where each well-formed column payload is kept, by tag.
+_KEPT_IN = {"echo": "echoes", "reveal": "reveals"}
+
+
 @pytest.mark.parametrize(
     "tag, payload",
     [
@@ -267,11 +282,17 @@ class OneMalformedKind(Adversary):
         ("reveal", ((1, 2, 3),)),
         ("reveal", "xy"),
         ("reveal", None),
+    ]
+    + [
+        (tag, payload)
+        for tag in ("echo", "reveal")
+        for payload in _MALFORMED_COLUMNS
     ],
 )
 def test_malformed_message_is_dropped_not_raised(tag, payload):
-    """Regression: each of these payloads used to raise in every good
-    member's ``on_round`` and end the trial."""
+    """Regression: each of the first fourteen payloads used to raise in
+    every good member's ``on_round`` and end the trial.  A malformed
+    echo or reveal leaves no trace of its sender at any good member."""
     k = 7
     members = [VSSCoinMember(pid, k, seed=3) for pid in range(k)]
     SyncNetwork(members, OneMalformedKind(k, tag, payload)).run(
@@ -280,6 +301,8 @@ def test_malformed_message_is_dropped_not_raised(tag, payload):
     coins = {m.output() for m in members[1:]}
     assert len(coins) == 1
     assert coins.pop() in (0, 1)
+    if tag in _KEPT_IN:
+        assert all(0 not in getattr(m, _KEPT_IN[tag]) for m in members[1:])
 
 
 class NonIntRowToOne(Adversary):
@@ -320,10 +343,30 @@ def test_row_of_non_int_points_is_dropped(points):
 # -- column reads against the per-point reference ---------------------------------
 
 
+def _points(payload):
+    """A column payload's ``(dealer, value)`` points, one by one; none
+    at all when any part of the payload is malformed."""
+    if type(payload) is not tuple or len(payload) != 2:
+        return []
+    dealers, values = payload
+    if (
+        type(dealers) is not tuple
+        or type(values) is not tuple
+        or len(dealers) != len(values)
+    ):
+        return []
+    points = []
+    for point in zip(dealers, values):
+        if any(type(item) not in (int, bool) for item in point):
+            return []
+        points.append(point)
+    return points
+
+
 class PointwiseMember(VSSCoinMember):
     """The per-point echo, echo absorption and blame: one ``at`` call
     per point and one (dealer, sender) key per received claim.  The
-    stock member reads whole row columns instead and must behave
+    stock member reads whole columns instead and must behave
     identically."""
 
     def _echo(self):
@@ -331,11 +374,15 @@ class PointwiseMember(VSSCoinMember):
         for peer in range(self.k):
             if peer == self.pid:
                 continue
-            points = tuple(
+            points = [
                 (dealer, row.at(peer + 1))
                 for dealer, row in sorted(self.rows.items())
+            ]
+            payload = (
+                tuple(dealer for dealer, _ in points),
+                tuple(value for _, value in points),
             )
-            out.append(Message(self.pid, peer, "echo", points))
+            out.append(Message(self.pid, peer, "echo", payload))
         return out
 
     def _absorb_echoes(self, inbox):
@@ -343,9 +390,8 @@ class PointwiseMember(VSSCoinMember):
         for m in inbox:
             if m.tag != "echo":
                 continue
-            for dealer, value in m.payload:
-                if isinstance(dealer, int) and isinstance(value, int):
-                    self.echoes.setdefault((dealer, m.sender), value)
+            for dealer, value in _points(m.payload):
+                self.echoes.setdefault((dealer, m.sender), value)
 
     def _blame(self):
         complaints = []
@@ -372,28 +418,13 @@ class PointwiseMember(VSSCoinMember):
         ]
 
 
-#: Measurable echo points that are not (int, int) pairs; ``True`` is an
-#: int and names dealer 1.
-_NOT_INT_POINTS = (
-    ("3", 7), (4, "v"), (None, 1), (2, None), (1, (1, 2)), ((5,), 3),
-    (True, 11),
-)
+class Shadowed(Adversary):
+    """The ``budget`` lowest members, corrupted from the start, follow
+    the protocol through shadow members fed what good members send
+    them; :meth:`tamper` rewrites each round's messages."""
 
-
-class LyingEchoes(Adversary):
-    """t members follow the protocol, except that their echoes lie.
-
-    Each corrupted member's honest messages come from a shadow member
-    fed what good members send it.  Every echo it sends a good member
-    then frames the lowest good dealer with a wrong value (at about
-    half the recipients), repeats a dealer with a conflicting value
-    before or after its true one, carries a point that is not an int
-    pair, and is followed by a second echo message that contradicts
-    the first and claims points for dealers it left out.
-    """
-
-    def __init__(self, k, seed):
-        t = vss_coin_fault_bound(k)
+    def __init__(self, k, seed, budget=None):
+        t = vss_coin_fault_bound(k) if budget is None else budget
         super().__init__(k, budget=t)
         self.k = k
         self.rng = random.Random(seed)
@@ -407,37 +438,65 @@ class LyingEchoes(Adversary):
         out = []
         for shadow in self.shadows:
             sent = shadow.on_round(view.round_no, self.inboxes[shadow.pid])
-            if view.round_no == 2:
-                sent = [lie for echo in sent for lie in self._lie(echo)]
-            out.extend(sent)
+            out.extend(self.tamper(view.round_no, sent))
         self.inboxes = {
             pid: [m for m in view.inbound if m.recipient == pid]
             for pid in self.inboxes
         }
         return out
 
+    def tamper(self, round_no, sent):
+        return sent
+
+
+class LyingEchoes(Shadowed):
+    """t members follow the protocol, except that their echoes lie.
+
+    Every echo a corrupted member sends a good member frames the lowest
+    good dealer with a wrong value (at about half the recipients), and
+    at about half the recipients repeats a dealer with a conflicting
+    value before or after its true one; at about half it names dealer
+    1 as ``True``.  One malformed payload goes along, and a second echo
+    message follows that contradicts the first and names the dealers
+    the first left out.
+    """
+
+    def tamper(self, round_no, sent):
+        if round_no != 2:
+            return sent
+        return [lie for echo in sent for lie in self._lie(echo)]
+
     def _lie(self, echo):
         rng = self.rng
         framed = self.budget  # the lowest good dealer
-        points = list(echo.payload)
+        dealers, column = echo.payload
+        points = list(zip(dealers, column))
         if rng.random() < 0.5:
             points = [
                 (dealer, value + 1 if dealer == framed else value)
                 for dealer, value in points
             ]
-        dealer, value = rng.choice(points)
-        points.insert(rng.randrange(len(points) + 1), (dealer, value ^ 1))
-        points.insert(
-            rng.randrange(len(points) + 1), rng.choice(_NOT_INT_POINTS)
+        if rng.random() < 0.5:
+            dealer, value = rng.choice(points)
+            points.insert(rng.randrange(len(points) + 1), (dealer, value ^ 1))
+        spelled = rng.random() < 0.5  # ``True`` is an int and names dealer 1
+        first = (
+            tuple(True if spelled and d == 1 else d for d, _ in points),
+            tuple(value for _, value in points),
         )
-        claimed = dict(echo.payload)
-        second = tuple(
-            (d, claimed[d] + 2 if d in claimed else rng.randrange(99))
-            for d in range(self.k)
+        claimed = dict(zip(dealers, column))
+        second = (
+            tuple(range(self.k)),
+            tuple(
+                claimed[d] + 2 if d in claimed else rng.randrange(99)
+                for d in range(self.k)
+            ),
         )
+        payloads = [first, second]
+        payloads.insert(rng.randrange(3), rng.choice(_MALFORMED_COLUMNS))
         return [
-            Message(echo.sender, echo.recipient, "echo", tuple(points)),
-            Message(echo.sender, echo.recipient, "echo", second),
+            Message(echo.sender, echo.recipient, "echo", payload)
+            for payload in payloads
         ]
 
 
@@ -484,6 +543,171 @@ def test_column_reads_match_the_per_point_reference(k, seed, adversary):
     else:
         # Complaints fired, so the comparison covered the blame path.
         assert all(disqualified)
+
+
+# -- the batched reveal against its per-dealer reference --------------------------
+
+
+class WrongReveals(RevealWithholder):
+    """t members follow the protocol until the reveal round, then reveal
+    from their captured rows, wrong to two thirds of the good members:
+    to a third, the true columns with every other share off by a random
+    amount; to another third, those wrong shares with the columns
+    reversed, so the dealers are out of order.  A second reveal follows
+    each first one, with every share off by a random amount."""
+
+    def __init__(self, k, seed):
+        super().__init__(k, vss_coin_fault_bound(k))
+        self.rng = random.Random(seed)
+
+    def _off(self, share):
+        return share + self.rng.randrange(1, 1 << 20)
+
+    def act(self, view):
+        if view.round_no != 4:
+            return []
+        out = []
+        for pid, state in sorted(self.captured_state.items()):
+            rows = state["rows"]
+            dealers = tuple(sorted(rows))
+            shares = tuple(rows[dealer].values[0] for dealer in dealers)
+            wrong = tuple(
+                self._off(share) if i % 2 else share
+                for i, share in enumerate(shares)
+            )
+            payloads = (
+                (dealers, shares),
+                (dealers, wrong),
+                (dealers[::-1], wrong[::-1]),
+            )
+            second = (dealers, tuple(map(self._off, shares)))
+            for member in range(view.n):
+                if member not in view.corrupted:
+                    out.append(
+                        Message(pid, member, "reveal", payloads[member % 3])
+                    )
+                    out.append(Message(pid, member, "reveal", second))
+        return out
+
+
+class RevealRecorder(VSSCoinMember):
+    """The stock member, keeping the inbox of its reveal round."""
+
+    def on_round(self, round_no, inbox):
+        if round_no == 5:
+            self.reveal_inbox = list(inbox)
+        return super().on_round(round_no, inbox)
+
+
+def _reconstruct_robust(member, dealer):
+    """Per-dealer reference for ``VSSCoinMember._reveal_secrets``.
+
+    The pool of a dealer the member qualified holds the member's own
+    share and each sender's first revealed share for it, read point by
+    point and sorted by member.  Each of the first ``ROBUST_REVEAL_WINDOWS``
+    threshold-sized windows is interpolated on its own, and the
+    plurality wins, the first inserted on a tie; None with fewer than
+    threshold shares.
+    """
+    shares = {member.pid: member.rows[dealer].values[0]}
+    for m in member.reveal_inbox:
+        if m.tag != "reveal":
+            continue
+        for named, value in _points(m.payload):
+            if named == dealer:
+                shares.setdefault(m.sender, value)
+    threshold = member.scheme.threshold
+    if len(shares) < threshold:
+        return None
+    points = [(pid + 1, value) for pid, value in sorted(shares.items())]
+    candidates = Counter()
+    for combo in islice(
+        combinations(range(len(points)), threshold), ROBUST_REVEAL_WINDOWS
+    ):
+        subset = [points[i] for i in combo]
+        candidates[interpolate_constant(member.scheme.field, subset)] += 1
+    return candidates.most_common(1)[0][0]
+
+
+_REVEAL_ADVERSARIES = {
+    "none": lambda k, seed: NullAdversary(k),
+    "crash": lambda k, seed: SilentMembers(k, vss_coin_fault_bound(k)),
+    "withhold": lambda k, seed: RevealWithholder(k, vss_coin_fault_bound(k)),
+    "wrong": WrongReveals,
+}
+
+
+@pytest.mark.parametrize("engine", ["numpy", "columns"])
+@pytest.mark.parametrize("k, seed", [(7, 0), (7, 1), (10, 2), (13, 3)])
+@pytest.mark.parametrize("adversary", sorted(_REVEAL_ADVERSARIES))
+def test_batched_reveal_matches_the_per_dealer_reference(
+    monkeypatch, engine, k, seed, adversary
+):
+    """Per good member and per dealer, the batched reveal equals the
+    per-dealer reference, on the numpy engine (where installed) and on
+    the stacked-column fallback."""
+    if engine == "columns":
+        monkeypatch.setattr(kernels, "_np", None)
+    elif kernels._np is None:
+        pytest.skip("numpy is not installed")
+    clear_plan_caches()
+    members = [RevealRecorder(pid, k, seed) for pid in range(k)]
+    adversary = _REVEAL_ADVERSARIES[adversary](k, seed)
+    result = SyncNetwork(members, adversary).run(max_rounds=5)
+    good = [m for m in members if m.pid not in result.corrupted]
+    for member in good:
+        secrets = member._reveal_secrets(member.qualified)
+        for dealer in range(k):
+            if dealer in member.qualified:
+                expected = _reconstruct_robust(member, dealer)
+                assert secrets.get(dealer) == expected
+            else:
+                assert dealer not in secrets
+    clear_plan_caches()
+
+
+# -- the coin's known soundness gaps ----------------------------------------------
+
+
+class WithheldRow(Shadowed):
+    """Member 0 deals honestly, except that good member 1 never gets its
+    row, and follows the protocol otherwise."""
+
+    def __init__(self, k, seed):
+        super().__init__(k, seed, budget=1)
+
+    def tamper(self, round_no, sent):
+        if round_no != 1:
+            return sent
+        return [m for m in sent if m.recipient != 1]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="one lying member disqualifies good dealers (ROADMAP: VSS coin "
+    "soundness)",
+)
+def test_good_dealers_qualify_despite_lying_echoes():
+    for k in (7, 10):
+        t = vss_coin_fault_bound(k)
+        for seed in range(3):
+            members = [VSSCoinMember(pid, k, seed) for pid in range(k)]
+            SyncNetwork(members, LyingEchoes(k, seed)).run(max_rounds=5)
+            for member in members[t:]:
+                assert set(range(t, k)) <= set(member.qualified)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a dealer that withholds one good member's row splits the coin "
+    "(ROADMAP: VSS coin soundness)",
+)
+def test_withholding_one_row_cannot_split_the_coin():
+    k = 7
+    for seed in range(20):
+        members = [VSSCoinMember(pid, k, seed) for pid in range(k)]
+        SyncNetwork(members, WithheldRow(k, seed)).run(max_rounds=5)
+        assert len({m.output() for m in members[1:]}) == 1
 
 
 # -- dealing ----------------------------------------------------------------------
