@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..net.messages import Message
@@ -32,7 +32,6 @@ from ..net.simulator import (
     Adversary,
     NullAdversary,
     ProcessorProtocol,
-    RunResult,
     SyncNetwork,
 )
 from ..topology.sparse_graph import random_regular_graph, theorem5_degree
@@ -45,16 +44,26 @@ def vote_threshold(epsilon: float, epsilon0: float) -> float:
 
 
 def majority_and_fraction(votes: Sequence[int]) -> Tuple[int, float]:
-    """The majority bit among votes and its fraction (ties -> bit 1).
+    """The most common vote and its fraction; a tie goes to the larger
+    value (1 between 0 and 1).
 
     An empty vote list yields (0, 0.0), which always falls through to the
-    coin branch — the safe behaviour for an isolated processor.
+    coin branch — the safe behaviour for an isolated processor.  When
+    every vote is 0 or 1 (bools included) two ``count`` calls tally
+    them; any other value goes through a ``Counter``.
     """
     if not votes:
         return 0, 0.0
+    total = len(votes)
+    ones = votes.count(1)
+    zeros = votes.count(0)
+    if ones + zeros == total:
+        if ones >= zeros:
+            return 1, ones / total
+        return 0, zeros / total
     tally = Counter(votes)
     majority = max(tally, key=lambda b: (tally[b], b))
-    return majority, tally[majority] / len(votes)
+    return majority, tally[majority] / total
 
 
 def aeba_vote_update(
@@ -96,6 +105,10 @@ class SparseAEBAProcessor(ProcessorProtocol):
         self.num_rounds = num_rounds
         self.threshold = threshold
         self._committed: Optional[int] = None
+        # Vote -> its broadcast to the neighbours, built on first use.
+        # Messages are frozen and networks only read an outbox, so a
+        # repeated vote returns the list it built before.
+        self._outboxes: Dict[int, List[Message]] = {}
 
     def on_round(self, round_no: int, inbox: List[Message]) -> List[Message]:
         if round_no > 1:
@@ -115,10 +128,14 @@ class SparseAEBAProcessor(ProcessorProtocol):
             if self._committed is None:
                 self._committed = self.vote
             return []
-        return [
-            Message(self.pid, neighbor, "vote", self.vote)
-            for neighbor in self.neighbors
-        ]
+        vote = self.vote
+        outbox = self._outboxes.get(vote)
+        if outbox is None:
+            outbox = self._outboxes[vote] = [
+                Message(self.pid, neighbor, "vote", vote)
+                for neighbor in self.neighbors
+            ]
+        return outbox
 
     def output(self) -> Optional[int]:
         return self._committed

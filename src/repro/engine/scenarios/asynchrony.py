@@ -34,6 +34,7 @@ from .common import (
     make_scheduler,
     param_reader,
     sparse_degree_problem,
+    vote_threshold_problem,
 )
 
 
@@ -253,6 +254,11 @@ _SPARSE_AEBA_PARAMS = (
 _saeba = param_reader(_SPARSE_AEBA_PARAMS)
 
 
+def _async_sparse_aeba_check(n, params):
+    """The sparse graph's degree and Algorithm 5's epsilons."""
+    return sparse_degree_problem(n, params) or vote_threshold_problem(params)
+
+
 def _async_sparse_aeba_instance(ctx: TrialContext) -> BatchInstance:
     from ...asynchrony.scheduler import AsyncNetwork
     from ...asynchrony.sparse_aeba import OracleCoinView
@@ -358,6 +364,6 @@ register(
         ),
         smoke_n=16,
         smoke_params=(("num_rounds", 2),),
-        check=sparse_degree_problem,
+        check=_async_sparse_aeba_check,
     )
 )

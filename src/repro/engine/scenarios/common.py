@@ -130,6 +130,23 @@ def sparse_degree_problem(n: int, params: Dict) -> Optional[str]:
     return None
 
 
+def vote_threshold_problem(params: Dict) -> Optional[str]:
+    """Cross-field check for Algorithm 5's commit threshold.
+
+    ``epsilon`` must lie in (0, 1/3), as ``ProtocolParameters``
+    requires, and ``epsilon0`` in [0, 1).  Outside them the threshold
+    (1 - eps0)(2/3 + eps/2) can reach 0 or below, where every
+    processor keeps its majority and none reads the coin.
+    """
+    epsilon = float(params["epsilon"])
+    epsilon0 = float(params["epsilon0"])
+    if not 0 < epsilon < 1 / 3:
+        return f"epsilon {epsilon} must lie in (0, 1/3)"
+    if not 0 <= epsilon0 < 1:
+        return f"epsilon0 {epsilon0} must lie in [0, 1)"
+    return None
+
+
 def dealer_problem(n: int, params: Dict) -> Optional[str]:
     """Cross-field check for broadcasts: the ``dealer`` is one of ``n``."""
     dealer = int(params.get("dealer") or 0)

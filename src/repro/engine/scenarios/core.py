@@ -33,6 +33,7 @@ from .common import (
     param_reader,
     sparse_degree_problem,
     static_adversary,
+    vote_threshold_problem,
 )
 
 #: Round cap for phase-stepped everywhere-ba instances; the wrapper
@@ -176,7 +177,9 @@ _aeba = param_reader(_AEBA_PARAMS)
 
 def _aeba_check(n, params):
     """Cross-field constraints Algorithm 5's builder would hit late."""
-    problem = sparse_degree_problem(n, params)
+    problem = sparse_degree_problem(n, params) or vote_threshold_problem(
+        params
+    )
     if problem:
         return problem
     corrupted = int(float(params.get("corrupt") or 0.0) * n)

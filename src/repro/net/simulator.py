@@ -44,7 +44,12 @@ class ProcessorProtocol(abc.ABC):
 
     @abc.abstractmethod
     def on_round(self, round_no: int, inbox: List[Message]) -> List[Message]:
-        """Consume last round's inbox; emit this round's messages."""
+        """Consume last round's inbox; emit this round's messages.
+
+        Networks treat the returned list as read-only: they read its
+        (frozen) messages and never change the list, so a protocol may
+        return the same list object again in a later round.
+        """
 
     def output(self) -> Optional[Any]:
         """The processor's decision, or None while undecided."""

@@ -294,6 +294,15 @@ def test_run_experiment_cross_field_check_rejected(capsys):
     ) == 2
     err = capsys.readouterr().err
     assert "degree 30 must be < n = 24" in err
+    for param, problem in (
+        ("epsilon0=1.5", "epsilon0 1.5 must lie in [0, 1)"),
+        ("epsilon=-3", "epsilon -3.0 must lie in (0, 1/3)"),
+    ):
+        assert main(
+            ["run-experiment", "--name", "unreliable-coin-ba", "-n", "24",
+             "--trials", "1", "--param", param]
+        ) == 2
+        assert problem in capsys.readouterr().err
 
 
 def test_run_experiment_backends_bit_identical(capsys):

@@ -593,6 +593,104 @@ class TestSimulatorFastPaths:
             net.run(max_rounds=2)
 
 
+class _OneOutbox(ProcessorProtocol):
+    """Returns one list object in each of ``rounds`` rounds, logs the
+    senders it hears and whether the list is still as built, and
+    decides on the log."""
+
+    def __init__(self, pid: int, n: int, rounds: int) -> None:
+        super().__init__(pid)
+        self.rounds = rounds
+        self.outbox = [
+            Message(pid, q, "same", pid) for q in range(n) if q != pid
+        ]
+        self.built = list(self.outbox)
+        self.heard: List[List[int]] = []
+        self.intact: List[bool] = []
+
+    def on_round(self, round_no: int, inbox: List[Message]) -> List[Message]:
+        self.intact.append(
+            len(self.outbox) == len(self.built)
+            and all(a is b for a, b in zip(self.outbox, self.built))
+        )
+        if round_no > 1:
+            self.heard.append(
+                sorted(m.sender for m in inbox if m.tag == "same")
+            )
+        if round_no > self.rounds:
+            return []
+        return self.outbox
+
+    def output(self):
+        return self.heard if len(self.heard) == self.rounds else None
+
+
+class _Watching(Adversary):
+    """Corrupts processor 0 in round 1, stays silent, and keeps the
+    senders of each round's rushing view."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n, budget=1)
+        self.inbound: List[List[int]] = []
+
+    def select_corruptions(self, round_no):
+        return {0} if round_no == 1 else set()
+
+    def act(self, view):
+        self.inbound.append(sorted(m.sender for m in view.inbound))
+        return []
+
+
+class TestReadOnlyOutboxes:
+    """``ProcessorProtocol.on_round``'s contract: networks only read the
+    returned list, so a protocol may return the same list every round
+    and every round still delivers it whole."""
+
+    N, ROUNDS = 5, 4
+
+    def _protocols(self):
+        return [_OneOutbox(pid, self.N, self.ROUNDS) for pid in range(self.N)]
+
+    def _assert_unchanged_and_delivered(self, protocols, good):
+        for protocol in protocols:
+            if protocol.pid not in good:
+                continue
+            assert protocol.intact == [True] * (self.ROUNDS + 1)
+            assert protocol.outbox == protocol.built
+            others = [q for q in good if q != protocol.pid]
+            assert protocol.heard == [others] * self.ROUNDS
+
+    def test_sync_network_with_a_rushing_adversary(self):
+        protocols = self._protocols()
+        adversary = _Watching(self.N)
+        network = SyncNetwork(protocols, adversary)
+        result = network.run(max_rounds=self.ROUNDS + 2)
+        good = list(range(1, self.N))
+        assert result.halted and result.rounds == self.ROUNDS + 1
+        assert result.corrupted == {0}
+        self._assert_unchanged_and_delivered(protocols, good)
+        # The outgoing path ran: each sending round showed the adversary
+        # every good processor's message to its processor.
+        assert adversary.inbound == [good] * self.ROUNDS + [[]]
+        assert network.ledger.total_messages() == (
+            self.ROUNDS * len(good) * (self.N - 1)
+        )
+
+    def test_synchronized_process_on_the_async_network(self):
+        from repro.asynchrony.synchronizer import run_synchronized
+
+        protocols = self._protocols()
+        result, processes = run_synchronized(
+            protocols, max_rounds=self.ROUNDS + 1, fault_bound=0
+        )
+        self._assert_unchanged_and_delivered(protocols, range(self.N))
+        assert all(
+            process.rounds_simulated == self.ROUNDS + 1
+            for process in processes
+        )
+        assert None not in result.good_outputs().values()
+
+
 class _Recording(Adversary):
     """Passes another adversary through and keeps every message it sends."""
 

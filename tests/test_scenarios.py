@@ -597,6 +597,31 @@ def test_check_hook_degree_must_be_below_n():
     assert cpa.validate({"dealer": 15}, n=16)["dealer"] == 15
 
 
+def test_check_hook_epsilons_must_keep_a_coin_threshold():
+    """Algorithm 5's ``epsilon`` outside (0, 1/3) or ``epsilon0`` outside
+    [0, 1) fails at validation.  There the commit threshold
+    (1 - eps0)(2/3 + eps/2) can reach 0 or below, so no processor would
+    ever read the coin, yet every trial would look normal."""
+    nan = float("nan")
+    for name in ("unreliable-coin-ba", "async-sparse-aeba"):
+        runner = get_scenario(name)
+        for epsilon in (0.0, -3.0, 1 / 3, 0.5, nan):
+            with pytest.raises(
+                ScenarioError, match=r"epsilon \S+ must lie in \(0, 1/3\)"
+            ):
+                runner.validate({"epsilon": epsilon}, n=24)
+        for epsilon0 in (-0.1, 1.0, 1.5, nan):
+            with pytest.raises(
+                ScenarioError, match=r"epsilon0 \S+ must lie in \[0, 1\)"
+            ):
+                runner.validate({"epsilon0": epsilon0}, n=24)
+        edges = {"epsilon": 0.33, "epsilon0": 0.0}
+        assert runner.validate(edges, n=24) == edges
+        assert runner.validate({"epsilon0": 0.99}, n=24) == {"epsilon0": 0.99}
+        # The schema defaults pass.
+        runner.validate({}, n=24)
+
+
 def test_check_hook_corrupt_budget_vs_fault_bound():
     runner = get_scenario("unreliable-coin-ba")
     with pytest.raises(ScenarioError, match="fault bound"):

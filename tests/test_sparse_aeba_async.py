@@ -1,5 +1,8 @@
 """Tests for Algorithm 5 over the async engine (sparse synchronizer)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.asynchrony import RandomScheduler, TargetedDelayScheduler
@@ -8,6 +11,7 @@ from repro.asynchrony.sparse_aeba import (
     run_async_sparse_aeba,
 )
 from repro.asynchrony.scheduler import AsyncAdversary
+from repro.engine import ExperimentSpec, SerialBackend, result_to_wire
 
 
 def test_oracle_coin_is_shared_and_stable():
@@ -112,3 +116,29 @@ def test_crashes_within_neighborhood_slack_tolerated():
 def test_input_validation():
     with pytest.raises(ValueError):
         run_async_sparse_aeba(5, [1, 0])
+
+
+#: sha256 of the serial ``result_to_wire`` envelopes of four
+#: ``async-sparse-aeba`` trials (n=24, degree 6, seed 29) per delivery
+#: order, recorded before Algorithm 5's processors kept one outbox per
+#: vote: the synchronizer wraps those outboxes in envelopes, and the
+#: scheduler decides which envelopes a round waits for.
+SCHEDULER_DIGESTS = {
+    "fifo": "c9209324fd64f4655e2fef9e2c5f5feeda962220453b0bae33f257ddae1bd1c8",
+    "random": (
+        "99c779eeb1ea35f83fa46cf62705565d0ab3ac7f8b4bd4f0758536db4868438c"
+    ),
+}
+
+
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULER_DIGESTS))
+def test_scheduler_outcomes_are_pinned(scheduler):
+    spec = ExperimentSpec(
+        runner="async-sparse-aeba", n=24, trials=4, seed=29,
+        params={"degree": 6, "scheduler": scheduler},
+    )
+    trials = SerialBackend().run_trials(spec)
+    wire = json.dumps([result_to_wire(t) for t in trials], sort_keys=True)
+    assert hashlib.sha256(wire.encode()).hexdigest() == (
+        SCHEDULER_DIGESTS[scheduler]
+    )

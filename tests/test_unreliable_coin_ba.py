@@ -1,6 +1,10 @@
 """Tests for Algorithm 5: AEBA with unreliable global coins (Theorem 5)."""
 
+import hashlib
+import json
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,7 +24,11 @@ from repro.core.unreliable_coin_ba import (
     run_unreliable_coin_ba,
     vote_threshold,
 )
-from repro.net.simulator import SyncNetwork
+from repro.engine import ExperimentSpec, get_scenario, make_context
+from repro.engine import result_to_wire
+from repro.engine.registry import drive_instance
+from repro.net.messages import Message
+from repro.net.simulator import NullAdversary, SyncNetwork
 
 
 class TestPureFunctions:
@@ -47,6 +55,77 @@ class TestPureFunctions:
         votes = [1] * 5 + [0] * 5
         assert aeba_vote_update(1, votes, coin=0, threshold=0.7) == 0
         assert aeba_vote_update(0, votes, coin=1, threshold=0.7) == 1
+
+    @pytest.mark.parametrize(
+        "votes, majority",
+        [([1, 1, 0], 1), ([0, 0, 1], 0), ([1, 1, 1, 0], 1), ([0, 1, 0, 0], 0)],
+    )
+    def test_update_commits_at_a_fraction_equal_to_the_threshold(
+        self, votes, majority
+    ):
+        """Step 5 reads ``fraction >= threshold``: a fraction exactly at
+        the threshold commits to the majority, one ulp above it takes
+        the coin."""
+        fraction = votes.count(majority) / len(votes)
+        coin = 1 - majority
+        assert aeba_vote_update(coin, votes, coin, fraction) == majority
+        above = math.nextafter(fraction, 1.0)
+        assert aeba_vote_update(majority, votes, coin, above) == coin
+
+
+def _counter_majority_and_fraction(votes):
+    """``majority_and_fraction`` with every tally through a Counter, as
+    it stood before binary votes were counted with ``count``."""
+    if not votes:
+        return 0, 0.0
+    tally = Counter(votes)
+    majority = max(tally, key=lambda b: (tally[b], b))
+    return majority, tally[majority] / len(votes)
+
+
+def _seeded_vote_lists(seed=28, count=400):
+    """Listed edge cases, then seeded binary lists, exact binary ties,
+    bools mixed with 0/1, and non-binary ints (negatives and 2**61)."""
+    cases = [
+        [], [0], [1], [True], [False], [7], [-1], [2**61],
+        [0, 1], [1, 0], [True, False], [False, 1], [True, 0],
+        [0, 0, 1, 1], [1, 1, 0, 0, 2], [-1, 1], [0, 2**61],
+        [2**61, -(2**61), 2**61], [True, 1, 0, False, 0],
+    ]
+    rng = random.Random(seed)
+    wide = [-(2**61), -3, -1, 0, 1, 2, 5, 2**61]
+    for index in range(count):
+        size = rng.randrange(1, 40)
+        kind = index % 4
+        if kind == 0:
+            votes = [rng.randrange(2) for _ in range(size)]
+        elif kind == 1:
+            votes = [0, 1] * (size // 2 + 1)
+            rng.shuffle(votes)
+        elif kind == 2:
+            votes = [rng.choice((0, 1, True, False)) for _ in range(size)]
+        else:
+            votes = [rng.choice(wide) for _ in range(size)]
+        cases.append(votes)
+    return cases
+
+
+class TestTallyMatchesCounterReference:
+    def test_seeded_votes_match_the_counter_reference(self):
+        for votes in _seeded_vote_lists():
+            want = _counter_majority_and_fraction(votes)
+            for given in (votes, tuple(votes)):
+                got = majority_and_fraction(given)
+                assert got == want, votes
+                assert type(got[1]) is float
+                if not any(type(v) is bool for v in votes):
+                    assert type(got[0]) is type(want[0]), votes
+
+    def test_ties_go_to_the_larger_value(self):
+        assert majority_and_fraction([0, 1, 1, 0]) == (1, 0.5)
+        assert majority_and_fraction([False, True]) == (1, 0.5)
+        assert majority_and_fraction([-1, 2**61]) == (2**61, 0.5)
+        assert majority_and_fraction([-3, -1, -3, -1]) == (-1, 0.5)
 
 
 class TestFaultFree:
@@ -211,6 +290,150 @@ class TestPinnedAntiMajorityRun:
         votes, metrics = self._run("silent")
         assert votes == "1100000000000000101010100000000001010001"
         assert metrics == (5, 88984, 1816, 3528, 0, 695425564)
+
+
+class TestOutboxPerVote:
+    """A processor builds its broadcast of a vote once and re-sends that
+    list whenever the vote repeats; a changed vote gets its own list."""
+
+    def _network(self, threshold=vote_threshold(1 / 12, 0.05), n=12):
+        graph = _explicit_graph(n, 3, seed=1)
+        protocols = [
+            SparseAEBAProcessor(
+                p, p % 2, graph[p], coin_view=lambda idx: idx % 2,
+                num_rounds=6, threshold=threshold,
+            )
+            for p in range(n)
+        ]
+        return protocols, SyncNetwork(protocols, NullAdversary(n))
+
+    def test_repeated_vote_resends_one_list_and_new_vote_builds_one(self):
+        protocols, network = self._network()
+        returned = {p.pid: [] for p in protocols}
+        for p in protocols:
+            def recording(round_no, inbox, p=p, inner=p.on_round):
+                outbox = inner(round_no, inbox)
+                if outbox:
+                    returned[p.pid].append((p.vote, outbox))
+                return outbox
+
+            p.on_round = recording
+        network.run(max_rounds=8)
+        changed = 0
+        for p in protocols:
+            assert len(returned[p.pid]) == 6
+            by_vote = {}
+            for vote, outbox in returned[p.pid]:
+                assert by_vote.setdefault(vote, outbox) is outbox
+                assert [
+                    (m.sender, m.recipient, m.tag, m.payload) for m in outbox
+                ] == [(p.pid, q, "vote", vote) for q in p.neighbors]
+            changed += len(by_vote) == 2
+        # Some processors changed their vote, and got a second list.
+        assert changed
+
+    def test_alternating_coin_flips_every_vote_and_bits_are_unchanged(self):
+        """Above any fraction's reach every update takes the coin, which
+        alternates, so each processor uses both outboxes; every round
+        still charges one bit-sized vote per edge."""
+        protocols, network = self._network(threshold=1.01)
+        result = network.run(max_rounds=8)
+        assert all(len(p._outboxes) == 2 for p in protocols)
+        edges = sum(len(p.neighbors) for p in protocols)
+        assert result.ledger.total_messages() == 6 * edges
+        vote_bits = Message(0, 1, "vote", 1).bits()
+        assert result.ledger.total_bits() == 6 * edges * vote_bits
+
+
+#: sha256 of four serial trials (seed 29) of ``unreliable-coin-ba`` at
+#: n=48, corrupt 0.1, num_rounds 3, per behavior and input pattern:
+#: each trial's ``result_to_wire`` envelope, every processor's final
+#: vote, the adversary's flood bits and a draw from its RNG.  Recorded
+#: before processors kept one outbox per vote.  The degree is 8: at
+#: Theorem 5's auto degree (22 at n=48) every trial coalesces and the
+#: fourteen digests are all equal, so they could not see a vote change.
+BEHAVIOR_DIGESTS = {
+    ("silent", "split"): (
+        "986227d013a2e0fe6201268b4199d27b8ebf584a447cc32da40753083cfcb52d"
+    ),
+    ("silent", "ones"): (
+        "0badff3a425fcafdd2add25c91e59931c7e7838cf48d5108088a65f007d51bb9"
+    ),
+    ("fixed0", "split"): (
+        "2242804f37d577b586dd7af7e73df66a94d5cbf1a27b16e4f4908ea7be5a1b64"
+    ),
+    ("fixed0", "ones"): (
+        "91b149f624ac00566aee870bbaf44f3fedb1efcce11688b8a2b9fb5b17db2801"
+    ),
+    ("fixed1", "split"): (
+        "419871812fe7de3113131974ad5dc943679617c8ca514aa906b4ecb1adefadb1"
+    ),
+    ("fixed1", "ones"): (
+        "37a8522b2c188aa7d722802ec8af7eaf152f100b10e07fb3d6470450e8d4a2ec"
+    ),
+    ("random", "split"): (
+        "341dc579f0f24520bfdf1527fae516d97ec20ea21f3369b5478b84a61f155d0b"
+    ),
+    ("random", "ones"): (
+        "b40fba281b28022a5f133a0df117c52674bbf530d95cfb27ab0c5123c67fd401"
+    ),
+    ("equivocate", "split"): (
+        "a8fb61e604ca2cbb10c3a5dc3a6983ac224d78ed97361089adcf743fc481011c"
+    ),
+    ("equivocate", "ones"): (
+        "b5464be7e8c709d8d11d7cb77892a078619e9415e1a850fab3486696bb122b71"
+    ),
+    ("anti_majority", "split"): (
+        "e4b2c7156423fd5ba5a99ad4ed4cf69d6b5002a4634591d11a0810837dcd37aa"
+    ),
+    ("anti_majority", "ones"): (
+        "562c795bb509954a83dcdacc8aa7a04082f6e3f74fb60f2dd857c426daa5c08e"
+    ),
+    ("keep_split", "split"): (
+        "a8f5ce80545ee050f76baa5cb2e52c0ee08d07a1b45633fcd27b1596906351b2"
+    ),
+    ("keep_split", "ones"): (
+        "5dc93657f59c0bbe0a2ef1d160c8e47fb4d301b91dc017022c5cbb64b93a1fe8"
+    ),
+}
+
+
+def _behavior_digest(behavior, inputs):
+    spec = ExperimentSpec(
+        runner="unreliable-coin-ba", n=48, trials=4, seed=29,
+        params={
+            "behavior": behavior, "inputs": inputs, "corrupt": 0.1,
+            "num_rounds": 3, "degree": 8,
+        },
+    )
+    scenario = get_scenario(spec.runner)
+    rows = []
+    for index in range(spec.trials):
+        instance = scenario.build_instance(make_context(spec, index))
+        trial = drive_instance(instance)
+        network = instance.network
+        rows.append([
+            result_to_wire(trial),
+            "".join(str(p.vote) for p in network.protocols),
+            network.flood_bits,
+            network.adversary.rng.randrange(1 << 30),
+        ])
+    wire = json.dumps(rows, sort_keys=True)
+    return hashlib.sha256(wire.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "behavior, inputs",
+    sorted(BEHAVIOR_DIGESTS),
+    ids=[f"{b}-{i}" for b, i in sorted(BEHAVIOR_DIGESTS)],
+)
+def test_behavior_outcomes_are_pinned(behavior, inputs):
+    """``equivocate`` and ``keep_split`` send per-recipient bits, so good
+    processors' vote sequences (and the outboxes they reuse) differ by
+    behavior; every one must reproduce its recorded outcome."""
+    assert _behavior_digest(behavior, inputs) == (
+        BEHAVIOR_DIGESTS[behavior, inputs]
+    )
 
 
 class TestDataflowVariant:
