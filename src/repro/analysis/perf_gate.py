@@ -600,8 +600,9 @@ def _suite_dispatch_wire() -> Suite:
     :class:`_LinkRelay` adding 2 ms of one-way latency (the emulated
     cluster link), serves the same 64-unit spec at ``lane_depth=1``
     (every unit pays the full round trip) and at ``lane_depth=4`` (the
-    sender streams request frames while the receiver completes earlier
-    units, so the latency is paid once per window).  Both depths must
+    client writes up to four request frames before the first reply
+    and completes units as replies arrive, so the latency is paid once
+    per window).  Both depths must
     match the bare serial loop bit for bit, and depth 4 must actually
     have had more than one unit in flight.  Each sample serves both
     depths from a fresh server and relay.

@@ -71,14 +71,19 @@ class Scheduler(abc.ABC):
 
     @abc.abstractmethod
     def choose(self, pending: Sequence[PendingMessage], step: int) -> int:
-        """Index into ``pending`` of the message to deliver."""
+        """Index into ``pending`` of the message to deliver.
+
+        ``pending`` is in send order (ascending ``seq``): the network
+        appends each message as it is sent and removes deliveries in
+        place, so index 0 is always the oldest pending message.
+        """
 
 
 class FIFOScheduler(Scheduler):
     """Delivers messages in the order they were sent."""
 
     def choose(self, pending: Sequence[PendingMessage], step: int) -> int:
-        return min(range(len(pending)), key=lambda i: pending[i].seq)
+        return 0  # pending is in send order
 
 
 class RandomScheduler(Scheduler):
@@ -353,10 +358,10 @@ class AsyncNetwork:
         self.ledger.tick_round()
 
     def _pick_index(self, step: int) -> int:
-        oldest = min(range(len(self._pending)), key=lambda i: self._pending[i].seq)
-        age = self._deliveries - self._pending[oldest].sent_step
+        # _pending is in send order, so the oldest message is at index 0.
+        age = self._deliveries - self._pending[0].sent_step
         if age > self.fairness_bound:
-            return oldest
+            return 0
         choice = self.scheduler.choose(self._pending, step)
         if not 0 <= choice < len(self._pending):
             raise SchedulerError(f"scheduler chose invalid index {choice}")

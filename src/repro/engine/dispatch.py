@@ -340,7 +340,11 @@ class Transport(abc.ABC):
       never silence; completion order across units is arbitrary;
     * :meth:`lanes` reports the lanes still considered alive, so the
       collect loop can distinguish "busy, wait" from "hopeless, raise";
-      a transport that observes a worker die stops listing its lane.
+      a transport that observes a worker die stops listing its lane;
+    * one thread calls :meth:`try_submit`, :meth:`collect` and
+      :meth:`close` — the thread running :func:`run_units`.  A
+      transport need not be thread-safe; the fleet coordinator, which
+      runs jobs on several threads, builds one transport per job.
     """
 
     name: str = "abstract"

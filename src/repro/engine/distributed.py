@@ -25,7 +25,10 @@ carrying a versioned JSON document:
 Each lane is **pipelined**: up to ``lane_depth`` units ride the
 connection concurrently, and replies match their units by the echoed
 id.  Completion is out of order across lanes and feeds the same
-retry/rebalance collect loop one envelope at a time.
+retry/rebalance collect loop one envelope at a time.  The client
+starts no thread: every lane is a non-blocking socket driven from the
+collect loop's thread, which writes request frames as it submits and
+waits on all lanes at once with one ``select``.
 
 Workers rebuild scenarios *by name* from their own registry import —
 the same contract that makes ``spawn`` pool workers bit-identical to
@@ -48,13 +51,15 @@ exactly like a ``multiprocessing`` listener.
 from __future__ import annotations
 
 import functools
-import queue
+import select
 import socket
 import socketserver
 import threading
 import time
+from collections import deque
 from typing import (
     Any,
+    Deque,
     Dict,
     FrozenSet,
     List,
@@ -66,6 +71,7 @@ from typing import (
 
 from .backends import ShardedBackend
 from .dispatch import (
+    DispatchError,
     Envelope,
     Transport,
     WorkUnit,
@@ -414,16 +420,12 @@ class WorkerServer:
 # -- the transport --------------------------------------------------------------------
 
 
-#: Outbox sentinel telling a lane's sender thread to exit.
-_CLOSE = object()
-
-
 class _Lane:
     """One worker connection carrying a window of in-flight units.
 
-    ``inflight`` maps unit id → (unit, submit offset).  The sender
-    thread owns the socket's write side and dials lazily on first use;
-    the receiver thread owns the read side.
+    ``inflight`` maps unit id → (unit, submit offset); ``unsent`` holds
+    request bytes the kernel has not taken yet; ``deadline`` is the
+    monotonic time by which a busy lane must next move a byte.
     """
 
     def __init__(
@@ -434,24 +436,17 @@ class _Lane:
         self.port = port
         self.depth = depth
         self.sock: Optional[socket.socket] = None
+        self.reader: Optional[FrameReader] = None
         self.dead = False
-        self.lock = threading.Lock()
         self.inflight: Dict[int, Tuple[WorkUnit, float]] = {}
-        self.outbox: "queue.Queue[Any]" = queue.Queue()
-        self.sender: Optional[threading.Thread] = None
-        self.receiver: Optional[threading.Thread] = None
+        self.unsent = bytearray()
+        self.deadline: Optional[float] = None
 
     def drop_socket(self) -> None:
         sock, self.sock = self.sock, None
+        self.reader = None
+        self.unsent.clear()
         if sock is not None:
-            # shutdown() before close(): closing an fd does NOT wake a
-            # thread blocked in recv() on it — without the shutdown the
-            # receiver thread sleeps until its join timeout on every
-            # transport close.
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
             try:
                 sock.close()
             except OSError:
@@ -461,20 +456,24 @@ class _Lane:
 class SocketTransport(Transport):
     """Dispatch work units to ``repro worker serve`` hosts over TCP.
 
-    Each worker host is one lane with a persistent connection and a
-    pipelined in-flight window of ``lane_depth`` units: the sender
-    thread streams request frames while the receiver thread completes
-    earlier units off the same connection, so a unit's network
-    transfer overlaps the previous unit's remote compute.
-    :meth:`try_submit` only stamps the unit into the lane's window
-    (never blocking on the network) and :meth:`collect` drains the
-    shared envelope queue.
+    Each worker host is one lane with a persistent, non-blocking
+    connection and a pipelined in-flight window of ``lane_depth``
+    units, all driven from the caller's thread: :meth:`try_submit`
+    claims a window slot and writes the unit's request frame (keeping
+    whatever the kernel does not take yet), and :meth:`collect` waits
+    on every open connection with one ``select`` — flushing unsent
+    request bytes, cutting whole replies, expiring deadlines — so a
+    unit's network transfer overlaps the previous unit's remote
+    compute.  Only a lane's first use blocks, to dial it (bounded by
+    ``connect_timeout``).
 
-    The first use of a lane dials it.  Any socket failure — refused
-    connect, dropped connection, EOF mid-reply, an oversized reply
-    frame, a reply with no unit id — marks the lane dead and surfaces
+    Any socket failure — refused dial, dropped connection, EOF
+    mid-reply, an oversized reply frame, a reply with no unit id or
+    one matching no unit in flight — marks the lane dead and surfaces
     one failure envelope per in-flight unit; the collect loop turns
-    each into a retry on a surviving lane (this lane excluded).  A
+    each into a retry on a surviving lane (this lane excluded).  So
+    does ``io_timeout``: a lane with units in flight that moves no
+    byte for that long fails, while an idle lane never times out.  A
     worker that *answers* a unit with an ``error`` document stays alive
     (it is reachable and sane — the unit, not the lane, is the
     problem).
@@ -513,10 +512,18 @@ class SocketTransport(Transport):
                 seen[base] = count + 1
                 lane_id = base if count == 0 else f"{base}#{count}"
                 self._lanes.append(_Lane(lane_id, host, port, lane_depth))
-        self._envelopes: "queue.Queue[Envelope]" = queue.Queue()
+        #: Envelopes completed but not yet collected, in completion order.
+        self._ready: Deque[Envelope] = deque()
         self._closed = False
 
     def lanes(self) -> Tuple[str, ...]:
+        if any(
+            lane.sock is not None and not lane.inflight for lane in self._lanes
+        ):
+            # Nothing reads an idle connection until its next unit: look
+            # now, without waiting, so a worker that hung up (restarted
+            # between runs) is reported dead before it is offered work.
+            self._poll(0.0)
         return tuple(lane.id for lane in self._lanes if not lane.dead)
 
     def try_submit(
@@ -528,82 +535,96 @@ class SocketTransport(Transport):
         if self._closed:
             raise EngineError("socket transport is closed")
         for lane in self._lanes:
-            if lane.id in exclude:
+            if (
+                lane.dead
+                or len(lane.inflight) >= lane.depth
+                or lane.id in exclude
+            ):
                 continue
-            with lane.lock:
-                if lane.dead or len(lane.inflight) >= lane.depth:
-                    continue
-                lane.inflight[unit_id] = (unit, time.perf_counter())
-                window = len(lane.inflight)
-                if lane.sender is None:
-                    lane.sender = threading.Thread(
-                        target=self._lane_sender,
-                        args=(lane,),
-                        name=f"repro-lane-{lane.id}",
-                        daemon=True,
-                    )
-                    lane.sender.start()
+            doc = unit_to_wire(unit)
+            doc["id"] = unit_id  # the worker echoes it on the reply
+            frame = encode_frame(doc)
+            lane.inflight[unit_id] = (unit, time.perf_counter())
             if self.telemetry is not None:
-                self.telemetry.note_inflight(lane.id, window)
-            lane.outbox.put(unit_id)
+                self.telemetry.note_inflight(lane.id, len(lane.inflight))
+            if lane.sock is None:
+                try:
+                    self._dial(lane)
+                except Exception as exc:
+                    self._fail_lane(lane, f"{type(exc).__name__}: {exc}")
+                    return True
+            if lane.unsent:
+                lane.unsent += frame  # behind the bytes still queued
+            else:
+                self._send(lane, frame)
+            if not lane.dead:
+                if self.telemetry is not None:
+                    self.telemetry.note_send(lane.id, len(frame))
+                self._progress(lane)
             return True
         return False
 
-    # -- lane threads ------------------------------------------------------------------
+    def collect(self) -> Envelope:
+        while not self._ready:
+            if not any(lane.inflight for lane in self._lanes):
+                # Every accepted unit is in flight on an open lane or
+                # already completed: nothing to wait for is a caller bug.
+                raise DispatchError("collect() with no unit in flight")
+            self._poll(None)
+        return self._ready.popleft()
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        for lane in self._lanes:
+            lane.dead = True
+            lane.inflight.clear()
+            lane.drop_socket()
+        self._ready.clear()
+
+    # -- one lane's bytes --------------------------------------------------------------
 
     def _dial(self, lane: _Lane) -> None:
-        """Connect and start the receiver."""
-        lane.sock = socket.create_connection(
+        sock = lane.sock = socket.create_connection(
             (lane.host, lane.port), timeout=self.connect_timeout
         )
-        lane.sock.settimeout(self.io_timeout)
         # Request frames must leave immediately: Nagle would hold a
         # small frame until the previous one is ACKed, serialising the
         # very window the pipeline exists to keep full.
         try:
-            lane.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
+        sock.setblocking(False)
+        lane.reader = FrameReader(sock, max_frame_bytes=self.max_frame_bytes)
         if self.telemetry is not None:
             self.telemetry.note_lane_event(lane.id, "dial")
-        reader = FrameReader(
-            lane.sock, max_frame_bytes=self.max_frame_bytes
-        )
-        lane.receiver = threading.Thread(
-            target=self._lane_receiver,
-            args=(lane, reader),
-            name=f"repro-recv-{lane.id}",
-            daemon=True,
-        )
-        lane.receiver.start()
 
-    def _lane_sender(self, lane: _Lane) -> None:
-        """Dial once, then stream request frames off the outbox."""
+    def _send(self, lane: _Lane, data: Any) -> None:
+        """Write what the kernel takes now; queue the rest as ``unsent``."""
         try:
-            self._dial(lane)
-        except Exception as exc:
+            sent = lane.sock.send(data)
+        except BlockingIOError:
+            sent = 0
+        except OSError as exc:
             self._fail_lane(lane, f"{type(exc).__name__}: {exc}")
             return
-        while True:
-            item = lane.outbox.get()
-            if item is _CLOSE:
-                return
-            with lane.lock:
-                if lane.dead:
-                    return
-                entry = lane.inflight.get(item)
-            if entry is None:
-                continue  # already failed out of the window
-            doc = unit_to_wire(entry[0])
-            doc["id"] = item  # the worker echoes it on the reply
-            frame = encode_frame(doc)
-            try:
-                lane.sock.sendall(frame)
-            except Exception as exc:
-                self._fail_lane(lane, f"{type(exc).__name__}: {exc}")
-                return
-            if self.telemetry is not None:
-                self.telemetry.note_send(lane.id, len(frame))
+        if data is lane.unsent:
+            del lane.unsent[:sent]
+        elif sent < len(data):
+            lane.unsent += memoryview(data)[sent:]
+
+    def _progress(self, lane: _Lane) -> None:
+        """The lane moved bytes: restart its ``io_timeout`` clock.
+
+        Only a lane with units in flight has a deadline, so an idle
+        connection never times out.
+        """
+        if self.io_timeout is not None:
+            lane.deadline = (
+                time.monotonic() + self.io_timeout if lane.inflight else None
+            )
 
     def _reply_envelope(self, lane: _Lane, doc: Any) -> Envelope:
         """A reply document as an envelope (validating its shape)."""
@@ -633,20 +654,20 @@ class SocketTransport(Transport):
             stats=stats_from_wire(doc.get("stats")),
         )
 
-    def _lane_receiver(self, lane: _Lane, reader: FrameReader) -> None:
-        """Complete in-flight units off the connection, out of order."""
-        while True:
-            try:
-                frame = reader.read_frame()
-            except Exception as exc:
-                self._fail_lane(lane, f"{type(exc).__name__}: {exc}")
-                return
-            if frame is None:
-                # Clean hangup at a frame boundary.  With an empty
-                # window (a drained worker between units) the lane just
-                # retires; in-flight units become failure envelopes.
-                self._fail_lane(lane, "worker closed the connection")
-                return
+    def _receive(self, lane: _Lane) -> None:
+        """Complete in-flight units off a readable lane, out of order."""
+        try:
+            frames = lane.reader.read_frames()
+        except Exception as exc:
+            self._fail_lane(lane, f"{type(exc).__name__}: {exc}")
+            return
+        if frames is None:
+            # Clean hangup at a frame boundary.  With an empty window (a
+            # drained worker between units) the lane just retires;
+            # in-flight units become failure envelopes.
+            self._fail_lane(lane, "worker closed the connection")
+            return
+        for frame in frames:
             try:
                 envelope = self._reply_envelope(
                     lane, decode_document(frame.payload)
@@ -654,8 +675,7 @@ class SocketTransport(Transport):
             except Exception as exc:
                 self._fail_lane(lane, f"{type(exc).__name__}: {exc}")
                 return
-            with lane.lock:
-                entry = lane.inflight.pop(envelope.unit_id, None)
+            entry = lane.inflight.pop(envelope.unit_id, None)
             if entry is None:
                 self._fail_lane(
                     lane,
@@ -669,50 +689,66 @@ class SocketTransport(Transport):
                     frame.size,
                     round_trip_seconds=time.perf_counter() - entry[1],
                 )
-            self._envelopes.put(envelope)
+            self._ready.append(envelope)
+        damage = lane.reader.error
+        if damage is not None:
+            # Behind the replies just completed: the stream cannot be
+            # resynchronised.
+            self._fail_lane(lane, f"{type(damage).__name__}: {damage}")
+            return
+        self._progress(lane)
+
+    def _poll(self, timeout: Optional[float]) -> None:
+        """One ``select`` over every open connection, then serve it.
+
+        Readable lanes deliver replies, writable lanes with unsent
+        bytes take more, and busy lanes past their deadline fail.
+        ``timeout`` ``None`` waits for the first event or the nearest
+        deadline; ``0.0`` only looks.
+        """
+        open_lanes = [lane for lane in self._lanes if lane.sock is not None]
+        deadlines = [
+            lane.deadline for lane in open_lanes if lane.deadline is not None
+        ]
+        if timeout is None and deadlines:
+            timeout = max(0.0, min(deadlines) - time.monotonic())
+        readable, writable, _ = select.select(
+            [lane.sock for lane in open_lanes],
+            [lane.sock for lane in open_lanes if lane.unsent],
+            [],
+            timeout,
+        )
+        for lane in open_lanes:
+            if lane.sock in writable:
+                self._send(lane, lane.unsent)
+                if not lane.dead:
+                    self._progress(lane)
+            if lane.sock is not None and lane.sock in readable:
+                self._receive(lane)
+        if deadlines:
+            now = time.monotonic()
+            for lane in open_lanes:
+                if lane.deadline is not None and lane.deadline <= now:
+                    self._fail_lane(lane, "TimeoutError: timed out")
 
     def _fail_lane(self, lane: _Lane, cause: str) -> None:
         """Kill one lane: every in-flight unit becomes a failure envelope.
 
-        Idempotent — the first caller (sender, receiver, or close)
-        wins; late callers see ``dead`` and return, so a socket error
-        observed by both lane threads produces envelopes exactly once.
+        Idempotent: a dead lane stays dead and yields nothing more.
         """
-        with lane.lock:
-            if lane.dead:
-                return
-            lane.dead = True
-            pending = list(lane.inflight.items())
-            lane.inflight.clear()
-        lane.outbox.put(_CLOSE)
-        lane.drop_socket()
-        if self._closed:
+        if lane.dead:
             return
+        lane.dead = True
+        pending = list(lane.inflight)
+        lane.inflight.clear()
+        lane.deadline = None
+        lane.drop_socket()
         if self.telemetry is not None:
             self.telemetry.note_lane_event(lane.id, "dead")
-        for unit_id, _entry in pending:
-            self._envelopes.put(
+        for unit_id in pending:
+            self._ready.append(
                 Envelope(unit_id=unit_id, lane=lane.id, error=cause)
             )
-
-    def collect(self) -> Envelope:
-        return self._envelopes.get()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for lane in self._lanes:
-            with lane.lock:
-                lane.dead = True
-                lane.inflight.clear()
-            lane.outbox.put(_CLOSE)
-            lane.drop_socket()
-        current = threading.current_thread()
-        for lane in self._lanes:
-            for thread in (lane.sender, lane.receiver):
-                if thread is not None and thread is not current:
-                    thread.join(timeout=1.0)
 
 
 # -- the backend ----------------------------------------------------------------------
@@ -738,8 +774,10 @@ class DistributedBackend(ShardedBackend):
             window does not: depth hides latency within a lane, it
             adds no compute.)
         unit_size: as for every sharded backend.
-        connect_timeout / io_timeout: socket timeouts (``io_timeout``
-            ``None`` waits indefinitely for a unit's results).
+        connect_timeout: seconds a lane's dial may take.
+        io_timeout: seconds a lane with units in flight may go without
+            moving a byte before it fails (``None`` waits indefinitely
+            for a unit's results); an idle lane never times out.
         lane_depth: in-flight window per lane (``--lane-depth``;
             default :data:`DEFAULT_LANE_DEPTH`; 1 = serial exchanges).
         max_frame_bytes: reply frames above this fail the lane cleanly;

@@ -244,7 +244,9 @@ _SPARSE_AEBA_PARAMS = (
     Param("degree", int, None,
           help="graph degree (auto: Theorem 5's k log n)"),
     Param("epsilon", float, 1 / 12, help="protocol epsilon"),
-    Param("epsilon0", float, 0.05, help="coin unreliability"),
+    Param("epsilon0", float, 0.05,
+          help="only scales the commit threshold (1-eps0)(2/3+eps/2): "
+               "this scenario's coin is a shared oracle bit, never wrong"),
     Param(
         "scheduler", str, "fifo",
         help="asynchronous delivery order",

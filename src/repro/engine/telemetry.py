@@ -637,8 +637,7 @@ class RunTelemetry:
     A backend creates one at run entry (``self.telemetry``), the
     dispatch layer feeds it events, and :meth:`report` freezes it into
     a mergeable :class:`RunReport` afterwards.  All methods take the
-    lock, so pool callbacks and socket exchange threads can report
-    concurrently with the collect loop.
+    lock, so an event may be reported from any thread.
     """
 
     def __init__(

@@ -18,7 +18,9 @@ One :class:`FrameReader` per connection buffers raw ``recv`` chunks
 and cuts frames by their length prefix, so a frame split across any
 number of chunks, or several frames coalesced into one TCP segment,
 decode cleanly; bytes past a frame boundary stay buffered for the next
-frame — the property pipelined lanes depend on.
+frame — the property pipelined lanes depend on.  It reads a blocking
+socket one frame at a time (the worker) or a non-blocking one chunk
+at a time (the client's lanes), through one parser.
 
 The reader refuses a stream whose first byte is not
 :data:`FRAME_MAGIC` the moment that byte arrives, so a stray peer
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, NamedTuple, Optional
+from typing import Any, List, NamedTuple, Optional
 
 from .spec import WireFormatError, wire_dumps, wire_loads
 
@@ -134,10 +136,19 @@ def decode_document(payload: bytes) -> Any:
 class FrameReader:
     """Buffered, length-prefix reader for one connection.
 
-    Wraps one socket-like object (anything with ``recv``) and yields
-    one frame at a time.  Bytes past a frame boundary stay in the
-    buffer for the next call, so coalesced frames — the normal case on
-    a pipelined lane — decode cleanly.
+    Wraps one socket-like object (anything with ``recv``) and cuts its
+    byte stream into frames, through two entry points that share one
+    parser and one ``recv`` step:
+
+    * :meth:`read_frame` blocks until one whole frame is buffered (the
+      worker's request loop);
+    * :meth:`read_frames` makes one ``recv`` and returns every whole
+      frame now buffered — the entry point for a non-blocking socket
+      that ``select`` reported readable (the client's lanes).
+
+    Bytes past a frame boundary stay in the buffer for the next call,
+    so coalesced frames — the normal case on a pipelined lane — decode
+    cleanly.
 
     Raises:
         ConnectionError: EOF mid-frame (peer died mid-reply).
@@ -157,39 +168,41 @@ class FrameReader:
         self._sock = sock
         self.max_frame_bytes = check_frame_cap(max_frame_bytes)
         self._buffer = bytearray()
+        #: Damage :meth:`read_frames` found behind the whole frames it
+        #: returned; its next call raises it.
+        self.error: Optional[WireFormatError] = None
 
     def _fill(self) -> bool:
-        """Pull one chunk into the buffer; False on EOF."""
+        """One ``recv`` into the buffer; False on clean EOF at a boundary."""
         chunk = self._sock.recv(_RECV_CHUNK)
-        if not chunk:
-            return False
-        self._buffer.extend(chunk)
-        return True
+        if chunk:
+            self._buffer += chunk
+            return True
+        if self._buffer:
+            # Every whole frame was cut before this recv: what is left
+            # is the start of a frame the peer never finished.
+            raise ConnectionError("peer closed the connection mid-frame")
+        return False
 
-    def _need(self, count: int) -> None:
-        """Block until ``count`` bytes are buffered; EOF mid-frame raises."""
-        while len(self._buffer) < count:
-            if not self._fill():
-                raise ConnectionError(
-                    "peer closed the connection mid-frame"
-                )
+    def _cut(self) -> Optional[RawFrame]:
+        """Cut one whole frame off the buffer; ``None`` while incomplete.
 
-    def read_frame(self) -> Optional[RawFrame]:
-        """The next frame, or ``None`` on clean EOF at a boundary."""
-        while not self._buffer:
-            if not self._fill():
-                return None
-        if self._buffer[0] != FRAME_MAGIC:
-            # Refuse on the first byte: a non-frame peer may never send
-            # the eight bytes a header needs.
+        Checks each field as soon as its bytes are buffered: the magic
+        on the first byte (a non-frame peer may never send the eight
+        bytes a header needs), version and cap on the header, before
+        the payload arrives.
+        """
+        buffer = self._buffer
+        if not buffer:
+            return None
+        if buffer[0] != FRAME_MAGIC:
             raise WireFormatError(
-                f"stream byte 0x{self._buffer[0]:02x} does not begin a "
+                f"stream byte 0x{buffer[0]:02x} does not begin a "
                 f"frame (frame magic is 0x{FRAME_MAGIC:02x})"
             )
-        self._need(HEADER_BYTES)
-        _magic, version, flags, _, length = _HEADER.unpack(
-            bytes(self._buffer[:HEADER_BYTES])
-        )
+        if len(buffer) < HEADER_BYTES:
+            return None
+        _magic, version, flags, _, length = _HEADER.unpack_from(buffer)
         if version != FRAME_VERSION:
             raise WireFormatError(
                 f"unsupported frame version {version} "
@@ -201,9 +214,10 @@ class FrameReader:
                 f"frame of {total} bytes exceeds the "
                 f"{self.max_frame_bytes}-byte frame cap"
             )
-        self._need(total)
-        payload = bytes(self._buffer[HEADER_BYTES:total])
-        del self._buffer[:total]
+        if len(buffer) < total:
+            return None
+        payload = bytes(buffer[HEADER_BYTES:total])
+        del buffer[:total]
         if flags & FLAG_ZLIB:
             try:
                 payload = zlib.decompress(payload)
@@ -217,3 +231,41 @@ class FrameReader:
                     f"exceeds the {self.max_frame_bytes}-byte frame cap"
                 )
         return RawFrame(payload=payload, size=total)
+
+    def read_frame(self) -> Optional[RawFrame]:
+        """The next frame, or ``None`` on clean EOF at a boundary."""
+        frame = self._cut()
+        while frame is None:
+            if not self._fill():
+                return None
+            frame = self._cut()
+        return frame
+
+    def read_frames(self) -> Optional[List[RawFrame]]:
+        """One ``recv``, then every whole frame now buffered, in order.
+
+        The non-blocking entry point: an empty list while a frame is
+        still incomplete (or the socket has nothing to read yet),
+        ``None`` on clean EOF at a frame boundary.  Damage raises at
+        once when no whole frame precedes it in the chunk; behind whole
+        frames it is kept in :attr:`error` and raised by the next call,
+        so the frames go out first, as :meth:`read_frame` delivers them.
+        """
+        if self.error is not None:
+            raise self.error
+        try:
+            if not self._fill():
+                return None
+        except BlockingIOError:
+            return []
+        frames = []
+        try:
+            frame = self._cut()
+            while frame is not None:
+                frames.append(frame)
+                frame = self._cut()
+        except WireFormatError as exc:
+            if not frames:
+                raise
+            self.error = exc
+        return frames

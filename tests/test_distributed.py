@@ -14,11 +14,22 @@ separate process (the CI job exercises that spawn path).  Pinned:
   same way; when *every* worker is dead the sweep raises instead of
   returning partial results;
 * **lifecycle** — idempotent close, context-manager use, reuse after
-  close (lazy reconnect).
+  close (lazy reconnect);
+* **one thread** — the client drives every lane from the caller's
+  thread: it starts none, multi-MB request frames still complete on
+  pipelined lanes, and ``io_timeout`` fails only a lane with units in
+  flight.
 """
 
+import base64
+import os
 import random
+import select
 import socket
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -570,3 +581,249 @@ def test_lane_depth_validation():
             WorkerServer(max_frame_bytes=4)
     finally:
         server.close()
+
+
+# -- one thread drives every lane ------------------------------------------------------
+
+
+def _phase_king_spec(trials=6, seed=5):
+    return ExperimentSpec(runner="phase-king", n=8, trials=trials, seed=seed)
+
+
+class _SilentWorker:
+    """A stub worker: accepts connections, reads and discards requests,
+    never replies.  With ``first_byte_after`` it sends one frame-header
+    byte (the frame magic) that long after accepting, then stays
+    silent: a reply that starts and never finishes."""
+
+    def __init__(self, first_byte_after=None):
+        self.first_byte_after = first_byte_after
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = "127.0.0.1:%d" % self._listener.getsockname()[1]
+        self._conns = []
+        self._threads = [threading.Thread(target=self._accept, daemon=True)]
+        self._threads[0].start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # listener shut down
+            self._conns.append(conn)
+            thread = threading.Thread(
+                target=self._serve, args=(conn,), daemon=True
+            )
+            self._threads.append(thread)
+            thread.start()
+
+    def _serve(self, conn):
+        try:
+            if self.first_byte_after is not None:
+                time.sleep(self.first_byte_after)
+                conn.sendall(bytes([0xC5]))
+            while conn.recv(65536):
+                pass
+        except OSError:
+            pass
+
+    def close(self):
+        # shutdown() wakes the threads blocked in accept() and recv();
+        # close() alone would not.
+        for sock in [self._listener] + self._conns:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            sock.close()
+        for thread in self._threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+
+
+def test_io_timeout_spares_an_idle_healthy_lane():
+    """io_timeout bounds how long a lane *with units in flight* may go
+    without moving a byte.  The healthy worker finishes its share and
+    idles while the stub's units are stuck: the idle lane must not time
+    out, so the stub's units, failed at 0.3 + 0.5 s, rerun on it.  The
+    stub's one byte restarts its lane's clock: no failure at 0.5 s."""
+    spec = _phase_king_spec()
+    serial = SerialBackend().run_trials(spec)
+    stub = _SilentWorker(first_byte_after=0.3)
+    healthy = WorkerServer().start()
+    try:
+        with DistributedBackend(
+            [stub.address, healthy.address], unit_size=1, io_timeout=0.5
+        ) as dist:
+            begin = time.monotonic()
+            assert dist.run_trials(spec) == serial
+            assert time.monotonic() - begin >= 0.75
+        assert dist.telemetry.report(serial).retries >= 1
+    finally:
+        stub.close()
+        healthy.close()
+
+
+def test_io_timeout_retries_a_silent_worker_on_a_healthy_one():
+    spec = _phase_king_spec()
+    serial = SerialBackend().run_trials(spec)
+    stub = _SilentWorker()
+    healthy = WorkerServer().start()
+    try:
+        with DistributedBackend(
+            [stub.address, healthy.address], unit_size=1, io_timeout=0.5
+        ) as dist:
+            assert dist.run_trials(spec) == serial
+        assert dist.telemetry.report(serial).retries >= 1
+    finally:
+        stub.close()
+        healthy.close()
+
+
+def test_io_timeout_fails_a_lone_silent_worker():
+    stub = _SilentWorker()
+    backend = DistributedBackend([stub.address], unit_size=1, io_timeout=0.5)
+    try:
+        begin = time.monotonic()
+        with pytest.raises(DispatchError):
+            backend.run_trials(_phase_king_spec())
+        assert 0.4 <= time.monotonic() - begin < 5.0
+    finally:
+        backend.close()
+        stub.close()
+
+
+def _blob_trial(ctx):
+    from repro.engine import TrialResult
+
+    return TrialResult.make(
+        ctx, {"blob_chars": float(len(ctx.spec.param("blob")))}
+    )
+
+
+def test_multi_megabyte_requests_complete_on_pipelined_lanes(monkeypatch):
+    """Frames larger than a socket buffer: the client keeps what the
+    kernel does not take and flushes it while it waits for replies, so
+    two depth-2 lanes carrying six ~4.5 MB requests neither deadlock
+    nor reorder bytes.  The blob is random base64, which deflate cannot
+    shrink to a few kB (a compressible one would).  Loopback buffers
+    can grow large enough to take such a frame in one write, so the
+    client's send buffer is pinned at 256 KiB: every frame takes several
+    writes."""
+    from repro.engine import Scenario, register
+    from repro.engine import distributed
+
+    dial = socket.create_connection
+
+    def dial_small_send_buffer(*args, **kwargs):
+        sock = dial(*args, **kwargs)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 18)
+        return sock
+
+    monkeypatch.setattr(
+        distributed.socket, "create_connection", dial_small_send_buffer
+    )
+    register(
+        Scenario(
+            name="test-large-request",
+            run_trial=_blob_trial,
+            description="test-only: a multi-MB parameter per request",
+        )
+    )
+    blob = base64.b64encode(random.Random(29).randbytes(3_375_000)).decode()
+    spec = ExperimentSpec(
+        runner="test-large-request", n=1, trials=6, seed=1,
+        params={"blob": blob},
+    )
+    serial = SerialBackend().run_trials(spec)
+    workers = [WorkerServer().start(), WorkerServer().start()]
+    try:
+        with DistributedBackend(
+            [w.address for w in workers], unit_size=1, lane_depth=2,
+            io_timeout=60.0,
+        ) as dist:
+            assert dist.run_trials(spec) == serial
+        report = dist.telemetry.report(serial)
+        assert report.retries == 0
+        assert all(lane.bytes_out > 3_000_000 for lane in report.lanes)
+    finally:
+        for worker in workers:
+            worker.close()
+
+
+def _serve_subprocess(port=0):
+    """One ``repro worker serve`` process; returns it and its address."""
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "worker", "serve",
+            "--host", "127.0.0.1", "--port", str(port),
+        ],
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    ready, _, _ = select.select([proc.stdout], [], [], 30.0)
+    words = proc.stdout.readline().split() if ready else []
+    # "repro worker serving on HOST:PORT"
+    if len(words) < 5 or words[3] != "on":
+        _stop_subprocess(proc)
+        pytest.fail("repro worker serve did not start")
+    return proc, words[4]
+
+
+def _stop_subprocess(proc):
+    proc.terminate()
+    try:
+        proc.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
+
+
+def test_dispatch_starts_no_thread():
+    """The client drives every lane from the caller's thread: a sweep
+    against two ``repro worker serve`` processes starts no thread in
+    this process, so the thread count is unchanged after the run and
+    after close.  (Compared as sets of threads: a thread an earlier
+    test left behind may end meanwhile.)"""
+    procs = []
+    try:
+        for _ in range(2):
+            procs.append(_serve_subprocess())
+        spec = _phase_king_spec(trials=8)
+        serial = SerialBackend().run_trials(spec)
+        before = set(threading.enumerate())
+        backend = DistributedBackend(
+            [address for _, address in procs], unit_size=1
+        )
+        assert backend.run_trials(spec) == serial
+        assert set(threading.enumerate()) <= before
+        backend.close()
+        assert set(threading.enumerate()) <= before
+    finally:
+        for proc, _ in procs:
+            _stop_subprocess(proc)
+
+
+def test_worker_restarted_between_runs_is_redialed():
+    """Nothing reads an idle connection, yet a worker process that
+    restarts between two runs of one backend must not cost the second
+    run its only lane: the hangup is noticed before that run offers
+    the lane work, and the run re-dials."""
+    spec = _phase_king_spec(trials=4)
+    serial = SerialBackend().run_trials(spec)
+    proc, address = _serve_subprocess()
+    backend = DistributedBackend([address], unit_size=1)
+    try:
+        assert backend.run_trials(spec) == serial
+        _stop_subprocess(proc)
+        proc, _ = _serve_subprocess(port=int(address.rsplit(":", 1)[1]))
+        assert backend.run_trials(spec) == serial
+    finally:
+        backend.close()
+        _stop_subprocess(proc)

@@ -9,10 +9,15 @@ Two properties carry the data plane:
   bad headers, corrupt compression and mid-frame EOF each raise one
   specific error instead of hanging, guessing, or growing the buffer
   without bound.
+
+The segmentation, bound and EOF cases run through both of the
+reader's entry points (:data:`ENTRY_POINTS`): the blocking
+``read_frame`` and the non-blocking ``read_frames``.
 """
 
 import struct
 import zlib
+from collections import deque
 
 import pytest
 
@@ -41,8 +46,35 @@ class FakeSocket:
         return self.chunks.pop(0) if self.chunks else b""
 
 
-def _reader(*chunks: bytes, cap: int = DEFAULT_MAX_FRAME_BYTES) -> FrameReader:
-    return FrameReader(FakeSocket(*chunks), max_frame_bytes=cap)
+class Polled:
+    """``read_frames`` behind a ``read_frame`` face: the non-blocking
+    entry point, called once per recv until it yields a frame."""
+
+    def __init__(self, reader: FrameReader) -> None:
+        self.reader = reader
+        self.frames: deque = deque()
+
+    def read_frame(self):
+        while not self.frames:
+            frames = self.reader.read_frames()
+            if frames is None:
+                return None
+            self.frames.extend(frames)
+        return self.frames.popleft()
+
+
+def _blocking(reader: FrameReader) -> FrameReader:
+    return reader
+
+
+#: The reader's two entry points, each as a one-frame reader.
+ENTRY_POINTS = (_blocking, Polled)
+
+
+def _reader(
+    *chunks: bytes, cap: int = DEFAULT_MAX_FRAME_BYTES, entry=_blocking
+):
+    return entry(FrameReader(FakeSocket(*chunks), max_frame_bytes=cap))
 
 
 _SMALL = {"version": WIRE_VERSION, "kind": "error", "error": "short"}
@@ -100,20 +132,26 @@ def test_incompressible_payload_ships_uncompressed():
 
 
 def test_reader_handles_byte_at_a_time_delivery():
-    for doc in (_SMALL, _LARGE):
-        frame = encode_frame(doc)
-        reader = _reader(*[frame[i:i + 1] for i in range(len(frame))])
-        assert decode_document(reader.read_frame().payload) == doc
-        assert reader.read_frame() is None
+    for entry in ENTRY_POINTS:
+        for doc in (_SMALL, _LARGE):
+            frame = encode_frame(doc)
+            reader = _reader(
+                *[frame[i:i + 1] for i in range(len(frame))], entry=entry
+            )
+            assert decode_document(reader.read_frame().payload) == doc
+            assert reader.read_frame() is None
 
 
 def test_reader_handles_coalesced_frames_in_one_chunk():
     """Two frames arriving in one recv must decode as two frames, with
     the trailing bytes preserved across read_frame calls."""
-    reader = _reader(encode_frame(_SMALL) + encode_frame(_LARGE))
-    assert decode_document(reader.read_frame().payload) == _SMALL
-    assert decode_document(reader.read_frame().payload) == _LARGE
-    assert reader.read_frame() is None
+    for entry in ENTRY_POINTS:
+        reader = _reader(
+            encode_frame(_SMALL) + encode_frame(_LARGE), entry=entry
+        )
+        assert decode_document(reader.read_frame().payload) == _SMALL
+        assert decode_document(reader.read_frame().payload) == _LARGE
+        assert reader.read_frame() is None
 
 
 def test_reader_handles_frame_boundary_mid_chunk():
@@ -122,11 +160,14 @@ def test_reader_handles_frame_boundary_mid_chunk():
     yields both frames."""
     first = encode_frame(_SMALL)
     second = encode_frame(_LARGE)
-    for split in (HEADER_BYTES // 2, len(second) // 2):
-        reader = _reader(first + second[:split], second[split:])
-        assert decode_document(reader.read_frame().payload) == _SMALL
-        assert decode_document(reader.read_frame().payload) == _LARGE
-        assert reader.read_frame() is None
+    for entry in ENTRY_POINTS:
+        for split in (HEADER_BYTES // 2, len(second) // 2):
+            reader = _reader(
+                first + second[:split], second[split:], entry=entry
+            )
+            assert decode_document(reader.read_frame().payload) == _SMALL
+            assert decode_document(reader.read_frame().payload) == _LARGE
+            assert reader.read_frame() is None
 
 
 def test_reader_counts_wire_bytes_per_frame():
@@ -139,16 +180,18 @@ def test_reader_counts_wire_bytes_per_frame():
 
 
 def test_clean_eof_at_boundary_returns_none():
-    assert _reader().read_frame() is None
+    for entry in ENTRY_POINTS:
+        assert _reader(entry=entry).read_frame() is None
 
 
 def test_eof_mid_frame_raises_connection_error():
     frame = encode_frame(_SMALL)
-    # Inside the payload, then inside the header.
-    with pytest.raises(ConnectionError, match="mid-frame"):
-        _reader(frame[: HEADER_BYTES + 2]).read_frame()
-    with pytest.raises(ConnectionError, match="mid-frame"):
-        _reader(frame[: HEADER_BYTES - 1]).read_frame()
+    for entry in ENTRY_POINTS:
+        # Inside the payload, then inside the header.
+        with pytest.raises(ConnectionError, match="mid-frame"):
+            _reader(frame[: HEADER_BYTES + 2], entry=entry).read_frame()
+        with pytest.raises(ConnectionError, match="mid-frame"):
+            _reader(frame[: HEADER_BYTES - 1], entry=entry).read_frame()
 
 
 def test_reader_refuses_a_non_frame_first_byte_at_once():
@@ -165,21 +208,26 @@ def test_reader_refuses_a_non_frame_first_byte_at_once():
                 raise AssertionError("reader waited past the first byte")
             return self.chunks.pop(0)
 
-    with pytest.raises(WireFormatError, match="0x7b"):
-        FrameReader(OneByteThenSilence()).read_frame()
-    # Checked per frame: a stray line after a good frame is refused too.
-    reader = _reader(encode_frame(_SMALL) + b'{"kind":"unit"}\n')
-    assert decode_document(reader.read_frame().payload) == _SMALL
-    with pytest.raises(WireFormatError, match="0x7b"):
-        reader.read_frame()
+    for entry in ENTRY_POINTS:
+        with pytest.raises(WireFormatError, match="0x7b"):
+            entry(FrameReader(OneByteThenSilence())).read_frame()
+        # Checked per frame: a stray line after a good frame is refused
+        # too.
+        reader = _reader(
+            encode_frame(_SMALL) + b'{"kind":"unit"}\n', entry=entry
+        )
+        assert decode_document(reader.read_frame().payload) == _SMALL
+        with pytest.raises(WireFormatError, match="0x7b"):
+            reader.read_frame()
 
 
 def test_oversized_binary_frame_rejected_naming_the_cap():
     header = struct.pack(
         ">BBBBI", FRAME_MAGIC, FRAME_VERSION, 0, 0, 1 << 20
     )
-    with pytest.raises(WireFormatError, match="4096-byte frame cap"):
-        _reader(header, cap=4096).read_frame()
+    for entry in ENTRY_POINTS:
+        with pytest.raises(WireFormatError, match="4096-byte frame cap"):
+            _reader(header, cap=4096, entry=entry).read_frame()
 
 
 def test_zlib_bomb_rejected_after_decompression():
@@ -210,8 +258,9 @@ def test_corrupt_compressed_payload_rejected():
 
 def test_unsupported_frame_version_rejected():
     frame = struct.pack(">BBBBI", FRAME_MAGIC, FRAME_VERSION + 1, 0, 0, 2)
-    with pytest.raises(WireFormatError, match="frame version"):
-        _reader(frame + b"{}").read_frame()
+    for entry in ENTRY_POINTS:
+        with pytest.raises(WireFormatError, match="frame version"):
+            _reader(frame + b"{}", entry=entry).read_frame()
 
 
 def test_non_utf8_payload_rejected():
