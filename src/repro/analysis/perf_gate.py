@@ -277,11 +277,12 @@ def _suite_rs_decode() -> Suite:
     """sendDown's decode shape: 8 shares, threshold 3, one wrong value.
 
     Under the adaptive adversary nearly every pool ``send_down`` decodes
-    looks like this, and ``send_down`` hands the decoder a node hop's
-    pools at once.  The reference is the key-equation solve
-    (``_solve_key_equation``) per pool; one ``berlekamp_welch`` call
-    decodes the whole batch, each pool from the first window of 3
-    shares whose polynomial misses at most 2 pool points.
+    looks like this, and ``send_down`` hands the decoder the value rows
+    of a node hop's pools on one x grid at once.  The reference is the
+    key-equation solve (``_solve_key_equation``) per pool; one
+    ``berlekamp_welch`` call decodes every row's constant, each from
+    the first window of 3 shares whose polynomial misses at most 2 of
+    the row's values.
     """
     from repro.crypto.field import DEFAULT_FIELD as field
     from repro.crypto.polynomial import evaluate, random_polynomial
@@ -291,28 +292,31 @@ def _suite_rs_decode() -> Suite:
     )
 
     m, t = 8, 3
+    xs = tuple(range(1, m + 1))
     rng = random.Random(0x85)
-    pools = []
+    rows = []
     for _ in range(64):
         poly = random_polynomial(
             field, rng.randrange(field.modulus), t - 1, rng
         )
-        pool = [(x, evaluate(field, poly, x)) for x in range(1, m + 1)]
+        row = [evaluate(field, poly, x) for x in xs]
         i = rng.randrange(m)
-        x, y = pool[i]
-        pool[i] = (x, (y + 1 + rng.randrange(field.modulus - 1))
-                   % field.modulus)
-        pools.append(pool)
+        row[i] = (row[i] + 1 + rng.randrange(field.modulus - 1)) % (
+            field.modulus
+        )
+        rows.append(tuple(row))
+    pools = [list(zip(xs, row)) for row in rows]
 
     def solve() -> List[Any]:
         return [_solve_key_equation(field, pool, t) for pool in pools]
 
     def windows() -> List[Any]:
-        return berlekamp_welch(field, pools, t)
+        return berlekamp_welch(field, xs, rows, t)
 
     expected = solve()
-    assert windows() == expected  # parity before speed
     assert None not in expected
+    # Parity before speed: the grid call's constants are the solve's.
+    assert windows() == [coefficients[0] for coefficients in expected]
     desc = (
         f"Berlekamp-Welch decode, {len(pools)} pools of {m} shares, "
         f"threshold {t}, one wrong value each: key-equation solve per "

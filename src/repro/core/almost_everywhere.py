@@ -504,9 +504,7 @@ class Tournament:
                     bad_members={m for m in members if m in corrupted},
                     bad_vote_fn=_anti_majority_vote,
                     threshold=commit_threshold,
-                    on_traffic=lambda s, r, bits: self.ledger.record_abstract(
-                        s, r, bits
-                    ),
+                    on_traffic=self.ledger.record_abstract,
                     word_bits=1,
                 )
                 tally = Counter(votes.values())
@@ -589,9 +587,7 @@ class Tournament:
             bad_members={m for m in members if m in corrupted},
             bad_vote_fn=_anti_majority_vote,
             threshold=commit_threshold,
-            on_traffic=lambda s, r, bits: self.ledger.record_abstract(
-                s, r, bits
-            ),
+            on_traffic=self.ledger.record_abstract,
             word_bits=1,
         )
         # Root reveal cascade + the agreement rounds.

@@ -48,29 +48,33 @@ Implementation notes:
   mixed coordinate votes — v, v + 1, or a tie, which goes to the
   smaller of the two (v + 1 only when v = p - 1).  Siblings with equal
   plans share each dealing's pool, so a pool is built once per
-  (distinct plan, dealing).  The members that forward a decoded record
-  are the (at most ``REPLICATION_CAP``) child members that received
-  the most of its shares, ties to the smaller pid; they are ranked once
-  per (child, structure) from the holder counts.  The leaf step is the
-  same hop with weight one per leaf member, and a leaf holds at most
-  its key's initial dealing.  Structures and plans live for one hop.
-* **One decode per hop.**  A node builds the pools of all its children
-  first, then decodes every pool that is new to the call in one
-  :func:`~repro.crypto.reed_solomon.berlekamp_welch` call per
-  threshold, and only then builds the children's frontiers; the leaf
-  step decodes the pools of all leaves in one call per threshold.
-  Each distinct (threshold, points) pool decodes once per
-  ``send_down`` call, leaf pools included: the memo keeps the pool and
-  a one-element slot that the batch fills, and the children hold only
-  the slots.
+  (distinct plan, dealing): the plan's x grid once, and each dealing's
+  row of values on it, mixed coordinates voted in place.  The members
+  that forward a decoded record are the (at most ``REPLICATION_CAP``)
+  child members that received the most of its shares, ties to the
+  smaller pid; they are ranked once per (child, structure) from the
+  holder counts.  The leaf step is the same hop with weight one per
+  leaf member, and a leaf holds at most its key's initial dealing.
+  Structures and plans live for one hop.
+* **One decode per hop and grid.**  A node builds the pools of all its
+  children first and queues the value row of every pool that is new
+  to the call under its (threshold, x grid); each queue then goes to
+  one :func:`~repro.crypto.reed_solomon.berlekamp_welch` call, which
+  returns the rows' constants, and only then are the children's
+  frontiers built.  The leaf step decodes the pools of all leaves in
+  one call per (threshold, grid).  Each distinct (threshold, grid,
+  values) pool decodes once per ``send_down`` call, leaf pools
+  included: the memo keeps a one-element slot per pool that the
+  decoder's constant fills, and the children hold only the slots.
 * **Message counts.**  Every transfer is charged to the ledger at word
   granularity, preserving Lemma 5's counting (including the ``d_m^ℓ``
-  replication blow-up), with one ledger call per (sender, recipient) per
-  call.  The initial dealing and sendSecretUp count one message per
-  share copy; the sendDown hops, the level-1 exchange and sendOpen count
-  one message per (sender, recipient) pair per call, whatever its word
-  count.  Pairs with no words are not charged, so the ledger holds no
-  zero entries.
+  replication blow-up).  The initial dealing and sendSecretUp count one
+  message per share copy; the sendDown hops, the level-1 exchange and
+  sendOpen count one message per (sender, recipient) pair per call,
+  whatever its word count.  A dealer's, and each sendDown holder's,
+  fan-out is charged in one ledger call; sendOpen's word counts differ
+  per pair, so it charges each pair alone.  Senders with no words are
+  not charged, so the ledger holds no zero entries.
 * Corrupted holders contribute *tampered* share values during reveal and
   deal garbage when re-sharing; robustness comes from the same
   majority/threshold structure the paper relies on.
@@ -116,8 +120,9 @@ _Arrivals = Tuple[List[int], List[Tuple[int, ...]], List[int]]
 #: A node's sendDown frontier: key -> dealing id -> its arrivals.
 _Frontier = Dict[SecretKey, Dict[int, _Arrivals]]
 
-#: One decoder input: (reconstruction threshold, majority points).
-_PoolKey = Tuple[int, Tuple[Tuple[int, int], ...]]
+#: One decoder input: (reconstruction threshold, the x grid in
+#: ascending order, the majority value at each x).
+_PoolKey = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
 
 #: A pool's entry in the sendDown decode memo: [its constant term, or
 #: None when decoding fails], filled by the hop's batch decode.
@@ -142,9 +147,11 @@ _Plan = Tuple[Tuple[int, ...], Tuple[Tuple[int, bool, bool], ...]]
 #: of its dealings' pools.
 _Hop = List[List[_Slot]]
 
-#: Pools waiting for one batch decode: threshold -> (points, slot) per
-#: pool, in first-seen order.
-_Queue = Dict[int, List[Tuple[Sequence[Tuple[int, int]], _Slot]]]
+#: Pools waiting for one batch decode: (threshold, x grid) -> (the value
+#: row of each pool, its slot), in first-seen order.
+_Queue = Dict[
+    Tuple[int, Tuple[int, ...]], Tuple[List[Tuple[int, ...]], List[_Slot]]
+]
 
 
 class _Structure:
@@ -427,8 +434,8 @@ class TreeCommunicator:
         ids and parent xs of that key's consecutive records (parent -1:
         an initial dealing).  Each record becomes one dealing-table row
         and ``targets[j]`` stores its share x = j + 1.  The dealer is
-        charged one message per share copy, in one ledger call per
-        target.
+        charged one message per share copy to every target, in one
+        ledger call; an empty dealing charges nothing.
         """
         group = len(targets)
         scheme = ShamirScheme(
@@ -444,7 +451,6 @@ class TreeCommunicator:
                 for parent, parent_x in zip(parents, parent_xs)
             )
             spans.append((key, range(first, len(table))))
-        bits = len(dealt) * (self.word_bits + HEADER_BITS)
         for x, (target, shares) in enumerate(zip(targets, zip(*dealt)), 1):
             store = self.stores.get((node, target))
             if store is None:
@@ -459,7 +465,13 @@ class TreeCommunicator:
                 columns[1].extend([x] * len(ids))
                 columns[2].extend(shares[start:end])
                 start = end
-            self.ledger.record_abstract(dealer, target, bits, len(dealt))
+        if dealt:
+            self.ledger.record_abstract(
+                dealer,
+                targets,
+                len(dealt) * (self.word_bits + HEADER_BITS),
+                len(dealt),
+            )
 
     # -- initial dealing (Algorithm 2 step 1a) ------------------------------------------
 
@@ -582,10 +594,10 @@ class TreeCommunicator:
                 # recipients there.
                 for reverse in reverses:
                     for holder, n_records in records.items():
-                        for recipient in reverse.get(holder, ()):
-                            self.ledger.record_abstract(
-                                holder, recipient, n_records * per_word
-                            )
+                        self.ledger.record_abstract(
+                            holder, reverse.get(holder, ()),
+                            n_records * per_word,
+                        )
                 queued: _Queue = {}
                 hops = self._pools_down(
                     structures,
@@ -618,11 +630,11 @@ class TreeCommunicator:
             # Intra-node exchange cost: every holder sends each record
             # to every other member.
             for holder, n_records in _holder_records(structures).items():
-                for other in members:
-                    if other != holder:
-                        self.ledger.record_abstract(
-                            holder, other, n_records * per_word
-                        )
+                self.ledger.record_abstract(
+                    holder,
+                    [other for other in members if other != holder],
+                    n_records * per_word,
+                )
             (hop,) = self._pools_down(
                 structures, [dict.fromkeys(members, 1)], decoded, queued
             )
@@ -690,9 +702,12 @@ class TreeCommunicator:
 
         ``coverages`` gives, per recipient node, each holder's weight
         there (see :meth:`_Structure.plan`).  Recipients whose plans of
-        a structure are equal share its pools.  ``decoded`` memoises
-        each ``(threshold, points)`` pool's slot; a pool not yet in it
-        is queued under its threshold for the hop's batch decode.
+        a structure are equal share its pools.  A plan's pools share one
+        x grid, built once, and each dealing's pool is its row of values
+        on that grid, mixed coordinates voted in place.  ``decoded``
+        memoises each ``(threshold, grid, values)`` pool's slot; a pool
+        not yet in it is queued under its threshold and grid for the
+        hop's batch decode.
         """
         mod = self.field.modulus
         hops: List[_Hop] = [[] for _ in coverages]
@@ -704,31 +719,31 @@ class TreeCommunicator:
                 if slots is None:
                     slots = shared[plan] = []
                     positions, votes = plan
-                    xs = [structure.xs[i] for i in positions]
+                    xs = tuple([structure.xs[i] for i in positions])
                     for _dealing, threshold, values in structure.dealings:
-                        points = list(zip(xs, [values[i] for i in positions]))
+                        row = [values[i] for i in positions]
                         for j, good, bad in votes:
-                            points[j] = _vote(points[j], good, bad, mod)
-                        pool = (threshold, tuple(points))
+                            row[j] = _vote(row[j], good, bad, mod)
+                        pool = (threshold, xs, tuple(row))
                         slot = decoded.get(pool)
                         if slot is None:
                             slot = decoded[pool] = [None]
-                            queued.setdefault(threshold, []).append(
-                                (pool[1], slot)
+                            rows, grid_slots = queued.setdefault(
+                                (threshold, xs), ([], [])
                             )
+                            rows.append(pool[2])
+                            grid_slots.append(slot)
                         slots.append(slot)
                 hop.append(slots)
         return hops
 
     def _decode(self, queued: _Queue) -> None:
-        """Fill each queued pool's slot: one decoder call per threshold."""
-        for threshold, pools in queued.items():
-            results = berlekamp_welch(
-                self.field, [points for points, _slot in pools], threshold
-            )
-            for (_points, slot), coefficients in zip(pools, results):
-                if coefficients is not None:
-                    slot[0] = coefficients[0]
+        """Fill each queued pool's slot: one decoder call per (threshold,
+        grid)."""
+        for (threshold, xs), (rows, slots) in queued.items():
+            constants = berlekamp_welch(self.field, xs, rows, threshold)
+            for slot, constant in zip(slots, constants):
+                slot[0] = constant
 
     def _frontier_below(
         self,
@@ -856,7 +871,7 @@ class TreeCommunicator:
             node_views[member] = views
         per_word = self.word_bits + HEADER_BITS
         for (sender, recipient), words in charge_counts.items():
-            self.ledger.record_abstract(sender, recipient, words * per_word)
+            self.ledger.record_abstract(sender, (recipient,), words * per_word)
         return node_views
 
     def _leaf_verdict(
@@ -983,18 +998,15 @@ def _leaf_value(
     return hop[s][i][0]
 
 
-def _vote(
-    point: Tuple[int, int], good: int, bad: int, mod: int
-) -> Tuple[int, int]:
-    """The decoder point of a coordinate whose good holders deliver the
-    value v of ``point`` with total weight ``good`` and whose corrupted
-    holders deliver v + 1 with weight ``bad``: the higher weight wins,
-    a tie goes to the smaller value (the rule of :func:`_plurality`)."""
-    x, value = point
+def _vote(value: int, good: int, bad: int, mod: int) -> int:
+    """The decoder value of a coordinate whose good holders deliver
+    ``value`` with total weight ``good`` and whose corrupted holders
+    deliver ``value`` + 1 with weight ``bad``: the higher weight wins, a
+    tie goes to the smaller value (the rule of :func:`_plurality`)."""
     shifted = (value + 1) % mod
     if bad > good or (bad == good and shifted < value):
-        return (x, shifted)
-    return point
+        return shifted
+    return value
 
 
 def _plurality(counts: Dict[int, int]) -> int:

@@ -250,14 +250,16 @@ def run_aeba_dataflow(
     bad_members: Set[int],
     bad_vote_fn: Callable[[int, int, Dict[int, int]], int],
     threshold: float,
-    on_traffic: Optional[Callable[[int, int, int], None]] = None,
+    on_traffic: Optional[Callable[[int, Sequence[int], int], None]] = None,
     word_bits: int = 1,
 ) -> Dict[int, int]:
     """Fast Algorithm 5 execution over explicit per-member state.
 
     Used by the tournament, which runs one instance per candidate per
     node: message objects are skipped but traffic is still accounted via
-    ``on_traffic(sender, recipient, bits)``.
+    ``on_traffic(sender, recipients, bits)``, one call per sender and
+    round for its whole fan-out (``bits`` per recipient), the shape of
+    :meth:`~repro.net.accounting.BitLedger.record_abstract`.
 
     Args:
         members: participating processor IDs.
@@ -284,12 +286,10 @@ def run_aeba_dataflow(
         current.update(bad_votes)
         new_votes: Dict[int, int] = {}
         for m in votes:
-            received = [
-                current[u] for u in neighbors.get(m, ()) if u in current
-            ]
+            fan_out = neighbors.get(m, ())
+            received = [current[u] for u in fan_out if u in current]
             if on_traffic is not None:
-                for u in neighbors.get(m, ()):
-                    on_traffic(m, u, word_bits)
+                on_traffic(m, fan_out, word_bits)
             coin = coin_views(round_index, m)
             new_votes[m] = aeba_vote_update(
                 votes[m], received, coin, threshold

@@ -23,9 +23,7 @@ objects and caches the plans:
   The Lagrange coefficient vector at any evaluation point ``x`` is then
   O(k) multiplications plus one further batched inversion, and is
   memoised per ``x`` — so reconstruct-at-0 over a warm plan is a plain
-  O(k) dot product.  A table of Lagrange-basis coefficient rows, built
-  once per plan, turns the whole coefficient vector into k such dot
-  products (:meth:`InterpPlan.coefficients`).
+  O(k) dot product.
 * :class:`BatchEvalPlan` — *many* polynomials on one fixed grid in
   single array-level passes: a vectorised Horner sweep over an
   ``(batch, grid)`` int64 matrix when numpy is importable and the
@@ -61,8 +59,7 @@ the numpy-absent fallback) and registry-wide by the engine parity suite.
 
 from __future__ import annotations
 
-from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .field import FieldError, PrimeField
 from .polynomial import batch_inverse, pairwise_denominators
@@ -288,7 +285,7 @@ class InterpPlan:
     """
 
     __slots__ = (
-        "modulus", "xs", "weights", "_field", "_index", "_lambdas", "_basis",
+        "modulus", "xs", "weights", "_field", "_index", "_lambdas",
     )
 
     def __init__(self, field: PrimeField, xs: Sequence[int]) -> None:
@@ -305,9 +302,6 @@ class InterpPlan:
         )
         self._index: Dict[int, int] = {x: i for i, x in enumerate(nodes)}
         self._lambdas: Dict[int, Tuple[int, ...]] = {}
-        # _basis[d][i]: coefficient of x**d in the i-th Lagrange basis
-        # polynomial; built on the first coefficients() call.
-        self._basis: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     def lambdas_at(self, x: int) -> Tuple[int, ...]:
         """Lagrange coefficients lambda_i(x): value = sum lambda_i * y_i."""
@@ -350,45 +344,6 @@ class InterpPlan:
     def constant(self, ys: Sequence[int]) -> int:
         """The constant coefficient — the Shamir secret."""
         return self.interpolate_at(0, ys)
-
-    def coefficients(self, ys: Sequence[int]) -> List[int]:
-        """Coefficients (low to high, one per node) of the polynomial
-        through ``zip(xs, ys)``.
-
-        Each is a dot product of ``ys`` with one row of the Lagrange
-        basis table, which is built once per plan; bit-identical to
-        :func:`~repro.crypto.polynomial.interpolate_coefficients`.
-        """
-        if len(ys) != len(self.xs):
-            raise FieldError("one y value per interpolation node required")
-        basis = self._basis
-        if basis is None:
-            basis = self._basis = self._basis_rows()
-        mod = self.modulus
-        return [sum(map(mul, row, ys)) % mod for row in basis]
-
-    def _basis_rows(self) -> Tuple[Tuple[int, ...], ...]:
-        """``rows[d][i]``: the x**d coefficient of ``w_i * master / (x -
-        x_i)``, where master is the product of ``(x - x_j)``."""
-        mod = self.modulus
-        k = len(self.xs)
-        master = [1]
-        for xj in self.xs:
-            nxt = [0] * (len(master) + 1)
-            for d, c in enumerate(master):
-                nxt[d] = (nxt[d] - c * xj) % mod
-                nxt[d + 1] = (nxt[d + 1] + c) % mod
-            master = nxt
-        columns = []
-        for xi, w in zip(self.xs, self.weights):
-            # master / (x - xi) by synthetic division, scaled by w_i.
-            quotient = [0] * k
-            carry = master[k]
-            for d in range(k - 1, -1, -1):
-                quotient[d] = carry * w % mod
-                carry = (master[d] + carry * xi) % mod
-            columns.append(quotient)
-        return tuple(zip(*columns))
 
     # -- batched interpolation ---------------------------------------------------
 

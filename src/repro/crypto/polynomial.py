@@ -140,10 +140,7 @@ def interpolate_coefficients(
     """Full coefficient vector of the interpolating polynomial.
 
     O(k^2) field operations via synthetic division of the master product
-    polynomial.  This is the reference implementation: the windowed
-    decoder takes coefficients from the cached
-    :meth:`~repro.crypto.kernels.InterpPlan.coefficients`, pinned
-    bit-identical to this function by ``tests/test_kernels.py``.
+    polynomial.  The reference the decoder tests check windows against.
     """
     xs = [p[0] % field.modulus for p in points]
     if len(set(xs)) != len(xs):

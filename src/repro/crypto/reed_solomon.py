@@ -12,17 +12,19 @@ by solving the linear system; then P = Q / E is the dealer's polynomial.
 This is deterministic and one-shot — the hot path of every ``sendDown``
 reconstruction, replacing randomized sample-and-verify decoding.
 
-:func:`berlekamp_welch` decodes a batch of pools; ``sendDown`` hands it
-every new pool of one node hop at once.  Most pools hold few wrong
-values, so it first tries the floor(m/t) disjoint windows of t =
-``degree_bound`` consecutive points.  Pools on the same x grid share
-each window's cached plan: one
+:func:`berlekamp_welch` decodes the value rows of many pools over one x
+grid; ``sendDown`` hands it every new pool of one node hop that shares a
+threshold and a grid at once.  Every caller reads only the secret, so it
+returns each row's constant term.  Most pools hold few wrong values, so
+it first tries the floor(m/t) disjoint windows of t = ``degree_bound``
+consecutive points.  The rows share each window's cached plan: one
 :meth:`~repro.crypto.kernels.InterpPlan.interpolate_grid` call predicts
-the points outside the window for all of them, and a pool whose
-prediction misses at most ``max_errors`` points takes that window's
-polynomial.  Only a pool that every window misses by more gets the key
-equation above built and solved, on its own (:func:`_solve_key_equation`,
-the reference decoder).
+the values outside the window for all of them, a row whose prediction
+misses at most ``max_errors`` values is explained by that window, and
+one :meth:`~repro.crypto.kernels.InterpPlan.constant_many` call gives
+the constants of the rows it explains.  Only a row that every window
+misses by more gets the key equation above built and solved, on its own
+(:func:`_solve_key_equation`, the reference decoder).
 
 The windows return exactly what the solve would, under three guards:
 the x values are distinct modulo p, ``t >= 1``, and ``t + 2 *
@@ -30,14 +32,15 @@ max_errors <= m``.  Then two polynomials of degree < t within
 ``max_errors`` of the pool agree on at least ``m - 2 * max_errors >= t``
 points, so at most one exists; and any solution (Q, E) of the key
 equation at e = ``max_errors`` satisfies Q = P * E for that polynomial
-P, so the solve returns P's t coefficients too.  Pools outside the
-guards go straight to the solve.
+P, so the solve returns P's t coefficients too, and P's constant is the
+one the window's plan interpolates at zero.  Grids outside the guards go
+straight to the solve.
 """
 
 from __future__ import annotations
 
 from operator import ne
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .field import FieldError, PrimeField
 from .kernels import get_eval_plan, get_interp_plan
@@ -116,95 +119,78 @@ def _poly_divmod(
 
 def berlekamp_welch(
     field: PrimeField,
-    pools: Sequence[Sequence[Tuple[int, int]]],
+    xs: Sequence[int],
+    rows: Sequence[Sequence[int]],
     degree_bound: int,
     max_errors: Optional[int] = None,
-) -> List[Optional[List[int]]]:
-    """Decode a degree < ``degree_bound`` polynomial from each noisy pool.
+) -> List[Optional[int]]:
+    """Decode the constant term of a degree < ``degree_bound``
+    polynomial from each noisy row of values over one x grid.
 
     Args:
-        pools: per pool, distinct (x, y) pairs, at most ``max_errors`` of
-            them wrong.
+        xs: the grid, one x per value of each row.
+        rows: per pool, its residue mod p at each x of the grid, at
+            most ``max_errors`` of them wrong.
         degree_bound: t, the number of coefficients of the true polynomial
             (Shamir's reconstruction threshold).
-        max_errors: defaults to each pool's unique-decoding radius
-            (len(pool) - degree_bound) // 2.
+        max_errors: defaults to the grid's unique-decoding radius
+            (len(xs) - degree_bound) // 2.
 
-    Returns, per pool, the coefficient list (low-to-high, length <=
-    degree_bound) or None if decoding fails.
+    Returns, per row, the decoded polynomial's constant term (the Shamir
+    secret), or None if decoding fails.
 
-    Pools on one x grid share their windows: window by window, one
+    Window by window, one
     :meth:`~repro.crypto.kernels.InterpPlan.interpolate_grid` call
-    predicts every point outside the window for every pool that no
-    earlier window explained.  Only a pool that no window explains
-    within ``max_errors`` points is solved, alone, through the key
-    equation.  Each result is the solve's, bit for bit: the windows run
-    only for distinct x values, ``degree_bound >= 1`` and
-    ``degree_bound + 2 * max_errors <= len(pool)``, where at most one
-    polynomial lies within the radius (module docstring).
+    predicts every value outside the window for every row that no
+    earlier window explained, and one
+    :meth:`~repro.crypto.kernels.InterpPlan.constant_many` call gives the
+    constants of the rows the window explains within ``max_errors``
+    values.  Only a row that no window explains is solved, alone,
+    through the key equation.  Each result is the solve's constant, bit
+    for bit: the windows run only for distinct x values, ``degree_bound
+    >= 1`` and ``degree_bound + 2 * max_errors <= len(xs)``, where at
+    most one polynomial lies within the radius (module docstring).
     """
     t = degree_bound
     mod = field.modulus
-    grids: Dict[Tuple[int, ...], List[int]] = {}
-    for b, pool in enumerate(pools):
-        grids.setdefault(tuple([x % mod for x, _y in pool]), []).append(b)
-    decoded: List[Optional[List[int]]] = [None] * len(pools)
-    unexplained: List[int] = []
-    for xs, members in grids.items():
-        m = len(xs)
-        errors = max(0, (m - t) // 2) if max_errors is None else max_errors
-        if not (t >= 1 and t + 2 * errors <= m and len(set(xs)) == m):
-            unexplained.extend(members)
-            continue
-        rows = [[y % mod for _x, y in pools[b]] for b in members]
-        for b, coefficients in zip(
-            members, _decode_by_windows(field, xs, rows, t, errors)
-        ):
-            if coefficients is None:
-                unexplained.append(b)
-            else:
-                decoded[b] = coefficients
-    for b in sorted(unexplained):
-        decoded[b] = _solve_key_equation(field, pools[b], t, max_errors)
-    return decoded
-
-
-def _decode_by_windows(
-    field: PrimeField,
-    xs: Tuple[int, ...],
-    rows: List[List[int]],
-    t: int,
-    max_errors: int,
-) -> List[Optional[List[int]]]:
-    """Per row of y values over ``xs``, the first disjoint t-point window
-    within ``max_errors`` of it.
-
-    Each window's cached plan predicts the points outside the window
-    for every row that no earlier window explained, in one grid
-    interpolation.  Returns per row that window's coefficients (length
-    t, from the plan's basis table), or None when every window misses
-    too many points.
-    """
-    m = len(xs)
-    decoded: List[Optional[List[int]]] = [None] * len(rows)
+    grid = tuple([x % mod for x in xs])
+    m = len(grid)
+    errors = max(0, (m - t) // 2) if max_errors is None else max_errors
+    constants: List[Optional[int]] = [None] * len(rows)
     open_rows = list(range(len(rows)))
-    for start in range(0, m - t + 1, t):
-        stop = start + t
-        plan = get_interp_plan(field, xs[start:stop])
-        predicted = plan.interpolate_grid(
-            xs[:start] + xs[stop:], [rows[r][start:stop] for r in open_rows]
+    if t >= 1 and t + 2 * errors <= m and len(set(grid)) == m:
+        for start in range(0, m - t + 1, t):
+            stop = start + t
+            plan = get_interp_plan(field, grid[start:stop])
+            windows = [rows[r][start:stop] for r in open_rows]
+            predicted = plan.interpolate_grid(
+                grid[:start] + grid[stop:], windows
+            )
+            explained: List[int] = []
+            explained_windows = []
+            still_open: List[int] = []
+            for r, window, guess in zip(open_rows, windows, predicted):
+                ys = rows[r]
+                if sum(map(ne, guess, ys[:start] + ys[stop:])) <= errors:
+                    explained.append(r)
+                    explained_windows.append(window)
+                else:
+                    still_open.append(r)
+            for r, constant in zip(
+                explained, plan.constant_many(explained_windows)
+            ):
+                constants[r] = constant
+            open_rows = still_open
+            if not open_rows:
+                break
+    for r in open_rows:
+        coefficients = _solve_key_equation(
+            field, list(zip(xs, rows[r])), t, max_errors
         )
-        still_open = []
-        for r, guess in zip(open_rows, predicted):
-            ys = rows[r]
-            if sum(map(ne, guess, ys[:start] + ys[stop:])) <= max_errors:
-                decoded[r] = plan.coefficients(ys[start:stop])
-            else:
-                still_open.append(r)
-        open_rows = still_open
-        if not open_rows:
-            break
-    return decoded
+        if coefficients is not None:
+            # t = 0 decodes to the zero polynomial: no coefficients.
+            constants[r] = coefficients[0] if coefficients else 0
+    return constants
 
 
 def _solve_key_equation(
@@ -213,10 +199,12 @@ def _solve_key_equation(
     degree_bound: int,
     max_errors: Optional[int] = None,
 ) -> Optional[List[int]]:
-    """The key-equation decoder: :func:`berlekamp_welch` without windows.
+    """The key-equation decoder of one pool of (x, y) ``points``:
+    :func:`berlekamp_welch` without windows.
 
-    Same arguments and result; kept whole as the reference the windowed
-    front end is pinned against.
+    Returns the polynomial's ``degree_bound`` coefficients, low to high,
+    or None; kept whole as the reference the windowed front end is
+    pinned against, whose constant is the first coefficient.
     """
     m = len(points)
     if m < degree_bound:
@@ -282,11 +270,13 @@ def decode_constant(
 ) -> Optional[int]:
     """The Shamir secret (constant term), or None on decoding failure.
 
-    One pool: a batch of one through :func:`berlekamp_welch`.
+    One pool: a one-row call of :func:`berlekamp_welch`.
     """
-    (coefficients,) = berlekamp_welch(
-        field, [points], degree_bound, max_errors
+    (constant,) = berlekamp_welch(
+        field,
+        [x for x, _y in points],
+        [[y for _x, y in points]],
+        degree_bound,
+        max_errors,
     )
-    if coefficients is None:
-        return None
-    return coefficients[0]
+    return constant

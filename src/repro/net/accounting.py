@@ -119,36 +119,50 @@ class BitLedger:
         self.phase_bits[self._phase] += total
 
     def record_abstract(
-        self, sender: int, recipient: int, bits: int, messages: int = 1
+        self,
+        sender: int,
+        recipients: Sequence[int],
+        bits: int,
+        messages: int = 1,
     ) -> None:
-        """Account traffic without materialising Message objects.
+        """Account one sender's fan-out without materialising Message
+        objects.
 
         The tournament orchestration uses this for bulk share transfers
         where building millions of Message objects would dominate runtime
         without changing the counted bits.  One call stands for
-        ``messages`` messages from ``sender`` to ``recipient`` carrying
-        ``bits`` in total, so one call with ``k * w`` bits and
-        ``messages=k`` leaves every counter as k calls with ``w`` bits
-        would.
+        ``messages`` messages carrying ``bits`` in total from ``sender``
+        to each of ``recipients``, and leaves every counter, values and
+        key order alike, as one call per recipient would; one call with
+        ``k * w`` bits and ``messages=k`` counts as k calls with ``w``
+        bits.  An empty ``recipients`` charges nothing, as ``record()``
+        with no messages does.
 
         The tree communicator's message-count convention
         (:mod:`repro.core.communication`): the initial dealing and
         sendSecretUp count one message per share copy, so each dealer
-        makes one call per recipient with ``messages`` set to its share
-        count; the sendDown hops, the level-1 exchange and sendOpen count
-        one message per (sender, recipient) pair per call, whatever the
-        word count.  Callers skip pairs that carry no words, so no call
-        adds a zero entry.
+        makes one call for all its targets with ``messages`` set to its
+        share count; the sendDown hops, the level-1 exchange and sendOpen
+        count one message per (sender, recipient) pair per call, whatever
+        the word count.  Every caller but sendOpen, whose word counts
+        differ per pair, charges a sender's whole fan-out in one call.
+        Callers skip senders that carry no words, so no call adds a zero
+        entry.
 
         Raises:
             ValueError: if ``messages`` is below 1.
         """
         if messages < 1:
             raise ValueError(f"messages must be at least 1, got {messages}")
-        self.sent_bits[sender] += bits
-        self.received_bits[recipient] += bits
-        self.sent_messages[sender] += messages
-        self.phase_bits[self._phase] += bits
+        if not recipients:
+            return
+        received = self.received_bits
+        for recipient in recipients:
+            received[recipient] += bits
+        total = bits * len(recipients)
+        self.sent_bits[sender] += total
+        self.sent_messages[sender] += messages * len(recipients)
+        self.phase_bits[self._phase] += total
 
     def tick_round(self) -> None:
         """Advance the round counter."""

@@ -316,7 +316,7 @@ class TestLedgerSnapshotPercentiles:
 
         ledger = BitLedger(10)
         for p in range(10):
-            ledger.record_abstract(p, (p + 1) % 10, 100 * (p + 1))
+            ledger.record_abstract(p, ((p + 1) % 10,), 100 * (p + 1))
         snap = ledger.snapshot()
         per_processor = [ledger.bits_sent_by(p) for p in range(10)]
         assert snap.p50_bits_per_processor == percentile(per_processor, 50)
@@ -333,7 +333,7 @@ class TestLedgerSnapshotPercentiles:
 
     def test_skew_shows_up_in_the_tail(self):
         ledger = BitLedger(20)
-        ledger.record_abstract(0, 1, 10_000)  # one hot processor
+        ledger.record_abstract(0, (1,), 10_000)  # one hot processor
         snap = ledger.snapshot()
         assert snap.p50_bits_per_processor == 0
         assert snap.p99_bits_per_processor > snap.p50_bits_per_processor
@@ -346,7 +346,7 @@ class TestLedgerSnapshotPercentiles:
 
     def test_as_row_carries_the_percentiles(self):
         ledger = BitLedger(4)
-        ledger.record_abstract(2, 3, 64)
+        ledger.record_abstract(2, (3,), 64)
         row = ledger.snapshot().as_row()
         for key in (
             "p50_bits_per_processor",
@@ -481,8 +481,8 @@ def test_mixed_coordinate_vote_follows_the_plurality_rule(value):
     for good, bad in [(3, 1), (1, 3), (2, 2), (1, 0), (0, 1)]:
         weights = {value: good, (value + 1) % mod: bad}
         votes = {v: w for v, w in weights.items() if w}
-        expected = (7, communication._plurality(votes))
-        assert communication._vote((7, value), good, bad, mod) == expected
+        expected = communication._plurality(votes)
+        assert communication._vote(value, good, bad, mod) == expected
 
 
 def test_frontiers_hold_one_record_per_dealing_and_x(monkeypatch):
@@ -548,21 +548,21 @@ def test_w1_shaped_trial_decodes_in_one_batch_per_hop_and_threshold(
     """One everywhere-ba trial shaped like the end-to-end benchmark's
     W1 (n=9, bin-stuffing adversary, corrupt 0.1, split inputs).  The
     decoder receives 1,044 pools in 12 calls: at most one per decode
-    step (11 node hops and 5 leaf steps) and threshold.  Node hops and
-    the leaf step share one memo, so within one ``send_down`` call no
-    (threshold, points) pool reaches the decoder twice."""
+    step (11 node hops and 5 leaf steps), threshold and x grid.  Node
+    hops and the leaf step share one memo, so within one ``send_down``
+    call no (threshold, grid, values) pool reaches the decoder twice."""
     calls = []
     steps = [0]
     seen = set()
-    decode_pools = reed_solomon.berlekamp_welch
+    decode_rows = reed_solomon.berlekamp_welch
 
-    def spy(field, pools, degree_bound, max_errors=None):
-        calls.append((steps[0], degree_bound, len(pools)))
-        for points in pools:
-            pool = (degree_bound, tuple(points))
+    def spy(field, xs, rows, degree_bound, max_errors=None):
+        calls.append((steps[0], degree_bound, tuple(xs), len(rows)))
+        for values in rows:
+            pool = (degree_bound, tuple(xs), tuple(values))
             assert pool not in seen
             seen.add(pool)
-        return decode_pools(field, pools, degree_bound, max_errors)
+        return decode_rows(field, xs, rows, degree_bound, max_errors)
 
     decode_step = TreeCommunicator._decode
 
@@ -582,10 +582,10 @@ def test_w1_shaped_trial_decodes_in_one_batch_per_hop_and_threshold(
     monkeypatch.setattr(TreeCommunicator, "send_down", one_call)
     (result,) = SerialBackend().run_trials(W1_SHAPED)
     assert result.ok
-    assert sum(size for _step, _t, size in calls) == 1044
+    assert sum(size for _step, _t, _xs, size in calls) == 1044
     assert len(calls) == 12
     assert steps[0] == 16
-    assert len({(step, t) for step, t, _size in calls}) == len(calls)
+    assert len({call[:3] for call in calls}) == len(calls)
 
 
 def _reference_points(records, corrupted, weight, mod):
@@ -663,8 +663,12 @@ def _reference_ranks(reverse, holders_column):
 
 
 def _hop_pools(structures, grouped, hop, decoded):
-    """(key, dealing) -> the pool behind each slot of one hop."""
-    pools = {id(slot): pool for pool, slot in decoded.items()}
+    """(key, dealing) -> the pool behind each slot of one hop, as
+    (threshold, points)."""
+    pools = {
+        id(slot): (threshold, tuple(zip(xs, values)))
+        for (threshold, xs, values), slot in decoded.items()
+    }
     return {
         (key, structures[s].dealings[i][0]): pools[id(hop[s][i])]
         for key, entries in grouped.items()
@@ -793,8 +797,8 @@ def test_a_shared_structure_plans_like_the_per_coordinate_rule():
     assert len(decoded) == 3 * len(values)
     # The first child's pool of key (0, 0): x=2 is shifted, x=3 keeps v
     # and x=4 ties at v = p - 1, so it goes to v + 1 = 0.
-    tie = ((1, 10), (2, 13), (3, 11), (4, 0), (5, 14), (6, 13))
-    assert (3, tie) in decoded
+    tie = ((1, 2, 3, 4, 5, 6), (10, 13, 11, 0, 14, 13))
+    assert (3, *tie) in decoded
     for slot in decoded.values():
         slot[0] = 1
     for reverse, hop in zip(reverses, hops):

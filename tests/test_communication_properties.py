@@ -5,15 +5,15 @@ sets through the sendSecretUp -> reveal cycle and checks the protocol's
 two contract properties:
 
 * fault-free reveals always learn the exact secret everywhere;
-* reveals never produce a *wrong* value at a good processor — they
-  either learn the secret or learn nothing (fail-safe), whatever the
-  adversary does within its budget.
+* reveals along a good path never produce a *wrong* value at a good
+  processor — they either learn the secret or learn nothing
+  (fail-safe), whatever the adversary does within its budget.
 """
 
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.communication import TreeCommunicator
@@ -37,6 +37,52 @@ def build(n, q, k1, uplink, seed):
         threshold_fraction=1 / 3,
     )
     return tree, comm
+
+
+#: Definition 3's good-node threshold: at least 2/3 of a node's members
+#: are good.
+GOOD_NODE = 2 / 3
+
+
+def corrupt_outside_owner_leaf(n, corrupt_count, seed):
+    """The property's setup: owner n - 1 shares one secret and sends it
+    up from its leaf, whose committee stays honest; ``corrupt_count``
+    others are corrupted.  Returns the tree, the communicator, the key,
+    the reveal node (the leaf's parent) and the corrupted set."""
+    tree, comm = build(n, q=3, k1=5, uplink=8, seed=seed)
+    owner = n - 1
+    leaf = NodeId(1, owner)
+    leaf_members = set(tree.members(leaf))
+    rng = random.Random(seed ^ 0xABCDEF)
+    pool = [p for p in range(n) if p not in leaf_members]
+    corrupted = set(rng.sample(pool, min(corrupt_count, len(pool))))
+    return tree, comm, (owner, 0), tree.parent(leaf), corrupted
+
+
+def reveal_views(comm, key, node, corrupted, secret):
+    """Share ``secret``, send it up one level and reveal it at ``node``
+    while the adversary pushes secret + 17; each good member's view."""
+    leaf = NodeId(1, key[0])
+    comm.initial_share(key[0], {key: secret})
+    comm.send_secret_up(leaf, [key], corrupted=corrupted)
+    outcome = comm.reveal(
+        node, [key], corrupted=corrupted,
+        bad_value_fn=lambda k, p: (secret + 17) % FIELD.modulus,
+    )
+    return {
+        member: views[key]
+        for member, views in outcome.node_views.items()
+        if member not in corrupted
+    }
+
+
+def bad_nodes_on_reveal_path(tree, node, corrupted):
+    """The reveal node and the leaves below it that are bad nodes
+    (Definition 3)."""
+    return [
+        x for x in [node, *tree.leaf_descendants(node)]
+        if not tree.is_good_node(x, corrupted, GOOD_NODE)
+    ]
 
 
 @given(
@@ -81,34 +127,52 @@ def test_reveal_never_wrong_under_corruption(
     n, secret, corrupt_count, seed
 ):
     """Fail-safe on good paths (Lemma 3's precondition): while the
-    owner's leaf committee keeps an honest majority, a good member's view
-    is the secret or None — never a silently wrong value.
+    reveal node and every leaf below it are good nodes (Definition 3), a
+    good member's view is the secret or None — never a silently wrong
+    value.
 
-    (With a majority-bad leaf committee — a bad node per Definition 3 —
-    non-verifiable sharing genuinely permits a consistent wrong value;
+    (Below a bad node — a leaf committee with too many corrupted members
+    — non-verifiable sharing genuinely permits a consistent wrong value;
     the paper then counts the whole election as bad, so that case is out
-    of scope here.)"""
-    tree, comm = build(n, q=3, k1=5, uplink=8, seed=seed)
-    owner = n - 1
-    key = (owner, 0)
-    comm.initial_share(owner, {key: secret})
-    leaf = NodeId(1, owner)
-    leaf_members = set(tree.members(leaf))
-    rng = random.Random(seed ^ 0xABCDEF)
-    pool = [p for p in range(n) if p not in leaf_members]
-    corrupted = set(rng.sample(pool, min(corrupt_count, len(pool))))
-    comm.send_secret_up(leaf, [key], corrupted=corrupted)
-    node = tree.parent(leaf)
-    outcome = comm.reveal(
-        node, [key], corrupted=corrupted,
-        bad_value_fn=lambda k, p: (secret + 17) % FIELD.modulus,
+    of scope here; :func:`test_wrong_views_need_a_bad_node` pins two.)"""
+    tree, comm, key, node, corrupted = corrupt_outside_owner_leaf(
+        n, corrupt_count, seed
     )
-    for member, views in outcome.node_views.items():
-        if member in corrupted:
-            continue
+    assume(not bad_nodes_on_reveal_path(tree, node, corrupted))
+    views = reveal_views(comm, key, node, corrupted, secret)
+    for view in views.values():
         # The adversary pushes secret+17 everywhere it can; a good member
         # must never adopt it.
-        assert views[key] in (secret, None)
+        assert view in (secret, None)
+
+
+@pytest.mark.parametrize(
+    "n,corrupt_count,seed,corrupted_per_bad_leaf,wrong",
+    [
+        # Drawn by hypothesis before the good-path precondition; 4
+        # corrupted is n/3 at n=12, beyond the budget.
+        (12, 4, 3515, (3, 3), 17),
+        # 3 corrupted is below n/3, yet two leaves get 2 of their 5
+        # members corrupted, and both reconstruct secret + 2.
+        (12, 3, 237, (2, 2), 2),
+    ],
+)
+def test_wrong_views_need_a_bad_node(
+    n, corrupt_count, seed, corrupted_per_bad_leaf, wrong
+):
+    """The recorded cases where good members adopt a wrong value: both
+    have bad leaves below the reveal node, L1N9 and L1N10, so the
+    property's precondition excludes them."""
+    tree, comm, key, node, corrupted = corrupt_outside_owner_leaf(
+        n, corrupt_count, seed
+    )
+    bad = bad_nodes_on_reveal_path(tree, node, corrupted)
+    assert bad == [NodeId(1, 9), NodeId(1, 10)]
+    assert tuple(
+        len(corrupted.intersection(tree.members(leaf))) for leaf in bad
+    ) == corrupted_per_bad_leaf
+    views = reveal_views(comm, key, node, corrupted, 0)
+    assert set(views.values()) == {wrong}
 
 
 @given(

@@ -32,7 +32,6 @@ from repro.crypto.kernels import (
 from repro.crypto.polynomial import (
     evaluate,
     evaluate_many,
-    interpolate_coefficients,
     interpolate_constant,
     lagrange_coefficients_at_zero,
     lagrange_interpolate_at,
@@ -77,29 +76,6 @@ def test_interp_plan_matches_lagrange_over_random_cases():
                 assert kernels.interpolate_at(field, points, x) == expected
                 assert expected == evaluate(field, coefficients, x)
             assert plan.constant(ys) == interpolate_constant(field, points)
-
-
-def test_interp_plan_coefficients_match_reference():
-    rng = random.Random(404)
-    for field in (PrimeField(257), DEFAULT_FIELD, PrimeField(MERSENNE_61)):
-        for _ in range(60):
-            k = rng.randrange(1, 12)
-            xs = rng.sample(range(min(field.modulus, 1 << 20)), k)
-            # A random degree below k; the rest of the vector is zero.
-            degree = rng.randrange(k)
-            coefficients = [
-                rng.randrange(field.modulus) for _ in range(degree + 1)
-            ]
-            ys = evaluate_many(field, coefficients, xs)
-            plan = InterpPlan(field, xs)
-            expected = interpolate_coefficients(field, list(zip(xs, ys)))
-            assert plan.coefficients(ys) == expected
-            assert expected == coefficients + [0] * (k - degree - 1)
-            # Unreduced ys, and a second call from the built basis.
-            raw = [y + field.modulus * rng.randrange(3) for y in ys]
-            assert plan.coefficients(raw) == expected
-    with pytest.raises(FieldError):
-        InterpPlan(DEFAULT_FIELD, [1, 2]).coefficients([5])
 
 
 def test_lambdas_at_zero_matches_reference():

@@ -269,7 +269,7 @@ class TestBitLedger:
 
     def test_record_abstract(self):
         ledger = BitLedger(2)
-        ledger.record_abstract(0, 1, 100)
+        ledger.record_abstract(0, (1,), 100)
         assert ledger.bits_sent_by(0) == 100
         assert ledger.received_bits[1] == 100
 
@@ -278,21 +278,60 @@ class TestBitLedger:
         batched, repeated = BitLedger(3), BitLedger(3)
         for ledger in (batched, repeated):
             ledger.set_phase("send_up_level_1")
-        batched.record_abstract(0, 2, 5 * 63, messages=5)
+        batched.record_abstract(0, (2,), 5 * 63, messages=5)
         for _ in range(5):
-            repeated.record_abstract(0, 2, 63)
+            repeated.record_abstract(0, (2,), 63)
         for attribute in (
             "sent_bits", "received_bits", "sent_messages", "phase_bits",
         ):
             assert getattr(batched, attribute) == getattr(repeated, attribute)
         assert batched.snapshot() == repeated.snapshot()
 
+    def test_fan_out_equals_one_call_per_recipient(self):
+        """One call over k recipients leaves every counter, values and
+        key order alike, as k one-recipient calls: seeded fan-outs of 0
+        to 12 recipients, repeats among them, across phases."""
+        rng = random.Random(29)
+        fanned, single = BitLedger(16), BitLedger(16)
+        for step in range(200):
+            if step % 40 == 0:
+                phase = f"phase_{rng.randrange(3)}"
+                fanned.set_phase(phase)
+                single.set_phase(phase)
+            sender = rng.randrange(16)
+            recipients = [
+                rng.randrange(16) for _ in range(rng.randrange(13))
+            ]
+            bits = rng.randrange(1, 500)
+            messages = rng.randrange(1, 4)
+            fanned.record_abstract(sender, recipients, bits, messages)
+            for recipient in recipients:
+                single.record_abstract(sender, (recipient,), bits, messages)
+        for attribute in (
+            "sent_bits", "received_bits", "sent_messages", "phase_bits",
+        ):
+            assert list(getattr(fanned, attribute).items()) == list(
+                getattr(single, attribute).items()
+            )
+        assert fanned.snapshot() == single.snapshot()
+
+    def test_empty_fan_out_charges_nothing(self):
+        ledger = BitLedger(2)
+        ledger.record_abstract(0, (), 64)
+        ledger.record_abstract(1, [], 64, messages=3)
+        assert not ledger.sent_bits
+        assert not ledger.received_bits
+        assert not ledger.sent_messages
+        assert not ledger.phase_bits
+
     @pytest.mark.parametrize("messages", [0, -1])
     def test_record_abstract_rejects_fewer_than_one_message(self, messages):
         ledger = BitLedger(2)
-        with pytest.raises(ValueError, match="messages"):
-            ledger.record_abstract(0, 1, 64, messages=messages)
+        for recipients in [(1,), (0, 1), ()]:
+            with pytest.raises(ValueError, match="messages"):
+                ledger.record_abstract(0, recipients, 64, messages=messages)
         assert not ledger.sent_bits and not ledger.sent_messages
+        assert not ledger.received_bits and not ledger.phase_bits
 
     def test_snapshot(self):
         ledger = BitLedger(2)

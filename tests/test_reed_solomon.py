@@ -20,6 +20,12 @@ from repro.crypto.reed_solomon import (
 FIELD = PrimeField(257)
 
 
+def grid_and_rows(points):
+    """A pool as ``berlekamp_welch`` takes it: its x grid and a list
+    holding its one row of values."""
+    return [x for x, _y in points], [[y for _x, y in points]]
+
+
 def noisy_points(secret, degree_bound, m, wrong, seed):
     rng = random.Random(seed)
     poly = random_polynomial(FIELD, secret, degree_bound - 1, rng)
@@ -67,8 +73,9 @@ class TestPolyDivmod:
 class TestBerlekampWelch:
     def test_no_errors(self):
         points, poly = noisy_points(42, 4, 8, 0, 1)
-        (decoded,) = berlekamp_welch(FIELD, [points], 4)
-        assert decoded[: len(poly)] == poly
+        (decoded,) = berlekamp_welch(FIELD, *grid_and_rows(points), 4)
+        assert decoded == poly[0] == 42
+        assert _solve_key_equation(FIELD, points, 4)[: len(poly)] == poly
 
     def test_max_errors_corrected(self):
         # m=12, t=4 -> radius e=4
@@ -82,7 +89,7 @@ class TestBerlekampWelch:
 
     def test_insufficient_points(self):
         points, _ = noisy_points(5, 6, 4, 0, 4)
-        assert berlekamp_welch(FIELD, [points], 6)[0] is None
+        assert berlekamp_welch(FIELD, *grid_and_rows(points), 6) == [None]
 
     def test_every_error_count_up_to_radius(self):
         for wrong in range(0, 5):
@@ -186,14 +193,16 @@ def test_windows_return_exactly_what_the_solve_returns(
     points, poly = tampered_pool(
         field, degree_bound, xs, rng.sample(range(m), wrong), rng
     )
-    (decoded,) = berlekamp_welch(field, [points], degree_bound, max_errors)
-    assert decoded == _solve_key_equation(
-        field, points, degree_bound, max_errors
+    (decoded,) = berlekamp_welch(
+        field, xs, [[y for _x, y in points]], degree_bound, max_errors
     )
+    solved = _solve_key_equation(field, points, degree_bound, max_errors)
+    assert decoded == (None if solved is None else solved[0])
     if max_errors is None and wrong <= radius and len(set(
         x % field.modulus for x in xs
     )) == m:
-        assert decoded == poly
+        assert solved == poly
+        assert decoded == poly[0]
 
 
 class TestWindowedDecoding:
@@ -203,23 +212,31 @@ class TestWindowedDecoding:
         points, poly = tampered_pool(
             DEFAULT_FIELD, 3, range(1, 9), [1], random.Random(21)
         )
-        (decoded,) = berlekamp_welch(DEFAULT_FIELD, [points], 3)
-        assert decoded == poly
+        (decoded,) = berlekamp_welch(
+            DEFAULT_FIELD, *grid_and_rows(points), 3
+        )
+        assert decoded == poly[0]
         assert solve_calls == []
-        assert decoded == _solve_key_equation(DEFAULT_FIELD, points, 3)
+        assert _solve_key_equation(DEFAULT_FIELD, points, 3) == poly
 
     def test_wrong_value_in_every_window_forces_the_solve(self, solve_calls):
         points, poly = tampered_pool(
             DEFAULT_FIELD, 3, range(1, 9), [1, 4], random.Random(22)
         )
-        assert berlekamp_welch(DEFAULT_FIELD, [points], 3)[0] == poly
+        assert berlekamp_welch(
+            DEFAULT_FIELD, *grid_and_rows(points), 3
+        ) == [poly[0]]
         assert len(solve_calls) == 1
 
     def test_duplicate_x_goes_straight_to_the_solve(self, solve_calls):
         points = [(1, 5), (1, 6), (2, 7), (3, 9), (4, 11), (5, 13)]
-        assert berlekamp_welch(FIELD, [points], 2)[0] == [3, 2]
+        assert berlekamp_welch(FIELD, *grid_and_rows(points), 2) == [3]
         assert len(solve_calls) == 1
+        assert _solve_key_equation(FIELD, points, 2) == [3, 2]
 
     def test_degree_bound_zero_goes_straight_to_the_solve(self, solve_calls):
-        assert berlekamp_welch(FIELD, [[(1, 0), (2, 0), (3, 5)]], 0)[0] == []
+        # The solve returns the zero polynomial (no coefficients), whose
+        # constant is 0.
+        assert berlekamp_welch(FIELD, [1, 2, 3], [[0, 0, 5]], 0) == [0]
         assert len(solve_calls) == 1
+        assert _solve_key_equation(FIELD, [(1, 0), (2, 0), (3, 5)], 0) == []

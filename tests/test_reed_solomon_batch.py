@@ -1,10 +1,11 @@
-"""The batch decoder against the key-equation solve, pool by pool.
+"""The grid decoder against the key-equation solve, row by row.
 
 Seeded with the standard library's ``random`` and free of hypothesis,
-so the numpy-free CI job runs it too: there the window predictions take
-the stacked-column path of ``InterpPlan.interpolate_grid``, here they
-also take the numpy path.  Besides parity, each batch is checked to
-send exactly the pools that no window explains to the solve, against a
+so the numpy-free CI job runs it too: there the window predictions and
+constants take the stacked-column paths of
+``InterpPlan.interpolate_grid`` and ``InterpPlan.constant_many``, here
+they also take the numpy path.  Besides parity, each call is checked to
+send exactly the rows that no window explains to the solve, against a
 reference window check built from the naive polynomial helpers.
 """
 
@@ -23,8 +24,8 @@ from repro.crypto.reed_solomon import _solve_key_equation, berlekamp_welch
 
 FIELDS = [PrimeField(257), DEFAULT_FIELD, PrimeField(MERSENNE_61)]
 
-#: Explicit error caps, below the radius of the larger pools of a batch
-#: and above that of the smaller ones, besides the default radius.
+#: Explicit error caps, below the radius of the larger grids and above
+#: that of the smaller ones (t + 2e > m), besides the default radius.
 MAX_ERRORS = (None, 1, 3)
 
 
@@ -39,84 +40,107 @@ def engine(request, monkeypatch):
     return request.param
 
 
-def dealt_pool(field, t, xs, wrong, rng):
-    """Shares of a random degree < t polynomial (zero at t = 0) over
-    ``xs``, with the values at ``wrong`` random positions shifted."""
+def dealt_row(field, t, xs, wrong, rng):
+    """The values over ``xs`` of a random degree < t polynomial (zero at
+    t = 0), with the values at ``wrong`` random positions shifted."""
     poly = []
     if t:
         poly = random_polynomial(
             field, rng.randrange(field.modulus), t - 1, rng
         )
-    pool = [(x, evaluate(field, poly, x)) for x in xs]
+    mod = field.modulus
+    row = [evaluate(field, poly, x) for x in xs]
     for i in rng.sample(range(len(xs)), wrong):
-        x, y = pool[i]
-        pool[i] = (x, (y + 1 + rng.randrange(field.modulus - 1))
-                   % field.modulus)
-    return pool
+        row[i] = (row[i] + 1 + rng.randrange(mod - 1)) % mod
+    return tuple(row)
 
 
-def mixed_batch(field, t, rng):
-    """Pools at threshold ``t`` on several grids, shuffled together.
-
-    The grids: 1..m for m = t (one window, no point outside it), t + 1,
-    2t + 1 and 3t + 2; a random grid; and a grid whose last x repeats
-    its first one modulo p.  On each grid, pools with no error, one
-    error, errors up to the radius and one and two past it.
-    """
+def grids(field, t, rng):
+    """The x grids at threshold ``t``: 1..m for m = t (one window, no
+    point outside it), t + 1, 2t + 1 and 3t + 2; a random grid; and a
+    grid whose last x repeats its first one modulo p."""
     top = min(field.modulus, 2**40)
-    grids = [list(range(1, m + 1)) for m in (t, t + 1, 2 * t + 1, 3 * t + 2)]
-    grids.append(rng.sample(range(1, top), 2 * t + 3))
+    out = [list(range(1, m + 1)) for m in (t, t + 1, 2 * t + 1, 3 * t + 2)]
+    out.append(rng.sample(range(1, top), 2 * t + 3))
     duplicate = rng.sample(range(1, top), 2 * t + 2)
     duplicate[-1] = duplicate[0] + field.modulus
-    grids.append(duplicate)
-    pools = []
-    for xs in grids:
-        radius = max(0, (len(xs) - t) // 2)
-        for wrong in sorted({0, 1, radius, radius + 1, radius + 2}):
-            pools.append(dealt_pool(field, t, xs, min(wrong, len(xs)), rng))
-    rng.shuffle(pools)
-    return pools
+    out.append(duplicate)
+    return out
 
 
-def explained_by_a_window(field, pool, t, max_errors):
-    """Whether a disjoint t-point window decodes ``pool``: the guards of
+def rows_on(field, t, xs, rng):
+    """Two rows for each count of wrong values from 0 to two past the
+    grid's radius, shuffled."""
+    radius = max(0, (len(xs) - t) // 2)
+    rows = [
+        dealt_row(field, t, xs, min(wrong, len(xs)), rng)
+        for wrong in range(radius + 3)
+        for _ in range(2)
+    ]
+    rng.shuffle(rows)
+    return rows
+
+
+def explained_by_a_window(field, xs, row, t, max_errors):
+    """Whether a disjoint t-point window decodes ``row``: the guards of
     the windows hold and the polynomial through some window misses at
-    most ``max_errors`` of the pool's points."""
+    most ``max_errors`` of the row's values."""
     mod = field.modulus
-    m = len(pool)
+    m = len(xs)
     errors = max(0, (m - t) // 2) if max_errors is None else max_errors
-    if t < 1 or t + 2 * errors > m or len({x % mod for x, _y in pool}) < m:
+    if t < 1 or t + 2 * errors > m or len({x % mod for x in xs}) < m:
         return False
+    points = list(zip(xs, row))
     for start in range(0, m - t + 1, t):
-        coefficients = interpolate_coefficients(field, pool[start:start + t])
+        coefficients = interpolate_coefficients(
+            field, points[start:start + t]
+        )
         misses = sum(
-            evaluate(field, coefficients, x) != y % mod for x, y in pool
+            evaluate(field, coefficients, x) != y % mod for x, y in points
         )
         if misses <= errors:
             return True
     return False
 
 
+def solved_constant(field, xs, row, t, max_errors):
+    """The key-equation solve's constant: its first coefficient, 0 for
+    the zero polynomial it returns at t = 0, or None."""
+    coefficients = _solve_key_equation(
+        field, list(zip(xs, row)), t, max_errors
+    )
+    if coefficients is None:
+        return None
+    return coefficients[0] if coefficients else 0
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: str(f.modulus))
 def test_batch_matches_the_solve_pool_by_pool(field, engine, monkeypatch):
+    """One call per grid: each row's constant is the solve's, and the
+    rows that no window explains, and only those, reach the solve, in
+    row order."""
     solved = []
 
-    def spy(field_, pool, t, max_errors):
-        solved.append(pool)
-        return _solve_key_equation(field_, pool, t, max_errors)
+    def spy(field_, points, t, max_errors):
+        solved.append(points)
+        return _solve_key_equation(field_, points, t, max_errors)
 
     monkeypatch.setattr(reed_solomon, "_solve_key_equation", spy)
     rng = random.Random(field.modulus % 9973)
     for t in range(6):
-        pools = mixed_batch(field, t, rng)
-        for max_errors in MAX_ERRORS:
-            solved.clear()
-            decoded = berlekamp_welch(field, pools, t, max_errors)
-            assert len(decoded) == len(pools)
-            for got, pool in zip(decoded, pools):
-                assert got == _solve_key_equation(field, pool, t, max_errors)
-            assert [id(pool) for pool in solved] == [
-                id(pool) for pool in pools
-                if not explained_by_a_window(field, pool, t, max_errors)
-            ]
-    assert berlekamp_welch(field, [], 3) == []
+        for xs in grids(field, t, rng):
+            rows = rows_on(field, t, xs, rng)
+            for max_errors in MAX_ERRORS:
+                solved.clear()
+                constants = berlekamp_welch(field, xs, rows, t, max_errors)
+                assert solved == [
+                    list(zip(xs, row)) for row in rows
+                    if not explained_by_a_window(
+                        field, xs, row, t, max_errors
+                    )
+                ]
+                assert constants == [
+                    solved_constant(field, xs, row, t, max_errors)
+                    for row in rows
+                ]
+    assert berlekamp_welch(field, [1, 2, 3], [], 3) == []
